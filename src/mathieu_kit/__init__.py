@@ -9,6 +9,8 @@ independent integration oracle, the catalogued variable-map reductions, and
 the flux-lattice field-modulation pipeline.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bessel import BesselValue, bessel_j, bessel_y
 from .closed_form import (
     ADMISSIBILITY_TOL,
@@ -20,6 +22,7 @@ from .closed_form import (
     argument_scale,
     bessel_argument,
     evaluate,
+    evaluate_grid,
     fundamental_pair,
     general_solution,
     homogeneous_ode,
@@ -98,83 +101,6 @@ from .samples import SolutionSample, TimeSeries
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ADMISSIBILITY_TOL",
-    "AdjudicationReport",
-    "AdmissibilityError",
-    "BesselValue",
-    "ClosedFormSpec",
-    "ConvergenceError",
-    "DampedParams",
-    "DegeneracyError",
-    "DegenerateParametersError",
-    "FloquetSolution",
-    "FluxParams",
-    "GeneralParams",
-    "InducedFieldModel",
-    "InvalidParameterError",
-    "LinearODE",
-    "MapDomainError",
-    "MappingError",
-    "MathieuKitError",
-    "ModulationResult",
-    "MonodromyResult",
-    "RangeLimitError",
-    "ReductionInput",
-    "ReductionResult",
-    "ResidualReport",
-    "ResonanceError",
-    "SingularityError",
-    "SinusoidalResponse",
-    "SolutionSample",
-    "SpanError",
-    "StiffnessError",
-    "TimeSeries",
-    "Variant",
-    "adjudicate",
-    "argument_scale",
-    "bessel_argument",
-    "bessel_j",
-    "bessel_y",
-    "characteristic_exponent",
-    "class_distance",
-    "classify_stability",
-    "coefficients",
-    "damped_to_general",
-    "eval_floquet",
-    "evaluate",
-    "exponent_details",
-    "field_from_motion",
-    "full_ode",
-    "fundamental_pair",
-    "general_mathieu_ode",
-    "general_solution",
-    "hill_determinant",
-    "homogeneous_ode",
-    "identify_frequencies",
-    "index",
-    "induced_field",
-    "induced_field_model",
-    "integrate",
-    "interior_grid",
-    "is_admissible",
-    "linearized_delta",
-    "mirror",
-    "modulation_analysis",
-    "monodromy_exponent",
-    "normalize_exponent",
-    "particular_k0",
-    "pullback",
-    "reduce",
-    "residual",
-    "second_solution",
-    "simulate_full",
-    "solve",
-    "source_ode",
-    "split_ode",
-    "stiffness",
-    "symmetric_case_solution",
-    "undamped_general_solution",
-    "validate_tolerance",
-    "wronskian_abel",
-]
+# the public names are exactly those imported above (the submodules aside)
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -63,6 +64,10 @@ def _jsonify(value):
     if isinstance(value, cf.Variant):
         return value.value
     return value
+
+
+def _damped(p: dict) -> cf.DampedParams:
+    return cf.DampedParams(m=p["m"], eta=p["eta"], k0=p["k0"], k=p["k"], omega=p["omega"])
 
 
 def _complex_flag(text: str) -> complex:
@@ -159,17 +164,15 @@ def _validate_job(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> No
     """Module-level precondition checks promoted to usage errors."""
     try:
         if ns.command in ("solve", "residual", "flux"):
-            cf.DampedParams(m=ns.m, eta=ns.eta, k0=ns.k0, k=ns.k, omega=ns.omega)
+            base = _damped(vars(ns))
         if ns.command == "flux":
-            base = cf.DampedParams(m=ns.m, eta=ns.eta, k0=ns.k0, k=ns.k, omega=ns.omega)
             fx.FluxParams(base=base, B=ns.B, J0=ns.J0, Omega=ns.Omega, c_light=ns.c_light)
         if ns.command == "transform":
             damped_given = [ns.m, ns.eta, ns.k0, ns.k, ns.omega]
             if ns.family == "damped":
                 if any(v is None for v in damped_given):
                     parser.error("family 'damped' requires --m --eta --k0 --k --omega")
-                params = cf.DampedParams(m=ns.m, eta=ns.eta, k0=ns.k0, k=ns.k, omega=ns.omega)
-                rd.ReductionInput(family=ns.family, params=params)
+                rd.ReductionInput(family=ns.family, params=_damped(vars(ns)))
             else:
                 if any(v is not None for v in damped_given):
                     parser.error("damped-oscillator flags apply only to family 'damped'")
@@ -235,32 +238,18 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 def _series_rows(ts: TimeSeries):
-    for i, t in enumerate(ts.grid):
-        y = ts.y[i]
-        dy = ts.dy[i]
+    for t, y, dy in zip(ts.grid, ts.y, ts.dy):
         yield [_fmt(t), _fmt(y.real), _fmt(y.imag), _fmt(dy.real), _fmt(dy.imag)]
-
-
-def _residual_of_series(ode, ts: TimeSeries):
-    table = {float(t): ts[i] for i, t in enumerate(ts.grid)}
-    return residual(ode, lambda t: table[float(t)], np.asarray(ts.grid, dtype=float))
 
 
 def _run_solve(job: JobSpec, sidecar: dict):
     p = job.parameters
-    params = cf.DampedParams(m=p["m"], eta=p["eta"], k0=p["k0"], k=p["k"], omega=p["omega"])
+    params = _damped(p)
     spec = cf.general_solution(params, p["variant"], p["c1"], p["c2"],
                                allow_inadmissible=p["allow_inadmissible"])
     grid = np.arange(0, int(round((p["t1"] - p["t0"]) / p["dt"])) + 1) * p["dt"] + p["t0"]
-    samples = [cf.evaluate(spec, params, float(t)) for t in grid]
-    ts = TimeSeries(
-        grid=np.asarray(grid, dtype=float),
-        y=np.array([s.y for s in samples]),
-        dy=np.array([s.dy for s in samples]),
-        d2y=np.array([s.d2y for s in samples]),
-        meta={},
-    )
-    rep = _residual_of_series(cf.split_ode(params), ts)
+    ts = cf.evaluate_grid(spec, params, grid)
+    rep = residual(cf.split_ode(params), ts)
     sidecar.update(
         variant=_jsonify(spec.variant),
         nu=_jsonify(spec.nu),
@@ -280,8 +269,7 @@ def _run_floquet(job: JobSpec, sidecar: dict):
     gp = fl.GeneralParams(h=p["h"], theta=p["theta"])
     sol = fl.solve(gp, p["trunc"])
     grid = np.linspace(0.0, 4.0 * math.pi, 201)
-    table = {float(t): fl.eval_floquet(sol, float(t)) for t in grid}
-    rep = residual(fl.general_mathieu_ode(gp), lambda t: table[float(t)], grid)
+    rep = residual(fl.general_mathieu_ode(gp), lambda t: fl.eval_floquet(sol, t), grid)
     sidecar.update(
         mu=_jsonify(normalize_exponent(sol.mu)),
         residual_linf=rep.linf,
@@ -300,7 +288,7 @@ def _run_floquet(job: JobSpec, sidecar: dict):
 
 def _run_residual(job: JobSpec, sidecar: dict):
     p = job.parameters
-    params = cf.DampedParams(m=p["m"], eta=p["eta"], k0=p["k0"], k=p["k"], omega=p["omega"])
+    params = _damped(p)
     grid = np.linspace(p["t0"], p["t1"], p["n"])
     report = cf.adjudicate(params, grid, allow_inadmissible=p["allow_inadmissible"])
     sidecar.update(
@@ -327,7 +315,7 @@ def _run_sweep(job: JobSpec, sidecar: dict):
     hs = np.linspace(p["h0"], p["h1"], p["nh"])
     thetas = np.linspace(p["theta0"], p["theta1"], p["ntheta"])
     rows = []
-    failures = 0
+    failures = Counter()
     for h in hs:
         for th in thetas:
             gp = fl.GeneralParams(h=float(h), theta=float(th))
@@ -335,18 +323,20 @@ def _run_sweep(job: JobSpec, sidecar: dict):
                 mu = fl.characteristic_exponent(gp, p["trunc"])
                 rows.append([_fmt(h), _fmt(th), _fmt(mu.real), _fmt(mu.imag),
                              fl.classify_stability(mu)])
-            except MathieuKitError:
-                failures += 1
+            except MathieuKitError as exc:
+                failures[type(exc).__name__] += 1
                 rows.append([_fmt(h), _fmt(th), "nan", "nan", "failed"])
-    sidecar.update(validity_flags={"grid_points": len(rows), "failures": failures})
+    flags = {"grid_points": len(rows), "failures": sum(failures.values())}
+    if failures:
+        flags["failure_classes"] = dict(failures)
+    sidecar.update(validity_flags=flags)
     return _csv_text(["h", "theta", "re_mu", "im_mu", "stability"], rows), (1 if failures else 0)
 
 
 def _run_transform(job: JobSpec, sidecar: dict):
     p = job.parameters
     if p["family"] == "damped":
-        params = cf.DampedParams(m=p["m"], eta=p["eta"], k0=p["k0"], k=p["k"], omega=p["omega"])
-        inp = rd.ReductionInput(family="damped", params=params)
+        inp = rd.ReductionInput(family="damped", params=_damped(p))
     else:
         inp = rd.ReductionInput(family=p["family"], a=p["a"], b=p["b"], lam=p["lam"])
     res = rd.reduce(inp)
@@ -366,7 +356,7 @@ def _run_transform(job: JobSpec, sidecar: dict):
 
 def _run_flux(job: JobSpec, sidecar: dict):
     p = job.parameters
-    base = cf.DampedParams(m=p["m"], eta=p["eta"], k0=p["k0"], k=p["k"], omega=p["omega"])
+    base = _damped(p)
     fp = fx.FluxParams(base=base, B=p["B"], J0=p["J0"], Omega=p["Omega"], c_light=p["c_light"])
     n_steps = int(round((p["t1"] - p["t0"]) / p["dt"]))
     grid = p["t0"] + p["dt"] * np.arange(n_steps + 1)
@@ -404,7 +394,7 @@ def _run_integrate(job: JobSpec, sidecar: dict):
     grid = p["t0"] + p["dt"] * np.arange(n_steps + 1)
     ode = fl.general_mathieu_ode(gp)
     ts = integrate(ode, p["y0"], p["dy0"], (p["t0"], p["t1"]), job.tolerance, t_eval=grid)
-    rep = _residual_of_series(ode, ts)
+    rep = residual(ode, ts)
     sidecar.update(
         residual_linf=rep.linf,
         residual_l2=rep.l2,

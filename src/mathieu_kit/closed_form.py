@@ -25,6 +25,10 @@ otherwise), hence the admissibility gate.  Evaluation follows the Bessel
 argument around its circular path in the complex plane, applying the
 analytic-continuation correction for the second kind when the path winds
 across the standard branch cut.
+
+evaluate_grid(spec, params, grid) is the one evaluation body: it returns a
+TimeSeries that oracle.residual(ode, series) checks on its own grid, and
+evaluate() is its single-point wrapper.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .bessel import bessel_j, bessel_y
 from .errors import AdmissibilityError, InvalidParameterError, SingularityError
 from .floquet import GeneralParams
 from .oracle import LinearODE, ResidualReport, residual
-from .samples import SolutionSample
+from .samples import SolutionSample, TimeSeries
 
 ADMISSIBILITY_TOL = 1e-9
 
@@ -223,51 +227,49 @@ def mirror(spec: ClosedFormSpec) -> ClosedFormSpec:
     )
 
 
-def _winding(spec: ClosedFormSpec, t: float, z: complex) -> int:
-    # The path z(t) = scale * e^{i s t} leaves the principal branch when the
-    # accumulated angle passes +-pi; Y_n picks up 4 i w J_n per full turn.
-    angle = cmath.phase(spec.argument_scale) + spec.exponent_rate.imag * t
-    return int(round((angle - cmath.phase(z)) / (2.0 * math.pi)))
+def evaluate_grid(spec: ClosedFormSpec, params: DampedParams, grid) -> TimeSeries:
+    """The closed form with analytic derivatives on a strictly increasing grid.
 
-
-def evaluate(spec: ClosedFormSpec, params: DampedParams, t: float) -> SolutionSample:
-    """Evaluate the closed form with analytic first and second derivatives.
-
-    Derivatives chain through z(t); the second derivative of the cylinder
-    bracket is eliminated with its own differential equation, and the
-    second-kind branch is analytically continued across the log cut as the
-    argument winds.
+    Derivatives chain through z(t); the cylinder bracket's second derivative
+    comes from its own differential equation, and the second-kind branch is
+    continued across the log cut as the argument winds.  Bessel functions are
+    called once per point; the rest is array arithmetic.
     """
-    t = float(t)
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) == 0:
+        raise InvalidParameterError("grid must be a non-empty 1-d sequence")
     expected_decay = params.eta / (2.0 * params.m)
     if abs(spec.decay_rate - expected_decay) > 1e-12 * max(1.0, abs(expected_decay)):
         raise InvalidParameterError(
             f"spec decay rate {spec.decay_rate!r} does not match params ({expected_decay!r})"
         )
     n = spec.order()
-    pref = cmath.exp(-spec.decay_rate * t)
+    r = spec.decay_rate
+    pref = np.exp(-r * grid)
 
     if spec.argument_scale == 0:
         if spec.c2 != 0:
-            raise SingularityError(
-                "second-kind branch diverges at identically zero argument"
-            )
-        bracket = spec.c1 * (1.0 if n == 0 else 0.0)
-        y = pref * bracket
-        return SolutionSample(t=t, y=y, dy=-spec.decay_rate * y,
-                              d2y=spec.decay_rate ** 2 * y)
+            raise SingularityError("second-kind branch diverges at identically zero argument")
+        y = pref * (spec.c1 * (1.0 if n == 0 else 0.0))
+        return TimeSeries(grid=grid, y=y, dy=-r * y, d2y=r ** 2 * y)
 
-    z = spec.argument_scale * cmath.exp(spec.exponent_rate * t)
-    jv = bessel_j(n, z)
-    b = spec.c1 * jv.value
-    db = spec.c1 * jv.derivative
+    z = spec.argument_scale * np.exp(spec.exponent_rate * grid)
+    points = z.tolist()
+
+    def cylinder(fn):
+        return np.array([(v.value, v.derivative) for v in [fn(n, zi) for zi in points]]).T
+
+    j_val, j_der = cylinder(bessel_j)
+    b = spec.c1 * j_val
+    db = spec.c1 * j_der
     if spec.c2 != 0:
-        yv = bessel_y(n, z)
-        w = _winding(spec, t, z)
-        y_val = yv.value + 4.0j * w * jv.value
-        y_der = yv.derivative + 4.0j * w * jv.derivative
-        b += spec.c2 * y_val
-        db += spec.c2 * y_der
+        # The path z(t) = scale * e^{i s t} leaves the principal branch when the
+        # accumulated angle passes +-pi; Y_n picks up 4 i w J_n per full turn.
+        angle = cmath.phase(spec.argument_scale) + spec.exponent_rate.imag * grid
+        w4 = 4.0j * np.round((angle - np.angle(z)) / (2.0 * math.pi))
+        y_val, y_der = cylinder(bessel_y)
+        b += spec.c2 * (y_val + w4 * j_val)
+        db += spec.c2 * (y_der + w4 * j_der)
     # cylinder equation: B'' = -B'/z + (n^2/z^2 - 1) B
     d2b = -db / z + (n * n / (z * z) - 1.0) * b
 
@@ -275,12 +277,17 @@ def evaluate(spec: ClosedFormSpec, params: DampedParams, t: float) -> SolutionSa
     d2z = spec.exponent_rate ** 2 * z
     bt = db * dz
     btt = d2b * dz * dz + db * d2z
+    return TimeSeries(
+        grid=grid,
+        y=pref * b,
+        dy=pref * (bt - r * b),
+        d2y=pref * (btt - 2.0 * r * bt + r * r * b),
+    )
 
-    r = spec.decay_rate
-    y = pref * b
-    dy = pref * (bt - r * b)
-    d2y = pref * (btt - 2.0 * r * bt + r * r * b)
-    return SolutionSample(t=t, y=y, dy=dy, d2y=d2y)
+
+def evaluate(spec: ClosedFormSpec, params: DampedParams, t: float) -> SolutionSample:
+    """The closed form and its first two derivatives at one time (see evaluate_grid)."""
+    return evaluate_grid(spec, params, [t])[0]
 
 
 # contract alias for the evaluation entry point
@@ -363,8 +370,7 @@ def adjudicate(params: DampedParams, grid=None, tol: float = 1e-8,
     for variant in (Variant.CORRECTED, Variant.LITERAL):
         spec = general_solution(params, variant, c1, c2,
                                 allow_inadmissible=allow_inadmissible)
-        candidate = lambda t, s=spec: evaluate(s, params, t)
-        reports[variant] = residual(ode, candidate, grid, tol=tol)
+        reports[variant] = residual(ode, evaluate_grid(spec, params, grid), tol=tol)
     passing = [v for v in (Variant.CORRECTED, Variant.LITERAL)
                if reports[v].linf < tol]
     winner = None

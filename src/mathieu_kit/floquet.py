@@ -60,7 +60,6 @@ class FloquetSolution:
     mu: complex
     coeffs: np.ndarray
     truncation: int
-    normalization: complex = 1.0 + 0.0j
 
     def coefficient(self, n: int) -> complex:
         if abs(n) > self.truncation:
@@ -237,7 +236,7 @@ def solve(gp: GeneralParams, trunc: int = DEFAULT_TRUNCATION, oracle_tol: float 
     # (reflection t -> -t maps solutions to solutions, so this is free)
     if abs(sol.mu.real) <= 1e-12 and sol.mu.imag < -1e-12:
         sol = FloquetSolution(mu=-sol.mu, coeffs=sol.coeffs[::-1].copy(),
-                              truncation=sol.truncation, normalization=sol.normalization)
+                              truncation=sol.truncation)
     return sol
 
 
@@ -275,12 +274,7 @@ def second_solution(sol: FloquetSolution) -> FloquetSolution:
         raise DegeneracyError(
             f"i*mu = {1j * mu:.6g} is an integer: the reflected solution is not independent"
         )
-    return FloquetSolution(
-        mu=-mu,
-        coeffs=sol.coeffs[::-1].copy(),
-        truncation=sol.truncation,
-        normalization=sol.normalization,
-    )
+    return FloquetSolution(mu=-mu, coeffs=sol.coeffs[::-1].copy(), truncation=sol.truncation)
 
 
 def classify_stability(mu: complex, tol_b: float = 1e-8) -> str:

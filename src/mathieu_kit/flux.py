@@ -277,6 +277,17 @@ def _moving_average_gain(freq: float, window: int, dt: float) -> float:
     return abs(math.sin(window * x) / (window * math.sin(x)))
 
 
+def _envelope(signal: np.ndarray, grid: np.ndarray, carrier: float, dt: float) -> tuple[np.ndarray, int]:
+    """Signal mixed down at the carrier, boxcar-averaged over a fixed number of
+    carrier periods: (envelope magnitude, boxcar length)."""
+    window = max(int(round(LOWPASS_CARRIER_PERIODS * (2.0 * math.pi / max(carrier, 1e-300)) / dt)), 2)
+    if window >= len(grid):
+        raise SpanError("series too short for the demodulation window")
+    mixed = 2.0 * signal * np.exp(-1j * carrier * grid)
+    kernel = np.full(window, 1.0 / window)
+    return np.abs(np.convolve(mixed, kernel, mode="valid")), window
+
+
 def modulation_analysis(series: TimeSeries, Omega: float, omega: float) -> ModulationResult:
     """Measure carrier amplitude and modulation depth/phase by demodulation.
 
@@ -296,14 +307,7 @@ def modulation_analysis(series: TimeSeries, Omega: float, omega: float) -> Modul
             f"({3.0 * 2.0 * math.pi / omega:.3g})"
         )
     dt = _uniform_step(grid)
-    window = int(round(LOWPASS_CARRIER_PERIODS * (2.0 * math.pi / Omega) / dt))
-    window = max(window, 2)
-    if window >= len(grid):
-        raise SpanError("series too short for the demodulation window")
-
-    mixed = 2.0 * signal * np.exp(-1j * Omega * grid)
-    kernel = np.full(window, 1.0 / window)
-    envelope = np.abs(np.convolve(mixed, kernel, mode="valid"))
+    envelope, window = _envelope(signal, grid, Omega, dt)
     t_env = grid[window - 1 :] - (window - 1) * dt / 2.0
 
     basis = np.column_stack(
@@ -338,12 +342,7 @@ def identify_frequencies(series: TimeSeries) -> tuple[float, float]:
     spectrum[0] = 0.0
     carrier = float(freqs[int(np.argmax(spectrum))])
 
-    mixed = 2.0 * signal * np.exp(-1j * carrier * grid)
-    window = max(int(round(LOWPASS_CARRIER_PERIODS * (2.0 * math.pi / max(carrier, 1e-300)) / dt)), 2)
-    if window >= n:
-        raise SpanError("series too short to isolate the envelope")
-    kernel = np.full(window, 1.0 / window)
-    envelope = np.abs(np.convolve(mixed, kernel, mode="valid"))
+    envelope, _ = _envelope(signal, grid, carrier, dt)
     env = envelope - np.mean(envelope)
     m = len(env)
     efreqs = 2.0 * math.pi * np.fft.rfftfreq(m, d=dt)

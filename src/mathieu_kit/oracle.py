@@ -5,6 +5,10 @@ Dormand-Prince 5(4) integrator with the classical quartic interpolant and a PI
 step controller, period-map (monodromy) exponents, pointwise defect residuals
 with a scale-aware normalization, and the Abel/Liouville Wronskian reference.
 All state is complex; a real problem is just a special case.
+
+Results cross layer boundaries as TimeSeries arrays: integrate returns one,
+and residual(ode, series) checks one on its own grid (a per-point callable
+plus a grid is accepted too, and is sampled into arrays first).
 """
 
 from __future__ import annotations
@@ -85,9 +89,18 @@ class LinearODE:
         fv = complex(self.f(t)) if self.f is not None else 0.0 + 0.0j
         return pv, qv, fv
 
-    def second_derivative(self, t: float, y: complex, dy: complex) -> complex:
-        pv, qv, fv = self.coefficients_at(t)
-        return fv - pv * dy - qv * y
+    def coefficients_on(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """p, q and f sampled on a grid as complex arrays (zeros for None)."""
+        return _sample(self.p, grid), _sample(self.q, grid), _sample(self.f, grid)
+
+
+def _sample(fn: Coefficient | None, points: np.ndarray) -> np.ndarray:
+    # Coefficients stay scalar math/cmath callables, which the stepper calls six
+    # times a step (a numpy ufunc costs more per call); grids sample them here.
+    out = np.zeros(np.shape(points), dtype=complex)
+    if fn is not None:
+        out.flat[:] = [fn(t) for t in np.ravel(points).tolist()]
+    return out
 
 
 @dataclass(frozen=True)
@@ -132,22 +145,21 @@ def _initial_step(rhs, t0: float, u0: np.ndarray, f0: np.ndarray, t1: float, tol
     return min(100.0 * h0, h1, t1 - t0)
 
 
-class _DenseSegment:
-    __slots__ = ("t", "h", "cont")
-
-    def __init__(self, t: float, h: float, cont: np.ndarray):
-        self.t = t
-        self.h = h
-        self.cont = cont
-
-    def __call__(self, tq: float) -> np.ndarray:
-        theta = (tq - self.t) / self.h
-        c = self.cont
-        return c[0] + theta * (c[1] + (1.0 - theta) * (c[2] + theta * (c[3] + (1.0 - theta) * c[4])))
+def _dense_eval(lefts: np.ndarray, hs: np.ndarray, cont: np.ndarray, tq: np.ndarray) -> np.ndarray:
+    """Quartic interpolant of step i = [lefts[i], lefts[i] + hs[i]] at each query,
+    by Horner one term at a time so temporaries stay (queries, dim)."""
+    idx = np.clip(np.searchsorted(lefts, tq, side="right") - 1, 0, len(hs) - 1)
+    theta = ((tq - lefts[idx]) / hs[idx])[:, None]
+    rest = 1.0 - theta
+    val = cont[idx, 3] + rest * cont[idx, 4]
+    val = cont[idx, 2] + theta * val
+    val = cont[idx, 1] + rest * val
+    return cont[idx, 0] + theta * val
 
 
 def _integrate_raw(rhs, t0: float, t1: float, u0: np.ndarray, tol: float, keep_dense: bool):
-    """Adaptive DOPRI5 sweep; returns accepted times, dense segments, final state, stats."""
+    """Adaptive DOPRI5 sweep: accepted times, step sizes, per-step interpolant
+    coefficients (only with keep_dense), states and stats."""
     t = t0
     u = np.asarray(u0, dtype=complex)
     k1 = rhs(t, u)
@@ -156,7 +168,10 @@ def _integrate_raw(rhs, t0: float, t1: float, u0: np.ndarray, tol: float, keep_d
     err_old = 1e-4
     last_rejected = False
     times = [t0]
-    segments: list[_DenseSegment] = []
+    hs = []
+    # every step's interpolant in one buffer, doubled when full: a small
+    # array object per step would take about twice the memory
+    cont = np.empty((64 if keep_dense else 0, 5, u.shape[0]), dtype=complex)
     states = [u.copy()]
     n_accept = 0
     n_reject = 0
@@ -181,14 +196,16 @@ def _integrate_raw(rhs, t0: float, t1: float, u0: np.ndarray, tol: float, keep_d
         err = _rms(err_vec / sc)
         if err <= 1.0:
             if keep_dense:
+                if n_accept == len(cont):
+                    cont = np.concatenate([cont, np.empty_like(cont)])
+                c = cont[n_accept]
                 delta = u_new - u
-                cont = np.empty((5, u.shape[0]), dtype=complex)
-                cont[0] = u
-                cont[1] = delta
-                cont[2] = h * k[0] - delta
-                cont[3] = delta - h * k[6] - cont[2]
-                cont[4] = h * sum(d * kj for d, kj in zip(_D, k))
-                segments.append(_DenseSegment(t, h, cont))
+                c[0] = u
+                c[1] = delta
+                c[2] = h * k[0] - delta
+                c[3] = delta - h * k[6] - c[2]
+                c[4] = h * sum(d * kj for d, kj in zip(_D, k))
+                hs.append(h)
             t = t + h
             u = u_new
             k1 = k[6]
@@ -207,7 +224,7 @@ def _integrate_raw(rhs, t0: float, t1: float, u0: np.ndarray, tol: float, keep_d
             n_reject += 1
             last_rejected = True
     stats = {"steps": n_accept, "rejected": n_reject, "rhs_evaluations": nfev}
-    return np.array(times), segments, np.array(states), stats
+    return np.array(times), np.array(hs), cont[:n_accept], np.array(states), stats
 
 
 def integrate(
@@ -234,12 +251,11 @@ def integrate(
         return np.array([u[1], fv - pv * u[1] - qv * u[0]])
 
     u0 = np.array([complex(y0), complex(dy0)])
-    want_dense = t_eval is not None
-    times, segments, states, stats = _integrate_raw(rhs, t0, t1, u0, tol, keep_dense=want_dense)
+    times, hs, cont, states, stats = _integrate_raw(rhs, t0, t1, u0, tol,
+                                                    keep_dense=t_eval is not None)
     if t_eval is None:
         grid = times
-        ys = states[:, 0]
-        dys = states[:, 1]
+        ys, dys = states.T
     else:
         grid = np.asarray(t_eval, dtype=float)
         if grid.ndim != 1 or len(grid) == 0:
@@ -249,15 +265,9 @@ def integrate(
         slack = 1e-12 * (t1 - t0)
         if grid[0] < t0 - slack or grid[-1] > t1 + slack:
             raise InvalidParameterError("t_eval must lie within the integration span")
-        ys = np.empty(len(grid), dtype=complex)
-        dys = np.empty(len(grid), dtype=complex)
-        lefts = np.array([seg.t for seg in segments])
-        idx = np.clip(np.searchsorted(lefts, grid, side="right") - 1, 0, len(segments) - 1)
-        for j, (tq, i) in enumerate(zip(grid, idx)):
-            val = segments[int(i)](min(max(tq, t0), t1))
-            ys[j] = val[0]
-            dys[j] = val[1]
-    d2ys = np.array([ode.second_derivative(t, y, dy) for t, y, dy in zip(grid, ys, dys)])
+        ys, dys = _dense_eval(times[:-1], hs, cont, np.clip(grid, t0, t1)).T
+    pv, qv, fv = ode.coefficients_on(grid)
+    d2ys = fv - pv * dys - qv * ys
     meta = {"method": "dormand-prince-5(4)", "tolerance": tol, **stats}
     return TimeSeries(grid=grid, y=ys, dy=dys, d2y=d2ys, meta=meta)
 
@@ -284,7 +294,7 @@ def monodromy_exponent(ode: LinearODE, period: float, tol: float) -> MonodromyRe
         )
 
     u0 = np.array([1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j])
-    _, _, states, _ = _integrate_raw(rhs, 0.0, period, u0, tol, keep_dense=False)
+    _, _, _, states, _ = _integrate_raw(rhs, 0.0, period, u0, tol, keep_dense=False)
     y1, dy1, y2, dy2 = states[-1]
     trace = y1 + dy2
     det_m = y1 * dy2 - y2 * dy1
@@ -313,54 +323,59 @@ def monodromy_exponent(ode: LinearODE, period: float, tol: float) -> MonodromyRe
 
 def residual(
     ode: LinearODE,
-    candidate: Callable[[float], SolutionSample],
-    grid: Sequence[float],
+    candidate: TimeSeries | Callable[[float], SolutionSample],
+    grid: Sequence[float] | None = None,
     tol: float | None = None,
 ) -> ResidualReport:
     """Pointwise defect of a candidate solution, scaled by the largest term.
 
-    The normalization max(1, |y''|, |p y'|, |q y|, |f|) (each maximized over
-    the grid) keeps the report meaningful when the solution itself is huge or
-    tiny; verdict stays None when no tolerance is given.
+    The candidate is a TimeSeries, checked on its own grid, or a callable
+    t -> SolutionSample, sampled on grid first; either way one array
+    expression gives the defect.  The normalization max(1, |y''|, |p y'|,
+    |q y|, |f|) (each maximized over the grid) keeps the report meaningful
+    when the solution itself is huge or tiny; verdict stays None when no
+    tolerance is given.
     """
-    grid = np.asarray(grid, dtype=float)
+    series = isinstance(candidate, TimeSeries)
+    if series and grid is not None:
+        raise InvalidParameterError("a TimeSeries is checked on its own grid")
+    grid = np.asarray(candidate.grid if series else grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise InvalidParameterError("grid must be a non-empty 1-d sequence")
-    defect = np.empty(len(grid), dtype=complex)
-    biggest = 1.0
-    for i, t in enumerate(grid):
-        s = candidate(float(t))
-        pv, qv, fv = ode.coefficients_at(float(t))
-        defect[i] = s.d2y + pv * s.dy + qv * s.y - fv
-        biggest = max(biggest, abs(s.d2y), abs(pv * s.dy), abs(qv * s.y), abs(fv))
+    if series:
+        y, dy, d2y = candidate.y, candidate.dy, candidate.d2y
+    else:
+        samples = [candidate(t) for t in grid.tolist()]
+        y, dy, d2y = np.array([(s.y, s.dy, s.d2y) for s in samples], dtype=complex).T
+    pv, qv, fv = ode.coefficients_on(grid)
+    p_dy = pv * dy
+    q_y = qv * y
+    defect = d2y + p_dy + q_y - fv
+    biggest = max(1.0, *(float(np.max(np.abs(v))) for v in (d2y, p_dy, q_y, fv)))
     linf = float(np.max(np.abs(defect))) / biggest
     l2 = _rms(defect) / biggest
     verdict = None if tol is None else bool(linf <= tol)
-    return ResidualReport(linf=linf, l2=l2, normalization=biggest, verdict=verdict, pointwise=defect)
+    return ResidualReport(linf, l2, biggest, verdict, defect)
 
 
 def wronskian_abel(p: Coefficient | None, w0: complex, grid: Sequence[float]) -> np.ndarray:
     """Abel/Liouville reference W(t) = W(t0) exp(-int p) on an ascending grid.
 
-    The integral is accumulated interval by interval with 10-point
-    Gauss-Legendre quadrature.
+    The integral is a running sum of 10-point Gauss-Legendre quadratures,
+    one per grid interval.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise InvalidParameterError("grid must be a non-empty 1-d sequence")
     if np.any(np.diff(grid) <= 0.0):
         raise InvalidParameterError("grid must be strictly increasing")
+    if p is None:
+        return np.full(len(grid), complex(w0))
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    mid = 0.5 * (grid[1:] + grid[:-1])
+    rad = 0.5 * np.diff(grid)
+    acc = np.cumsum(rad * (_sample(p, mid[:, None] + rad[:, None] * nodes) @ weights))
     out = np.empty(len(grid), dtype=complex)
     out[0] = complex(w0)
-    if p is None:
-        out[:] = complex(w0)
-        return out
-    nodes, weights = np.polynomial.legendre.leggauss(10)
-    acc = 0.0 + 0.0j
-    for i in range(1, len(grid)):
-        a, b = grid[i - 1], grid[i]
-        mid = 0.5 * (a + b)
-        rad = 0.5 * (b - a)
-        acc += rad * sum(w * complex(p(mid + rad * x)) for w, x in zip(weights, nodes))
-        out[i] = complex(w0) * cmath.exp(-acc)
+    out[1:] = complex(w0) * np.exp(-acc)
     return out

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .closed_form import DampedParams
+from .closed_form import DampedParams, homogeneous_ode
 from .errors import InvalidParameterError, MapDomainError
 from .floquet import GeneralParams
 from .oracle import LinearODE
@@ -169,12 +169,7 @@ def source_ode(inp: ReductionInput) -> LinearODE:
     """The source family as a LinearODE in its own variable (normal form)."""
     a, b = inp.a, inp.b
     if inp.family == "damped":
-        p = inp.params
-        rate = p.eta / p.m
-        return LinearODE(
-            p=(lambda t: rate) if rate != 0 else None,
-            q=lambda t, pp=p: (pp.k0 + pp.k * math.cos(pp.omega * t)) / pp.m,
-        )
+        return homogeneous_ode(inp.params)
     if inp.family == "eq11":
         return LinearODE(
             p=lambda t: -t / (1.0 - t * t),
@@ -194,12 +189,12 @@ def source_ode(inp: ReductionInput) -> LinearODE:
 
 
 def _map_derivatives(result: ReductionResult, z: np.ndarray):
-    """dt/dz and the nonconstant-part second derivative data, per map."""
+    """dt/dz and d2t/dz2 of the variable map."""
     if result.variable_map == MAP_COS:
-        return -np.sin(z)
+        return -np.sin(z), -np.cos(z)
     if result.variable_map == MAP_COS_SQ:
-        return -np.sin(2.0 * z)
-    return np.full_like(z, result.time_scale)
+        return -np.sin(2.0 * z), -2.0 * np.cos(2.0 * z)
+    return np.full_like(z, result.time_scale), np.zeros_like(z)
 
 
 def pullback(result: ReductionResult, z_solution: TimeSeries) -> TimeSeries:
@@ -214,7 +209,7 @@ def pullback(result: ReductionResult, z_solution: TimeSeries) -> TimeSeries:
     wz = np.asarray(z_solution.dy, dtype=complex)
     wzz = np.asarray(z_solution.d2y, dtype=complex)
 
-    dtdz = _map_derivatives(result, z)
+    dtdz, d2tdz2 = _map_derivatives(result, z)
     if np.any(np.abs(dtdz) < _DERIVATIVE_FLOOR):
         bad = float(z[np.argmin(np.abs(dtdz))])
         raise MapDomainError(
@@ -222,21 +217,13 @@ def pullback(result: ReductionResult, z_solution: TimeSeries) -> TimeSeries:
         )
 
     t = result.to_source_time(z)
-    if result.variable_map == MAP_COS:
-        if np.any(np.abs(t) >= 1.0):
-            raise MapDomainError("t = cos z samples must satisfy |t| < 1")
-        # y_tt = w_zz / f'^2 - w_z f'' / f'^3 with f = cos, f'' = -cos
-        yt = wz / dtdz
-        ytt = wzz / dtdz ** 2 + wz * np.cos(z) / dtdz ** 3
-    elif result.variable_map == MAP_COS_SQ:
-        if np.any((t <= 0.0) | (t >= 1.0)):
-            raise MapDomainError("t = cos^2 z samples must satisfy 0 < t < 1")
-        # f = cos^2, f'' = -2 cos 2z
-        yt = wz / dtdz
-        ytt = wzz / dtdz ** 2 + wz * (2.0 * np.cos(2.0 * z)) / dtdz ** 3
-    else:
-        yt = wz / result.time_scale
-        ytt = wzz / result.time_scale ** 2
+    if result.variable_map == MAP_COS and np.any(np.abs(t) >= 1.0):
+        raise MapDomainError("t = cos z samples must satisfy |t| < 1")
+    if result.variable_map == MAP_COS_SQ and np.any((t <= 0.0) | (t >= 1.0)):
+        raise MapDomainError("t = cos^2 z samples must satisfy 0 < t < 1")
+    # t = f(z): y_t = w_z / f',  y_tt = w_zz / f'^2 - w_z f'' / f'^3
+    yt = wz / dtdz
+    ytt = wzz / dtdz ** 2 - wz * d2tdz2 / dtdz ** 3
 
     y = w.copy()
     if result.prefactor_rate != 0.0:

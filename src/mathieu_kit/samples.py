@@ -3,14 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import InvalidParameterError
-
-# A candidate solution: maps a time to a fully differentiated sample.
-Candidate = Callable[[float], "SolutionSample"]
 
 
 @dataclass(frozen=True)
@@ -47,11 +43,3 @@ class TimeSeries:
         return SolutionSample(
             float(self.grid[i]), complex(self.y[i]), complex(self.dy[i]), complex(self.d2y[i])
         )
-
-    def __iter__(self) -> Iterator[SolutionSample]:
-        for i in range(len(self)):
-            yield self[i]
-
-    @property
-    def values(self) -> list[SolutionSample]:
-        return list(self)

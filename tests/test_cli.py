@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from mathieu_kit import floquet
 from mathieu_kit.cli import JobSpec, execute, main, parse
+from mathieu_kit.errors import ConvergenceError
 
 SIDECAR_KEYS = {
     "command", "params", "variant", "nu", "mu",
@@ -185,6 +187,29 @@ def test_sweep_csv(capsys):
     for row in lines[1:]:
         stability = row.split(",")[-1]
         assert stability in ("stable", "unstable", "boundary")
+
+
+def test_sweep_failed_row_keeps_its_cause(monkeypatch, capsys):
+    solved = floquet.characteristic_exponent
+
+    def fails_at_one_point(gp, trunc):
+        if gp.h == 1.0 and gp.theta == 0.0:
+            raise ConvergenceError("no root")
+        return solved(gp, trunc)
+
+    monkeypatch.setattr(floquet, "characteristic_exponent", fails_at_one_point)
+    code = main(["sweep", "--h0", "0", "--h1", "2", "--nh", "3",
+                 "--theta0", "0", "--theta1", "1", "--ntheta", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    lines = [ln for ln in captured.out.split("\r\n") if ln]
+    assert len(lines) == 1 + 6
+    assert "1,0,nan,nan,failed" in lines
+    sidecar = json.loads(captured.err)
+    assert set(sidecar.keys()) == SIDECAR_KEYS
+    assert sidecar["validity_flags"] == {
+        "grid_points": 6, "failures": 1, "failure_classes": {"ConvergenceError": 1},
+    }
 
 
 def test_transform_csv(capsys):

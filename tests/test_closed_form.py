@@ -20,6 +20,7 @@ from mathieu_kit.closed_form import (
     argument_scale,
     bessel_argument,
     evaluate,
+    evaluate_grid,
     fundamental_pair,
     general_solution,
     homogeneous_ode,
@@ -345,3 +346,42 @@ def test_argument_scale_matches_bessel_argument():
     p = DampedParams(1.0, 0.0, 2.0, 3.0, 1.5)
     for variant in (Variant.CORRECTED, Variant.LITERAL):
         assert bessel_argument(p, variant, 0.0) == pytest.approx(argument_scale(p, variant))
+
+
+WINDING = DampedParams(m=1.0, eta=0.5, k0=16.0625, k=4.0, omega=2.0)  # index 4
+
+
+@pytest.mark.parametrize("case", ["c2-winding", "y-member", "zero-argument", "literal-rounded"])
+def test_evaluate_grid_matches_pointwise_evaluate(case):
+    grid = np.linspace(0.0, 20.0, 401)
+    p = WINDING
+    if case == "c2-winding":
+        spec = general_solution(p, Variant.CORRECTED, c1=1.0, c2=0.5)
+        # the argument turns through 20 rad: more than three windings
+        assert abs(spec.exponent_rate.imag) * grid[-1] > 3.0 * 2.0 * math.pi
+    elif case == "y-member":
+        spec, _ = fundamental_pair(p, Variant.CORRECTED)
+        assert spec.c1 == 0
+    elif case == "zero-argument":
+        p = DampedParams(m=1.0, eta=0.3, k0=0.0225, k=0.0, omega=2.0)  # index 0
+        spec = general_solution(p, Variant.CORRECTED, c1=1.5, c2=0.0)
+        assert spec.argument_scale == 0
+    else:
+        spec = general_solution(p, Variant.LITERAL, c1=1.0, c2=1.0, allow_inadmissible=True)
+        assert spec.admissible_nu is None
+    series = evaluate_grid(spec, p, grid)
+    eps = np.finfo(float).eps
+    for i, t in enumerate(grid.tolist()):
+        s = evaluate(spec, p, t)
+        assert series.grid[i] == s.t
+        for got, want in ((series.y[i], s.y), (series.dy[i], s.dy), (series.d2y[i], s.d2y)):
+            assert abs(got - want) <= 4.0 * eps * abs(want)
+
+
+def test_evaluate_grid_feeds_residual_directly():
+    spec = general_solution(WINDING, Variant.CORRECTED, c1=1.0, c2=0.5)
+    grid = np.linspace(0.0, 20.0, 401)
+    series = evaluate_grid(spec, WINDING, grid)
+    rep = residual(split_ode(WINDING), series, tol=1e-8)
+    assert rep.verdict is True
+    assert len(rep.pointwise) == len(grid)

@@ -75,7 +75,6 @@ def test_modulated_solution_recurrence_and_tail():
     gp = GeneralParams(1.0, 0.5)
     sol = solve(gp)
     mu, c, n_max = sol.mu, sol.coeffs, sol.truncation
-    assert sol.normalization == 1.0 + 0.0j
     assert c[n_max] == 1.0 + 0.0j
     peak = float(np.max(np.abs(c)))
     worst = 0.0

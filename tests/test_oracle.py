@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from mathieu_kit.oracle import (
     validate_tolerance,
     wronskian_abel,
 )
-from mathieu_kit.samples import SolutionSample
+from mathieu_kit.samples import SolutionSample, TimeSeries
 
 HARMONIC = LinearODE(p=None, q=lambda t: 1.0 + 0.0j)
 
@@ -217,3 +218,69 @@ def test_dependent_pair_wronskian_vanishes():
     y2 = 3.0 * np.cos(grid)
     w = y1 * (-3.0 * np.sin(grid)) - (-np.sin(grid)) * y2
     assert np.max(np.abs(w)) < 1e-14
+
+
+DRIVEN = LinearODE(p=lambda t: 0.1, q=lambda t: 1.0 + 0.5 * math.cos(t),
+                   f=lambda t: math.sin(2.0 * t))
+
+
+def test_residual_of_series_equals_callable_on_its_grid():
+    t_eval = np.linspace(0.0, 6.0, 121)
+    series = integrate(DRIVEN, 1.0, 0.0, (0.0, 6.0), 1e-9, t_eval=t_eval)
+    table = {float(t): series[i] for i, t in enumerate(series.grid)}
+    a = residual(DRIVEN, series, tol=1e-8)
+    b = residual(DRIVEN, table.__getitem__, series.grid, tol=1e-8)
+    assert (a.linf, a.l2, a.normalization, a.verdict) == (b.linf, b.l2, b.normalization, b.verdict)
+    assert np.array_equal(a.pointwise, b.pointwise)
+    assert a.linf < 1e-12
+
+
+def test_residual_of_series_typed_errors():
+    none = np.array([])
+    empty = TimeSeries(grid=none, y=none, dy=none, d2y=none)
+    with pytest.raises(InvalidParameterError):
+        residual(HARMONIC, empty)
+    series = integrate(HARMONIC, 1.0, 0.0, (0.0, 1.0), 1e-9)
+    with pytest.raises(InvalidParameterError):
+        residual(HARMONIC, series, series.grid)  # a series is checked on its own grid
+
+
+def test_residual_callable_takes_the_grid_as_given():
+    # the callable path checks points, not a series: any order, repeats allowed
+    def cosine(t: float) -> SolutionSample:
+        return SolutionSample(t=t, y=math.cos(t), dy=-math.sin(t), d2y=-math.cos(t))
+
+    rep = residual(HARMONIC, cosine, [2.0, 0.5, 0.5, 0.0])
+    assert rep.linf < 1e-15
+    assert len(rep.pointwise) == 4
+
+
+def test_dense_output_at_step_times_equals_step_states():
+    steps = integrate(DRIVEN, 1.0, 0.0, (0.0, 6.0), 1e-9)
+    dense = integrate(DRIVEN, 1.0, 0.0, (0.0, 6.0), 1e-9, t_eval=steps.grid)
+    assert dense.meta == steps.meta
+    # each step time is the left end of the next step (theta = 0) ...
+    for got, want in ((dense.y, steps.y), (dense.dy, steps.dy), (dense.d2y, steps.d2y)):
+        assert np.array_equal(got[:-1], want[:-1])
+    # ... except the last, reached from the final step at theta = 1
+    eps = np.finfo(float).eps
+    assert abs(dense.y[-1] - steps.y[-1]) <= 4.0 * eps * abs(steps.y[-1])
+    assert abs(dense.dy[-1] - steps.dy[-1]) <= 4.0 * eps * abs(steps.dy[-1])
+
+
+def test_wronskian_abel_matches_per_interval_quadrature():
+    def p(t: float) -> complex:
+        return 0.3 + 0.2 * math.cos(t) + 0.1j * math.sin(2.0 * t)
+
+    w0 = 0.7 - 1.2j
+    grid = np.concatenate([np.linspace(0.0, 4.0, 37), [4.5, 6.0, 9.0]])
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    acc = 0.0
+    ref = [w0]
+    for a, b in zip(grid[:-1].tolist(), grid[1:].tolist()):
+        mid, rad = 0.5 * (a + b), 0.5 * (b - a)
+        acc += rad * sum(w * p(mid + rad * x) for w, x in zip(weights, nodes))
+        ref.append(w0 * cmath.exp(-acc))
+    ref = np.array(ref)
+    got = wronskian_abel(p, w0, grid)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14

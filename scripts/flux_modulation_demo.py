@@ -61,7 +61,8 @@ def main(argv=None) -> int:
     t_start = 35.0 * args.m / args.eta if args.eta > 0 else 0.0
     dt = 2.0 * math.pi / (64.0 * args.Omega)
     t_end = t_start + args.periods * 2.0 * math.pi / args.omega
-    t_eval = t_start + dt * np.arange(int((t_end - t_start) / dt) + 1)
+    # round the sample count up so the record spans at least the requested periods
+    t_eval = t_start + dt * np.arange(math.ceil((t_end - t_start) / dt) + 1)
     series = simulate_full(fp, (0.0, float(t_eval[-1])), args.tol, t_eval=t_eval)
     field = field_from_motion(fp, series)
 

@@ -39,8 +39,6 @@ import numpy as np
 
 from .errors import InvalidParameterError, RangeLimitError, SingularityError
 
-ComplexScalar = complex
-
 EULER_GAMMA = 0.5772156649015328606
 
 MAX_ORDER = 200

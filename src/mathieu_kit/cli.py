@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -68,6 +68,11 @@ def _jsonify(value):
 
 def _damped(p: dict) -> cf.DampedParams:
     return cf.DampedParams(m=p["m"], eta=p["eta"], k0=p["k0"], k=p["k"], omega=p["omega"])
+
+
+def _time_grid(p: dict) -> np.ndarray:
+    """The uniform grid t0, t0 + dt, ... covering [t0, t1] to the nearest step."""
+    return p["t0"] + p["dt"] * np.arange(int(round((p["t1"] - p["t0"]) / p["dt"])) + 1)
 
 
 def _complex_flag(text: str) -> complex:
@@ -247,8 +252,7 @@ def _run_solve(job: JobSpec, sidecar: dict):
     params = _damped(p)
     spec = cf.general_solution(params, p["variant"], p["c1"], p["c2"],
                                allow_inadmissible=p["allow_inadmissible"])
-    grid = np.arange(0, int(round((p["t1"] - p["t0"]) / p["dt"])) + 1) * p["dt"] + p["t0"]
-    ts = cf.evaluate_grid(spec, params, grid)
+    ts = cf.evaluate_grid(spec, params, _time_grid(p))
     rep = residual(cf.split_ode(params), ts)
     sidecar.update(
         variant=_jsonify(spec.variant),
@@ -358,8 +362,7 @@ def _run_flux(job: JobSpec, sidecar: dict):
     p = job.parameters
     base = _damped(p)
     fp = fx.FluxParams(base=base, B=p["B"], J0=p["J0"], Omega=p["Omega"], c_light=p["c_light"])
-    n_steps = int(round((p["t1"] - p["t0"]) / p["dt"]))
-    grid = p["t0"] + p["dt"] * np.arange(n_steps + 1)
+    grid = _time_grid(p)
     ts = fx.simulate_full(fp, (min(0.0, p["t0"]), float(grid[-1])), job.tolerance, t_eval=grid)
     field = fx.field_from_motion(fp, ts)
     flags = {}
@@ -390,10 +393,8 @@ def _run_flux(job: JobSpec, sidecar: dict):
 def _run_integrate(job: JobSpec, sidecar: dict):
     p = job.parameters
     gp = fl.GeneralParams(h=p["h"], theta=p["theta"])
-    n_steps = int(round((p["t1"] - p["t0"]) / p["dt"]))
-    grid = p["t0"] + p["dt"] * np.arange(n_steps + 1)
     ode = fl.general_mathieu_ode(gp)
-    ts = integrate(ode, p["y0"], p["dy0"], (p["t0"], p["t1"]), job.tolerance, t_eval=grid)
+    ts = integrate(ode, p["y0"], p["dy0"], (p["t0"], p["t1"]), job.tolerance, t_eval=_time_grid(p))
     rep = residual(ode, ts)
     sidecar.update(
         residual_linf=rep.linf,

@@ -45,9 +45,10 @@ from .bessel import bessel_j, bessel_y
 from .errors import AdmissibilityError, InvalidParameterError, SingularityError
 from .floquet import GeneralParams
 from .oracle import LinearODE, ResidualReport, residual
-from .samples import SolutionSample, TimeSeries
+from .samples import SolutionSample, TimeSeries, as_grid
 
 ADMISSIBILITY_TOL = 1e-9
+ADJUDICATION_TOL = 1e-8
 
 
 class Variant(str, Enum):
@@ -156,21 +157,21 @@ def bessel_argument(params: DampedParams, variant, t: float) -> complex:
     return argument_scale(params, variant) * cmath.exp(0.5j * params.omega * float(t))
 
 
-def is_admissible(params: DampedParams, variant=Variant.CORRECTED, tol: float = ADMISSIBILITY_TOL) -> Optional[int]:
-    """Nearest integer index when nu is within tol of one, else None."""
+def is_admissible(params: DampedParams, variant=Variant.CORRECTED) -> Optional[int]:
+    """Nearest integer index when nu is within ADMISSIBILITY_TOL of one, else None."""
     nu = index(params, variant)
     nearest = int(round(nu.real))
-    if abs(nu - nearest) <= tol:
+    if abs(nu - nearest) <= ADMISSIBILITY_TOL:
         return nearest
     return None
 
 
 def _build_spec(params: DampedParams, variant: Variant, c1: complex, c2: complex,
-                allow_inadmissible: bool, tol: float) -> ClosedFormSpec:
+                allow_inadmissible: bool = False) -> ClosedFormSpec:
     nu = index(params, variant)
-    adm = is_admissible(params, variant, tol)
+    adm = is_admissible(params, variant)
     if adm is None and not allow_inadmissible:
-        raise AdmissibilityError(nu, int(round(nu.real)), tol)
+        raise AdmissibilityError(nu, int(round(nu.real)), ADMISSIBILITY_TOL)
     return ClosedFormSpec(
         variant=variant,
         nu=nu,
@@ -185,26 +186,21 @@ def _build_spec(params: DampedParams, variant: Variant, c1: complex, c2: complex
 
 def general_solution(params: DampedParams, variant=Variant.CORRECTED,
                      c1: complex = 1.0, c2: complex = 0.0, *,
-                     allow_inadmissible: bool = False,
-                     tol: float = ADMISSIBILITY_TOL) -> ClosedFormSpec:
+                     allow_inadmissible: bool = False) -> ClosedFormSpec:
     """Single spec carrying both constants: c1 J + c2 Y under the decay prefactor."""
-    return _build_spec(params, _coerce_variant(variant), c1, c2, allow_inadmissible, tol)
+    return _build_spec(params, _coerce_variant(variant), c1, c2, allow_inadmissible)
 
 
 def fundamental_pair(params: DampedParams, variant=Variant.CORRECTED,
-                     c1: complex = 1.0, c2: complex = 1.0, *,
-                     allow_inadmissible: bool = False,
-                     tol: float = ADMISSIBILITY_TOL) -> tuple[ClosedFormSpec, ClosedFormSpec]:
+                     c1: complex = 1.0, c2: complex = 1.0) -> tuple[ClosedFormSpec, ClosedFormSpec]:
     """The (second-kind, first-kind) pair spanning the solution space.
 
     The first member carries only the Y branch with weight c2, the second only
-    the J branch with weight c1.  Inadmissible indices raise unless
-    allow_inadmissible is set, in which case the rounded order is used and the
-    specs are tagged with admissible_nu = None.
+    the J branch with weight c1.  Inadmissible indices raise AdmissibilityError.
     """
     variant = _coerce_variant(variant)
-    y_member = _build_spec(params, variant, 0.0, c2, allow_inadmissible, tol)
-    j_member = _build_spec(params, variant, c1, 0.0, allow_inadmissible, tol)
+    y_member = _build_spec(params, variant, 0.0, c2)
+    j_member = _build_spec(params, variant, c1, 0.0)
     return (y_member, j_member)
 
 
@@ -235,9 +231,7 @@ def evaluate_grid(spec: ClosedFormSpec, params: DampedParams, grid) -> TimeSerie
     continued across the log cut as the argument winds.  Bessel functions are
     called once per point; the rest is array arithmetic.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise InvalidParameterError("grid must be a non-empty 1-d sequence")
+    grid = as_grid(grid)
     expected_decay = params.eta / (2.0 * params.m)
     if abs(spec.decay_rate - expected_decay) > 1e-12 * max(1.0, abs(expected_decay)):
         raise InvalidParameterError(
@@ -321,17 +315,16 @@ def homogeneous_ode(params: DampedParams) -> LinearODE:
     )
 
 
-def undamped_general_solution(gp: GeneralParams, c1: complex = 1.0, c2: complex = 0.0,
-                              variant=Variant.CORRECTED) -> ClosedFormSpec:
+def undamped_general_solution(gp: GeneralParams, c1: complex = 1.0, c2: complex = 0.0) -> ClosedFormSpec:
     """Closed-form spec for the general equation y'' + (h - 2 theta cos 2t) y = 0.
 
     The equation is pulled back to its canonical undamped preimage
     (m=1, eta=0, k0=h, k=-2 theta, omega=2, identical time variable) and the
-    closed form is built there.  Only real parameters admit such a preimage;
-    complex h or theta raise MappingError.  The returned spec is tagged
-    inadmissible (admissible_nu None) when the index misses an integer, and
-    its residual against the cosine equation is a statement to be measured,
-    not a guarantee.
+    corrected closed form is built there.  Only real parameters admit such a
+    preimage; complex h or theta raise MappingError.  The returned spec is
+    tagged inadmissible (admissible_nu None) when the index misses an integer,
+    and its residual against the cosine equation is a statement to be
+    measured, not a guarantee.
     """
     from .errors import MappingError
 
@@ -340,46 +333,43 @@ def undamped_general_solution(gp: GeneralParams, c1: complex = 1.0, c2: complex 
             f"no real undamped preimage for h={gp.h!r}, theta={gp.theta!r}"
         )
     params = DampedParams(m=1.0, eta=0.0, k0=gp.h.real, k=-2.0 * gp.theta.real, omega=2.0)
-    return general_solution(params, variant, c1, c2, allow_inadmissible=True)
+    return general_solution(params, Variant.CORRECTED, c1, c2, allow_inadmissible=True)
 
 
 @dataclass(frozen=True)
 class AdjudicationReport:
     """Side-by-side residuals of the two variants against the same equation."""
 
-    params: DampedParams
     corrected: ResidualReport
     literal: ResidualReport
     passing_variant: Optional[str]
     tol: float
 
 
-def adjudicate(params: DampedParams, grid=None, tol: float = 1e-8,
-               c1: complex = 1.0, c2: complex = 1.0, *,
+def adjudicate(params: DampedParams, grid=None, *,
                allow_inadmissible: bool = False) -> AdjudicationReport:
-    """Evaluate both variants against the single-exponential equation.
+    """Evaluate both variants (c1 = c2 = 1) against the single-exponential equation.
 
     Both residuals are always computed and reported; passing_variant names the
-    smaller-residual variant among those below tol, or None if neither
-    qualifies.  No smallness is asserted here: this is a measurement.
+    smaller-residual variant among those below ADJUDICATION_TOL, or None if
+    neither qualifies.  No smallness is asserted here: this is a measurement.
     """
     if grid is None:
         grid = np.linspace(0.0, 10.0, 501)
     ode = split_ode(params)
     reports = {}
     for variant in (Variant.CORRECTED, Variant.LITERAL):
-        spec = general_solution(params, variant, c1, c2,
+        spec = general_solution(params, variant, 1.0, 1.0,
                                 allow_inadmissible=allow_inadmissible)
-        reports[variant] = residual(ode, evaluate_grid(spec, params, grid), tol=tol)
+        reports[variant] = residual(ode, evaluate_grid(spec, params, grid), tol=ADJUDICATION_TOL)
     passing = [v for v in (Variant.CORRECTED, Variant.LITERAL)
-               if reports[v].linf < tol]
+               if reports[v].linf < ADJUDICATION_TOL]
     winner = None
     if passing:
         winner = min(passing, key=lambda v: reports[v].linf).value
     return AdjudicationReport(
-        params=params,
         corrected=reports[Variant.CORRECTED],
         literal=reports[Variant.LITERAL],
         passing_variant=winner,
-        tol=tol,
+        tol=ADJUDICATION_TOL,
     )

@@ -13,27 +13,27 @@ import math
 _RE_TOL = 1e-12
 
 
-def normalize_exponent(mu: complex, im_modulus: float = 2.0, tol: float = _RE_TOL) -> complex:
+def normalize_exponent(mu: complex, im_modulus: float = 2.0) -> complex:
     """Canonical representative of the class {s*mu + i*k*im_modulus}."""
     mu = complex(mu)
     if mu.real < 0.0:
         mu = -mu
     mu = complex(mu.real, mu.imag % im_modulus)
-    if mu.real <= tol:
+    if mu.real <= _RE_TOL:
         alt_im = (-mu.imag) % im_modulus
         if alt_im < mu.imag:
             mu = complex(mu.real, alt_im)
     return mu
 
 
-def class_distance(mu_a: complex, mu_b: complex, im_modulus: float = 2.0) -> float:
-    """Distance between the exponent classes of mu_a and mu_b."""
+def class_distance(mu_a: complex, mu_b: complex) -> float:
+    """Distance between the exponent classes {s*mu + 2ik} of mu_a and mu_b."""
     mu_a = complex(mu_a)
     mu_b = complex(mu_b)
     best = math.inf
     for s in (1.0, -1.0):
         base = s * mu_a
-        k = round((mu_b.imag - base.imag) / im_modulus)
+        k = round((mu_b.imag - base.imag) / 2.0)
         for kk in (k - 1, k, k + 1):
-            best = min(best, abs(base + 1j * kk * im_modulus - mu_b))
+            best = min(best, abs(base + 2j * kk - mu_b))
     return best

@@ -1,12 +1,13 @@
 """Floquet machinery for the general Mathieu equation y'' + (h - 2 theta cos 2t) y = 0.
 
-The exponent mu is located as a root of the truncated Hill determinant (rows
-scaled by smooth mu-independent weights so the infinite product converges),
-seeded by the integrator's period-map estimate so the search lands in the
-physically selected class.  Coefficients of the series y = sum c_n
-e^{(mu+2in)t} come from two one-sided backward continued fractions meeting at
-n = 0, which satisfies every off-center row of the recurrence exactly; a final
-polish of mu on the center-row defect makes the remaining row machine-small.
+The exponent mu is seeded by the integrator's period-map estimate, so it
+lands in the physically selected class.  Coefficients of the series y = sum
+c_n e^{(mu+2in)t} come from two one-sided backward continued fractions
+meeting at n = 0, which satisfies every off-center row of the recurrence
+exactly; polishing mu on the center-row defect makes the remaining row
+machine-small.  The truncated Hill determinant (rows scaled by smooth
+mu-independent weights so the infinite product converges) vanishes at the
+same mu and is kept as an independent check.
 
 The exponent stored on a FloquetSolution is the working one (the class member
 the coefficients are centered on); characteristic_exponent reports the
@@ -216,22 +217,20 @@ def coefficients(gp: GeneralParams, mu: complex, trunc: int = DEFAULT_TRUNCATION
         n_work = min(2 * n_work, MAX_TRUNCATION)
 
 
-def solve(gp: GeneralParams, trunc: int = DEFAULT_TRUNCATION, oracle_tol: float = 1e-12) -> FloquetSolution:
-    """Exponent and coefficients together: seeded determinant root, then series.
+def solve(gp: GeneralParams, trunc: int = DEFAULT_TRUNCATION) -> FloquetSolution:
+    """Exponent and coefficients together: oracle seed, then center-row polish.
 
-    The period-map estimate seeds the determinant root search (and is accepted
-    outright when it already sits on a root, which covers the theta=0
-    degeneracies); coefficients() recenters and polishes.
+    The period-map estimate seeds the exponent; coefficients() recenters it,
+    polishes it on the center-row defect and builds the series.
     """
     if trunc < 5:
         raise InvalidParameterError("truncation must be at least 5")
-    seed = monodromy_exponent(general_mathieu_ode(gp), math.pi, oracle_tol).mu
-    det = lambda m: hill_determinant(gp, m, max(trunc, 40))
-    if abs(det(seed)) <= 1e-11:
-        root = seed
-    else:
-        root = _secant(det, seed, seed + 1e-6 + 1e-6j, 1e-13)
-    sol = coefficients(gp, root, trunc)
+    seed = monodromy_exponent(general_mathieu_ode(gp), math.pi, 1e-12).mu
+    try:
+        sol = coefficients(gp, seed, trunc)
+    except InvalidParameterError as exc:
+        # the seed is this function's own, so a rejected seed is a failed solve
+        raise ConvergenceError(f"oracle seed was not polished to a root: {exc}") from exc
     # canonical orientation: a purely oscillatory exponent points upward
     # (reflection t -> -t maps solutions to solutions, so this is free)
     if abs(sol.mu.real) <= 1e-12 and sol.mu.imag < -1e-12:
@@ -245,9 +244,9 @@ def characteristic_exponent(gp: GeneralParams, trunc: int = DEFAULT_TRUNCATION) 
     return normalize_exponent(solve(gp, trunc).mu)
 
 
-def exponent_details(gp: GeneralParams, trunc: int = DEFAULT_TRUNCATION) -> tuple[complex, complex]:
+def exponent_details(gp: GeneralParams) -> tuple[complex, complex]:
     """(canonical representative, working exponent) for the same solution."""
-    sol = solve(gp, trunc)
+    sol = solve(gp)
     return normalize_exponent(sol.mu), sol.mu
 
 
@@ -277,16 +276,16 @@ def second_solution(sol: FloquetSolution) -> FloquetSolution:
     return FloquetSolution(mu=-mu, coeffs=sol.coeffs[::-1].copy(), truncation=sol.truncation)
 
 
-def classify_stability(mu: complex, tol_b: float = 1e-8) -> str:
+def classify_stability(mu: complex) -> str:
     """Stability chart semantics: growth means unstable, periodic edges are boundary.
 
-    Growing solutions (|Re mu| above tol_b) are unstable; bounded solutions
-    whose multiplier sits at +-1 (Im mu within tol_b of an integer) lie on a
+    Growing solutions (|Re mu| above 1e-8) are unstable; bounded solutions
+    whose multiplier sits at +-1 (Im mu within 1e-8 of an integer) lie on a
     tongue boundary; everything else is stable.
     """
     mu = complex(mu)
-    if abs(mu.real) > tol_b:
+    if abs(mu.real) > 1e-8:
         return "unstable"
-    if abs(mu.imag - round(mu.imag)) <= tol_b:
+    if abs(mu.imag - round(mu.imag)) <= 1e-8:
         return "boundary"
     return "stable"

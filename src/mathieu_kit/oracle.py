@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, SpanError, StiffnessError
 from .exponent_class import normalize_exponent
-from .samples import SolutionSample, TimeSeries
+from .samples import SolutionSample, TimeSeries, as_grid
 
 Coefficient = Callable[[float], complex]
 
@@ -110,7 +110,6 @@ class MonodromyResult:
     mu: complex
     mu_raw: complex
     multiplier: complex
-    trace: complex
     det_m: complex
     branch_ambiguous: bool
 
@@ -257,9 +256,7 @@ def integrate(
         grid = times
         ys, dys = states.T
     else:
-        grid = np.asarray(t_eval, dtype=float)
-        if grid.ndim != 1 or len(grid) == 0:
-            raise InvalidParameterError("t_eval must be a non-empty 1-d sequence")
+        grid = as_grid(t_eval, "t_eval")
         if np.any(np.diff(grid) <= 0.0):
             raise InvalidParameterError("t_eval must be strictly increasing")
         slack = 1e-12 * (t1 - t0)
@@ -315,7 +312,6 @@ def monodromy_exponent(ode: LinearODE, period: float, tol: float) -> MonodromyRe
         mu=normalize_exponent(mu_raw, im_modulus=im_modulus),
         mu_raw=mu_raw,
         multiplier=rho,
-        trace=trace,
         det_m=det_m,
         branch_ambiguous=on_cut,
     )
@@ -339,9 +335,7 @@ def residual(
     series = isinstance(candidate, TimeSeries)
     if series and grid is not None:
         raise InvalidParameterError("a TimeSeries is checked on its own grid")
-    grid = np.asarray(candidate.grid if series else grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise InvalidParameterError("grid must be a non-empty 1-d sequence")
+    grid = as_grid(candidate.grid if series else grid)
     if series:
         y, dy, d2y = candidate.y, candidate.dy, candidate.d2y
     else:
@@ -364,9 +358,7 @@ def wronskian_abel(p: Coefficient | None, w0: complex, grid: Sequence[float]) ->
     The integral is a running sum of 10-point Gauss-Legendre quadratures,
     one per grid interval.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0:
-        raise InvalidParameterError("grid must be a non-empty 1-d sequence")
+    grid = as_grid(grid)
     if np.any(np.diff(grid) <= 0.0):
         raise InvalidParameterError("grid must be strictly increasing")
     if p is None:

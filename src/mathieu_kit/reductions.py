@@ -244,18 +244,17 @@ def pullback(result: ReductionResult, z_solution: TimeSeries) -> TimeSeries:
     )
 
 
-def interior_grid(result: ReductionResult, n: int = 201, span: float = 4.0 * math.pi,
-                  margin: float = 0.05) -> np.ndarray:
+def interior_grid(result: ReductionResult, n: int = 201, span: float = 4.0 * math.pi) -> np.ndarray:
     """Reduced-variable verification grid avoiding singular map points.
 
-    Cosine maps get the interior of their principal branch with the stated
-    relative margin trimmed from both ends; unrestricted maps get [0, span].
+    Cosine maps get the interior of their principal branch with 5 % trimmed
+    from both ends; unrestricted maps get [0, span].
     """
     if result.variable_map == MAP_COS:
-        lo, hi = margin * math.pi, (1.0 - margin) * math.pi
+        lo, hi = 0.05 * math.pi, 0.95 * math.pi
     elif result.variable_map == MAP_COS_SQ:
         half = math.pi / 2.0
-        lo, hi = margin * half, (1.0 - margin) * half
+        lo, hi = 0.05 * half, 0.95 * half
     else:
         lo, hi = 0.0, span
     return np.linspace(lo, hi, n)

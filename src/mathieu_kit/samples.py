@@ -9,6 +9,16 @@ import numpy as np
 from .errors import InvalidParameterError
 
 
+def as_grid(points, name: str = "grid") -> np.ndarray:
+    """points as a float array, checked to be 1-d, non-empty and finite."""
+    grid = np.asarray(points, dtype=float)
+    if grid.ndim != 1 or len(grid) == 0:
+        raise InvalidParameterError(f"{name} must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(grid)):
+        raise InvalidParameterError(f"{name} must be finite")
+    return grid
+
+
 @dataclass(frozen=True)
 class SolutionSample:
     """Value and first two derivatives of a scalar solution at one time."""
@@ -21,7 +31,7 @@ class SolutionSample:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Solution sampled on a strictly increasing grid (struct-of-arrays)."""
+    """Solution sampled on a finite, strictly increasing grid (struct-of-arrays)."""
 
     grid: np.ndarray
     y: np.ndarray
@@ -33,11 +43,10 @@ class TimeSeries:
         n = len(self.grid)
         if not (len(self.y) == len(self.dy) == len(self.d2y) == n):
             raise InvalidParameterError("grid and sample arrays must have equal length")
+        if not np.all(np.isfinite(self.grid)):
+            raise InvalidParameterError("grid must be finite")
         if n > 1 and not np.all(np.diff(self.grid) > 0):
             raise InvalidParameterError("grid must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.grid)
 
     def __getitem__(self, i: int) -> SolutionSample:
         return SolutionSample(

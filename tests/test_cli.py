@@ -282,3 +282,28 @@ def test_flux_csv(capsys):
 def test_execute_roundtrip_without_main():
     job = parse(["transform", "--family", "eq17-sin", "--a", "2", "--b", "0"])
     assert execute(job) == 0
+
+
+FLUX_ANALYZE_ARGS = [
+    "flux", "--analyze", "--m", "1", "--eta", "2", "--k0", "5", "--k", "1",
+    "--omega", "0.2", "--B", "1", "--J0", "1", "--Omega", "1",
+    "--t0", "10", "--dt", "0.05",
+]
+
+
+def test_flux_analyze_reports_depth_near_epsilon(tmp_path):
+    out = tmp_path / "flux.csv"
+    code = main(FLUX_ANALYZE_ARGS + ["--t1", "110", "--out", str(out)])
+    assert code == 0
+    flags = json.loads((tmp_path / "flux.json").read_text())["validity_flags"]
+    assert "analysis_error" not in flags
+    assert abs(flags["measured_depth"] - flags["epsilon"]) <= 0.1 * flags["epsilon"]
+
+
+def test_flux_analyze_too_short_records_the_error(tmp_path):
+    out = tmp_path / "flux.csv"
+    code = main(FLUX_ANALYZE_ARGS + ["--t1", "40", "--out", str(out)])
+    assert code == 1
+    flags = json.loads((tmp_path / "flux.json").read_text())["validity_flags"]
+    assert "modulation periods" in flags["analysis_error"]
+    assert "measured_depth" not in flags

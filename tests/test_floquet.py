@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from mathieu_kit.errors import DegeneracyError, InvalidParameterError
+from mathieu_kit import floquet
+from mathieu_kit.errors import ConvergenceError, DegeneracyError, InvalidParameterError
 from mathieu_kit.exponent_class import class_distance, normalize_exponent
 from mathieu_kit.floquet import (
     FloquetSolution,
@@ -186,3 +187,29 @@ def test_normalize_exponent_properties():
     mu = 0.11 + 0.37j
     for twin in (mu, -mu, mu + 2j, mu - 4j):
         assert class_distance(mu, twin) < 1e-12
+
+
+def test_solve_reports_a_rejected_seed_as_convergence_failure(monkeypatch):
+    class WrongSeed:
+        mu = 0.37 + 0.11j
+
+    monkeypatch.setattr(floquet, "monodromy_exponent", lambda ode, period, tol: WrongSeed)
+    with pytest.raises(ConvergenceError) as exc:
+        solve(GeneralParams(1.0, 0.5))
+    assert isinstance(exc.value.__cause__, InvalidParameterError)
+
+
+def test_coefficients_double_the_truncation_until_the_tail_is_small():
+    gp = GeneralParams(1.0, 5.0)
+    sol = solve(gp, trunc=5)
+    assert sol.truncation == 20
+    grid = np.linspace(0.0, math.pi, 41)
+    rep = residual(general_mathieu_ode(gp), lambda t: eval_floquet(sol, t), grid)
+    assert rep.linf <= 1e-8
+
+
+def test_exponent_far_off_the_chart_matches_a_tight_monodromy():
+    gp = GeneralParams(1.0, 2000.0)
+    sol = solve(gp)
+    mono = monodromy_exponent(general_mathieu_ode(gp), math.pi, 1e-13)
+    assert class_distance(sol.mu, mono.mu_raw) <= 1e-7

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mathieu_kit.closed_form import DampedParams, evaluate_grid, general_solution
 from mathieu_kit.errors import InvalidParameterError, SpanError, StiffnessError
 from mathieu_kit.oracle import (
     TOL_MAX,
@@ -284,3 +285,35 @@ def test_wronskian_abel_matches_per_interval_quadrature():
     ref = np.array(ref)
     got = wronskian_abel(p, w0, grid)
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
+
+
+def _cosine(t: float) -> SolutionSample:
+    if not math.isfinite(t):
+        raise AssertionError("a non-finite time reached the candidate")
+    return SolutionSample(t=t, y=math.cos(t), dy=-math.sin(t), d2y=-math.cos(t))
+
+
+def _series_on(grid):
+    zeros = np.zeros(len(grid), dtype=complex)
+    return TimeSeries(grid=np.asarray(grid, dtype=float), y=zeros, dy=zeros, d2y=zeros)
+
+
+_UNDAMPED = DampedParams(m=1.0, eta=0.0, k0=1.0, k=1.0, omega=2.0)
+
+NON_FINITE_GRIDS = {
+    "integrate-t_eval-nan": lambda: integrate(HARMONIC, 1.0, 0.0, (0.0, 1.0), 1e-9,
+                                              t_eval=[math.nan]),
+    "timeseries-nan": lambda: _series_on([math.nan]),
+    "timeseries-inf": lambda: _series_on([0.0, math.inf]),
+    "residual-callable-nan": lambda: residual(HARMONIC, _cosine, [0.0, math.nan, 1.0]),
+    "residual-callable-inf": lambda: residual(HARMONIC, _cosine, [0.0, math.inf]),
+    "wronskian-abel-nan": lambda: wronskian_abel(lambda t: 1.0, 1.0, [math.nan]),
+    "evaluate-grid-nan": lambda: evaluate_grid(general_solution(_UNDAMPED), _UNDAMPED,
+                                               [0.0, math.nan]),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_GRIDS.values(), ids=NON_FINITE_GRIDS.keys())
+def test_non_finite_grids_are_rejected(call):
+    with pytest.raises(InvalidParameterError):
+        call()

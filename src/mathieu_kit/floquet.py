@@ -1,13 +1,14 @@
 """Floquet machinery for the general Mathieu equation y'' + (h - 2 theta cos 2t) y = 0.
 
-The exponent mu is seeded by the integrator's period-map estimate, so it
-lands in the physically selected class.  Coefficients of the series y = sum
+The exponent mu is seeded by Hill's closed formula, cosh(pi mu) =
+1 - 2 Delta(0) sin^2(pi sqrt(h)/2), from one determinant at mu = 0; no
+equation is integrated.  Coefficients of the series y = sum
 c_n e^{(mu+2in)t} come from two one-sided backward continued fractions
 meeting at n = 0, which satisfies every off-center row of the recurrence
 exactly; polishing mu on the center-row defect makes the remaining row
 machine-small.  The truncated Hill determinant (rows scaled by smooth
 mu-independent weights so the infinite product converges) vanishes at the
-same mu and is kept as an independent check.
+same mu and is kept as an independent check, as is the oracle's period map.
 
 The exponent stored on a FloquetSolution is the working one (the class member
 the coefficients are centered on); characteristic_exponent reports the
@@ -29,7 +30,8 @@ from .errors import (
     InvalidParameterError,
 )
 from .exponent_class import class_distance, normalize_exponent
-from .oracle import LinearODE, monodromy_exponent
+from .oracle import LinearODE
+from .oracle import monodromy_exponent  # noqa: F401  (not called; perfbench's trace wraps it here)
 from .samples import SolutionSample
 
 DEFAULT_TRUNCATION = 25
@@ -97,6 +99,59 @@ def hill_determinant(gp: GeneralParams, mu: complex, trunc: int = DEFAULT_TRUNCA
     return d_prev
 
 
+def _hill_seed(gp: GeneralParams) -> complex:
+    """One member of the exponent class from Hill's formula, without integration."""
+    try:
+        cosh_pi_mu = _hill_cosh_pi_mu(gp)
+    except OverflowError:
+        cosh_pi_mu = complex(math.inf)
+    if not (math.isfinite(cosh_pi_mu.real) and math.isfinite(cosh_pi_mu.imag)):
+        raise ConvergenceError(
+            f"Hill's formula overflowed for h={gp.h!r}, theta={gp.theta!r}: cosh(pi mu) = {cosh_pi_mu!r}"
+        )
+    return cmath.acosh(cosh_pi_mu) / math.pi
+
+
+def _hill_cosh_pi_mu(gp: GeneralParams) -> complex:
+    """Hill's formula cosh(pi mu) = 1 - 2 Delta(0) sin^2(pi sqrt(h)/2).
+
+    Whittaker & Watson 19.42; Delta(0) is the determinant at mu = 0 whose row
+    n is divided by s_n = h - 4n^2.  The rows +-r nearest sqrt(h)/2 stay
+    unscaled and their factor is folded into the sine, so the product stays
+    finite where s_r vanishes; the truncated tail is restored as
+    exp(-2 theta^2 sum_{n>N} 1/(s_n s_{n-1})).
+    The w-scaled hill_determinant would carry a factor sinh^2(pi sqrt(|h|+1)/2)
+    into this subtraction and cancel badly at large |h|.
+    """
+    h, th = gp.h, gp.theta
+    x = cmath.sqrt(h)
+    r = round(x.real / 2.0)
+    x -= 2.0 * r
+    half = math.pi * x / 2.0
+    if abs(half) < 1e-3:
+        sinc = math.pi / 2.0 * (1.0 - half * half / 6.0 + half**4 / 120.0)
+    else:
+        sinc = cmath.sin(half) / x
+    g = sinc if r == 0 else sinc / (x + 4.0 * r)
+
+    # N grows with sqrt|theta| so the neglected second-order tail stays below
+    # ~1e-9 in mu out to theta ~ 1e4 (6 sqrt|theta| leaves 1e-7 at theta = 8000)
+    big_n = int(20 + 12.0 * math.sqrt(abs(th)) + math.sqrt(abs(h)))
+    n = np.arange(-big_n, big_n + 1)
+    s = h - 4.0 * n * n
+    pinned = np.abs(n) == r
+    diag = np.where(pinned, s, 1.0)
+    s[pinned] = 1.0
+    det_prev, det = 1.0, complex(diag[0])
+    for a, e in zip(diag[1:].tolist(), (th * th / (s[1:] * s[:-1])).tolist()):
+        det_prev, det = det, a * det - e * det_prev
+    # sum over m > N: exact to 4N, then the midpoint-rule integral of 1/(16 m^4)
+    m = np.arange(big_n + 1, 4 * big_n + 1)
+    tail = np.sum(1.0 / ((4.0 * m * m - h) * (4.0 * (m - 1) ** 2 - h)))
+    tail += 1.0 / (48.0 * (4 * big_n) ** 3)
+    return 1.0 - 2.0 * det * cmath.exp(-2.0 * th * th * tail) * g * g
+
+
 def _secant(f, x0: complex, x1: complex, xtol: float, max_iter: int = 80) -> complex:
     f0, f1 = f(x0), f(x1)
     for _ in range(max_iter):
@@ -143,9 +198,13 @@ def _center_row_defect(gp: GeneralParams, mu: complex, depth: int) -> complex:
     return _diagonal(gp, mu, 0) - gp.theta * (r[0] + s[0])
 
 
-def _best_shift(gp: GeneralParams, mu: complex, trunc: int) -> int:
-    # recenter so the smallest diagonal sits on row 0; ties prefer the
-    # positive shift so theta=0 degeneracies resolve deterministically
+def _shift_order(gp: GeneralParams, mu: complex, trunc: int):
+    """Shifts n of mu + 2in in the order they are tried as the centre row.
+
+    The smallest diagonal comes first (ties prefer the positive shift so
+    theta=0 degeneracies resolve deterministically); the rest follow by
+    |diagonal| and are only sorted when asked for.
+    """
     best_n = 0
     best = abs(_diagonal(gp, mu, 0))
     for n in range(1, trunc + 1):
@@ -154,34 +213,53 @@ def _best_shift(gp: GeneralParams, mu: complex, trunc: int) -> int:
             if val < best - 1e-14 * (1.0 + best):
                 best = val
                 best_n = cand
-    return best_n
+    yield best_n
+    rest = (n for n in range(-trunc, trunc + 1) if n != best_n)
+    yield from sorted(rest, key=lambda n: abs(_diagonal(gp, mu, n)))
+
+
+def _centre(gp: GeneralParams, mu: complex, trunc: int, depth: int) -> tuple[complex, float]:
+    """mu moved onto the first row whose centre-row defect passes the gate.
+
+    One row can fail with mu exact: when a neighbouring diagonal makes one
+    continued fraction sit next to a pole, theta*(r_1 + s_1) cancels to a
+    large defect (at (h, theta) = (200, 50) row +7 shows 54.5 where row -7
+    shows 1.7e-6).  Returns the working exponent and its defect.
+    """
+    first = None
+    for shift in _shift_order(gp, mu, trunc):
+        mu_work = mu + 2.0j * shift
+        if gp.theta == 0:
+            return mu_work, 0.0
+        d0 = abs(_center_row_defect(gp, mu_work, depth))
+        if d0 <= 1e-4 * max(1.0, abs(_diagonal(gp, mu_work, 0))):
+            return mu_work, d0
+        first = d0 if first is None else first
+    raise InvalidParameterError(
+        f"mu={mu!r} does not solve the truncated system (center-row defect {first:.3g})"
+    )
 
 
 def coefficients(gp: GeneralParams, mu: complex, trunc: int = DEFAULT_TRUNCATION) -> FloquetSolution:
     """Series coefficients around the class member of mu that admits c_0 = 1.
 
     Any representative of the exponent class may be passed; the working
-    exponent is recentered and then polished on the center-row defect, so all
-    rows of the recurrence hold to machine accuracy at the returned mu.
+    exponent is recentered (on the smallest-diagonal row whose center-row
+    defect passes the gate) and then polished on that defect, so all rows of
+    the recurrence hold to machine accuracy at the returned mu.
     """
     if trunc < 5:
         raise InvalidParameterError("truncation must be at least 5")
     mu = complex(mu)
-    shift = _best_shift(gp, mu, max(trunc, 40))
-    mu_work = mu + 2.0j * shift
-
     n_work = trunc
+    mu_work, d0 = _centre(gp, mu, max(trunc, 40), n_work + _CF_EXTRA)
     while True:
         depth = n_work + _CF_EXTRA
         polished = mu_work
         if gp.theta != 0:
             defect = lambda m: _center_row_defect(gp, m, depth)
-            d0 = abs(defect(mu_work))
-            scale = max(1.0, abs(_diagonal(gp, mu_work, 0)))
-            if d0 > 1e-4 * scale:
-                raise InvalidParameterError(
-                    f"mu={mu!r} does not solve the truncated system (center-row defect {d0:.3g})"
-                )
+            if n_work > trunc:
+                d0 = abs(defect(mu_work))
             if d0 > 0.0:
                 polished = _secant(defect, mu_work, mu_work + 1e-9 * (1.0 + abs(mu_work)), 5e-16)
             if class_distance(polished, mu_work) > 1e-5 * max(1.0, abs(mu_work)):
@@ -218,19 +296,21 @@ def coefficients(gp: GeneralParams, mu: complex, trunc: int = DEFAULT_TRUNCATION
 
 
 def solve(gp: GeneralParams, trunc: int = DEFAULT_TRUNCATION) -> FloquetSolution:
-    """Exponent and coefficients together: oracle seed, then center-row polish.
+    """Exponent and coefficients together: Hill seed, then center-row polish.
 
-    The period-map estimate seeds the exponent; coefficients() recenters it,
-    polishes it on the center-row defect and builds the series.
+    Hill's formula seeds the exponent without integrating the equation;
+    coefficients() recenters it, polishes it on the center-row defect and
+    builds the series.  A seed that does not polish to a root raises
+    ConvergenceError.
     """
     if trunc < 5:
         raise InvalidParameterError("truncation must be at least 5")
-    seed = monodromy_exponent(general_mathieu_ode(gp), math.pi, 1e-12).mu
+    seed = _hill_seed(gp)
     try:
         sol = coefficients(gp, seed, trunc)
     except InvalidParameterError as exc:
         # the seed is this function's own, so a rejected seed is a failed solve
-        raise ConvergenceError(f"oracle seed was not polished to a root: {exc}") from exc
+        raise ConvergenceError(f"Hill seed was not polished to a root: {exc}") from exc
     # canonical orientation: a purely oscillatory exponent points upward
     # (reflection t -> -t maps solutions to solutions, so this is free)
     if abs(sol.mu.real) <= 1e-12 and sol.mu.imag < -1e-12:

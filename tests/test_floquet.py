@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mathieu_kit import floquet
+from mathieu_kit import floquet, oracle
 from mathieu_kit.errors import ConvergenceError, DegeneracyError, InvalidParameterError
 from mathieu_kit.exponent_class import class_distance, normalize_exponent
 from mathieu_kit.floquet import (
@@ -190,13 +190,17 @@ def test_normalize_exponent_properties():
 
 
 def test_solve_reports_a_rejected_seed_as_convergence_failure(monkeypatch):
-    class WrongSeed:
-        mu = 0.37 + 0.11j
-
-    monkeypatch.setattr(floquet, "monodromy_exponent", lambda ode, period, tol: WrongSeed)
+    monkeypatch.setattr(floquet, "_hill_seed", lambda gp: 0.37 + 0.11j)
     with pytest.raises(ConvergenceError) as exc:
         solve(GeneralParams(1.0, 0.5))
     assert isinstance(exc.value.__cause__, InvalidParameterError)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_solve_reports_an_overflowing_hill_formula_as_convergence_failure(theta):
+    # sin^2(pi sqrt(h)/2) = -sinh^2(500 pi) is beyond double range
+    with pytest.raises(ConvergenceError, match="overflowed"):
+        solve(GeneralParams(-1e6, theta))
 
 
 def test_coefficients_double_the_truncation_until_the_tail_is_small():
@@ -213,3 +217,66 @@ def test_exponent_far_off_the_chart_matches_a_tight_monodromy():
     sol = solve(gp)
     mono = monodromy_exponent(general_mathieu_ode(gp), math.pi, 1e-13)
     assert class_distance(sol.mu, mono.mu_raw) <= 1e-7
+
+
+def test_solve_recovers_a_root_whose_smallest_diagonal_row_sits_next_to_a_pole():
+    # row +7 fails the centre-row gate here (defect 54.5); row -7 passes
+    gp = GeneralParams(200.0, 50.0)
+    sol = solve(gp)
+    mono = monodromy_exponent(general_mathieu_ode(gp), math.pi, 1e-13)
+    assert class_distance(sol.mu, mono.mu_raw) <= 1e-8
+    grid = np.linspace(0.0, math.pi, 41)
+    rep = residual(general_mathieu_ode(gp), lambda t: eval_floquet(sol, t), grid)
+    assert rep.linf <= 1e-8
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0 + 0.5j])
+@pytest.mark.parametrize("h", [0.0, 4.0, 16.0, 36.0, 4.0 + 1e-9, 4.0 - 1e-9])
+def test_hill_seed_is_accurate_where_a_row_scaling_vanishes(h, theta):
+    gp = GeneralParams(h, theta)
+    mono = monodromy_exponent(general_mathieu_ode(gp), math.pi, 1e-13)
+    assert class_distance(floquet._hill_seed(gp), mono.mu_raw) <= 1e-6
+
+
+def test_solve_never_calls_the_oracle(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve() must not integrate the period map")
+
+    monkeypatch.setattr(oracle, "monodromy_exponent", forbidden)
+    monkeypatch.setattr(floquet, "monodromy_exponent", forbidden)
+    grid = np.linspace(0.0, math.pi, 41)
+    for h in (-2.0, 10.0):
+        for theta in (-2.0, 2.0):
+            gp = GeneralParams(h, theta)
+            sol = solve(gp)
+            rep = residual(general_mathieu_ode(gp), lambda t: eval_floquet(sol, t), grid)
+            assert rep.linf <= 1e-8
+
+
+def _tongue_edges(special, q):
+    return ([float(special.mathieu_a(r, q)) for r in range(6)]
+            + [float(special.mathieu_b(r, q)) for r in range(1, 6)])
+
+
+def test_stability_class_agrees_with_scipy_tongues():
+    special = pytest.importorskip("scipy.special")
+    compared = 0
+    for q in np.linspace(0.0, 2.0, 21):
+        edges = _tongue_edges(special, q)
+        a, b = edges[:6], edges[6:]
+        for h in np.linspace(-2.0, 10.0, 61):
+            if min(abs(h - e) for e in edges) < 1e-6:
+                continue
+            inside = h < a[0] or any(b[r - 1] < h < a[r] for r in range(1, 6))
+            label = classify_stability(solve(GeneralParams(float(h), float(q))).mu)
+            assert label == ("unstable" if inside else "stable"), (h, q)
+            compared += 1
+    assert compared > 1200
+
+
+def test_exponent_at_scipy_tongue_edges_is_on_the_imaginary_lattice():
+    special = pytest.importorskip("scipy.special")
+    for q in (0.1, 0.25, 0.5, 1.0, 1.5, 2.0):
+        for edge in _tongue_edges(special, q):
+            mu = normalize_exponent(solve(GeneralParams(edge, q)).mu)
+            assert abs(mu - 1j * round(mu.imag)) <= 1e-7, (edge, q)

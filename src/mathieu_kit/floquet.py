@@ -252,7 +252,9 @@ def coefficients(gp: GeneralParams, mu: complex, trunc: int = DEFAULT_TRUNCATION
         raise InvalidParameterError("truncation must be at least 5")
     mu = complex(mu)
     n_work = trunc
-    mu_work, d0 = _centre(gp, mu, max(trunc, 40), n_work + _CF_EXTRA)
+    # the row whose diagonal h + (mu + 2in)^2 vanishes sits near n = +-sqrt(h)/2
+    window = max(trunc, 40) + int(abs(cmath.sqrt(gp.h)) / 2)
+    mu_work, d0 = _centre(gp, mu, window, n_work + _CF_EXTRA)
     while True:
         depth = n_work + _CF_EXTRA
         polished = mu_work

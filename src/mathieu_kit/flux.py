@@ -261,12 +261,16 @@ def field_from_motion(fp: FluxParams, series: TimeSeries) -> TimeSeries:
     )
 
 
-def _uniform_step(grid: np.ndarray) -> float:
+def _uniform_samples(series: TimeSeries) -> tuple[np.ndarray, np.ndarray, float]:
+    """(grid, real signal, step) of a uniformly sampled series of two or more samples."""
+    grid = np.asarray(series.grid, dtype=float)
+    if len(grid) < 2:
+        raise SpanError(f"need at least two samples, got {len(grid)}")
     steps = np.diff(grid)
     dt = float(steps[0])
     if dt <= 0 or np.max(np.abs(steps - dt)) > 1e-9 * dt:
         raise InvalidParameterError("demodulation requires a uniform sample grid")
-    return dt
+    return grid, np.asarray(series.y).real, dt
 
 
 def _moving_average_gain(freq: float, window: int, dt: float) -> float:
@@ -298,15 +302,13 @@ def modulation_analysis(series: TimeSeries, Omega: float, omega: float) -> Modul
     """
     if Omega <= 0 or omega <= 0:
         raise InvalidParameterError("frequencies must be positive")
-    grid = np.asarray(series.grid, dtype=float)
-    signal = np.asarray(series.y).real
+    grid, signal, dt = _uniform_samples(series)
     span = grid[-1] - grid[0]
     if span < 3.0 * (2.0 * math.pi / omega):
         raise SpanError(
             f"series spans {span:.3g}, need at least three modulation periods "
             f"({3.0 * 2.0 * math.pi / omega:.3g})"
         )
-    dt = _uniform_step(grid)
     envelope, window = _envelope(signal, grid, Omega, dt)
     t_env = grid[window - 1 :] - (window - 1) * dt / 2.0
 
@@ -333,9 +335,7 @@ def identify_frequencies(series: TimeSeries) -> tuple[float, float]:
     The carrier is the strongest nonzero line of the signal; the modulation is
     the strongest nonzero line of the demodulated envelope magnitude.
     """
-    grid = np.asarray(series.grid, dtype=float)
-    signal = np.asarray(series.y).real
-    dt = _uniform_step(grid)
+    grid, signal, dt = _uniform_samples(series)
     n = len(signal)
     freqs = 2.0 * math.pi * np.fft.rfftfreq(n, d=dt)
     spectrum = np.abs(np.fft.rfft(signal - np.mean(signal)))

@@ -1,10 +1,11 @@
 """Independent verification machinery for second-order linear ODEs.
 
-Everything here checks other results rather than producing them: an embedded
-Dormand-Prince 5(4) integrator with the classical quartic interpolant and a PI
-step controller, period-map (monodromy) exponents, pointwise defect residuals
-with a scale-aware normalization, and the Abel/Liouville Wronskian reference.
-All state is complex; a real problem is just a special case.
+Everything here checks other results rather than producing them: one
+Dormand-Prince 5(4) stepper for y'' + p y' + q y = f (classical quartic
+interpolant, PI step controller) that advances any number of solution columns
+at once (integrate passes one, the monodromy period map two), pointwise defect
+residuals with a scale-aware normalization, and the Abel/Liouville Wronskian
+reference.  All state is complex; a real problem is just a special case.
 
 Results cross layer boundaries as TimeSeries arrays: integrate returns one,
 and residual(ode, series) checks one on its own grid (a per-point callable
@@ -31,16 +32,17 @@ TOL_MAX = 1.0e-3
 
 _MAX_STEPS = 1_000_000
 
-# Dormand-Prince 5(4) tableau
+# Dormand-Prince 5(4) tableau; row i - 1 of _A combines stages 0..i-1 into stage i's state
 _C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
+_A = np.array(
+    [
+        [1.0 / 5.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0, 0.0],
+        [44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0, 0.0],
+        [19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0, 0.0, 0.0],
+        [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0, 0.0],
+        [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0],
+    ]
 )
 # difference between the 5th- and embedded 4th-order weights
 _E = np.array(
@@ -156,26 +158,36 @@ def _dense_eval(lefts: np.ndarray, hs: np.ndarray, cont: np.ndarray, tq: np.ndar
     return cont[idx, 0] + theta * val
 
 
-def _integrate_raw(rhs, t0: float, t1: float, u0: np.ndarray, tol: float, keep_dense: bool):
-    """Adaptive DOPRI5 sweep: accepted times, step sizes, per-step interpolant
-    coefficients (only with keep_dense), states and stats."""
+def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: np.ndarray, tol: float):
+    """Adaptive DOPRI5 sweep of y'' + p y' + q y = f for any number of solutions.
+
+    The state stacks the solution columns' values over their derivatives,
+    [y_1..y_m, y'_1..y'_m], so p, q and f are evaluated once per stage for all
+    columns.  Returns the accepted times, step sizes, each step's interpolant
+    coefficients (entry 0 is the step's starting state), the final state and
+    the stats.
+    """
+    m = len(u0) // 2
+
+    def rhs(t: float, u: np.ndarray) -> np.ndarray:
+        pv, qv, fv = ode.coefficients_at(t)
+        y, dy = u[:m], u[m:]
+        return np.concatenate((dy, fv - pv * dy - qv * y))
+
     t = t0
     u = np.asarray(u0, dtype=complex)
-    k1 = rhs(t, u)
-    nfev = 2  # hinit's trial evaluation counts too
-    h = _initial_step(rhs, t0, u, k1, t1, tol)
+    k = np.empty((7, len(u)), dtype=complex)
+    k[0] = rhs(t, u)
+    h = _initial_step(rhs, t0, u, k[0], t1, tol)
     err_old = 1e-4
     last_rejected = False
-    times = [t0]
     hs = []
     # every step's interpolant in one buffer, doubled when full: a small
     # array object per step would take about twice the memory
-    cont = np.empty((64 if keep_dense else 0, 5, u.shape[0]), dtype=complex)
-    states = [u.copy()]
-    n_accept = 0
+    cont = np.empty((64, 5, len(u)), dtype=complex)
     n_reject = 0
     while t < t1:
-        if n_accept + n_reject > _MAX_STEPS:
+        if len(hs) + n_reject > _MAX_STEPS:
             raise StiffnessError(
                 f"step budget exhausted at t={t:.6g}", t_last=t, state_last=u.copy()
             )
@@ -184,33 +196,27 @@ def _integrate_raw(rhs, t0: float, t1: float, u0: np.ndarray, tol: float, keep_d
             raise StiffnessError(
                 f"step size underflow at t={t:.6g}", t_last=t, state_last=u.copy()
             )
-        k = [k1]
-        for i in range(1, 7):
-            ui = u + h * sum(aij * kj for aij, kj in zip(_A[i], k))
-            k.append(rhs(t + _C[i] * h, ui))
-        nfev += 6
+        for i, a in enumerate(_A, start=1):
+            ui = u + h * np.dot(a[:i], k[:i])
+            k[i] = rhs(t + _C[i] * h, ui)
         u_new = ui  # stage 7 reuses the 5th-order weights, so its state is the step result
-        err_vec = h * sum(e * kj for e, kj in zip(_E, k))
+        err_vec = h * np.dot(_E, k)
         sc = tol + tol * np.maximum(np.abs(u), np.abs(u_new))
         err = _rms(err_vec / sc)
         if err <= 1.0:
-            if keep_dense:
-                if n_accept == len(cont):
-                    cont = np.concatenate([cont, np.empty_like(cont)])
-                c = cont[n_accept]
-                delta = u_new - u
-                c[0] = u
-                c[1] = delta
-                c[2] = h * k[0] - delta
-                c[3] = delta - h * k[6] - c[2]
-                c[4] = h * sum(d * kj for d, kj in zip(_D, k))
-                hs.append(h)
+            if len(hs) == len(cont):
+                cont = np.concatenate([cont, np.empty_like(cont)])
+            c = cont[len(hs)]
+            delta = u_new - u
+            c[0] = u
+            c[1] = delta
+            c[2] = h * k[0] - delta
+            c[3] = delta - h * k[6] - c[2]
+            c[4] = h * np.dot(_D, k)
+            hs.append(h)
             t = t + h
             u = u_new
-            k1 = k[6]
-            times.append(t)
-            states.append(u.copy())
-            n_accept += 1
+            k[0] = k[6]
             fac = _SAFETY * err ** (-_ALPHA) * err_old ** _BETA if err > 0.0 else _FAC_MAX
             fac = min(_FAC_MAX, max(_FAC_MIN, fac))
             if last_rejected:
@@ -222,8 +228,11 @@ def _integrate_raw(rhs, t0: float, t1: float, u0: np.ndarray, tol: float, keep_d
             h *= max(_FAC_MIN, _SAFETY * err ** (-_ALPHA))
             n_reject += 1
             last_rejected = True
-    stats = {"steps": n_accept, "rejected": n_reject, "rhs_evaluations": nfev}
-    return np.array(times), np.array(hs), cont[:n_accept], np.array(states), stats
+    # the initial step size's trial evaluation counts too
+    nfev = 2 + 6 * (len(hs) + n_reject)
+    stats = {"steps": len(hs), "rejected": n_reject, "rhs_evaluations": nfev}
+    # the same additions as t = t + h above, so the times match bit for bit
+    return np.cumsum([t0, *hs]), np.array(hs), cont[: len(hs)], u, stats
 
 
 def integrate(
@@ -244,17 +253,10 @@ def integrate(
     t0, t1 = float(span[0]), float(span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)) or t1 <= t0:
         raise SpanError(f"span must be a finite increasing pair, got {span!r}")
-
-    def rhs(t: float, u: np.ndarray) -> np.ndarray:
-        pv, qv, fv = ode.coefficients_at(t)
-        return np.array([u[1], fv - pv * u[1] - qv * u[0]])
-
-    u0 = np.array([complex(y0), complex(dy0)])
-    times, hs, cont, states, stats = _integrate_raw(rhs, t0, t1, u0, tol,
-                                                    keep_dense=t_eval is not None)
+    times, hs, cont, u1, stats = _integrate_raw(ode, t0, t1, np.array([y0, dy0]), tol)
     if t_eval is None:
         grid = times
-        ys, dys = states.T
+        ys, dys = np.concatenate([cont[:, 0], u1[None]]).T
     else:
         grid = as_grid(t_eval, "t_eval")
         if np.any(np.diff(grid) <= 0.0):
@@ -272,10 +274,11 @@ def integrate(
 def monodromy_exponent(ode: LinearODE, period: float, tol: float) -> MonodromyResult:
     """Floquet exponent from direct integration of both fundamental columns.
 
-    The larger-modulus eigenvalue rho of the period map gives
-    mu_raw = Log(rho)/period; mu is its canonical class representative.
-    branch_ambiguous flags rho so close to the negative real axis that the
-    principal log's imaginary part is not trustworthy.
+    The two columns start from the identity and advance together; the final
+    state is the period map.  The larger-modulus eigenvalue rho of the period
+    map gives mu_raw = Log(rho)/period; mu is its canonical class
+    representative.  branch_ambiguous flags rho so close to the negative real
+    axis that the principal log's imaginary part is not trustworthy.
     """
     tol = validate_tolerance(tol)
     if ode.f is not None:
@@ -283,16 +286,8 @@ def monodromy_exponent(ode: LinearODE, period: float, tol: float) -> MonodromyRe
     period = float(period)
     if not (math.isfinite(period) and period > 0.0):
         raise SpanError(f"period must be finite and positive, got {period!r}")
-
-    def rhs(t: float, u: np.ndarray) -> np.ndarray:
-        pv, qv, _ = ode.coefficients_at(t)
-        return np.array(
-            [u[1], -pv * u[1] - qv * u[0], u[3], -pv * u[3] - qv * u[2]]
-        )
-
-    u0 = np.array([1.0 + 0.0j, 0.0j, 0.0j, 1.0 + 0.0j])
-    _, _, _, states, _ = _integrate_raw(rhs, 0.0, period, u0, tol, keep_dense=False)
-    y1, dy1, y2, dy2 = states[-1]
+    u1 = _integrate_raw(ode, 0.0, period, np.eye(2).ravel(), tol)[3]
+    (y1, y2), (dy1, dy2) = u1.reshape(2, 2)
     trace = y1 + dy2
     det_m = y1 * dy2 - y2 * dy1
     disc = cmath.sqrt(trace * trace - 4.0 * det_m)

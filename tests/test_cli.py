@@ -307,3 +307,11 @@ def test_flux_analyze_too_short_records_the_error(tmp_path):
     flags = json.loads((tmp_path / "flux.json").read_text())["validity_flags"]
     assert "modulation periods" in flags["analysis_error"]
     assert "measured_depth" not in flags
+
+
+def test_floquet_at_the_reduction_of_a_flux_job(tmp_path):
+    # reduce() of the flux job m = 1, eta = 2, k0 = 62.5, k = 1, omega = 0.016
+    out = tmp_path / "fl.csv"
+    code = main(["floquet", "--h", "960937.5", "--theta", "-7812.5", "--out", str(out)])
+    assert code == 0
+    assert json.loads((tmp_path / "fl.json").read_text())["residual_linf"] < 1e-8

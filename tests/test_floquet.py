@@ -280,3 +280,22 @@ def test_exponent_at_scipy_tongue_edges_is_on_the_imaginary_lattice():
         for edge in _tongue_edges(special, q):
             mu = normalize_exponent(solve(GeneralParams(edge, q)).mu)
             assert abs(mu - 1j * round(mu.imag)) <= 1e-7, (edge, q)
+
+
+# the centre row, where h + (mu + 2in)^2 nearly vanishes, sits near n = sqrt(h)/2:
+# past the 40 rows searched at small h.  (960937.5, -7812.5) is the reduction
+# of the flux job m = 1, eta = 2, k0 = 62.5, k = 1, omega = 0.016.
+@pytest.mark.parametrize("h, theta", [(7000.0, 0.5), (7000.0, 5.0), (1e4, 5.0), (4e4, 5.0),
+                                      (1e5, 50.0), (960937.5, -7812.5)])
+def test_solve_at_large_h_finds_the_far_centre_row(h, theta):
+    gp = GeneralParams(h, theta)
+    sol = solve(gp)
+    grid = np.linspace(0.0, math.pi, 41)
+    rep = residual(general_mathieu_ode(gp), lambda t: eval_floquet(sol, t), grid)
+    assert rep.linf <= 1e-8
+
+
+def test_exponent_at_large_h_matches_a_tight_monodromy():
+    gp = GeneralParams(7000.0, 5.0)
+    mono = monodromy_exponent(general_mathieu_ode(gp), math.pi, 1e-12)
+    assert class_distance(solve(gp).mu, mono.mu_raw) <= 1e-8

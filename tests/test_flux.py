@@ -319,3 +319,14 @@ def test_identify_frequencies_synthetic():
     bin_width = 2.0 * math.pi / (series.grid[-1] - series.grid[0])
     assert abs(carrier - 50.0) <= bin_width
     assert abs(modulation - 0.5) <= bin_width
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_analysis_of_fewer_than_two_samples_is_a_span_error(n):
+    grid = np.arange(float(n))
+    zeros = np.zeros(n, dtype=complex)
+    series = TimeSeries(grid=grid, y=zeros, dy=zeros, d2y=zeros)
+    with pytest.raises(SpanError):
+        identify_frequencies(series)
+    with pytest.raises(SpanError):
+        modulation_analysis(series, 7.0, 0.5)

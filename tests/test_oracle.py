@@ -183,6 +183,18 @@ def test_monodromy_rejects_forced_equation():
         monodromy_exponent(HARMONIC, -1.0, 1e-12)
 
 
+def test_monodromy_with_damping_matches_abel_and_the_characteristic_roots():
+    # y'' + 0.3 y' + 2 y = 0: det M = exp(-0.3 pi) (Abel), and the exponents
+    # are the roots of lam^2 + 0.3 lam + 2 = 0, defined modulo 2i over period pi
+    ode = LinearODE(p=lambda t: 0.3, q=lambda t: 2.0)
+    res = monodromy_exponent(ode, math.pi, 1e-12)
+    assert abs(res.det_m - math.exp(-0.3 * math.pi)) <= 1e-9
+    root = (-0.3 + cmath.sqrt(0.09 - 8.0)) / 2.0
+    # both multipliers have modulus exp(-0.15 pi), so either root may be reported
+    gaps = [res.mu_raw - lam for lam in (root, root.conjugate())]
+    assert min(abs(complex(d.real, (d.imag + 1.0) % 2.0 - 1.0)) for d in gaps) <= 1e-9
+
+
 @given(c=st.floats(min_value=-2.0, max_value=2.0),
        w0=st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False))
 def test_wronskian_abel_constant_damping(c, w0):

@@ -55,6 +55,7 @@ from .floquet import (
     classify_stability,
     coefficients,
     eval_floquet,
+    eval_floquet_grid,
     exponent_details,
     general_mathieu_ode,
     hill_determinant,

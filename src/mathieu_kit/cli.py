@@ -273,7 +273,7 @@ def _run_floquet(job: JobSpec, sidecar: dict):
     gp = fl.GeneralParams(h=p["h"], theta=p["theta"])
     sol = fl.solve(gp, p["trunc"])
     grid = np.linspace(0.0, 4.0 * math.pi, 201)
-    rep = residual(fl.general_mathieu_ode(gp), lambda t: fl.eval_floquet(sol, t), grid)
+    rep = residual(fl.general_mathieu_ode(gp), fl.eval_floquet_grid(sol, grid))
     sidecar.update(
         mu=_jsonify(normalize_exponent(sol.mu)),
         residual_linf=rep.linf,

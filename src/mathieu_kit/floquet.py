@@ -32,7 +32,7 @@ from .errors import (
 from .exponent_class import class_distance, normalize_exponent
 from .oracle import LinearODE
 from .oracle import monodromy_exponent  # noqa: F401  (not called; perfbench's trace wraps it here)
-from .samples import SolutionSample
+from .samples import SolutionSample, TimeSeries, as_grid
 
 DEFAULT_TRUNCATION = 25
 MAX_TRUNCATION = 400
@@ -332,16 +332,23 @@ def exponent_details(gp: GeneralParams) -> tuple[complex, complex]:
     return normalize_exponent(sol.mu), sol.mu
 
 
+def eval_floquet_grid(sol: FloquetSolution, grid) -> TimeSeries:
+    """The truncated series with analytic first and second derivatives on a grid.
+
+    One row of terms c_n e^{(mu+2in)t} per grid point, summed along the row.
+    """
+    grid = as_grid(grid)
+    rates = sol.mu + 2.0j * np.arange(-sol.truncation, sol.truncation + 1)
+    terms = sol.coeffs * np.exp(np.outer(grid, rates))
+    y = np.sum(terms, axis=1)
+    dy = np.sum(rates * terms, axis=1)
+    d2y = np.sum(rates * rates * terms, axis=1)
+    return TimeSeries(grid=grid, y=y, dy=dy, d2y=d2y)
+
+
 def eval_floquet(sol: FloquetSolution, t: float) -> SolutionSample:
-    """Evaluate the truncated series with analytic first and second derivatives."""
-    t = float(t)
-    n = np.arange(-sol.truncation, sol.truncation + 1)
-    rates = sol.mu + 2.0j * n
-    terms = sol.coeffs * np.exp(rates * t)
-    y = complex(np.sum(terms))
-    dy = complex(np.sum(rates * terms))
-    d2y = complex(np.sum(rates * rates * terms))
-    return SolutionSample(t=t, y=y, dy=dy, d2y=d2y)
+    """The truncated series and its first two derivatives at one time."""
+    return eval_floquet_grid(sol, [t])[0]
 
 
 def second_solution(sol: FloquetSolution) -> FloquetSolution:

@@ -1,21 +1,24 @@
 """Independent verification machinery for second-order linear ODEs.
 
 Everything here checks other results rather than producing them: one
-Dormand-Prince 5(4) stepper for y'' + p y' + q y = f (classical quartic
-interpolant, PI step controller) that advances any number of solution columns
-at once (integrate passes one, the monodromy period map two), pointwise defect
-residuals with a scale-aware normalization, and the Abel/Liouville Wronskian
+Dormand-Prince 5(4) stepper for y'' + p y' + q y = f (PI step controller) that
+advances any number of solution columns at once (integrate passes one, the
+monodromy period map two) and streams each step's classical quartic
+interpolant to the requested times, keeping nothing per step; pointwise defect
+residuals with a scale-aware normalization; and the Abel/Liouville Wronskian
 reference.  All state is complex; a real problem is just a special case.
 
-Results cross layer boundaries as TimeSeries arrays: integrate returns one,
-and residual(ode, series) checks one on its own grid (a per-point callable
-plus a grid is accepted too, and is sampled into arrays first).
+Results cross layer boundaries as TimeSeries arrays: integrate returns one
+(the step-end states when no times are requested), and residual(ode, series)
+checks one on its own grid (a per-point callable plus a grid is accepted too,
+and is sampled into arrays first).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -146,26 +149,28 @@ def _initial_step(rhs, t0: float, u0: np.ndarray, f0: np.ndarray, t1: float, tol
     return min(100.0 * h0, h1, t1 - t0)
 
 
-def _dense_eval(lefts: np.ndarray, hs: np.ndarray, cont: np.ndarray, tq: np.ndarray) -> np.ndarray:
-    """Quartic interpolant of step i = [lefts[i], lefts[i] + hs[i]] at each query,
-    by Horner one term at a time so temporaries stay (queries, dim)."""
-    idx = np.clip(np.searchsorted(lefts, tq, side="right") - 1, 0, len(hs) - 1)
-    theta = ((tq - lefts[idx]) / hs[idx])[:, None]
-    rest = 1.0 - theta
-    val = cont[idx, 3] + rest * cont[idx, 4]
-    val = cont[idx, 2] + theta * val
-    val = cont[idx, 1] + rest * val
-    return cont[idx, 0] + theta * val
+def _dense_rows(t: float, h: float, u: np.ndarray, u_new: np.ndarray, k: np.ndarray, times):
+    """Rows of the step [t, t + h]'s quartic interpolant at times, all on Python
+    complex scalars: a step covers too few times for numpy to pay off."""
+    coeffs = []
+    for a, b, k0, k6, e in zip(*(r.tolist() for r in (u, u_new, k[0], k[6], h * np.dot(_D, k)))):
+        delta = b - a
+        c = h * k0 - delta
+        coeffs.append((a, delta, c, delta - h * k6 - c, e))
+    for tk in times:
+        theta = (tk - t) / h
+        rest = 1.0 - theta
+        yield [a + theta * (b + rest * (c + theta * (d + rest * e))) for a, b, c, d, e in coeffs]
 
 
-def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: np.ndarray, tol: float):
+def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: np.ndarray, tol: float, tq):
     """Adaptive DOPRI5 sweep of y'' + p y' + q y = f for any number of solutions.
 
     The state stacks the solution columns' values over their derivatives,
     [y_1..y_m, y'_1..y'_m], so p, q and f are evaluated once per stage for all
-    columns.  Returns the accepted times, step sizes, each step's interpolant
-    coefficients (entry 0 is the step's starting state), the final state and
-    the stats.
+    columns.  Each accepted step evaluates its interpolant at the ascending
+    times tq below its end (the last step takes the rest); tq None records the
+    step-end states.  Returns sample times, samples, final state and stats.
     """
     m = len(u0) // 2
 
@@ -181,13 +186,10 @@ def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: np.ndarray, tol: fl
     h = _initial_step(rhs, t0, u, k[0], t1, tol)
     err_old = 1e-4
     last_rejected = False
-    hs = []
-    # every step's interpolant in one buffer, doubled when full: a small
-    # array object per step would take about twice the memory
-    cont = np.empty((64, 5, len(u)), dtype=complex)
-    n_reject = 0
+    times, rows = ([t0], [u]) if tq is None else (tq, [])
+    n_accept = n_reject = 0
     while t < t1:
-        if len(hs) + n_reject > _MAX_STEPS:
+        if n_accept + n_reject > _MAX_STEPS:
             raise StiffnessError(
                 f"step budget exhausted at t={t:.6g}", t_last=t, state_last=u.copy()
             )
@@ -204,18 +206,17 @@ def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: np.ndarray, tol: fl
         sc = tol + tol * np.maximum(np.abs(u), np.abs(u_new))
         err = _rms(err_vec / sc)
         if err <= 1.0:
-            if len(hs) == len(cont):
-                cont = np.concatenate([cont, np.empty_like(cont)])
-            c = cont[len(hs)]
-            delta = u_new - u
-            c[0] = u
-            c[1] = delta
-            c[2] = h * k[0] - delta
-            c[3] = delta - h * k[6] - c[2]
-            c[4] = h * np.dot(_D, k)
-            hs.append(h)
-            t = t + h
-            u = u_new
+            t_new = t + h
+            if tq is None:
+                times.append(t_new)
+                rows.append(u_new)
+            else:
+                # a time equal to a step end goes to the next step, at theta = 0
+                stop = len(tq) if t_new >= t1 else bisect_left(tq, t_new, len(rows))
+                if stop > len(rows):
+                    rows += _dense_rows(t, h, u, u_new, k, tq[len(rows):stop])
+            n_accept += 1
+            t, u = t_new, u_new
             k[0] = k[6]
             fac = _SAFETY * err ** (-_ALPHA) * err_old ** _BETA if err > 0.0 else _FAC_MAX
             fac = min(_FAC_MAX, max(_FAC_MIN, fac))
@@ -229,10 +230,9 @@ def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: np.ndarray, tol: fl
             n_reject += 1
             last_rejected = True
     # the initial step size's trial evaluation counts too
-    nfev = 2 + 6 * (len(hs) + n_reject)
-    stats = {"steps": len(hs), "rejected": n_reject, "rhs_evaluations": nfev}
-    # the same additions as t = t + h above, so the times match bit for bit
-    return np.cumsum([t0, *hs]), np.array(hs), cont[: len(hs)], u, stats
+    nfev = 2 + 6 * (n_accept + n_reject)
+    stats = {"steps": n_accept, "rejected": n_reject, "rhs_evaluations": nfev}
+    return times, np.array(rows, dtype=complex), u, stats
 
 
 def integrate(
@@ -245,26 +245,26 @@ def integrate(
 ) -> TimeSeries:
     """Solve the initial value problem over span, adaptively.
 
-    Without t_eval the accepted step points form the grid; with t_eval the
-    dense interpolant is sampled there instead.  The second derivative is
-    recovered from the equation itself, not differentiated numerically.
+    Without t_eval the step-end states are returned on t0 and the step ends;
+    t_eval, checked before the sweep, is sampled from each step's interpolant
+    as it is accepted.  y'' comes from the equation, not numerical differences.
     """
     tol = validate_tolerance(tol)
     t0, t1 = float(span[0]), float(span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)) or t1 <= t0:
         raise SpanError(f"span must be a finite increasing pair, got {span!r}")
-    times, hs, cont, u1, stats = _integrate_raw(ode, t0, t1, np.array([y0, dy0]), tol)
-    if t_eval is None:
-        grid = times
-        ys, dys = np.concatenate([cont[:, 0], u1[None]]).T
-    else:
+    tq = None
+    if t_eval is not None:
         grid = as_grid(t_eval, "t_eval")
         if np.any(np.diff(grid) <= 0.0):
             raise InvalidParameterError("t_eval must be strictly increasing")
         slack = 1e-12 * (t1 - t0)
         if grid[0] < t0 - slack or grid[-1] > t1 + slack:
             raise InvalidParameterError("t_eval must lie within the integration span")
-        ys, dys = _dense_eval(times[:-1], hs, cont, np.clip(grid, t0, t1)).T
+        tq = np.clip(grid, t0, t1).tolist()
+    times, samples, _, stats = _integrate_raw(ode, t0, t1, np.array([y0, dy0]), tol, tq)
+    grid = np.array(times) if tq is None else grid
+    ys, dys = samples.T
     pv, qv, fv = ode.coefficients_on(grid)
     d2ys = fv - pv * dys - qv * ys
     meta = {"method": "dormand-prince-5(4)", "tolerance": tol, **stats}
@@ -286,7 +286,7 @@ def monodromy_exponent(ode: LinearODE, period: float, tol: float) -> MonodromyRe
     period = float(period)
     if not (math.isfinite(period) and period > 0.0):
         raise SpanError(f"period must be finite and positive, got {period!r}")
-    u1 = _integrate_raw(ode, 0.0, period, np.eye(2).ravel(), tol)[3]
+    u1 = _integrate_raw(ode, 0.0, period, np.eye(2).ravel(), tol, ())[2]
     (y1, y2), (dy1, dy2) = u1.reshape(2, 2)
     trace = y1 + dy2
     det_m = y1 * dy2 - y2 * dy1

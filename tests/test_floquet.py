@@ -16,6 +16,7 @@ from mathieu_kit.floquet import (
     classify_stability,
     coefficients,
     eval_floquet,
+    eval_floquet_grid,
     exponent_details,
     general_mathieu_ode,
     hill_determinant,
@@ -64,6 +65,21 @@ def test_unmodulated_evaluation_is_pure_exponential():
         assert s.y == pytest.approx(cmath.exp(1j * t), rel=1e-12)
         assert s.dy == pytest.approx(1j * cmath.exp(1j * t), rel=1e-12)
         assert s.d2y == pytest.approx(-cmath.exp(1j * t), rel=1e-12)
+
+
+@pytest.mark.parametrize("h,theta", [(1, 0.5), (3, 1.5), (1, 2000), (200, 50),
+                                     (1 + 0.5j, 1 - 0.2j)])
+def test_grid_evaluation_equals_the_per_point_sums(h, theta):
+    sol = solve(GeneralParams(h, theta))
+    grid = np.linspace(0.0, 4.0 * math.pi, 201)
+    series = eval_floquet_grid(sol, grid)
+    rates = sol.mu + 2.0j * np.arange(-sol.truncation, sol.truncation + 1)
+    for i, t in enumerate(grid.tolist()):
+        terms = sol.coeffs * np.exp(rates * t)
+        assert series.y[i] == np.sum(terms)
+        assert series.dy[i] == np.sum(rates * terms)
+        assert series.d2y[i] == np.sum(rates * rates * terms)
+    assert eval_floquet(sol, grid[5]) == series[5]
 
 
 def test_continuity_in_small_modulation():

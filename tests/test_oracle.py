@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,45 @@ def test_dense_output_at_step_times_equals_step_states():
     eps = np.finfo(float).eps
     assert abs(dense.y[-1] - steps.y[-1]) <= 4.0 * eps * abs(steps.y[-1])
     assert abs(dense.dy[-1] - steps.dy[-1]) <= 4.0 * eps * abs(steps.dy[-1])
+
+
+def test_streamed_samples_do_not_depend_on_the_other_requested_times():
+    grid = np.linspace(0.0, 6.0, 701)
+    full = integrate(DRIVEN, 1.0, 0.0, (0.0, 6.0), 1e-9, t_eval=grid)
+    thin = integrate(DRIVEN, 1.0, 0.0, (0.0, 6.0), 1e-9, t_eval=grid[::7])
+    assert thin.meta == full.meta
+    for got, want in ((thin.y, full.y), (thin.dy, full.dy), (thin.d2y, full.d2y)):
+        assert np.array_equal(got, want[::7])
+
+
+@pytest.mark.parametrize("t_eval", [[], [0.5, math.nan], [0.5, 0.25], [0.5, 0.5], [0.5, 2.0],
+                                    [-0.5, 0.5]])
+def test_t_eval_is_rejected_before_the_sweep(t_eval):
+    times = []
+
+    def q(t: float) -> complex:
+        times.append(t)
+        return 1.0 + 0.0j
+
+    with pytest.raises(InvalidParameterError):
+        integrate(LinearODE(p=None, q=q), 1.0, 0.0, (0.0, 1.0), 1e-9, t_eval=t_eval)
+    assert times == []
+
+
+def test_monodromy_keeps_nothing_per_step():
+    ode = LinearODE(p=None, q=lambda t: 1.0 + 0.5 * math.cos(2.0 * t))
+    monodromy_exponent(ode, 2.0 * math.pi, 1e-12)  # warm any first-call caches
+    peaks = []
+    for period in (2.0 * math.pi, 4.0 * math.pi):
+        tracemalloc.start()
+        try:
+            monodromy_exponent(ode, period, 1e-12)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 64 * 1024
+    # twice the steps, the same peak: a per-step record would add hundreds of KiB
+    assert peaks[1] <= peaks[0] + 1024
 
 
 def test_wronskian_abel_matches_per_interval_quadrature():

@@ -16,14 +16,28 @@ order exceeds |z|, where the ascending singular part dominates), and the
 recurrence path is used otherwise, run in extended precision to absorb what is
 left of the dip amplification.
 
-Accuracy: for |n| <= 20 and |z| <= 50 worst observed relative error is below
-1e-12 for values and Wronskian alike.  Outside that box the routines stay
-accurate except in one corner: order within roughly a factor of two of |z|,
-argument far from both axes, and |z| beyond ~60, where neither method controls
-the dip amplification and the returned Y can lose most of its digits (that
-regime needs uniform large-order asymptotics, out of scope here).  The
-Wronskian identity survives contamination better than the values because the
-dominant error is a multiple of J_n, which the identity annihilates.
+Array input.  bessel_j and bessel_y take a scalar z or a 1-d array of z; an
+array gives value and derivative arrays, and a scalar is the [0] element of a
+one-point array.  The method choice is a boolean mask over the points: J sums
+its series where |z| <= 6 and runs Miller's recurrence elsewhere; Y sums its
+direct series where |z| <= 6, |z| - |Im z| <= 9 or |n| >= |z|, and takes the
+upward path elsewhere.  Each series is summed term by term over all its points
+at once until every point has converged.  The Miller sweep starts every point
+at the index the largest |z| needs (on the closed form's circular path |z| is
+constant) and is streamed: it carries the last rows of the recurrence, adds
+each new row into the normalization sum and, for Y, into the two log-Neumann
+sums, keeps only the orders the caller reads, and rescales a column once it
+passes 1e250.  Validation raises if any point fails, with the error a scalar call on
+that point would raise.
+
+Accuracy: on circles |z| = 0.5 ... 40 with 0 <= n <= 40, J and J' agree with
+scipy.special to 1e-12 relative at every point, and so do Y and Y' outside one
+corner: order between about 0.7|z| and 1.25|z| with |z| beyond ~15, where
+neither method controls the dip amplification.  There the error grows with
+|z| (about 5e-12 at |z| = 17.5, 8e-10 at 30, 3e-6 at 40) and keeps growing
+beyond; that regime needs uniform large-order asymptotics, out of scope here.
+The Wronskian identity survives contamination better than the values because
+the dominant error is a multiple of J_n, which the identity annihilates.
 
 Values are principal-branch; Y inherits the log cut along the negative real
 axis.
@@ -31,7 +45,6 @@ axis.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -48,6 +61,9 @@ SERIES_RADIUS = 6.0
 Y_SERIES_WEDGE = 9.0
 # exp(|Im z|) at the double-precision overflow edge; beyond this J/Y overflow anyway
 _IM_OVERFLOW = 700.0
+# the Miller sweep checks its rows for rescaling once their growth bound has
+# gained this many decades; 1e250 * 1e42 still leaves the sums room below 1e308
+_RESCALE_DECADES = 40.0
 
 # extended-precision constants for the recurrence path; float64 pi would cap
 # the seed accuracy at ~1e-16 and waste the longdouble headroom
@@ -58,91 +74,134 @@ _GAMMA_LD = np.longdouble("0.577215664901532860606512090082402431")
 
 @dataclass(frozen=True)
 class BesselValue:
-    """Function value and derivative with respect to the argument."""
+    """Function value and derivative with respect to the argument.
 
-    value: complex
-    derivative: complex
+    Complex numbers for a scalar argument, arrays for an array of arguments.
+    """
+
+    value: complex | np.ndarray
+    derivative: complex | np.ndarray
 
 
-def _validate(n: int, z: complex) -> complex:
+def _validate(n, z) -> tuple[int, np.ndarray, bool]:
+    """|n|, the points as a 1-d complex array, and whether z was a scalar."""
     if not isinstance(n, (int, np.integer)):
         raise InvalidParameterError(f"order must be an integer, got {n!r}")
     if abs(int(n)) > MAX_ORDER:
         raise RangeLimitError(f"order |n|={abs(int(n))} exceeds supported maximum {MAX_ORDER}")
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise InvalidParameterError(f"argument must be finite, got {z!r}")
-    if abs(z) > MAX_ARGUMENT:
-        raise RangeLimitError(f"|z|={abs(z):g} exceeds supported maximum {MAX_ARGUMENT:g}")
-    if abs(z.imag) > _IM_OVERFLOW:
+    scalar = np.ndim(z) == 0
+    z = np.ascontiguousarray([complex(z)] if scalar else z, dtype=complex)
+    if z.ndim != 1:
+        raise InvalidParameterError(f"argument must be a scalar or a 1-d array, got shape {z.shape}")
+    bad = ~np.isfinite(z)
+    if bad.any():
+        raise InvalidParameterError(f"argument must be finite, got {_first(z, bad)!r}")
+    bad = _modulus(z) > MAX_ARGUMENT
+    if bad.any():
+        raise RangeLimitError(
+            f"|z|={abs(_first(z, bad)):g} exceeds supported maximum {MAX_ARGUMENT:g}")
+    if (np.abs(z.imag) > _IM_OVERFLOW).any():
         raise RangeLimitError("function value exceeds double-precision range for |Im z| > 700")
-    return z
+    return abs(int(n)), z, scalar
 
 
-def _series_cap(z: complex) -> int:
+def _modulus(z: np.ndarray) -> np.ndarray:
+    # |z| as the scalar abs() rounds it (np.abs on complex can differ in the
+    # last bit), so a point on a mask edge takes the path a scalar call takes
+    return np.hypot(z.real, z.imag)
+
+
+def _first(z: np.ndarray, mask: np.ndarray) -> complex:
+    return complex(z[np.argmax(mask)])
+
+
+def _orders(na: int) -> np.ndarray:
+    # the rows every path returns: what B_n and 2 B_n' = B_{n-1} - B_{n+1} read
+    return np.arange(na - 1, na + 2) if na else np.arange(2)
+
+
+def _value_and_derivative(rows: np.ndarray, na: int):
+    if na == 0:
+        return rows[0], -rows[1]
+    return rows[1], (rows[0] - rows[2]) / 2.0
+
+
+def _series_cap(r: float) -> int:
     # terms decay once k(n+k) outgrows |z/2|^2, so k ~ 0.6|z| plus tail
-    return max(200, int(0.6 * abs(z)) + 80)
+    return max(200, int(0.6 * r) + 80)
 
 
-def _j_series(n: int, z: complex) -> complex:
-    # ascending series; first term built incrementally so (z/2)^n never overflows
+def _ascending(orders: np.ndarray, z: np.ndarray, with_psi: bool = False):
+    """Ascending series of J_o(z): one row per order o, one column per point.
+
+    With with_psi it also sums, from the same terms t_k, the psi series
+    sum_k (H_k + H_{o+k} - 2 gamma) t_k of Y's integer-order limit form.
+    Each sum stops taking terms where it has converged, as a one-point call
+    would, and the loop ends when every sum has.
+    """
     half = z / 2.0
-    term = 1.0 + 0.0j
-    for j in range(1, n + 1):
-        term *= half / j
-    total = term
+    # first terms (z/2)^o / o!, built incrementally so no power overflows;
+    # consecutive orders continue the same product.  Products of one-point
+    # arrays are written out of place: numpy's in-place complex multiply on a
+    # single element rounds differently from its vector loop.
+    term = np.empty((len(orders), len(z)), dtype=complex)
+    term[0] = 1.0
+    for j in range(1, int(orders[0]) + 1):
+        term[0] = term[0] * (half / j)
+    for row in range(1, len(orders)):
+        term[row] = term[row - 1] * (half / int(orders[row]))
     h2 = -(half * half)
-    for k in range(1, _series_cap(z)):
-        term *= h2 / (k * (n + k))
-        total += term
-        if abs(term) <= 1e-17 * abs(total) + 5e-324:
-            break
-    return total
+    ks = np.arange(_series_cap(float(_modulus(z).max())))[:, None]
+    den = (ks * (orders + ks)).astype(float)[:, :, None]
+    # the sums ride as layers of one array: J itself, then the psi series
+    coef = np.ones((len(ks), 1, len(orders), 1))
+    if with_psi:
+        top = int(orders[-1]) + len(ks)
+        harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, top + 1))))
+        psi_coef = harmonic[ks] + harmonic[orders + ks] - 2.0 * EULER_GAMMA
+        coef = np.concatenate((coef, psi_coef[:, None, :, None]), axis=1)
+    sums = coef[0] * term
+    live = np.ones(sums.shape, dtype=bool)
+    for k in range(1, len(ks)):
+        term *= h2 / den[k]
+        contrib = coef[k] * term
+        np.add(sums, contrib, out=sums, where=live)
+        # a sum has converged once its term is below 1e-17 of it; testing
+        # every fourth term still decides each point by its own values alone
+        if k % 4 == 0:
+            live &= np.abs(contrib) > 1e-17 * np.abs(sums)
+            if not live.any():
+                break
+    return sums if with_psi else sums[0]
 
 
-_HARMONIC = [0.0]
+def _j_series(na: int, z: np.ndarray) -> np.ndarray:
+    return _ascending(_orders(na), z)
 
 
-def _harmonic(m: int) -> float:
-    while len(_HARMONIC) <= m:
-        _HARMONIC.append(_HARMONIC[-1] + 1.0 / len(_HARMONIC))
-    return _HARMONIC[m]
-
-
-def _y_series(n: int, z: complex) -> complex:
+def _y_series(na: int, z: np.ndarray) -> np.ndarray:
     # integer-order limit form: log term + finite singular part + psi series
+    orders = _orders(na)
+    jn, psi = _ascending(orders, z, with_psi=True)
     half = z / 2.0
-    log_term = (2.0 / math.pi) * cmath.log(half) * _j_series(n, z)
-
-    finite = 0.0 + 0.0j
-    if n > 0:
-        # sum_{k<n} (n-k-1)!/k! (z/2)^(2k-n); k=0 coefficient (n-1)!/half^n is
-        # built with interleaved factors so no intermediate overflows
-        term = 1.0 / half
-        for j in range(1, n):
-            term *= j / half
-        for k in range(n):
-            finite += term
-            if k + 1 < n:
-                term *= half * half / ((k + 1) * (n - k - 1))
-    finite /= math.pi
-
-    # psi series: sum_k (H_k + H_{n+k} - 2*gamma) * (-1)^k (z/2)^(2k) / (k! (n+k)!)
-    base = 1.0 + 0.0j
-    for j in range(1, n + 1):
-        base *= half / j
-    h2 = -(half * half)
-    psi_sum = (_harmonic(n) - 2.0 * EULER_GAMMA) * base
-    term = base
-    for k in range(1, _series_cap(z)):
-        term *= h2 / (k * (n + k))
-        contrib = (_harmonic(k) + _harmonic(n + k) - 2.0 * EULER_GAMMA) * term
-        psi_sum += contrib
-        if abs(contrib) <= 1e-17 * abs(psi_sum) + 5e-324:
-            break
-    psi_sum /= math.pi
-
-    return log_term - finite - psi_sum
+    log_term = (2.0 / math.pi) * np.log(half) * jn
+    # finite part sum_{k<o} (o-k-1)!/k! (z/2)^(2k-o); each row's k=0 term
+    # (o-1)!/half^o is built with interleaved factors so no intermediate overflows
+    first = 1.0 / half
+    for i in range(1, max(int(orders[0]), 1)):
+        first = first * (i / half)
+    rows = [np.zeros_like(half), first] if orders[0] == 0 else [first]
+    for o in orders[len(rows):]:
+        rows.append(rows[-1] * ((o - 1) / half))
+    term = np.array(rows)
+    finite = term.copy()
+    hh = half * half
+    for k in range(1, int(orders[-1])):
+        # rows whose sum has ended divide by inf and add zeros from here on
+        den = k * (orders - k)
+        term *= hh / np.where(den > 0, den, np.inf)[:, None]
+        finite += term
+    return log_term - finite / math.pi - psi / math.pi
 
 
 def _miller_start(n_top: int, r: float) -> int:
@@ -150,105 +209,133 @@ def _miller_start(n_top: int, r: float) -> int:
     return n_top + int(math.ceil(r)) + 15 + int(math.ceil(7.5 * r ** (1.0 / 3.0)))
 
 
-def _miller_j(n_top: int, z: complex, dtype: type = complex) -> np.ndarray:
-    """All of J_0..J_M by backward recurrence, normalized through exp(-+ i z)."""
-    m_start = _miller_start(n_top, abs(z))
-    zz = np.asarray(z, dtype=dtype)[()]
-    f = np.zeros(m_start + 2, dtype=dtype)
-    f[m_start] = 1e-150
-    for k in range(m_start, 0, -1):
-        f[k - 1] = (2.0 * k / zz) * f[k] - f[k + 1]
-        if abs(f[k - 1]) > 1e250:
-            f[k - 1 :] *= 1e-250
+def _miller(n_top: int, z: np.ndarray, keep, dtype: type = complex, neumann: bool = False):
+    """J_k(z) for each k in keep, by one backward recurrence over every point.
+
+    Every point starts at the index the largest |z| needs.  The sweep carries
+    the recurrence's two rows and, for s1, the row before them; each new row
+    is added into the normalization
+    e^{-+iz} = J_0 + 2 sum (-+i)^k J_k and, with neumann, into Y's log-Neumann
+    sums s0 = sum (-1)^k J_2k / k and s1 = sum (-1)^k (J_2k-1 - J_2k+1) / 2k.
+    Returns the kept rows, followed by s0 and s1 when neumann.
+    """
+    r = _modulus(z)
+    # |z| along the closed form's circle varies in its last bits; rounding it
+    # keeps one start index for the grid and for each of its points alone
+    m = _miller_start(n_top, round(float(r.max()), 9))
+    r_min = float(r.min())
+    kmax = (m - 1) // 2
+    zz = z.astype(dtype)
+    f_hi2, f_hi, f = np.zeros_like(zz), np.zeros_like(zz), np.full_like(zz, 1e-150)
+    # normalization sum split by parity: sum over even j of i^j f_j, and over
+    # odd j of i^(j-1) f_j; the odd part takes the sign of the half plane
+    even, odd, s0, s1 = (np.zeros_like(zz) for _ in range(4))
+    kept = {}
+    growth = 0.0
+    for j in range(m, 0, -1):
+        if j in keep:
+            kept[j] = f
+        k = (j + 1) // 2
+        # plus(acc, x) adds (-1)^k x into acc, minus(acc, x) subtracts it
+        plus, minus = (np.subtract, np.add) if k % 2 else (np.add, np.subtract)
+        if j % 2:  # j = 2k - 1
+            minus(odd, f, out=odd)
+            if neumann and k <= kmax:
+                plus(s1, (f - f_hi2) / (2 * k), out=s1)
+        else:  # j = 2k
+            plus(even, f, out=even)
+            if neumann and k <= kmax:
+                plus(s0, f / k, out=s0)
+        f, f_hi, f_hi2 = (2.0 * j / zz) * f - f_hi, f, f_hi
+        # |f_{j-1}| <= (2j/|z| + 1) max(|f_j|, |f_{j+1}|) bounds the growth
+        growth += math.log10(2.0 * j / r_min + 1.0)
+        if growth > _RESCALE_DECADES:
+            growth = 0.0
+            big = (np.abs(f) > 1e250) | (np.abs(f_hi) > 1e250)
+            if big.any():
+                f, f_hi, f_hi2, even, odd, s0, s1 = (
+                    np.where(big, a * 1e-250, a) for a in (f, f_hi, f_hi2, even, odd, s0, s1))
+                kept = {i: np.where(big, v * 1e-250, v) for i, v in kept.items()}
+    kept[0] = f
     # e^{-iz} = J0 + 2 sum (-i)^k Jk keeps every term on the scale of the result;
     # the classical "sum of even orders = 1" cancels catastrophically off the axis
-    u = np.asarray(-1.0j if z.imag >= 0.0 else 1.0j, dtype=dtype)[()]
-    ks = np.arange(1, m_start + 1)
-    total = f[0] + 2.0 * np.sum(u ** np.mod(ks, 4) * f[1 : m_start + 1])
-    scale = np.exp(u * zz) / total
-    return f[: m_start + 1] * scale
+    upper = z.imag >= 0.0
+    total = f + 2.0 * even + 2.0j * np.where(upper, -1.0, 1.0) * odd
+    scale = np.exp(np.where(upper, -1.0j, 1.0j) * zz) / total
+    rows = np.array([kept[k] * scale for k in keep])
+    return (rows, s0 * scale, s1 * scale) if neumann else rows
 
 
-def _y01_from_j(z: complex, j_arr: np.ndarray) -> tuple[complex, complex]:
-    """Y_0 and Y_1 from the log-Neumann series over a normalized J array."""
-    pi = j_arr.dtype.type(_PI_LD)
-    zz = np.asarray(z, dtype=j_arr.dtype)[()]
-    lg = np.log(zz / 2.0) + j_arr.dtype.type(_GAMMA_LD)
-    kmax = (len(j_arr) - 2) // 2
-    s0 = np.zeros((), dtype=j_arr.dtype)[()]
-    s1 = np.zeros((), dtype=j_arr.dtype)[()]
-    sgn = -1.0
-    for k in range(1, kmax + 1):
-        s0 += sgn * j_arr[2 * k] / k
-        s1 += sgn * (j_arr[2 * k - 1] - j_arr[2 * k + 1]) / (2.0 * k)
-        sgn = -sgn
-    y0 = (2.0 / pi) * lg * j_arr[0] - (4.0 / pi) * s0
-    dy0 = (2.0 / pi) * (j_arr[0] / zz - lg * j_arr[1]) - (4.0 / pi) * s1
-    return y0, -dy0
+def _j_miller(na: int, z: np.ndarray) -> np.ndarray:
+    return _miller(na + 1, z, _orders(na).tolist())
 
 
-def _y_upward(n_top: int, z: complex, y0, y1) -> list:
-    zz = np.asarray(z, dtype=np.result_type(y0, y1))[()]
-    ys = [y0, y1]
-    for k in range(1, n_top):
-        nxt = (2.0 * k / zz) * ys[k] - ys[k - 1]
-        if not np.isfinite(nxt):
+def _y_upward(na: int, z: np.ndarray) -> np.ndarray:
+    """Y_0, Y_1 from the log-Neumann series, then the upward recurrence.
+
+    Runs in extended precision and keeps only the last rows it needs.
+    """
+    (j0, j1), s0, s1 = _miller(max(na + 1, 2), z, (0, 1), dtype=_LD, neumann=True)
+    zz = z.astype(_LD)
+    lg = np.log(zz / 2.0) + _GAMMA_LD
+    y0 = (2.0 / _PI_LD) * lg * j0 - (4.0 / _PI_LD) * s0
+    dy0 = (2.0 / _PI_LD) * (j0 / zz - lg * j1) - (4.0 / _PI_LD) * s1
+    below, y, above = None, y0, -dy0
+    for k in range(1, na + 1):
+        below, y, above = y, above, (2.0 * k / zz) * above - y
+        bad = ~np.isfinite(above)
+        if bad.any():
             raise RangeLimitError(
-                f"Y_{k + 1}({z!r}) exceeds double-precision range"
+                f"Y_{k + 1}({_first(z, bad)!r}) exceeds double-precision range"
             )
-        ys.append(nxt)
-    return ys
+    return np.array([y, above] if na == 0 else [below, y, above])
 
 
-def bessel_j(n: int, z: complex) -> BesselValue:
-    """J_n(z) with its derivative, integer n, complex z.
+def _evaluate(na: int, z: np.ndarray, paths) -> tuple[np.ndarray, np.ndarray]:
+    """Value and derivative arrays, each point summed by the path its mask picks."""
+    val = np.empty_like(z)
+    der = np.empty_like(z)
+    for mask, path in paths:
+        if mask.any():
+            val[mask], der[mask] = _value_and_derivative(path(na, z[mask]), na)
+    return val, der
+
+
+def _result(n, val: np.ndarray, der: np.ndarray, scalar: bool) -> BesselValue:
+    if int(n) < 0 and int(n) % 2:
+        val, der = -val, -der
+    if scalar:
+        return BesselValue(complex(val[0]), complex(der[0]))
+    return BesselValue(val, der)
+
+
+def bessel_j(n: int, z) -> BesselValue:
+    """J_n(z) with its derivative, integer n, complex z or a 1-d array of z.
 
     |n| <= 200 and |z| <= 1e4; negative orders via J_{-n} = (-1)^n J_n.
     """
-    z = _validate(n, z)
-    n = int(n)
-    na = abs(n)
-    sign = -1.0 if (n < 0 and na % 2 == 1) else 1.0
-    if abs(z) <= SERIES_RADIUS:
-        val = _j_series(na, z)
-        above = _j_series(na + 1, z)
-        if na == 0:
-            der = -above
-        else:
-            der = (_j_series(na - 1, z) - above) / 2.0
-    else:
-        arr = _miller_j(na + 1, z)
-        val = complex(arr[na])
-        der = complex(-arr[1] if na == 0 else (arr[na - 1] - arr[na + 1]) / 2.0)
-    return BesselValue(sign * val, sign * der)
+    na, z, scalar = _validate(n, z)
+    series = _modulus(z) <= SERIES_RADIUS
+    val, der = _evaluate(na, z, ((series, _j_series), (~series, _j_miller)))
+    return _result(n, val, der, scalar)
 
 
-def bessel_y(n: int, z: complex) -> BesselValue:
+def bessel_y(n: int, z) -> BesselValue:
     """Y_n(z) with its derivative, integer n, complex z != 0 (principal branch).
 
-    |n| <= 200 and |z| <= 1e4; negative orders via Y_{-n} = (-1)^n Y_n.
-    Raises RangeLimitError when the value overflows double precision.
+    z may be a 1-d array.  |n| <= 200 and |z| <= 1e4; negative orders via
+    Y_{-n} = (-1)^n Y_n.  Raises RangeLimitError when the value overflows
+    double precision.
     """
-    z = _validate(n, z)
-    if z == 0:
+    na, z, scalar = _validate(n, z)
+    if (z == 0).any():
         raise SingularityError("Y_n is singular at z = 0")
-    n = int(n)
-    na = abs(n)
-    sign = -1.0 if (n < 0 and na % 2 == 1) else 1.0
-    r = abs(z)
-    direct = r <= SERIES_RADIUS or (r - abs(z.imag)) <= Y_SERIES_WEDGE or na >= r
-    if direct:
-        val = _y_series(na, z)
-        if na == 0:
-            der = -_y_series(1, z)
-        else:
-            der = (_y_series(na - 1, z) - _y_series(na + 1, z)) / 2.0
-    else:
-        arr = _miller_j(max(na + 1, 2), z, dtype=_LD)
-        y0, y1 = _y01_from_j(z, arr)
-        ys = _y_upward(na + 1, z, y0, y1)
-        val = complex(ys[na])
-        der = complex(-ys[1] if na == 0 else (ys[na - 1] - ys[na + 1]) / 2.0)
-    if not all(math.isfinite(v) for v in (val.real, val.imag, der.real, der.imag)):
-        raise RangeLimitError(f"Y_{na}({z!r}) exceeds double-precision range")
-    return BesselValue(sign * val, sign * der)
+    r = _modulus(z)
+    direct = (r <= SERIES_RADIUS) | (r - np.abs(z.imag) <= Y_SERIES_WEDGE) | (na >= r)
+    # an overflowing point is reported below as RangeLimitError, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        val, der = _evaluate(na, z, ((direct, _y_series), (~direct, _y_upward)))
+    bad = ~(np.isfinite(val) & np.isfinite(der))
+    if bad.any():
+        raise RangeLimitError(f"Y_{na}({_first(z, bad)!r}) exceeds double-precision range")
+    return _result(n, val, der, scalar)

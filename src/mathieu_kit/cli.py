@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -82,7 +83,9 @@ def _complex_flag(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"not a complex literal: {text!r}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="mathieu-kit",
         description="Modulated-oscillator toolkit: closed forms, Floquet analysis, "
@@ -394,7 +397,10 @@ def _run_integrate(job: JobSpec, sidecar: dict):
     p = job.parameters
     gp = fl.GeneralParams(h=p["h"], theta=p["theta"])
     ode = fl.general_mathieu_ode(gp)
-    ts = integrate(ode, p["y0"], p["dy0"], (p["t0"], p["t1"]), job.tolerance, t_eval=_time_grid(p))
+    grid = _time_grid(p)
+    # the grid's last point may round up past t1, so the span covers it
+    ts = integrate(ode, p["y0"], p["dy0"], (p["t0"], max(p["t1"], float(grid[-1]))),
+                   job.tolerance, t_eval=grid)
     rep = residual(ode, ts)
     sidecar.update(
         residual_linf=rep.linf,

@@ -21,7 +21,7 @@ from mathieu_kit.closed_form import (
     DampedParams,
     Variant,
     adjudicate,
-    evaluate,
+    evaluate_grid,
     fundamental_pair,
     general_solution,
     split_ode,
@@ -112,7 +112,7 @@ def test_criterion_02_closed_form_residual():
     for _ in range(50):
         params = random_admissible_params(rng)
         spec = general_solution(params, Variant.CORRECTED, c1=1.0, c2=1.0)
-        rep = residual(split_ode(params), lambda t: evaluate(spec, params, t), grid)
+        rep = residual(split_ode(params), evaluate_grid(spec, params, grid))
         worst = max(worst, rep.linf)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 10.0
@@ -228,11 +228,9 @@ def test_criterion_07_abel_wronskian():
     for _ in range(20):
         params = random_admissible_params(rng)
         y_member, j_member = fundamental_pair(params, Variant.CORRECTED)
-        w = np.empty(len(grid), dtype=complex)
-        for i, t in enumerate(grid):
-            s1 = evaluate(y_member, params, t)
-            s2 = evaluate(j_member, params, t)
-            w[i] = s1.y * s2.dy - s1.dy * s2.y
+        s1 = evaluate_grid(y_member, params, grid)
+        s2 = evaluate_grid(j_member, params, grid)
+        w = s1.y * s2.dy - s1.dy * s2.y
         expected = w[0] * np.exp(-(params.eta / params.m) * grid)
         scale = max(1.0, float(np.max(np.abs(expected))))
         worst = max(worst, float(np.max(np.abs(w - expected))) / scale)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mathieu_kit.bessel import MAX_ARGUMENT, MAX_ORDER, bessel_j, bessel_y
+from mathieu_kit.bessel import MAX_ARGUMENT, MAX_ORDER, BesselValue, bessel_j, bessel_y
 from mathieu_kit.errors import InvalidParameterError, RangeLimitError, SingularityError
 
 from reference_series import ref_j, ref_j_derivative, ref_y, ref_y_derivative
@@ -161,3 +161,115 @@ def test_bessel_ode_satisfied():
             d2 = -b.derivative / z + (n * n / (z * z) - 1.0) * b.value
             resid = z * z * d2 + z * b.derivative + (z * z - n * n) * b.value
             assert abs(resid) < 1e-9 * max(1.0, abs(b.value) * abs(z) ** 2)
+
+
+# ----------------------------------------------------------------- array input
+
+def _circle(radius: float, count: int = 64) -> np.ndarray:
+    return radius * np.exp(2j * np.pi * np.arange(count) / count)
+
+
+def _in_y_corner(n: int, radius: float) -> bool:
+    # the documented corner where Y loses digits: order within 0.7..1.25 |z|, |z| >~ 15
+    return radius >= 15.0 and 0.7 * radius <= n <= 1.25 * radius
+
+
+def _worst_rel(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want) / np.abs(want)))
+
+
+@pytest.mark.parametrize("radius", [0.5, 6.0, 7.0, 20.0, 40.0])
+def test_array_matches_scipy_on_circles(radius):
+    special = pytest.importorskip("scipy.special")
+    z = _circle(radius)
+    for n in range(41):
+        j = bessel_j(n, z)
+        assert _worst_rel(j.value, special.jv(n, z)) <= 1e-12, n
+        assert _worst_rel(j.derivative, special.jvp(n, z)) <= 1e-12, n
+        if _in_y_corner(n, radius):
+            continue
+        y = bessel_y(n, z)
+        assert _worst_rel(y.value, special.yv(n, z)) <= 1e-12, n
+        assert _worst_rel(y.derivative, special.yvp(n, z)) <= 1e-12, n
+
+
+def test_miller_rescales_only_the_columns_that_need_it():
+    # one sweep starts every point at the index |z| = 250 needs; from there
+    # the |z| = 7 columns grow past 1e250 many times over, the others do not
+    special = pytest.importorskip("scipy.special")
+    z = np.array([7.0, 7j, -7.0 + 0.1j, 30.0 * cmath.exp(0.3j), 100.0, 250.0 * cmath.exp(2j)])
+    for n in (60, 150, 200):
+        j = bessel_j(n, z)
+        assert _worst_rel(j.value, special.jv(n, z)) <= 1e-12
+        assert _worst_rel(j.derivative, special.jvp(n, z)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, z", [
+    (3, 2.0 + 1.0j),      # J series, Y direct series
+    (0, -4.5 + 0.2j),
+    (5, 40.0 + 1.0j),     # J Miller, Y upward path
+    (-7, 12.0 - 3.0j),
+    (2, 20.0j),           # Y direct inside the wedge
+    (30, 25.0),           # Y direct by order
+])
+def test_scalar_call_is_the_first_element_of_a_one_point_array(n, z):
+    for fn in (bessel_j, bessel_y):
+        one = fn(n, np.array([z]))
+        assert isinstance(one.value, np.ndarray) and one.value.shape == (1,)
+        scalar = fn(n, z)
+        assert scalar == BesselValue(complex(one.value[0]), complex(one.derivative[0]))
+        assert type(scalar.value) is complex and type(scalar.derivative) is complex
+
+
+def test_one_grid_straddles_every_mask_edge():
+    special = pytest.importorskip("scipy.special")
+    n, d = 12, 1e-9
+    y_wedge = 6.0  # |z| = 15 with |Im z| = 6 +- d puts |z| - |Im z| at 9 -+ d
+    z = np.array([
+        (6.0 - d) * cmath.exp(1.0j), (6.0 + d) * cmath.exp(1.0j),        # |z| = 6
+        complex(math.sqrt(225.0 - (y_wedge + d) ** 2), y_wedge + d),      # inside the wedge
+        complex(math.sqrt(225.0 - (y_wedge - d) ** 2), y_wedge - d),      # outside it
+        complex(12.0 - d, 0.0), complex(12.0 + d, 0.0),                    # |n| = |z|
+    ])
+    r = np.hypot(z.real, z.imag)
+    assert np.sum(r <= 6.0) == 1
+    assert np.sum(np.isclose(r, 15.0) & (r - np.abs(z.imag) <= 9.0)) == 1
+    assert np.sum(np.isclose(r, 12.0) & (r <= n)) == 1
+    for fn, ref, dref in ((bessel_j, special.jv, special.jvp), (bessel_y, special.yv, special.yvp)):
+        grid = fn(n, z)
+        assert _worst_rel(grid.value, ref(n, z)) <= 1e-12
+        assert _worst_rel(grid.derivative, dref(n, z)) <= 1e-12
+        for i, zi in enumerate(z.tolist()):
+            one = fn(n, zi)
+            assert abs(grid.value[i] - one.value) <= 1e-14 * abs(one.value)
+            assert abs(grid.derivative[i] - one.derivative) <= 1e-14 * abs(one.derivative)
+
+
+@pytest.mark.parametrize("fn, n, bad, error", [
+    (bessel_j, 3, complex(math.nan, 0.0), InvalidParameterError),
+    (bessel_y, 3, complex(1.0, math.inf), InvalidParameterError),
+    (bessel_j, 3, 2.0 + 800.0j, RangeLimitError),
+    (bessel_y, 3, -3.0 - 750.0j, RangeLimitError),
+    (bessel_j, 3, 2.0 * MAX_ARGUMENT, RangeLimitError),
+    (bessel_y, 3, 0.0, SingularityError),
+    (bessel_y, 200, 0.5, RangeLimitError),  # Y_200(0.5) overflows
+])
+def test_one_bad_element_raises_what_its_scalar_call_raises(fn, n, bad, error):
+    with pytest.raises(error) as scalar:
+        fn(n, bad)
+    with pytest.raises(error) as grid:
+        fn(n, np.array([150.0, 120.0j, bad, 90.0 + 5.0j]))
+    assert str(grid.value) == str(scalar.value)
+
+
+def test_array_agrees_with_reference_series():
+    rng = np.random.default_rng(7)
+    z = rng.uniform(0.3, 7.0, 40) * np.exp(1j * rng.uniform(-math.pi, math.pi, 40))
+    for n in (0, 1, 4, 9):
+        j = bessel_j(n, z)
+        y = bessel_y(n, z)
+        for i, zi in enumerate(z.tolist()):
+            assert abs(j.value[i] - ref_j(n, zi)) <= 1e-10 * abs(ref_j(n, zi))
+            assert abs(j.derivative[i] - ref_j_derivative(n, zi)) <= 1e-10 * abs(ref_j_derivative(n, zi))
+            assert abs(y.value[i] - ref_y(n, zi)) <= 1e-9 * max(abs(ref_y(n, zi)), 1.0)
+            assert abs(y.derivative[i] - ref_y_derivative(n, zi)) <= 1e-9 * max(abs(ref_y_derivative(n, zi)), 1.0)

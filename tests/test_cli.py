@@ -6,6 +6,7 @@ import math
 import pytest
 
 from mathieu_kit import floquet
+from mathieu_kit import cli
 from mathieu_kit.cli import JobSpec, execute, main, parse
 from mathieu_kit.errors import ConvergenceError
 
@@ -60,6 +61,27 @@ def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         parse(argv)
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_and_each_job_parses_into_its_own_spec():
+    solve = parse(SOLVE_ARGS)
+    assert cli._build_parser() is cli._build_parser()
+    floquet_job = parse(["floquet", "--h", "2", "--theta", "0.25"])
+    assert floquet_job.command == "floquet"
+    assert set(floquet_job.parameters) == {"h", "theta", "trunc"}
+    assert floquet_job.parameters["h"] == 2.0 + 0.0j
+    assert floquet_job.parameters["trunc"] == floquet.DEFAULT_TRUNCATION
+    # the earlier job is untouched and a repeat parse gives an equal spec
+    assert solve.command == "solve" and solve.parameters["omega"] == 2.0
+    assert parse(SOLVE_ARGS) == solve
+
+
+def test_usage_error_after_a_cached_parse_still_exits_2():
+    parse(SOLVE_ARGS)
+    with pytest.raises(SystemExit) as exc:
+        parse(["solve", "--badflag", "1"])
+    assert exc.value.code == 2
+    assert parse(["floquet", "--h", "1", "--theta", "0.5"]).command == "floquet"
 
 
 def test_tolerance_env_override(monkeypatch):
@@ -253,6 +275,16 @@ def test_integrate_csv(capsys):
     last = lines[-1].split(",")
     assert float(last[1]) == pytest.approx(1.0, abs=1e-8)
     assert float(last[3]) == pytest.approx(0.0, abs=1e-8)
+
+
+def test_integrate_grid_rounding_past_t1_is_integrated(capsys):
+    # 5 / 0.003 rounds to 1667 steps, so the last point is 5.001, past --t1
+    code = main(["integrate", "--h", "200", "--theta", "50", "--t1", "5", "--dt", "0.003"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    lines = [ln for ln in captured.out.split("\r\n") if ln]
+    assert len(lines) == 1 + 1668
+    assert float(lines[-1].split(",")[0]) == pytest.approx(5.001)
 
 
 def test_floquet_csv_and_sidecar(tmp_path):

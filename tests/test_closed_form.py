@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -165,7 +166,7 @@ def test_corrected_variant_solves_split_equation(n, m, eta, k, omega):
     spec = general_solution(p, Variant.CORRECTED, c1=1.0, c2=1.0)
     ode = split_ode(p)
     grid = np.linspace(0.0, 10.0, 101)
-    rep = residual(ode, lambda t: evaluate(spec, p, t), grid, tol=1e-8)
+    rep = residual(ode, evaluate_grid(spec, p, grid), tol=1e-8)
     assert rep.verdict is True
     assert rep.linf < 1e-8
 
@@ -248,7 +249,7 @@ def test_mirror_solves_conjugate_equation():
     assert twin.argument_scale == -spec.argument_scale
     ode = split_ode(p, conjugate=True)
     grid = np.linspace(0.0, 10.0, 101)
-    rep = residual(ode, lambda t: evaluate(twin, p, t), grid, tol=1e-8)
+    rep = residual(ode, evaluate_grid(twin, p, grid), tol=1e-8)
     assert rep.verdict is True
 
 
@@ -309,7 +310,7 @@ def test_undamped_general_solution_reports_residual():
     p = DampedParams(1.0, 0.0, 1.0, 1.0, 2.0)
     ode = general_mathieu_ode(gp)
     grid = np.linspace(0.0, 6.0, 61)
-    rep = residual(ode, lambda t: evaluate(spec, p, t), grid)
+    rep = residual(ode, evaluate_grid(spec, p, grid))
     # measured and reported; no smallness claim is made for this construction
     assert np.isfinite(rep.linf)
     assert rep.verdict is None
@@ -385,3 +386,22 @@ def test_evaluate_grid_feeds_residual_directly():
     rep = residual(split_ode(WINDING), series, tol=1e-8)
     assert rep.verdict is True
     assert len(rep.pointwise) == len(grid)
+
+
+@pytest.mark.parametrize("n, zabs", [(0, 0.5), (12, 2.4), (9, 9.04), (4, 20.0), (12, 40.0)])
+def test_evaluate_grid_memory_stays_flat_on_501_points(n, zabs):
+    # the Bessel core streams its recurrence; an (orders x points) matrix
+    # would take the peak past 2 MiB here
+    m, eta, omega = 1.0, 0.7, 1.3
+    p = admissible_params(n, m=m, eta=eta, k=m * (zabs * omega / 2.0) ** 2, omega=omega)
+    grid = np.linspace(0.0, 10.0, 501)
+    for variant in (Variant.CORRECTED, Variant.LITERAL):
+        spec = general_solution(p, variant, c1=1.0, c2=1.0, allow_inadmissible=True)
+        evaluate_grid(spec, p, grid)
+        tracemalloc.start()
+        try:
+            evaluate_grid(spec, p, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * 1024, (variant, peak)

@@ -8,6 +8,11 @@ interpolant to the requested times, keeping nothing per step; pointwise defect
 residuals with a scale-aware normalization; and the Abel/Liouville Wronskian
 reference.  All state is complex; a real problem is just a special case.
 
+The stepper's tableau is unrolled on Python complex scalars, because a state
+of two or four numbers is too small for numpy to pay off: each step evaluates
+p, q and f once per stage and then loops over the columns, and arrays appear
+only in what it returns.
+
 Results cross layer boundaries as TimeSeries arrays: integrate returns one
 (the step-end states when no times are requested), and residual(ode, series)
 checks one on its own grid (a per-point callable plus a grid is accepted too,
@@ -35,40 +40,33 @@ TOL_MAX = 1.0e-3
 
 _MAX_STEPS = 1_000_000
 
-# Dormand-Prince 5(4) tableau; row i - 1 of _A combines stages 0..i-1 into stage i's state
-_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_A = np.array(
-    [
-        [1.0 / 5.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [3.0 / 40.0, 9.0 / 40.0, 0.0, 0.0, 0.0, 0.0],
-        [44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0, 0.0, 0.0, 0.0],
-        [19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0, 0.0, 0.0],
-        [9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0, 0.0],
-        [35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0],
-    ]
-)
+# Dormand-Prince 5(4) tableau (HNW, Solving ODEs I, II.5), unrolled: stage i
+# sits at t + _Ci h, and its state adds h * sum_j _Aij k_j to the step's start
+_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
+_A21 = 1.0 / 5.0
+_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
+_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
+_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
+_A61, _A62, _A63 = 9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0
+_A64, _A65 = 49.0 / 176.0, -5103.0 / 18656.0
+# 5th-order weights (k2's is 0); stage 7 sits at the step end on this state
+_B1, _B3, _B4 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0
+_B5, _B6 = -2187.0 / 6784.0, 11.0 / 84.0
 # difference between the 5th- and embedded 4th-order weights
-_E = np.array(
-    [71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0]
-)
+_E1, _E3, _E4 = 71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0
+_E5, _E6, _E7 = -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0
 # weights of the extra interpolation polynomial
-_D = np.array(
-    [
-        -12715105075.0 / 11282082432.0,
-        0.0,
-        87487479700.0 / 32700410799.0,
-        -10690763975.0 / 1880347072.0,
-        701980252875.0 / 199316789632.0,
-        -1453857185.0 / 822651844.0,
-        69997945.0 / 29380423.0,
-    ]
-)
+_D1, _D3 = -12715105075.0 / 11282082432.0, 87487479700.0 / 32700410799.0
+_D4, _D5 = -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0
+_D6, _D7 = -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0
 
 _SAFETY = 0.9
 _BETA = 0.04
 _ALPHA = 0.2 - 0.75 * _BETA
 _FAC_MIN = 0.2
 _FAC_MAX = 10.0
+# a step of at most 16 roundoff units of max(|t|, 1) counts as underflow
+_H_UNDERFLOW = 16.0 * float(np.finfo(float).eps)
 
 
 def validate_tolerance(tol: float) -> float:
@@ -134,14 +132,32 @@ def _rms(v: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(v) ** 2)))
 
 
-def _initial_step(rhs, t0: float, u0: np.ndarray, f0: np.ndarray, t1: float, tol: float) -> float:
-    sc = tol + tol * np.abs(u0)
-    d0 = _rms(u0 / sc)
-    d1 = _rms(f0 / sc)
+def _zero(t: float) -> float:
+    return 0.0
+
+
+def _scaled_rms(v, sc) -> float:
+    """Root mean square of v / sc over the state (the step controller's norm)."""
+    acc = 0.0
+    for x, s in zip(v, sc):
+        re, im = x.real / s, x.imag / s
+        acc += re * re + im * im
+    return math.sqrt(acc / len(sc))
+
+
+def _initial_step(coefficients, t0: float, ys: list, dys: list, accs: list, t1: float,
+                  tol: float) -> float:
+    u0, f0 = ys + dys, dys + accs
+    sc = [tol + tol * abs(x) for x in u0]
+    d0 = _scaled_rms(u0, sc)
+    d1 = _scaled_rms(f0, sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, t1 - t0)
-    f1 = rhs(t0 + h0, u0 + h0 * f0)
-    d2 = _rms((f1 - f0) / sc) / h0
+    pv, qv, fv = (fn(t0 + h0) for fn in coefficients)
+    ys1 = [y + h0 * v for y, v in zip(ys, dys)]
+    dys1 = [v + h0 * a for v, a in zip(dys, accs)]
+    f1 = dys1 + [fv - pv * v - qv * y for y, v in zip(ys1, dys1)]
+    d2 = _scaled_rms([b - a for a, b in zip(f0, f1)], sc) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -149,75 +165,116 @@ def _initial_step(rhs, t0: float, u0: np.ndarray, f0: np.ndarray, t1: float, tol
     return min(100.0 * h0, h1, t1 - t0)
 
 
-def _dense_rows(t: float, h: float, u: np.ndarray, u_new: np.ndarray, k: np.ndarray, times):
-    """Rows of the step [t, t + h]'s quartic interpolant at times, all on Python
-    complex scalars: a step covers too few times for numpy to pay off."""
+def _dense_rows(t: float, h: float, components: list, times):
+    """Rows of the step [t, t + h]'s quartic interpolant at times.
+
+    components holds, per state component, its values at both step ends and
+    its stages k1, k3..k7 (k2's interpolation weight is 0).
+    """
     coeffs = []
-    for a, b, k0, k6, e in zip(*(r.tolist() for r in (u, u_new, k[0], k[6], h * np.dot(_D, k)))):
+    for a, b, g1, g3, g4, g5, g6, g7 in components:
         delta = b - a
-        c = h * k0 - delta
-        coeffs.append((a, delta, c, delta - h * k6 - c, e))
+        c = h * g1 - delta
+        e = h * (_D1 * g1 + _D3 * g3 + _D4 * g4 + _D5 * g5 + _D6 * g6 + _D7 * g7)
+        coeffs.append((a, delta, c, delta - h * g7 - c, e))
     for tk in times:
         theta = (tk - t) / h
         rest = 1.0 - theta
         yield [a + theta * (b + rest * (c + theta * (d + rest * e))) for a, b, c, d, e in coeffs]
 
 
-def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: np.ndarray, tol: float, tq):
+def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: Sequence[complex], tol: float, tq):
     """Adaptive DOPRI5 sweep of y'' + p y' + q y = f for any number of solutions.
 
     The state stacks the solution columns' values over their derivatives,
-    [y_1..y_m, y'_1..y'_m], so p, q and f are evaluated once per stage for all
-    columns.  Each accepted step evaluates its interpolant at the ascending
-    times tq below its end (the last step takes the rest); tq None records the
-    step-end states.  Returns sample times, samples, final state and stats.
+    [y_1..y_m, y'_1..y'_m], on Python complex scalars.  A step evaluates p, q
+    and f once per stage (the stage times do not depend on the state), then
+    runs the whole tableau on each column in turn: the stages of y are the
+    stage values of y', and those of y' are f - p y' - q y.  Each accepted step
+    evaluates its interpolant at the ascending times tq below its end (the
+    last step takes the rest); tq None records the step-end states.  Returns
+    sample times, samples and final state (arrays) and stats.
     """
     m = len(u0) // 2
-
-    def rhs(t: float, u: np.ndarray) -> np.ndarray:
-        pv, qv, fv = ode.coefficients_at(t)
-        y, dy = u[:m], u[m:]
-        return np.concatenate((dy, fv - pv * dy - qv * y))
-
+    # the callables' float or complex values enter the complex arithmetic as is:
+    # Python's mixed float/complex products give what converting first gives
+    p, q, f = (_zero if fn is None else fn for fn in (ode.p, ode.q, ode.f))
     t = t0
-    u = np.asarray(u0, dtype=complex)
-    k = np.empty((7, len(u)), dtype=complex)
-    k[0] = rhs(t, u)
-    h = _initial_step(rhs, t0, u, k[0], t1, tol)
+    ys = [complex(v) for v in u0[:m]]
+    dys = [complex(v) for v in u0[m:]]
+
+    def stiff(reason: str):
+        return StiffnessError(f"{reason} t={t:.6g}", t_last=t, state_last=np.array(ys + dys))
+
+    p1, q1, f1 = p(t), q(t), f(t)
+    accs = [f1 - p1 * v - q1 * y for y, v in zip(ys, dys)]  # first stage, reused (FSAL)
+    if not all(map(cmath.isfinite, accs)):
+        raise stiff("derivative is not finite at")
+    h = _initial_step((p, q, f), t0, ys, dys, accs, t1, tol)
     err_old = 1e-4
     last_rejected = False
-    times, rows = ([t0], [u]) if tq is None else (tq, [])
+    times, rows = ([t0], [ys + dys]) if tq is None else (tq, [])
     n_accept = n_reject = 0
     while t < t1:
         if n_accept + n_reject > _MAX_STEPS:
-            raise StiffnessError(
-                f"step budget exhausted at t={t:.6g}", t_last=t, state_last=u.copy()
-            )
+            raise stiff("step budget exhausted at")
         h = min(h, t1 - t)
-        if h <= 16.0 * np.finfo(float).eps * max(abs(t), 1.0):
-            raise StiffnessError(
-                f"step size underflow at t={t:.6g}", t_last=t, state_last=u.copy()
-            )
-        for i, a in enumerate(_A, start=1):
-            ui = u + h * np.dot(a[:i], k[:i])
-            k[i] = rhs(t + _C[i] * h, ui)
-        u_new = ui  # stage 7 reuses the 5th-order weights, so its state is the step result
-        err_vec = h * np.dot(_E, k)
-        sc = tol + tol * np.maximum(np.abs(u), np.abs(u_new))
-        err = _rms(err_vec / sc)
+        if h <= _H_UNDERFLOW * max(abs(t), 1.0):
+            raise stiff("step size underflow at")
+        t2, t3, t4, t5, t6 = t + _C2 * h, t + _C3 * h, t + _C4 * h, t + _C5 * h, t + h
+        # one coefficient evaluation per stage, as rhs_evaluations counts them;
+        # stages 6 and 7 both sit at the step end
+        p2, p3, p4, p5, p6, p7 = p(t2), p(t3), p(t4), p(t5), p(t6), p(t6)
+        q2, q3, q4, q5, q6, q7 = q(t2), q(t3), q(t4), q(t5), q(t6), q(t6)
+        f2, f3, f4, f5, f6, f7 = f(t2), f(t3), f(t4), f(t5), f(t6), f(t6)
+        ys_new, dys_new, accs_new, y_stages, dy_stages = [], [], [], [], []
+        acc = 0.0
+        # one column: y, its derivative v and its acceleration a at stages 1..7
+        for y, v1, a1 in zip(ys, dys, accs):
+            y2 = y + h * (_A21 * v1)
+            v2 = v1 + h * (_A21 * a1)
+            a2 = f2 - p2 * v2 - q2 * y2
+            y3 = y + h * (_A31 * v1 + _A32 * v2)
+            v3 = v1 + h * (_A31 * a1 + _A32 * a2)
+            a3 = f3 - p3 * v3 - q3 * y3
+            y4 = y + h * (_A41 * v1 + _A42 * v2 + _A43 * v3)
+            v4 = v1 + h * (_A41 * a1 + _A42 * a2 + _A43 * a3)
+            a4 = f4 - p4 * v4 - q4 * y4
+            y5 = y + h * (_A51 * v1 + _A52 * v2 + _A53 * v3 + _A54 * v4)
+            v5 = v1 + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4)
+            a5 = f5 - p5 * v5 - q5 * y5
+            y6 = y + h * (_A61 * v1 + _A62 * v2 + _A63 * v3 + _A64 * v4 + _A65 * v5)
+            v6 = v1 + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
+            a6 = f6 - p6 * v6 - q6 * y6
+            # stage 7 sits on the 5th-order result, which is the step's end state
+            y7 = y + h * (_B1 * v1 + _B3 * v3 + _B4 * v4 + _B5 * v5 + _B6 * v6)
+            v7 = v1 + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6)
+            a7 = f7 - p7 * v7 - q7 * y7
+            ey = h * (_E1 * v1 + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v7)
+            ev = h * (_E1 * a1 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * a7)
+            ey /= tol + tol * max(abs(y), abs(y7))
+            ev /= tol + tol * max(abs(v1), abs(v7))
+            acc += ey.real * ey.real + ey.imag * ey.imag + ev.real * ev.real + ev.imag * ev.imag
+            ys_new.append(y7)
+            dys_new.append(v7)
+            accs_new.append(a7)
+            y_stages.append((y, y7, v1, v3, v4, v5, v6, v7))
+            dy_stages.append((v1, v7, a1, a3, a4, a5, a6, a7))
+        err = math.sqrt(acc / (2 * m))
+        if err != err:
+            raise stiff("derivative is not finite in the step from")
         if err <= 1.0:
             t_new = t + h
             if tq is None:
                 times.append(t_new)
-                rows.append(u_new)
+                rows.append(ys_new + dys_new)
             else:
                 # a time equal to a step end goes to the next step, at theta = 0
                 stop = len(tq) if t_new >= t1 else bisect_left(tq, t_new, len(rows))
                 if stop > len(rows):
-                    rows += _dense_rows(t, h, u, u_new, k, tq[len(rows):stop])
+                    rows += _dense_rows(t, h, y_stages + dy_stages, tq[len(rows):stop])
             n_accept += 1
-            t, u = t_new, u_new
-            k[0] = k[6]
+            t, ys, dys, accs = t_new, ys_new, dys_new, accs_new
             fac = _SAFETY * err ** (-_ALPHA) * err_old ** _BETA if err > 0.0 else _FAC_MAX
             fac = min(_FAC_MAX, max(_FAC_MIN, fac))
             if last_rejected:
@@ -232,7 +289,7 @@ def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: np.ndarray, tol: fl
     # the initial step size's trial evaluation counts too
     nfev = 2 + 6 * (n_accept + n_reject)
     stats = {"steps": n_accept, "rejected": n_reject, "rhs_evaluations": nfev}
-    return times, np.array(rows, dtype=complex), u, stats
+    return times, np.array(rows, dtype=complex), np.array(ys + dys), stats
 
 
 def integrate(
@@ -262,7 +319,7 @@ def integrate(
         if grid[0] < t0 - slack or grid[-1] > t1 + slack:
             raise InvalidParameterError("t_eval must lie within the integration span")
         tq = np.clip(grid, t0, t1).tolist()
-    times, samples, _, stats = _integrate_raw(ode, t0, t1, np.array([y0, dy0]), tol, tq)
+    times, samples, _, stats = _integrate_raw(ode, t0, t1, (y0, dy0), tol, tq)
     grid = np.array(times) if tq is None else grid
     ys, dys = samples.T
     pv, qv, fv = ode.coefficients_on(grid)
@@ -286,7 +343,7 @@ def monodromy_exponent(ode: LinearODE, period: float, tol: float) -> MonodromyRe
     period = float(period)
     if not (math.isfinite(period) and period > 0.0):
         raise SpanError(f"period must be finite and positive, got {period!r}")
-    u1 = _integrate_raw(ode, 0.0, period, np.eye(2).ravel(), tol, ())[2]
+    u1 = _integrate_raw(ode, 0.0, period, (1.0, 0.0, 0.0, 1.0), tol, ())[2]
     (y1, y2), (dy1, dy2) = u1.reshape(2, 2)
     trace = y1 + dy2
     det_m = y1 * dy2 - y2 * dy1

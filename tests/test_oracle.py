@@ -3,18 +3,22 @@ from __future__ import annotations
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mathieu_kit import flux
 from mathieu_kit.closed_form import DampedParams, evaluate_grid, general_solution
 from mathieu_kit.errors import InvalidParameterError, SpanError, StiffnessError
+from mathieu_kit.floquet import GeneralParams, general_mathieu_ode
 from mathieu_kit.oracle import (
     TOL_MAX,
     TOL_MIN,
     LinearODE,
+    _integrate_raw,
     integrate,
     monodromy_exponent,
     residual,
@@ -104,6 +108,99 @@ def test_stiffness_error_carries_last_state():
         integrate(sing, 1.0, 0.0, (0.0, 1.0), 1e-10)
     assert 0.9 < exc.value.t_last < 1.0
     assert len(exc.value.state_last) == 2
+
+
+def test_monodromy_stiffness_error_carries_both_columns():
+    sing = LinearODE(p=None, q=lambda t: 1.0 / (1.0 - t) ** 2)
+    with pytest.raises(StiffnessError) as exc:
+        monodromy_exponent(sing, 1.0, 1e-10)
+    assert 0.9 < exc.value.t_last < 1.0
+    state = exc.value.state_last
+    assert isinstance(state, np.ndarray) and state.shape == (4,)
+    assert np.all(np.isfinite(state))
+
+
+def test_a_non_finite_derivative_raises_at_once():
+    late = []
+
+    def q(t: float) -> float:
+        if t > 1.0:
+            late.append(t)
+            return math.nan
+        return 1.0
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StiffnessError, match="derivative is not finite") as exc:
+            integrate(LinearODE(None, q), 1.0, 0.0, (0.0, 20.0), 1e-9)
+    # the first step that reaches past t = 1 stops the sweep: no shrinking retries
+    assert 0 < len(late) <= 6
+    assert 0.5 < exc.value.t_last <= 1.0
+    state = exc.value.state_last
+    assert isinstance(state, np.ndarray) and state.shape == (2,)
+    assert abs(state[0] - math.cos(exc.value.t_last)) < 1e-8
+    # a derivative that is not finite at the start stops the sweep there
+    late.clear()
+    with pytest.raises(StiffnessError, match="derivative is not finite") as exc:
+        integrate(LinearODE(None, q), 1.0, 0.0, (2.0, 3.0), 1e-9)
+    assert late == [2.0] and exc.value.t_last == 2.0
+
+
+def _stats(meta: dict) -> tuple[int, int, int]:
+    return meta["steps"], meta["rejected"], meta["rhs_evaluations"]
+
+
+def test_step_sequences_are_pinned():
+    # figures of the numpy-array stepper that the scalar tableau replaced; any
+    # change to the stepper must keep them (the rounding of the samples may move)
+    r = 0.016
+    fp = flux.FluxParams(base=DampedParams(m=1.0, eta=2.0, k0=1.0 / r, k=1.0, omega=r),
+                         B=1.0, J0=1.0, Omega=1.0, c_light=1.0)
+    grid = np.arange(17.5, 60.0, 2.0 * math.pi / 64.0)
+    series = flux.simulate_full(fp, (0.0, 60.0), 1e-6, t_eval=grid)
+    assert _stats(series.meta) == (534, 23, 3344)
+
+    ode = general_mathieu_ode(GeneralParams(h=2.0 + 1.0j, theta=0.5 - 0.3j))
+    series = integrate(ode, 1.0, 0.5j, (0.0, 10.0), 1e-9, t_eval=np.linspace(0.0, 10.0, 201))
+    assert _stats(series.meta) == (260, 0, 1562)
+
+    q = general_mathieu_ode(GeneralParams(h=3.0, theta=1.0 + 0.5j)).q
+    calls = []
+
+    def counted_q(t: float) -> complex:
+        calls.append(t)
+        return q(t)
+
+    ode = LinearODE(p=None, q=counted_q)
+    monodromy_exponent(ode, math.pi, 1e-10)
+    assert len(calls) == 878
+    # the period map is this sweep of both columns from the identity
+    stats = _integrate_raw(ode, 0.0, math.pi, (1.0, 0.0, 0.0, 1.0), 1e-10, ())[3]
+    assert _stats(stats) == (146, 0, 878)
+
+
+def test_integrate_agrees_with_scipy_dop853():
+    scipy_integrate = pytest.importorskip("scipy.integrate")
+    cases = [
+        (general_mathieu_ode(GeneralParams(h=2.0 + 1.0j, theta=0.5 - 0.3j)), 1.0, 0.5j, 10.0),
+        (LinearODE(p=lambda t: 0.4, q=lambda t: 5.0 + math.cos(0.2 * t),
+                   f=lambda t: math.cos(t)), 0.0, 0.0, 30.0),
+    ]
+    for ode, y0, dy0, t1 in cases:
+        t_eval = np.linspace(0.0, t1, 121)
+
+        def fun(t, u, ode=ode):
+            pv, qv, fv = ode.coefficients_at(t)
+            return [u[1], fv - pv * u[1] - qv * u[0]]
+
+        ref = scipy_integrate.solve_ivp(fun, (0.0, t1), [complex(y0), complex(dy0)],
+                                        method="DOP853", rtol=1e-13, atol=1e-13, t_eval=t_eval)
+        assert ref.success
+        for tol in (1e-6, 1e-9):
+            series = integrate(ode, y0, dy0, (0.0, t1), tol, t_eval=t_eval)
+            # the stepper's own scale: tol absolute plus tol relative
+            for got, want in ((series.y, ref.y[0]), (series.dy, ref.y[1])):
+                assert np.all(np.abs(got - want) <= 100.0 * tol * (1.0 + np.abs(want)))
 
 
 def test_forced_equation():

@@ -246,8 +246,10 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 def _series_rows(ts: TimeSeries):
-    for t, y, dy in zip(ts.grid, ts.y, ts.dy):
-        yield [_fmt(t), _fmt(y.real), _fmt(y.imag), _fmt(dy.real), _fmt(dy.imag)]
+    # Python floats format faster than numpy scalars, and print the same digits
+    columns = (ts.grid, ts.y.real, ts.y.imag, ts.dy.real, ts.dy.imag)
+    for row in zip(*(c.tolist() for c in columns)):
+        yield [_fmt(x) for x in row]
 
 
 def _run_solve(job: JobSpec, sidecar: dict):
@@ -389,7 +391,7 @@ def _run_flux(job: JobSpec, sidecar: dict):
             flags.update(analysis_error=str(exc))
             code = 1
     sidecar.update(validity_flags=flags)
-    rows = ([_fmt(t), _fmt(field.y[i].real)] for i, t in enumerate(field.grid))
+    rows = ([_fmt(t), _fmt(y)] for t, y in zip(field.grid.tolist(), field.y.real.tolist()))
     return _csv_text(["t", "field"], rows), code
 
 

@@ -71,8 +71,15 @@ class FloquetSolution:
 
 
 def general_mathieu_ode(gp: GeneralParams) -> LinearODE:
-    """The equation as a LinearODE for the verification oracle."""
+    """The equation as a LinearODE for the verification oracle.
+
+    With h and theta both real, q is a float-valued math.cos expression, so the
+    oracle integrates a real equation in real arithmetic; otherwise q is complex.
+    """
     h, theta = gp.h, gp.theta
+    if h.imag == 0.0 and theta.imag == 0.0:
+        hr, thr = h.real, theta.real
+        return LinearODE(p=None, q=lambda t: hr - 2.0 * thr * math.cos(2.0 * t))
     return LinearODE(p=None, q=lambda t: h - 2.0 * theta * cmath.cos(2.0 * t))
 
 

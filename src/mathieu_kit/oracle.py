@@ -6,12 +6,18 @@ advances any number of solution columns at once (integrate passes one, the
 monodromy period map two) and streams each step's classical quartic
 interpolant to the requested times, keeping nothing per step; pointwise defect
 residuals with a scale-aware normalization; and the Abel/Liouville Wronskian
-reference.  All state is complex; a real problem is just a special case.
+reference.
 
-The stepper's tableau is unrolled on Python complex scalars, because a state
-of two or four numbers is too small for numpy to pay off: each step evaluates
-p, q and f once per stage and then loops over the columns, and arrays appear
-only in what it returns.
+The stepper's tableau is unrolled on Python scalars, because a state of two
+or four numbers is too small for numpy to pay off: each step evaluates p, q
+and f once per stage and then loops over the columns, and arrays appear only
+in what it returns.  It does only the arithmetic the problem has: a state
+component with a zero imaginary part enters as a float, so a real equation
+runs on floats and a complex coefficient value promotes the state by itself;
+an absent coefficient is 0.0 at every stage, without a call.  Float
+arithmetic gives the real parts complex arithmetic gives, so the values do
+not depend on the typing (only an overflow may show as inf where complex
+arithmetic makes NaN); the returned arrays are complex either way.
 
 Results cross layer boundaries as TimeSeries arrays: integrate returns one
 (the step-end states when no times are requested), and residual(ode, series)
@@ -33,7 +39,7 @@ from .errors import InvalidParameterError, SpanError, StiffnessError
 from .exponent_class import normalize_exponent
 from .samples import SolutionSample, TimeSeries, as_grid
 
-Coefficient = Callable[[float], complex]
+Coefficient = Callable[[float], float | complex]
 
 TOL_MIN = 1.0e-14
 TOL_MAX = 1.0e-3
@@ -132,8 +138,14 @@ def _rms(v: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.abs(v) ** 2)))
 
 
-def _zero(t: float) -> float:
-    return 0.0
+# an absent coefficient's values at a step's six stages
+_ABSENT = (0.0,) * 6
+
+
+def _real_or_complex(v) -> float | complex:
+    """v as a float when its imaginary part is zero, else as a complex."""
+    v = complex(v)
+    return v.real if v.imag == 0.0 else v
 
 
 def _scaled_rms(v, sc) -> float:
@@ -153,7 +165,7 @@ def _initial_step(coefficients, t0: float, ys: list, dys: list, accs: list, t1: 
     d1 = _scaled_rms(f0, sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, t1 - t0)
-    pv, qv, fv = (fn(t0 + h0) for fn in coefficients)
+    pv, qv, fv = (0.0 if fn is None else fn(t0 + h0) for fn in coefficients)
     ys1 = [y + h0 * v for y, v in zip(ys, dys)]
     dys1 = [v + h0 * a for v, a in zip(dys, accs)]
     f1 = dys1 + [fv - pv * v - qv * y for y, v in zip(ys1, dys1)]
@@ -187,26 +199,29 @@ def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: Sequence[complex], 
     """Adaptive DOPRI5 sweep of y'' + p y' + q y = f for any number of solutions.
 
     The state stacks the solution columns' values over their derivatives,
-    [y_1..y_m, y'_1..y'_m], on Python complex scalars.  A step evaluates p, q
-    and f once per stage (the stage times do not depend on the state), then
+    [y_1..y_m, y'_1..y'_m], on Python scalars: floats where u0 is real, so a
+    real equation stays on floats.  A step evaluates p, q and f once per stage
+    (the stage times do not depend on the state; an absent one is 0.0), then
     runs the whole tableau on each column in turn: the stages of y are the
     stage values of y', and those of y' are f - p y' - q y.  Each accepted step
     evaluates its interpolant at the ascending times tq below its end (the
     last step takes the rest); tq None records the step-end states.  Returns
-    sample times, samples and final state (arrays) and stats.
+    sample times, samples and final state (complex arrays) and stats.
     """
     m = len(u0) // 2
-    # the callables' float or complex values enter the complex arithmetic as is:
-    # Python's mixed float/complex products give what converting first gives
-    p, q, f = (_zero if fn is None else fn for fn in (ode.p, ode.q, ode.f))
+    # the callables' float or complex values enter the arithmetic as is: on
+    # real parts, float arithmetic gives what complex arithmetic gives, and a
+    # complex value makes the state complex from that stage on
+    p, q, f = ode.p, ode.q, ode.f
     t = t0
-    ys = [complex(v) for v in u0[:m]]
-    dys = [complex(v) for v in u0[m:]]
+    ys = [_real_or_complex(v) for v in u0[:m]]
+    dys = [_real_or_complex(v) for v in u0[m:]]
 
     def stiff(reason: str):
-        return StiffnessError(f"{reason} t={t:.6g}", t_last=t, state_last=np.array(ys + dys))
+        return StiffnessError(f"{reason} t={t:.6g}", t_last=t,
+                              state_last=np.array(ys + dys, dtype=complex))
 
-    p1, q1, f1 = p(t), q(t), f(t)
+    p1, q1, f1 = (0.0 if fn is None else fn(t) for fn in (p, q, f))
     accs = [f1 - p1 * v - q1 * y for y, v in zip(ys, dys)]  # first stage, reused (FSAL)
     if not all(map(cmath.isfinite, accs)):
         raise stiff("derivative is not finite at")
@@ -224,9 +239,12 @@ def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: Sequence[complex], 
         t2, t3, t4, t5, t6 = t + _C2 * h, t + _C3 * h, t + _C4 * h, t + _C5 * h, t + h
         # one coefficient evaluation per stage, as rhs_evaluations counts them;
         # stages 6 and 7 both sit at the step end
-        p2, p3, p4, p5, p6, p7 = p(t2), p(t3), p(t4), p(t5), p(t6), p(t6)
-        q2, q3, q4, q5, q6, q7 = q(t2), q(t3), q(t4), q(t5), q(t6), q(t6)
-        f2, f3, f4, f5, f6, f7 = f(t2), f(t3), f(t4), f(t5), f(t6), f(t6)
+        p2, p3, p4, p5, p6, p7 = (
+            _ABSENT if p is None else (p(t2), p(t3), p(t4), p(t5), p(t6), p(t6)))
+        q2, q3, q4, q5, q6, q7 = (
+            _ABSENT if q is None else (q(t2), q(t3), q(t4), q(t5), q(t6), q(t6)))
+        f2, f3, f4, f5, f6, f7 = (
+            _ABSENT if f is None else (f(t2), f(t3), f(t4), f(t5), f(t6), f(t6)))
         ys_new, dys_new, accs_new, y_stages, dy_stages = [], [], [], [], []
         acc = 0.0
         # one column: y, its derivative v and its acceleration a at stages 1..7
@@ -289,7 +307,7 @@ def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: Sequence[complex], 
     # the initial step size's trial evaluation counts too
     nfev = 2 + 6 * (n_accept + n_reject)
     stats = {"steps": n_accept, "rejected": n_reject, "rhs_evaluations": nfev}
-    return times, np.array(rows, dtype=complex), np.array(ys + dys), stats
+    return times, np.array(rows, dtype=complex), np.array(ys + dys, dtype=complex), stats
 
 
 def integrate(

@@ -29,7 +29,7 @@ from mathieu_kit.closed_form import (
 from mathieu_kit.exponent_class import class_distance
 from mathieu_kit.floquet import (
     GeneralParams,
-    eval_floquet,
+    eval_floquet_grid,
     general_mathieu_ode,
     solve,
 )
@@ -157,8 +157,7 @@ def test_criterion_04_floquet_grid_consistency():
             sol = solve(gp)
             mono = monodromy_exponent(general_mathieu_ode(gp), math.pi, 1e-10)
             worst_class = max(worst_class, class_distance(sol.mu, mono.mu_raw))
-            rep = residual(general_mathieu_ode(gp),
-                           lambda t: eval_floquet(sol, t), sample_grid)
+            rep = residual(general_mathieu_ode(gp), eval_floquet_grid(sol, sample_grid))
             worst_resid = max(worst_resid, rep.linf)
     elapsed = time.perf_counter() - start
     ok = worst_class < 1e-6 and worst_resid < 1e-8 and elapsed < 60.0

@@ -123,7 +123,7 @@ def test_series_solves_equation():
     gp = GeneralParams(1.0, 0.5)
     sol = solve(gp)
     grid = np.linspace(0.0, 4.0 * math.pi, 201)
-    rep = residual(general_mathieu_ode(gp), lambda t: eval_floquet(sol, t), grid, tol=1e-8)
+    rep = residual(general_mathieu_ode(gp), eval_floquet_grid(sol, grid), tol=1e-8)
     assert rep.verdict is True
 
 
@@ -148,7 +148,7 @@ def test_second_solution_structure_and_residual():
     assert other.mu == -sol.mu
     assert np.allclose(other.coeffs, sol.coeffs[::-1])
     grid = np.linspace(0.0, 4.0 * math.pi, 201)
-    rep = residual(general_mathieu_ode(gp), lambda t: eval_floquet(other, t), grid, tol=1e-8)
+    rep = residual(general_mathieu_ode(gp), eval_floquet_grid(other, grid), tol=1e-8)
     assert rep.verdict is True
     s1 = eval_floquet(sol, 0.0)
     s2 = eval_floquet(other, 0.0)
@@ -184,7 +184,7 @@ def test_complex_parameters_supported():
     gp = GeneralParams(1.0 + 0.3j, 0.4 - 0.1j)
     sol = solve(gp)
     grid = np.linspace(0.0, 2.0 * math.pi, 101)
-    rep = residual(general_mathieu_ode(gp), lambda t: eval_floquet(sol, t), grid, tol=1e-8)
+    rep = residual(general_mathieu_ode(gp), eval_floquet_grid(sol, grid), tol=1e-8)
     assert rep.verdict is True
 
 
@@ -224,7 +224,7 @@ def test_coefficients_double_the_truncation_until_the_tail_is_small():
     sol = solve(gp, trunc=5)
     assert sol.truncation == 20
     grid = np.linspace(0.0, math.pi, 41)
-    rep = residual(general_mathieu_ode(gp), lambda t: eval_floquet(sol, t), grid)
+    rep = residual(general_mathieu_ode(gp), eval_floquet_grid(sol, grid))
     assert rep.linf <= 1e-8
 
 
@@ -242,7 +242,7 @@ def test_solve_recovers_a_root_whose_smallest_diagonal_row_sits_next_to_a_pole()
     mono = monodromy_exponent(general_mathieu_ode(gp), math.pi, 1e-13)
     assert class_distance(sol.mu, mono.mu_raw) <= 1e-8
     grid = np.linspace(0.0, math.pi, 41)
-    rep = residual(general_mathieu_ode(gp), lambda t: eval_floquet(sol, t), grid)
+    rep = residual(general_mathieu_ode(gp), eval_floquet_grid(sol, grid))
     assert rep.linf <= 1e-8
 
 
@@ -265,7 +265,7 @@ def test_solve_never_calls_the_oracle(monkeypatch):
         for theta in (-2.0, 2.0):
             gp = GeneralParams(h, theta)
             sol = solve(gp)
-            rep = residual(general_mathieu_ode(gp), lambda t: eval_floquet(sol, t), grid)
+            rep = residual(general_mathieu_ode(gp), eval_floquet_grid(sol, grid))
             assert rep.linf <= 1e-8
 
 
@@ -307,7 +307,7 @@ def test_solve_at_large_h_finds_the_far_centre_row(h, theta):
     gp = GeneralParams(h, theta)
     sol = solve(gp)
     grid = np.linspace(0.0, math.pi, 41)
-    rep = residual(general_mathieu_ode(gp), lambda t: eval_floquet(sol, t), grid)
+    rep = residual(general_mathieu_ode(gp), eval_floquet_grid(sol, grid))
     assert rep.linf <= 1e-8
 
 

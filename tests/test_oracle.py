@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -177,6 +178,117 @@ def test_step_sequences_are_pinned():
     # the period map is this sweep of both columns from the identity
     stats = _integrate_raw(ode, 0.0, math.pi, (1.0, 0.0, 0.0, 1.0), 1e-10, ())[3]
     assert _stats(stats) == (146, 0, 878)
+
+
+def _as_complex(ode: LinearODE) -> LinearODE:
+    """The same equation with every coefficient value typed complex."""
+    def wrap(fn):
+        return None if fn is None else (lambda t: complex(fn(t)))
+    return LinearODE(wrap(ode.p), wrap(ode.q), wrap(ode.f))
+
+
+def _cmath_mathieu_ode(h: float, theta: float) -> LinearODE:
+    """y'' + (h - 2 theta cos 2t) y = 0 in complex arithmetic throughout."""
+    h, theta = complex(h), complex(theta)
+    return LinearODE(p=None, q=lambda t: h - 2.0 * theta * cmath.cos(2.0 * t))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype == np.complex128 and a.tobytes() == b.tobytes()
+
+
+def test_real_problems_give_the_same_bits_on_real_and_complex_typing():
+    # a real equation runs on floats; typed complex it runs on complex scalars,
+    # and every sample, final state, step count and period map must agree bitwise
+    r = 0.016
+    fp = flux.FluxParams(base=DampedParams(m=1.0, eta=2.0, k0=1.0 / r, k=1.0, omega=r),
+                         B=1.0, J0=1.0, Omega=1.0, c_light=1.0)
+    flux_ode = flux.full_ode(fp)
+    gp = GeneralParams(h=-1.5, theta=3.0)
+    cases = [
+        (flux_ode, _as_complex(flux_ode), 0.0, 0.5, (0.0, 60.0), 1e-6),
+        (general_mathieu_ode(gp), _cmath_mathieu_ode(-1.5, 3.0), 1.0, 0.5, (0.0, 12.0), 1e-10),
+    ]
+    for real_ode, complex_ode, y0, dy0, span, tol in cases:
+        for t_eval in (None, np.linspace(span[0], span[1], 97)):
+            a = integrate(real_ode, y0, dy0, span, tol, t_eval=t_eval)
+            b = integrate(complex_ode, complex(y0), complex(dy0), span, tol, t_eval=t_eval)
+            assert a.grid.tobytes() == b.grid.tobytes()
+            for x, y in ((a.y, b.y), (a.dy, b.dy), (a.d2y, b.d2y)):
+                assert _same_bits(x, y)
+            assert a.meta == b.meta
+        u_real = (y0, dy0)
+        u_complex = (complex(y0), complex(dy0))
+        ra = _integrate_raw(real_ode, *span, u_real, tol, None)
+        rb = _integrate_raw(complex_ode, *span, u_complex, tol, None)
+        assert _same_bits(ra[1], rb[1]) and _same_bits(ra[2], rb[2])
+        assert ra[3] == rb[3]
+    for h, theta in ((3.0, 1.5), (-1.0, 0.3), (1.0, 5.0)):
+        gp = GeneralParams(h, theta)
+        a = monodromy_exponent(general_mathieu_ode(gp), math.pi, 1e-11)
+        b = monodromy_exponent(_cmath_mathieu_ode(h, theta), math.pi, 1e-11)
+        assert type(a.det_m) is type(b.det_m) is np.complex128
+        assert repr(a) == repr(b)
+
+
+def test_returned_arrays_stay_complex_for_real_problems():
+    ode = LinearODE(p=lambda t: 0.1, q=lambda t: 2.0 + math.cos(t))
+    series = integrate(ode, 1.0, 0.0, (0.0, 5.0), 1e-9, t_eval=np.linspace(0.0, 5.0, 11))
+    assert series.grid.dtype == np.float64
+    assert series.y.dtype == series.dy.dtype == series.d2y.dtype == np.complex128
+    for tq in (None, [0.5, 1.0], ()):
+        _, samples, final, _ = _integrate_raw(ode, 0.0, 5.0, (1.0, 0.0), 1e-9, tq)
+        assert samples.dtype == final.dtype == np.complex128
+    mono = monodromy_exponent(general_mathieu_ode(GeneralParams(3.0, 1.5)), math.pi, 1e-10)
+    assert type(mono.det_m) is np.complex128
+    sing = LinearODE(p=None, q=lambda t: 1.0 / (1.0 - t) ** 2)
+    for call in (lambda: integrate(sing, 1.0, 0.0, (0.0, 1.0), 1e-10),
+                 lambda: monodromy_exponent(sing, 1.0, 1e-10)):
+        with pytest.raises(StiffnessError) as exc:
+            call()
+        assert exc.value.state_last.dtype == np.complex128
+
+
+def test_absent_coefficients_are_never_called():
+    q_calls = []
+
+    def q(t: float) -> float:
+        q_calls.append(t)
+        return 3.0 - 2.0 * math.cos(2.0 * t)
+
+    def other_calls(period: float) -> int:
+        """Python calls other than q in one sweep; q must run once per rhs evaluation."""
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is not q.__code__:
+                calls.append(frame.f_code.co_name)
+
+        q_calls.clear()
+        sys.setprofile(profile)
+        try:
+            stats = _integrate_raw(LinearODE(p=None, q=q, f=None), 0.0, period,
+                                   (1.0, 0.0, 0.0, 1.0), 1e-10, None)[3]
+        finally:
+            sys.setprofile(None)
+        assert len(q_calls) == stats["rhs_evaluations"] == 2 + 6 * stats["steps"]
+        return len(calls)
+
+    # twice the steps, the same setup calls: nothing stands in for p or f per stage
+    assert other_calls(math.pi) == other_calls(2.0 * math.pi)
+
+
+@pytest.mark.parametrize("typ", [float, complex])
+def test_an_overflowing_real_solution_raises(typ):
+    # y'' = 1e4 y grows like e^{100 t} and passes the largest double near t = 7.1
+    ode = LinearODE(p=None, q=lambda t: typ(-1.0e4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StiffnessError) as exc:
+            integrate(ode, typ(1.0), typ(0.0), (0.0, 10.0), 1e-8)
+    assert 6.0 < exc.value.t_last < 7.2
+    state = exc.value.state_last
+    assert state.dtype == np.complex128 and np.all(np.isfinite(state))
 
 
 def test_integrate_agrees_with_scipy_dop853():

@@ -3,12 +3,14 @@
 The exponent mu is seeded by Hill's closed formula, cosh(pi mu) =
 1 - 2 Delta(0) sin^2(pi sqrt(h)/2), from one determinant at mu = 0; no
 equation is integrated.  Coefficients of the series y = sum
-c_n e^{(mu+2in)t} come from two one-sided backward continued fractions
-meeting at n = 0, which satisfies every off-center row of the recurrence
-exactly; polishing mu on the center-row defect makes the remaining row
-machine-small.  The truncated Hill determinant (rows scaled by smooth
-mu-independent weights so the infinite product converges) vanishes at the
-same mu and is kept as an independent check, as is the oracle's period map.
+c_n e^{(mu+2in)t} come from backward continued fractions on both sides of
+n = 0, run together in one sweep on Python scalars, which satisfies every
+off-center row of the recurrence exactly; a secant polish of mu on the
+center-row defect makes the remaining row machine-small, and stops at the
+defect's rounding floor.  Each exponent tried is swept once.  The truncated
+Hill determinant (rows scaled by smooth mu-independent weights so the
+infinite product converges) vanishes at the same mu and is kept as an
+independent check, as is the oracle's period map.
 
 The exponent stored on a FloquetSolution is the working one (the class member
 the coefficients are centered on); characteristic_exponent reports the
@@ -159,50 +161,70 @@ def _hill_cosh_pi_mu(gp: GeneralParams) -> complex:
     return 1.0 - 2.0 * det * cmath.exp(-2.0 * th * th * tail) * g * g
 
 
-def _secant(f, x0: complex, x1: complex, xtol: float, max_iter: int = 80) -> complex:
-    f0, f1 = f(x0), f(x1)
+def _secant(f, x0: complex, e0: tuple, xtol: float, max_iter: int = 80) -> tuple[complex, tuple]:
+    """Secant search for a root of the value f(x)[0], started from x0 with e0 = f(x0).
+
+    f returns (value, floor, ...): it stops once |value| is at its rounding
+    floor, or once the step falls below xtol relative to the iterate.  Returns
+    the last iterate and its evaluation, so nothing is evaluated twice.
+    """
+    x1 = x0 + 1e-9 * (1.0 + abs(x0))
+    e1 = f(x1)
     for _ in range(max_iter):
+        f0, f1 = e0[0], e1[0]
         if f1 == f0:
             break
-        step = f1 * (x1 - x0) / (f1 - f0)
-        x0, f0 = x1, f1
-        x1 = x1 - step
-        f1 = f(x1)
-        if abs(x1 - x0) <= xtol * max(1.0, abs(x1)):
-            return x1
-    if abs(f1) <= 1e-9:
-        return x1
+        x_new = x1 - f1 * (x1 - x0) / (f1 - f0)
+        if x_new == x1:
+            return x1, e1
+        x0, e0 = x1, e1
+        x1 = x_new
+        e1 = f(x1)
+        if abs(e1[0]) <= e1[1] or abs(x1 - x0) <= xtol * max(1.0, abs(x1)):
+            return x1, e1
+    if abs(e1[0]) <= 1e-9:
+        return x1, e1
     raise ConvergenceError(
-        f"root search stalled: last iterate {x1!r}, |f|={abs(f1):.3g} after {max_iter} iterations"
+        f"root search stalled: last iterate {x1!r}, |f|={abs(e1[0]):.3g} after {max_iter} iterations"
     )
 
 
-def _cf_ratios(gp: GeneralParams, mu: complex, side: int, count: int, depth: int) -> np.ndarray:
-    """Backward continued fraction for the coefficient ratios on one side.
+def _sweep(gp: GeneralParams, mu: complex, depth: int) -> tuple[list, list]:
+    """Coefficient ratios on both sides from one backward continued-fraction pass.
 
-    side=+1 gives r_n = c_n/c_{n-1}, side=-1 gives s_n = c_{-n}/c_{-(n-1)};
-    both satisfy ratio_n = theta / (d_{side*n} - theta*ratio_{n+1}).
+    Returns [r_1..r_depth] with r_n = c_n/c_{n-1} and [s_1..s_depth] with
+    s_n = c_{-n}/c_{-(n-1)}; both satisfy ratio_n = theta / (d_{+-n} -
+    theta*ratio_{n+1}), started from ratio_{depth+1} = 0, where d_n =
+    h + (mu + 2in)^2 is the diagonal of row n.
     """
+    h, th = gp.h, gp.theta
+    r = s = 0j
+    rs, ss = [], []
+    for n in range(depth, 0, -1):
+        up = mu + 2.0j * n
+        down = mu - 2.0j * n
+        denom = h + up * up - th * r
+        r = th / (denom if denom != 0 else 1e-300)
+        denom = h + down * down - th * s
+        s = th / (denom if denom != 0 else 1e-300)
+        rs.append(r)
+        ss.append(s)
+    rs.reverse()
+    ss.reverse()
+    return rs, ss
+
+
+def _center_row(gp: GeneralParams, mu: complex, depth: int) -> tuple[complex, float, list, list]:
+    """Centre-row defect d_0 - theta (r_1 + s_1) at mu, its rounding floor, and the ratios.
+
+    The floor is a few ulps of |d_0| + |theta r_1| + |theta s_1|, the terms the
+    defect cancels: below it the defect is noise, and so is its secant slope.
+    """
+    r, s = _sweep(gp, mu, depth)
     th = gp.theta
-    if th == 0:
-        return np.zeros(count, dtype=complex)
-    ratio = th / _diagonal(gp, mu, side * depth)
-    for n in range(depth - 1, 0, -1):
-        denom = _diagonal(gp, mu, side * n) - th * ratio
-        if denom == 0:
-            denom = 1e-300
-        ratio = th / denom
-        if n <= count:
-            if n == count:
-                out = np.empty(count, dtype=complex)
-            out[n - 1] = ratio
-    return out
-
-
-def _center_row_defect(gp: GeneralParams, mu: complex, depth: int) -> complex:
-    r = _cf_ratios(gp, mu, +1, 1, depth)
-    s = _cf_ratios(gp, mu, -1, 1, depth)
-    return _diagonal(gp, mu, 0) - gp.theta * (r[0] + s[0])
+    d0 = gp.h + mu * mu
+    floor = 8e-16 * (abs(d0) + abs(th * r[0]) + abs(th * s[0]))
+    return d0 - th * (r[0] + s[0]), floor, r, s
 
 
 def _shift_order(gp: GeneralParams, mu: complex, trunc: int):
@@ -225,22 +247,24 @@ def _shift_order(gp: GeneralParams, mu: complex, trunc: int):
     yield from sorted(rest, key=lambda n: abs(_diagonal(gp, mu, n)))
 
 
-def _centre(gp: GeneralParams, mu: complex, trunc: int, depth: int) -> tuple[complex, float]:
+def _centre(gp: GeneralParams, mu: complex, trunc: int, depth: int) -> tuple[complex, tuple | None]:
     """mu moved onto the first row whose centre-row defect passes the gate.
 
     One row can fail with mu exact: when a neighbouring diagonal makes one
     continued fraction sit next to a pole, theta*(r_1 + s_1) cancels to a
     large defect (at (h, theta) = (200, 50) row +7 shows 54.5 where row -7
-    shows 1.7e-6).  Returns the working exponent and its defect.
+    shows 1.7e-6).  Returns the working exponent and its _center_row
+    evaluation (None for theta = 0, where nothing is swept).
     """
     first = None
     for shift in _shift_order(gp, mu, trunc):
         mu_work = mu + 2.0j * shift
         if gp.theta == 0:
-            return mu_work, 0.0
-        d0 = abs(_center_row_defect(gp, mu_work, depth))
-        if d0 <= 1e-4 * max(1.0, abs(_diagonal(gp, mu_work, 0))):
-            return mu_work, d0
+            return mu_work, None
+        ev = _center_row(gp, mu_work, depth)
+        d0 = abs(ev[0])
+        if d0 <= 1e-4 * max(1.0, abs(gp.h + mu_work * mu_work)):
+            return mu_work, ev
         first = d0 if first is None else first
     raise InvalidParameterError(
         f"mu={mu!r} does not solve the truncated system (center-row defect {first:.3g})"
@@ -252,8 +276,11 @@ def coefficients(gp: GeneralParams, mu: complex, trunc: int = DEFAULT_TRUNCATION
 
     Any representative of the exponent class may be passed; the working
     exponent is recentered (on the smallest-diagonal row whose center-row
-    defect passes the gate) and then polished on that defect, so all rows of
-    the recurrence hold to machine accuracy at the returned mu.
+    defect passes the gate) and then polished on that defect by a secant
+    search that stops at its rounding floor, so all rows of the recurrence
+    hold to machine accuracy at the returned mu.  Each exponent tried costs
+    one two-sided sweep: the accepted row's is the secant's first evaluation,
+    and the secant's last gives the series.
     """
     if trunc < 5:
         raise InvalidParameterError("truncation must be at least 5")
@@ -261,20 +288,20 @@ def coefficients(gp: GeneralParams, mu: complex, trunc: int = DEFAULT_TRUNCATION
     n_work = trunc
     # the row whose diagonal h + (mu + 2in)^2 vanishes sits near n = +-sqrt(h)/2
     window = max(trunc, 40) + int(abs(cmath.sqrt(gp.h)) / 2)
-    mu_work, d0 = _centre(gp, mu, window, n_work + _CF_EXTRA)
+    mu_work, ev = _centre(gp, mu, window, n_work + _CF_EXTRA)
     while True:
         depth = n_work + _CF_EXTRA
-        polished = mu_work
         if gp.theta != 0:
-            defect = lambda m: _center_row_defect(gp, m, depth)
             if n_work > trunc:
-                d0 = abs(defect(mu_work))
-            if d0 > 0.0:
-                polished = _secant(defect, mu_work, mu_work + 1e-9 * (1.0 + abs(mu_work)), 5e-16)
+                ev = _center_row(gp, mu_work, depth)
+            polished = mu_work
+            if abs(ev[0]) > 0.0:
+                polished, ev = _secant(lambda m: _center_row(gp, m, depth), mu_work, ev, 5e-16)
             if class_distance(polished, mu_work) > 1e-5 * max(1.0, abs(mu_work)):
                 raise InvalidParameterError(
                     f"mu={mu!r} drifted to a different root during polishing"
                 )
+            r, s = ev[2][:n_work], ev[3][:n_work]
         else:
             # decoupled system: the exact exponent satisfies h + mu^2 = 0
             target = 1j * cmath.sqrt(gp.h)
@@ -283,8 +310,7 @@ def coefficients(gp: GeneralParams, mu: complex, trunc: int = DEFAULT_TRUNCATION
                 raise InvalidParameterError(
                     f"mu={mu!r} does not solve the decoupled system for theta=0"
                 )
-        r = _cf_ratios(gp, polished, +1, n_work, depth)
-        s = _cf_ratios(gp, polished, -1, n_work, depth)
+            r = s = [0j] * n_work
         c = np.zeros(2 * n_work + 1, dtype=complex)
         c[n_work] = 1.0
         c[n_work + 1 :] = np.cumprod(r)

@@ -165,6 +165,9 @@ def _initial_step(coefficients, t0: float, ys: list, dys: list, accs: list, t1: 
     d1 = _scaled_rms(f0, sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, t1 - t0)
+    if h0 == 0.0:
+        # d1 overflowed: no trial step exists, and the stepper's underflow check raises
+        return h0
     pv, qv, fv = (0.0 if fn is None else fn(t0 + h0) for fn in coefficients)
     ys1 = [y + h0 * v for y, v in zip(ys, dys)]
     dys1 = [v + h0 * a for v, a in zip(dys, accs)]

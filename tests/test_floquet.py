@@ -246,6 +246,50 @@ def test_solve_recovers_a_root_whose_smallest_diagonal_row_sits_next_to_a_pole()
     assert rep.linf <= 1e-8
 
 
+def test_solve_where_the_secant_slope_is_rounding_noise():
+    # the seed's centre-row defect (2.5e-13) is already at the rounding level of
+    # the terms it cancels, where a step-size stop alone walks along the noise
+    gp = GeneralParams(-1.2057713298527233, -1.8580732759455714)
+    sol = solve(gp)
+    mono = monodromy_exponent(general_mathieu_ode(gp), math.pi, 1e-13)
+    assert class_distance(sol.mu, mono.mu_raw) <= 1e-12
+    grid = np.linspace(0.0, math.pi, 41)
+    rep = residual(general_mathieu_ode(gp), eval_floquet_grid(sol, grid))
+    assert rep.linf <= 1e-12
+
+
+@pytest.mark.parametrize("h, theta", [(3.0, 1.5), (-1.0, 0.7), (2.25, 0.0),
+                                      (1.0 + 0.3j, 0.4 - 0.1j), (2.0, 0.5j)])
+def test_exponent_is_a_python_complex(h, theta):
+    assert type(solve(GeneralParams(h, theta)).mu) is complex
+
+
+@pytest.mark.parametrize("h, theta, trunc", [(3.0, 1.5, 25), (1.0, 5.0, 5), (200.0, 50.0, 25),
+                                             (1.0 + 0.3j, 0.4 - 0.1j, 25)])
+def test_coefficients_sweep_each_exponent_once(monkeypatch, h, theta, trunc):
+    # (1, 5) doubles its truncation twice; (200, 50) rejects its first centre row
+    seen = []
+    sweep = floquet._sweep
+
+    def recording(gp, mu, depth):
+        seen.append((mu.real.hex(), mu.imag.hex(), depth))
+        return sweep(gp, mu, depth)
+
+    monkeypatch.setattr(floquet, "_sweep", recording)
+    gp = GeneralParams(h, theta)
+    coefficients(gp, floquet._hill_seed(gp), trunc)
+    assert seen and len(set(seen)) == len(seen)
+
+
+def test_series_residuals_over_the_sweep_box_stay_at_rounding_level():
+    rng = np.random.default_rng(400)
+    grid = np.linspace(0.0, math.pi, 41)
+    for h, theta in zip(rng.uniform(-2.0, 10.0, 400).tolist(), rng.uniform(-2.0, 2.0, 400).tolist()):
+        gp = GeneralParams(h, theta)
+        rep = residual(general_mathieu_ode(gp), eval_floquet_grid(solve(gp), grid))
+        assert rep.linf <= 1e-13, (h, theta, rep.linf)
+
+
 @pytest.mark.parametrize("theta", [0.3, 1.0 + 0.5j])
 @pytest.mark.parametrize("h", [0.0, 4.0, 16.0, 36.0, 4.0 + 1e-9, 4.0 - 1e-9])
 def test_hill_seed_is_accurate_where_a_row_scaling_vanishes(h, theta):

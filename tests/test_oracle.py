@@ -291,6 +291,19 @@ def test_an_overflowing_real_solution_raises(typ):
     assert state.dtype == np.complex128 and np.all(np.isfinite(state))
 
 
+@pytest.mark.parametrize("typ", [float, complex])
+def test_an_overflowing_initial_derivative_raises(typ):
+    # the scaled norm of y'' = 1e200 y overflows, so no initial step size can be estimated
+    ode = LinearODE(p=None, q=lambda t: typ(-1.0e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StiffnessError) as exc:
+            integrate(ode, typ(1.0), typ(0.0), (0.0, 10.0), 1e-8)
+    assert exc.value.t_last == 0.0
+    state = exc.value.state_last
+    assert state.dtype == np.complex128 and np.all(state == [1.0, 0.0])
+
+
 def test_integrate_agrees_with_scipy_dop853():
     scipy_integrate = pytest.importorskip("scipy.integrate")
     cases = [

@@ -67,6 +67,7 @@ from .flux import (
     InducedFieldModel,
     ModulationResult,
     SinusoidalResponse,
+    closed_form_motion,
     field_from_motion,
     full_ode,
     identify_frequencies,
@@ -75,6 +76,7 @@ from .flux import (
     linearized_delta,
     modulation_analysis,
     particular_k0,
+    sideband_amplitudes,
     simulate_full,
     stiffness,
     symmetric_case_solution,

@@ -6,8 +6,22 @@ under a fast microwave drive.  In the separated-scales regime (k << |k0|,
 omega << Omega, m Omega^2 << |k0|) the induced electric field is an
 amplitude-modulated carrier whose modulation depth is the stiffness-modulation
 ratio epsilon = k/k0.  This module carries the closed-form steady states, the
-induced-field model, the full simulation, and the quadrature demodulation that
-measures the depth from simulated data.
+induced-field model, the quadrature demodulation that measures the depth, and
+two independent solutions of the full equation from rest:
+
+- closed_form_motion, with no stepper: the sideband steady state (Hill's
+  method for a forced periodic system) plus the Floquet transient from
+  floquet.solve.  It checks its own residual on the grid and refuses (a typed
+  error) above RESIDUAL_BOUND, so its accuracy does not depend on a
+  tolerance; on the flux regime it meets the equation to about 1e-12;
+- simulate_full, the verification oracle's DOPRI5 integration, kept as the
+  reference the closed form is tested against.
+
+motion_from_rest, the path `mathieu-kit flux` takes, uses the closed form and
+turns to simulate_full only for the jobs the closed form refuses because it
+cannot represent them: a Floquet series floquet.solve cannot build or that
+misses the equation (large |theta| = 2|k|/(m omega^2) with h below about
+2|theta|), a dependent Floquet pair, or an exact sideband resonance.
 
 Convention: the induced field is taken as E(t) = -(B/c) dy/dt, the choice that
 reproduces the model prefactor B^2 J0 Omega / (|k0| c^2) in the stated regime.
@@ -21,13 +35,26 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import floquet
 from .closed_form import DampedParams
-from .errors import InvalidParameterError, ResonanceError, SpanError
+from .errors import (
+    ConvergenceError,
+    InvalidParameterError,
+    RangeLimitError,
+    ResonanceError,
+    SingularityError,
+    SpanError,
+)
 from .oracle import LinearODE, integrate
-from .samples import SolutionSample, TimeSeries
+from .samples import SolutionSample, TimeSeries, as_grid
 
 REGIME_RATIO = 0.02
 LOWPASS_CARRIER_PERIODS = 8
+# closed_form_motion refuses a motion whose residual, relative to the sum of
+# the magnitudes of the equation's terms at some grid point, exceeds this
+RESIDUAL_BOUND = 1e-9
+SIDEBAND_TAIL = 1e-17
+MAX_SIDEBANDS = 4096
 
 
 @dataclass(frozen=True)
@@ -234,6 +261,184 @@ def simulate_full(fp: FluxParams, span: tuple[float, float], tol: float,
                   y0: complex = 0.0, dy0: complex = 0.0) -> TimeSeries:
     """Integrate the full equation with the verification oracle."""
     return integrate(full_ode(fp), y0, dy0, span, tol, t_eval=t_eval)
+
+
+def exponential_sum(coeffs: np.ndarray, rate: complex, step: complex,
+                    grid: np.ndarray) -> np.ndarray:
+    """Rows y, y', y'' of sum_{n=-N..N} c_n e^{(rate + n step) t} on a grid.
+
+    coeffs holds c_{-N..N}.  The sum is one Horner pass in x = e^{step t} over
+    a (3, points) accumulator, then one prefactor e^{(rate - N step) t}: no
+    (points x terms) matrix.  Overflow is left to the caller as inf or nan.
+    """
+    n = (len(coeffs) - 1) // 2
+    rates = rate + step * np.arange(-n, n + 1)
+    # one (3, 1) column per term, highest power first
+    cols = np.stack([coeffs, rates * coeffs, rates * rates * coeffs], axis=1)[::-1, :, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.exp(step * grid)
+        acc = np.repeat(cols[0], len(grid), axis=1)
+        for col in cols[1:]:
+            acc *= x
+            acc += col
+        acc *= np.exp((rate - n * step) * grid)
+    return acc
+
+
+def _sideband_diagonal(fp: FluxParams, n: int) -> complex:
+    b = fp.base
+    lam = fp.Omega + n * b.omega
+    return complex(b.k0 - b.m * lam * lam, b.eta * lam)
+
+
+def sideband_amplitudes(fp: FluxParams) -> np.ndarray:
+    """Amplitudes a_{-N..N} of the steady state y_p = Re sum a_n e^{i(Omega + n omega) t}.
+
+    Row n of Hill's system is D_n a_n + (k/2)(a_{n-1} + a_{n+1}) = F delta_{n0},
+    with D_n = k0 - m (Omega + n omega)^2 + i eta (Omega + n omega) and F the
+    drive amplitude.  It is tridiagonal with its source on row 0, so two
+    backward continued fractions, r_n = a_n/a_{n-1} and s_n = a_{-n}/a_{-(n-1)},
+    give a_0 = F / (D_0 + (k/2)(r_1 + s_1)) with no dense solve.  The sweep
+    depth doubles until |a_{+-N}| <= SIDEBAND_TAIL max|a|, and the returned
+    array keeps only the sidebands above that tail.  A zero pivot is an exact
+    resonance (with k = 0: D_0 = 0 at eta = 0) and raises ResonanceError.
+    """
+    half_k = fp.base.k / 2.0
+    n_keep = 16 if half_k else 0
+    while True:
+        r = s = 0j
+        rs, ss = [], []
+        for n in range(2 * n_keep, 0, -1):
+            up = _sideband_diagonal(fp, n) + half_k * r
+            down = _sideband_diagonal(fp, -n) + half_k * s
+            if up == 0 or down == 0:
+                raise ResonanceError(f"sideband {n if up == 0 else -n} is at an exact resonance")
+            r = -half_k / up
+            s = -half_k / down
+            rs.append(r)
+            ss.append(s)
+        pivot = _sideband_diagonal(fp, 0) + half_k * (r + s)
+        if pivot == 0:
+            raise ResonanceError(
+                f"drive frequency {fp.Omega!r} is at an exact resonance: no bounded steady state")
+        rs.reverse()
+        ss.reverse()
+        a = np.empty(2 * n_keep + 1, dtype=complex)
+        a[n_keep] = fp.drive_amplitude / pivot
+        a[n_keep + 1:] = a[n_keep] * np.cumprod(rs[:n_keep])
+        a[:n_keep] = (a[n_keep] * np.cumprod(ss[:n_keep]))[::-1]
+        mags = np.abs(a)
+        if not np.all(np.isfinite(mags)):
+            raise RangeLimitError("steady-state sideband amplitudes overflow")
+        big = np.nonzero(mags > SIDEBAND_TAIL * np.max(mags))[0]
+        keep = max(n_keep - big[0], big[-1] - n_keep) if len(big) else 0
+        if keep < n_keep or not half_k:
+            return a[n_keep - keep:n_keep + keep + 1]
+        if n_keep >= MAX_SIDEBANDS:
+            raise ConvergenceError(
+                f"sideband tail |a_N|/max = {max(mags[0], mags[-1]) / np.max(mags):.3g} "
+                f"above {SIDEBAND_TAIL:g} at N={n_keep}")
+        n_keep *= 2
+
+
+def closed_form_motion(fp: FluxParams, start: float, grid) -> TimeSeries:
+    """The motion from rest, y(start) = y'(start) = 0, on a grid, with no stepper.
+
+    y = y_p + y_h.  y_p is the sideband steady state (sideband_amplitudes);
+    y_h = e^{-eta t/2m} (c1 u(omega t/2) + c2 u(-omega t/2)), where u is
+    floquet.solve's series at the damped reduction (h, theta) =
+    (4 (k0/m - eta^2/4m^2)/omega^2, -2k/(m omega^2)), and c1, c2 cancel y_p
+    and y_p' at start.  Each part is summed by Horner's rule in e^{i omega t}.
+
+    The result checks itself: the defect y'' + (eta/m) y' + q y - f, relative
+    to |y''| + |(eta/m) y'| + |q y| + |f| at each grid point, must stay within
+    RESIDUAL_BOUND, or ConvergenceError names it.  A non-finite motion raises
+    RangeLimitError; a pair u(z), u(-z) too dependent to fit start to that
+    bound raises SingularityError; an exact resonance raises ResonanceError.
+    """
+    b = fp.base
+    grid = as_grid(grid)
+    here = np.array([float(start)])
+    step = 1j * b.omega
+    a = sideband_amplitudes(fp)
+    motion = exponential_sum(a, 1j * fp.Omega, step, grid)
+    # y_h and y_h' at start: minus the steady state's
+    want = -exponential_sum(a, 1j * fp.Omega, step, here)[:2, 0].real
+
+    decay = b.eta / (2.0 * b.m)
+    sol = floquet.solve(floquet.GeneralParams(
+        h=4.0 * (b.k0 / b.m - decay * decay) / b.omega ** 2,
+        theta=-2.0 * b.k / (b.m * b.omega ** 2)))
+    rate = sol.mu * b.omega / 2.0
+    pair = ((sol.coeffs, rate - decay), (sol.coeffs[::-1], -rate - decay))
+    (u, du), (v, dv) = (exponential_sum(c, r, step, here)[:2, 0] for c, r in pair)
+    det = u * dv - du * v
+    # the fitted c1, c2 carry a relative error of about 2.2e-16 size / |det|
+    size = abs(u * dv) + abs(du * v)
+    if not abs(det) * RESIDUAL_BOUND > 2.2e-16 * size:
+        raise SingularityError(
+            f"u(z) and u(-z) are dependent at mu = {sol.mu!r}: |det| = {abs(det):.3g} "
+            f"of {size:.3g}, so no transient fits rest at t = {start:g}")
+    c1 = (want[0] * dv - want[1] * v) / det
+    c2 = (u * want[1] - du * want[0]) / det
+    # a decaying part is summed only while its bound |c| sum|c_n rate_n^k| e^{Re rate t}
+    # exceeds SIDEBAND_TAIL of the steady state's (the same cut as the sidebands')
+    floor = SIDEBAND_TAIL * _bound(a, 1j * fp.Omega, step)
+    for c, (coeffs, r) in zip((c1, c2), pair):
+        bound = abs(c) * _bound(coeffs, r, step)
+        end = len(grid)
+        if r.real < 0 and floor > 0 and bound < math.inf:
+            end = np.searchsorted(grid, math.log(floor / bound) / r.real) if bound else 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            motion[:, :end] += c * exponential_sum(coeffs, r, step, grid[:end])
+    y, dy, d2y = motion.real
+    _check_motion(fp, grid, y, dy, d2y)
+    return TimeSeries(grid=grid, y=y, dy=dy, d2y=d2y)
+
+
+def motion_from_rest(fp: FluxParams, start: float, grid, tol: float) -> tuple[TimeSeries, str]:
+    """The motion from rest at start on a grid, and how it was found.
+
+    closed_form_motion where it answers ("closed form"); simulate_full at tol
+    where it refuses with ConvergenceError, SingularityError or ResonanceError,
+    the inputs its series cannot represent but a stepper can ("stepper: " and
+    the refusal).  A motion that overflows raises RangeLimitError: the stepper
+    cannot finish it either.
+    """
+    try:
+        return closed_form_motion(fp, start, grid), "closed form"
+    except (ConvergenceError, SingularityError, ResonanceError) as exc:
+        grid = as_grid(grid)
+        ts = simulate_full(fp, (start, float(grid[-1])), tol, t_eval=grid)
+        return ts, f"stepper: {type(exc).__name__}: {exc}"
+
+
+def _bound(coeffs: np.ndarray, rate: complex, step: complex) -> float:
+    """Largest of sum |c_n (rate + n step)^k|, k = 0, 1, 2: a bound on the rows of
+    exponential_sum at t = 0."""
+    n = (len(coeffs) - 1) // 2
+    mags = np.abs(rate + step * np.arange(-n, n + 1))
+    weights = np.abs(coeffs)
+    return float(max(weights.sum(), weights @ mags, weights @ (mags * mags)))
+
+
+def _check_motion(fp: FluxParams, grid: np.ndarray, y, dy, d2y) -> None:
+    """Refuse a non-finite motion, or one whose relative residual exceeds RESIDUAL_BOUND."""
+    b = fp.base
+    finite = np.isfinite(y) & np.isfinite(dy) & np.isfinite(d2y)
+    if not np.all(finite):
+        raise RangeLimitError(
+            f"the closed-form motion overflows at t = {grid[np.argmin(finite)]:.6g}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (d2y, (b.eta / b.m) * dy, (b.k0 + b.k * np.cos(b.omega * grid)) / b.m * y,
+                 -(fp.drive_amplitude / b.m) * np.cos(fp.Omega * grid))
+        size = np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2]) + np.abs(terms[3])
+        rel = np.abs(terms[0] + terms[1] + terms[2] + terms[3]) / np.maximum(size, 1e-300)
+    worst = int(np.argmax(rel))
+    if not rel[worst] <= RESIDUAL_BOUND:
+        raise ConvergenceError(
+            f"closed-form motion misses its equation by {rel[worst]:.3g} relative at "
+            f"t = {grid[worst]:.6g} (bound {RESIDUAL_BOUND:g})")
 
 
 def field_from_motion(fp: FluxParams, series: TimeSeries) -> TimeSeries:

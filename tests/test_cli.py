@@ -7,6 +7,7 @@ import pytest
 
 from mathieu_kit import floquet
 from mathieu_kit import cli
+from mathieu_kit import flux, oracle
 from mathieu_kit.cli import JobSpec, execute, main, parse
 from mathieu_kit.errors import ConvergenceError
 
@@ -339,6 +340,56 @@ def test_flux_analyze_too_short_records_the_error(tmp_path):
     flags = json.loads((tmp_path / "flux.json").read_text())["validity_flags"]
     assert "modulation periods" in flags["analysis_error"]
     assert "measured_depth" not in flags
+
+
+def test_flux_runs_no_stepper(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle's stepper was called")
+    for module, name in ((oracle, "integrate"), (oracle, "_integrate_raw"),
+                         (flux, "integrate"), (cli, "integrate")):
+        monkeypatch.setattr(module, name, refuse)
+    out = tmp_path / "flux.csv"
+    assert main(FLUX_ANALYZE_ARGS + ["--t1", "110", "--out", str(out)]) == 0
+    assert out.read_bytes().count(b"\r\n") == 1 + 2001
+    flags = json.loads((tmp_path / "flux.json").read_text())["validity_flags"]
+    assert flags["motion"] == "closed form"
+
+
+def test_flux_the_closed_form_refuses_is_integrated(tmp_path):
+    # reduces to (h, theta) = (1, 3000), beyond floquet.solve's series: the
+    # job is answered by the oracle, as before the closed form
+    out = tmp_path / "flux.csv"
+    code = main(["flux", "--m", "1", "--eta", "0.2", "--k0", "0.0125", "--k", "-15",
+                 "--omega", "0.1", "--B", "1", "--J0", "1", "--Omega", "1",
+                 "--t1", "20", "--dt", "0.05", "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes().count(b"\r\n") == 1 + 401
+    flags = json.loads((tmp_path / "flux.json").read_text())["validity_flags"]
+    assert flags["motion"].startswith("stepper: ConvergenceError")
+
+
+def test_flux_output_does_not_depend_on_the_tolerance(tmp_path, monkeypatch):
+    texts = []
+    for tol in ("1e-6", "1e-12"):
+        monkeypatch.setenv("MATHIEU_KIT_TOL", tol)
+        out = tmp_path / f"flux{tol}.csv"
+        assert main(FLUX_ANALYZE_ARGS + ["--t1", "110", "--out", str(out)]) == 0
+        side = json.loads((tmp_path / f"flux{tol}.json").read_text())
+        texts.append((out.read_bytes(), side["validity_flags"]))
+    assert texts[0] == texts[1]
+
+
+def test_flux_that_overflows_writes_no_non_finite_field(tmp_path, capsys):
+    # undamped, k0 < 0: the transient grows like e^{10 t} and overflows by t = 71
+    out = tmp_path / "flux.csv"
+    code = main(["flux", "--m", "1", "--eta", "0", "--k0", "-100", "--k", "0.5",
+                 "--omega", "1", "--B", "1", "--J0", "1", "--Omega", "1.2",
+                 "--t1", "200", "--dt", "0.1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert not out.exists() and not (tmp_path / "flux.json").exists()
+    assert "overflows" in captured.err
+    assert captured.out == ""
 
 
 def test_floquet_at_the_reduction_of_a_flux_job(tmp_path):

@@ -7,14 +7,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mathieu_kit import floquet, oracle
 from mathieu_kit.closed_form import DampedParams
-from mathieu_kit.errors import InvalidParameterError, ResonanceError, SpanError
+from mathieu_kit.errors import (
+    ConvergenceError,
+    InvalidParameterError,
+    RangeLimitError,
+    ResonanceError,
+    SingularityError,
+    SpanError,
+)
 from mathieu_kit.flux import (
     LOWPASS_CARRIER_PERIODS,
     REGIME_RATIO,
     FluxParams,
     InducedFieldModel,
     ModulationResult,
+    closed_form_motion,
+    exponential_sum,
     field_from_motion,
     full_ode,
     identify_frequencies,
@@ -22,7 +32,9 @@ from mathieu_kit.flux import (
     induced_field_model,
     linearized_delta,
     modulation_analysis,
+    motion_from_rest,
     particular_k0,
+    sideband_amplitudes,
     simulate_full,
     stiffness,
     symmetric_case_solution,
@@ -330,3 +342,155 @@ def test_analysis_of_fewer_than_two_samples_is_a_span_error(n):
         identify_frequencies(series)
     with pytest.raises(SpanError):
         modulation_analysis(series, 7.0, 0.5)
+
+
+# ------------------------------------------------------- closed-form motion
+
+FLUX_DEMOD_DT = 2.0 * math.pi / 64.0
+
+
+def flux_demod_fp(ratio: float) -> FluxParams:
+    # k/k0 = omega/Omega = m Omega^2/k0 = ratio, as in the flux_demod workload
+    return make_fp(m=1.0, eta=2.0, k0=1.0 / ratio, k=1.0, omega=ratio, Omega=1.0)
+
+
+def _uniform(t0, t1, dt):
+    return t0 + dt * np.arange(int(round((t1 - t0) / dt)) + 1)
+
+
+DIFFERENTIAL_JOBS = {
+    # the workload's ratios on its own sampling, from rest at 0 through t0 = 17.5
+    "flux_demod-0.012": (flux_demod_fp(0.012), _uniform(17.5, 80.0, FLUX_DEMOD_DT)),
+    "flux_demod-0.016": (flux_demod_fp(0.016), _uniform(0.0, 60.0, FLUX_DEMOD_DT)),
+    "flux_demod-0.02": (flux_demod_fp(0.02), _uniform(17.5, 80.0, FLUX_DEMOD_DT)),
+    "t0<0": (make_fp(), _uniform(-5.0, 20.0, 0.05)),
+    "k=0": (make_fp(k=0.0), _uniform(0.0, 20.0, 0.05)),
+    "k0<0": (make_fp(k0=-1.0, eta=1.0), _uniform(0.0, 20.0, 0.05)),
+    "undamped-stable": (make_fp(eta=0.0), _uniform(0.0, 50.0, 0.05)),
+    # eta = 0 with D_1 = k0 - m (Omega + omega)^2 = 0: the modulation detunes
+    # the sideband, so this is no resonance and the steady state exists
+    "undamped-D1=0": (make_fp(eta=0.0, k0=4.0, k=0.1, omega=1.0, Omega=1.0),
+                      _uniform(0.0, 30.0, 0.05)),
+    # theta = 0 with sqrt(h) = 2: mu = 2i, yet u(z) = e^{2iz} and u(-z) are independent
+    "theta=0-integer-sqrt-h": (make_fp(eta=0.0, k0=1.0, k=0.0, omega=1.0, Omega=1.5),
+                               _uniform(0.0, 20.0, 0.05)),
+}
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_JOBS))
+def test_closed_form_motion_matches_a_tight_oracle(name):
+    fp, grid = DIFFERENTIAL_JOBS[name]
+    start = min(0.0, float(grid[0]))
+    motion = closed_form_motion(fp, start, grid)
+    ref = simulate_full(fp, (start, float(grid[-1])), 1e-13, t_eval=grid)
+    assert motion.d2y.dtype == np.float64
+    for got, want in ((motion.y, ref.y), (motion.dy, ref.dy)):
+        assert np.max(np.abs(got - want.real)) <= 1e-10 * np.max(np.abs(want))
+    # rest at the span start, even when the grid starts later
+    at_start = closed_form_motion(fp, start, [start])
+    assert abs(at_start.y[0]) <= 1e-13 * np.max(np.abs(ref.y))
+    assert abs(at_start.dy[0]) <= 1e-13 * np.max(np.abs(ref.dy))
+
+
+@pytest.mark.parametrize("k", [1e-2, 1e-3])
+def test_sidebands_reduce_to_the_first_order_responses(k):
+    fp = make_fp(k=k)
+    a = sideband_amplitudes(fp)
+    n = (len(a) - 1) // 2
+    phasor = lambda resp: resp.amplitude * complex(math.cos(resp.phase), -math.sin(resp.phase))
+    y0 = phasor(particular_k0(fp))
+    upper, lower = (phasor(r) for r in linearized_delta(fp))
+    # a_0 = y0 + O(k^2) and a_{+-1} = first-order sideband + O(k^3)
+    eps = k / fp.base.k0
+    assert abs(a[n] - y0) <= 10 * eps**2 * abs(y0)
+    assert abs(a[n + 1] - upper) <= 10 * eps**2 * abs(upper)
+    assert abs(a[n - 1] - lower) <= 10 * eps**2 * abs(lower)
+    assert abs(a[n + 1]) > 0.1 * eps * abs(y0)
+
+
+def test_unmodulated_steady_state_is_one_line():
+    a = sideband_amplitudes(make_fp(k=0.0))
+    assert len(a) == 1
+    resp = particular_k0(make_fp(k=0.0))
+    assert abs(a[0]) == pytest.approx(resp.amplitude, rel=1e-14)
+
+
+def test_closed_form_motion_runs_no_stepper(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle's stepper was called")
+    monkeypatch.setattr(oracle, "_integrate_raw", refuse)
+    monkeypatch.setattr(oracle, "integrate", refuse)
+    fp, grid = DIFFERENTIAL_JOBS["flux_demod-0.016"]
+    assert np.all(np.isfinite(closed_form_motion(fp, 0.0, grid).y))
+
+
+def test_series_outside_its_precision_is_refused():
+    # reduces to (h, theta) = (1, 3000), where floquet.solve's series misses
+    # its own equation by about 1e-5 (its known large-theta limit)
+    fp = make_fp(eta=0.2, k0=0.0125, k=-15.0, omega=0.1)
+    with pytest.raises(ConvergenceError, match=r"misses its equation by .* \(bound 1e-09\)"):
+        closed_form_motion(fp, 0.0, np.linspace(0.0, 20.0, 401))
+
+
+def test_an_overflowing_transient_is_refused():
+    # undamped and unstable: the transient grows like e^{10 t} and overflows
+    fp = make_fp(eta=0.0, k0=-100.0, k=0.5, omega=1.0)
+    with pytest.raises(RangeLimitError, match="overflows"):
+        closed_form_motion(fp, 0.0, np.linspace(0.0, 200.0, 2001))
+
+
+def test_a_dependent_floquet_pair_is_singular():
+    # critically damped and unmodulated: h = theta = 0, so u(z) = u(-z) = 1
+    fp = make_fp(m=1.0, eta=2.0, k0=1.0, k=0.0)
+    with pytest.raises(SingularityError, match="dependent"):
+        closed_form_motion(fp, 0.0, np.linspace(0.0, 10.0, 101))
+
+
+def test_an_exact_resonance_has_no_steady_state():
+    fp = make_fp(eta=0.0, k0=1.44, k=0.0, Omega=1.2, m=1.0)
+    with pytest.raises(ResonanceError):
+        sideband_amplitudes(fp)
+    with pytest.raises(ResonanceError):
+        closed_form_motion(fp, 0.0, np.linspace(0.0, 10.0, 101))
+
+
+def test_refused_jobs_are_integrated_by_the_stepper():
+    # the job of test_series_outside_its_precision_is_refused: the CLI's path
+    # answers it with the oracle at the given tolerance, as before the closed form
+    fp = make_fp(eta=0.2, k0=0.0125, k=-15.0, omega=0.1)
+    grid = np.linspace(0.0, 20.0, 401)
+    motion, path = motion_from_rest(fp, 0.0, grid, 1e-8)
+    assert path.startswith("stepper: ConvergenceError: closed-form motion misses its equation")
+    ref = simulate_full(fp, (0.0, 20.0), 1e-8, t_eval=grid)
+    assert np.array_equal(motion.y, ref.y) and np.array_equal(motion.dy, ref.dy)
+    # critically damped and unmodulated: a singular pair, answered by the stepper
+    motion, path = motion_from_rest(make_fp(eta=2.0, k0=1.0, k=0.0), 0.0, grid, 1e-8)
+    assert path.startswith("stepper: SingularityError")
+    # the flux regime is answered in closed form, the same motion bit for bit
+    fp, grid = DIFFERENTIAL_JOBS["flux_demod-0.016"]
+    motion, path = motion_from_rest(fp, 0.0, grid, 1e-8)
+    assert path == "closed form"
+    assert np.array_equal(motion.y, closed_form_motion(fp, 0.0, grid).y)
+
+
+def test_exponential_sum_is_horner_at_each_point():
+    sol = floquet.solve(floquet.GeneralParams(3.0, 1.5))
+    n = sol.truncation
+    grid = np.linspace(-2.0, 7.0, 37)
+    rows = exponential_sum(sol.coeffs, sol.mu, 2.0j, grid)
+    rates = sol.mu + 2.0j * np.arange(-n, n + 1)
+    direct = floquet.eval_floquet_grid(sol, grid)
+    for i, t in enumerate(grid.tolist()):
+        point = np.array([t])
+        x = np.exp(2.0j * point)
+        for row, terms in enumerate((sol.coeffs, rates * sol.coeffs, rates * rates * sol.coeffs)):
+            # highest power first, then the prefactor e^{(mu - 2iN) t}: bit for bit
+            acc = terms[-1:]
+            for c in terms[-2::-1]:
+                acc = acc * x + c
+            acc = acc * np.exp((sol.mu - 2.0j * n) * point)
+            assert rows[row, i] == acc[0]
+            # and the same sum as the per-point one, to the rounding of the exponents
+            want = (direct.y, direct.dy, direct.d2y)[row][i]
+            scale = np.sum(np.abs(terms * np.exp(rates * t)))
+            assert abs(rows[row, i] - want) <= 16 * 2.2e-16 * (abs(sol.mu * t) + 2 * n * abs(t) + 1) * scale

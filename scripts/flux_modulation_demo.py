@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Demonstrate slow-modulation transfer from stiffness to induced field.
 
-Runs the full driven-oscillator simulation with a slowly modulated
-stiffness, converts the motion into the induced field, demodulates the
-field envelope, and compares the measured modulation depth and sideband
-structure against the small-parameter analytic model.
+Solves the full driven oscillator with a slowly modulated stiffness from
+rest the way `mathieu-kit flux` does (flux.motion_from_rest: in closed form,
+or by the stepper at --tol for the jobs the closed form refuses), converts
+the motion into the induced field, demodulates the field envelope, and
+compares the measured modulation depth and sideband structure against the
+small-parameter analytic model.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from mathieu_kit.flux import (
     induced_field_model,
     linearized_delta,
     modulation_analysis,
-    simulate_full,
+    motion_from_rest,
 )
 
 
@@ -40,7 +42,8 @@ def main(argv=None) -> int:
     ap.add_argument("--c", type=float, default=1.0)
     ap.add_argument("--periods", type=float, default=3.3,
                     help="modulation periods to record after the transient")
-    ap.add_argument("--tol", type=float, default=1e-9)
+    ap.add_argument("--tol", type=float, default=1e-9,
+                    help="stepper tolerance, for the jobs the closed form refuses")
     ap.add_argument("--out", help="optional CSV of the recorded field")
     args = ap.parse_args(argv)
 
@@ -63,7 +66,8 @@ def main(argv=None) -> int:
     t_end = t_start + args.periods * 2.0 * math.pi / args.omega
     # round the sample count up so the record spans at least the requested periods
     t_eval = t_start + dt * np.arange(math.ceil((t_end - t_start) / dt) + 1)
-    series = simulate_full(fp, (0.0, float(t_eval[-1])), args.tol, t_eval=t_eval)
+    series, path = motion_from_rest(fp, 0.0, t_eval, args.tol)
+    print(f"motion:         {path}")
     field = field_from_motion(fp, series)
 
     carrier, modulation = identify_frequencies(field)

@@ -20,7 +20,6 @@ from .closed_form import (
     Variant,
     adjudicate,
     argument_scale,
-    bessel_argument,
     evaluate,
     evaluate_grid,
     fundamental_pair,
@@ -56,7 +55,6 @@ from .floquet import (
     coefficients,
     eval_floquet,
     eval_floquet_grid,
-    exponent_details,
     general_mathieu_ode,
     hill_determinant,
     second_solution,
@@ -78,7 +76,6 @@ from .flux import (
     particular_k0,
     sideband_amplitudes,
     simulate_full,
-    stiffness,
     symmetric_case_solution,
 )
 from .oracle import (

@@ -41,16 +41,17 @@ from .oracle import TOL_MAX, TOL_MIN, integrate, residual, validate_tolerance
 from .samples import TimeSeries
 
 DEFAULT_TOL = 1e-10
+# the most points a job's time grid may hold (--t0/--t1/--dt, or residual's
+# --n): one float column of it takes 80 MB and a job holds several, so a larger
+# grid would exhaust memory before it produced an answer
+MAX_GRID_POINTS = 10**7
 _FLOAT_FMT = "{:.17g}"
-
-_JSON_COMMANDS = {"residual"}
 
 
 @dataclass
 class JobSpec:
     command: str
     parameters: dict
-    output: str
     out_path: Optional[str] = None
     tolerance: float = DEFAULT_TOL
 
@@ -73,9 +74,15 @@ def _damped(p: dict) -> cf.DampedParams:
     return cf.DampedParams(m=p["m"], eta=p["eta"], k0=p["k0"], k=p["k"], omega=p["omega"])
 
 
+def _point_count(p: dict) -> float:
+    """Points of _time_grid(p); inf when (t1 - t0)/dt overflows."""
+    steps = (p["t1"] - p["t0"]) / p["dt"]
+    return round(steps) + 1 if math.isfinite(steps) else math.inf
+
+
 def _time_grid(p: dict) -> np.ndarray:
     """The uniform grid t0, t0 + dt, ... covering [t0, t1] to the nearest step."""
-    return p["t0"] + p["dt"] * np.arange(int(round((p["t1"] - p["t0"]) / p["dt"])) + 1)
+    return p["t0"] + p["dt"] * np.arange(_point_count(p))
 
 
 def _complex_flag(text: str) -> complex:
@@ -199,10 +206,19 @@ def _validate_job(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> No
         if ns.command in ("floquet", "integrate"):
             fl.GeneralParams(h=ns.h, theta=ns.theta)
         if ns.command in ("solve", "integrate", "flux"):
+            if not all(map(math.isfinite, (ns.t0, ns.t1, ns.dt))):
+                parser.error("--t0, --t1 and --dt must be finite")
             if not (ns.t1 > ns.t0):
                 parser.error("--t1 must exceed --t0")
             if not (ns.dt > 0):
                 parser.error("--dt must be positive")
+            if _point_count(vars(ns)) > MAX_GRID_POINTS:
+                parser.error(f"--t0 to --t1 in steps of --dt exceeds {MAX_GRID_POINTS:,} points")
+        if ns.command == "residual":
+            if not (math.isfinite(ns.t0) and math.isfinite(ns.t1)):
+                parser.error("--t0 and --t1 must be finite")
+            if not (1 <= ns.n <= MAX_GRID_POINTS):
+                parser.error(f"--n must be between 1 and {MAX_GRID_POINTS:,}")
         if ns.command == "sweep" and (ns.nh < 1 or ns.ntheta < 1):
             parser.error("--nh and --ntheta must be at least 1")
         if ns.command == "floquet" and ns.trunc < 5:
@@ -228,9 +244,7 @@ def parse(argv: list[str]) -> JobSpec:
             )
 
     params = {k: v for k, v in vars(ns).items() if k not in ("command", "out")}
-    output = "json" if ns.command in _JSON_COMMANDS else "csv"
-    return JobSpec(command=ns.command, parameters=params, output=output,
-                   out_path=ns.out, tolerance=tol)
+    return JobSpec(command=ns.command, parameters=params, out_path=ns.out, tolerance=tol)
 
 
 def _sidecar_base(job: JobSpec) -> dict:

@@ -153,11 +153,6 @@ def argument_scale(params: DampedParams, variant=Variant.CORRECTED) -> complex:
     return 2.0 * cmath.sqrt(complex(ratio)) / (1j * params.omega)
 
 
-def bessel_argument(params: DampedParams, variant, t: float) -> complex:
-    """The time-dependent Bessel argument of the closed form."""
-    return argument_scale(params, variant) * cmath.exp(0.5j * params.omega * float(t))
-
-
 def is_admissible(params: DampedParams, variant=Variant.CORRECTED) -> Optional[int]:
     """Nearest integer index when nu is within ADMISSIBILITY_TOL of one, else None."""
     nu = index(params, variant)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .errors import (
     SpanError,
 )
 from .oracle import LinearODE, integrate
-from .samples import SolutionSample, TimeSeries, as_grid
+from .samples import TimeSeries, as_grid
 
 REGIME_RATIO = 0.02
 LOWPASS_CARRIER_PERIODS = 8
@@ -97,16 +97,13 @@ class SinusoidalResponse:
         if not (-math.pi < self.phase <= math.pi):
             raise InvalidParameterError("phase must lie in (-pi, pi]")
 
-    def evaluate(self, t: float) -> SolutionSample:
-        t = float(t)
-        arg = self.frequency * t - self.phase
+    def evaluate(self, grid) -> TimeSeries:
+        """x and its first two derivatives on a grid."""
+        grid = as_grid(grid)
+        arg = self.frequency * grid - self.phase
         a, f = self.amplitude, self.frequency
-        return SolutionSample(
-            t=t,
-            y=a * math.cos(arg),
-            dy=-a * f * math.sin(arg),
-            d2y=-a * f * f * math.cos(arg),
-        )
+        return TimeSeries(grid=grid, y=a * np.cos(arg), dy=-a * f * np.sin(arg),
+                          d2y=-a * f * f * np.cos(arg))
 
 
 @dataclass(frozen=True)
@@ -132,11 +129,6 @@ def _wrap_phase(phase: float) -> float:
     if wrapped <= -math.pi:
         wrapped += 2.0 * math.pi
     return wrapped
-
-
-def stiffness(params: DampedParams, t: float) -> float:
-    """Instantaneous stiffness k0 + k cos(omega t)."""
-    return params.k0 + params.k * math.cos(params.omega * float(t))
 
 
 def _driven_response(m: float, eta: float, k0: float,
@@ -208,40 +200,30 @@ def induced_field_model(fp: FluxParams) -> InducedFieldModel:
     )
 
 
-def induced_field(fp: FluxParams, t: float) -> tuple[float, InducedFieldModel]:
-    """Model field value at t together with the model parameters."""
+def induced_field(fp: FluxParams, grid) -> np.ndarray:
+    """The model field (see induced_field_model) on a grid."""
     model = induced_field_model(fp)
-    b = fp.base
-    t = float(t)
-    value = (
-        model.prefactor
-        * (1.0 - model.epsilon * math.cos(b.omega * t - model.phi))
-        * math.sin(fp.Omega * t - model.alpha)
-    )
-    return value, model
+    grid = as_grid(grid)
+    return (model.prefactor
+            * (1.0 - model.epsilon * np.cos(fp.base.omega * grid - model.phi))
+            * np.sin(fp.Omega * grid - model.alpha))
 
 
-def symmetric_case_solution(fp: FluxParams, y_at_0: float) -> Callable[[float], SolutionSample]:
+def symmetric_case_solution(fp: FluxParams, y_at_0: float, grid) -> TimeSeries:
     """Exact first-order-balance solution y(t) = y(0) + B J0 sin(Omega t)/(2 c eta Omega).
 
-    Valid when the even-displacement symmetry reduces the dynamics to
+    Sampled on a grid, with its first two derivatives.  Valid when the
+    even-displacement symmetry reduces the dynamics to
     eta y' = (B J0 / 2c) cos(Omega t); requires damping.
     """
     b = fp.base
     if b.eta == 0:
         raise InvalidParameterError("symmetric-case solution requires nonzero damping")
     scale = fp.drive_amplitude / (2.0 * b.eta)
-
-    def solution(t: float) -> SolutionSample:
-        t = float(t)
-        return SolutionSample(
-            t=t,
-            y=y_at_0 + scale * math.sin(fp.Omega * t) / fp.Omega,
-            dy=scale * math.cos(fp.Omega * t),
-            d2y=-scale * fp.Omega * math.sin(fp.Omega * t),
-        )
-
-    return solution
+    grid = as_grid(grid)
+    sin, cos = np.sin(fp.Omega * grid), np.cos(fp.Omega * grid)
+    return TimeSeries(grid=grid, y=y_at_0 + scale * sin / fp.Omega, dy=scale * cos,
+                      d2y=-scale * fp.Omega * sin)
 
 
 def full_ode(fp: FluxParams) -> LinearODE:

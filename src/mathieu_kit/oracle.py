@@ -92,12 +92,6 @@ class LinearODE:
     q: Coefficient | None
     f: Coefficient | None = None
 
-    def coefficients_at(self, t: float) -> tuple[complex, complex, complex]:
-        pv = complex(self.p(t)) if self.p is not None else 0.0 + 0.0j
-        qv = complex(self.q(t)) if self.q is not None else 0.0 + 0.0j
-        fv = complex(self.f(t)) if self.f is not None else 0.0 + 0.0j
-        return pv, qv, fv
-
     def coefficients_on(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """p, q and f sampled on a grid as complex arrays (zeros for None)."""
         return _sample(self.p, grid), _sample(self.q, grid), _sample(self.f, grid)

@@ -104,18 +104,6 @@ class ReductionResult:
             return (2.0 * z + math.pi / 2.0) / lam
         return self.time_scale * z
 
-    def to_reduced_time(self, t):
-        """Inverse map: source variable -> reduced variable (principal branch)."""
-        t = np.asarray(t, dtype=float)
-        if self.variable_map == MAP_COS:
-            return np.arccos(t)
-        if self.variable_map == MAP_COS_SQ:
-            return np.arccos(np.sqrt(t))
-        if self.variable_map == MAP_LINEAR:
-            lam = 2.0 / self.time_scale
-            return (lam * t - math.pi / 2.0) / 2.0
-        return t / self.time_scale
-
 
 def damped_to_general(params: DampedParams) -> ReductionResult:
     """Peel off exp(-eta t / 2m) and rescale time to tau = omega t / 2.

@@ -31,7 +31,6 @@ def test_parse_solve_example():
     job = parse(SOLVE_ARGS)
     assert isinstance(job, JobSpec)
     assert job.command == "solve"
-    assert job.output == "csv"
     assert job.out_path is None
     p = job.parameters
     assert p["m"] == 1.0 and p["eta"] == 0.0 and p["k0"] == 1.0
@@ -57,11 +56,33 @@ def test_parse_floquet_example():
     ["floquet", "--h", "1", "--theta", "0.5", "--trunc", "3"],
     ["nosuchcommand"],
     [],
+    # non-finite or oversized grids are refused before any array is built
+    SOLVE_ARGS + ["--t1", "inf"],
+    SOLVE_ARGS + ["--t0=-inf"],
+    SOLVE_ARGS + ["--dt", "nan"],
+    SOLVE_ARGS + ["--dt", "1e-300"],
+    SOLVE_ARGS + ["--dt", "1e-6"],
+    SOLVE_ARGS + ["--t0=-1e308", "--t1", "1e308", "--dt", "1"],
+    ["flux", "--m", "1", "--eta", "1", "--k0", "9", "--k", "0", "--omega", "1",
+     "--B", "1", "--J0", "1", "--Omega", "2", "--t1", "inf"],
+    ["integrate", "--h", "1", "--theta", "0", "--t1", "inf"],
+    ["residual", "--m", "1", "--eta", "0", "--k0", "1", "--k", "4", "--omega", "2",
+     "--n", "-1"],
+    ["residual", "--m", "1", "--eta", "0", "--k0", "1", "--k", "4", "--omega", "2",
+     "--n", "10000001"],
+    ["residual", "--m", "1", "--eta", "0", "--k0", "1", "--k", "4", "--omega", "2",
+     "--t1", "inf"],
 ])
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         parse(argv)
     assert exc.value.code == 2
+
+
+def test_grid_point_cap_is_inclusive():
+    # parse only: the 10^7-point grid itself is never built
+    job = parse(SOLVE_ARGS + ["--t1", "9.999999", "--dt", "1e-6"])
+    assert cli._point_count(job.parameters) == cli.MAX_GRID_POINTS
 
 
 def test_parser_is_built_once_and_each_job_parses_into_its_own_spec():

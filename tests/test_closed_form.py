@@ -19,7 +19,6 @@ from mathieu_kit.closed_form import (
     Variant,
     adjudicate,
     argument_scale,
-    bessel_argument,
     evaluate,
     evaluate_grid,
     fundamental_pair,
@@ -79,19 +78,23 @@ def test_is_admissible_negative_omega():
     assert is_admissible(p, Variant.CORRECTED) == -1
 
 
+def spec_argument(spec: ClosedFormSpec, grid) -> np.ndarray:
+    """z(t) = argument_scale * exp(exponent_rate * t) on a grid, as ClosedFormSpec defines it."""
+    return spec.argument_scale * np.exp(spec.exponent_rate * np.asarray(grid))
+
+
 def test_bessel_argument_pinned_values():
     lit = DampedParams(1.0, 0.0, 1.0, 1.0, 2.0)
-    assert bessel_argument(lit, Variant.LITERAL, 0.0) == pytest.approx(-1j)
-    assert bessel_argument(lit, Variant.CORRECTED, 0.0) == pytest.approx(-1j)
-    # the argument path closes after two modulation periods
     t = 0.7
     period = 4.0 * math.pi / lit.omega
-    z1 = bessel_argument(lit, Variant.CORRECTED, t)
-    z2 = bessel_argument(lit, Variant.CORRECTED, t + period)
-    assert z2 == pytest.approx(z1, rel=1e-12)
-    # and flips sign after one
-    z_half = bessel_argument(lit, Variant.CORRECTED, t + period / 2.0)
-    assert z_half == pytest.approx(-z1, rel=1e-12)
+    for variant in (Variant.LITERAL, Variant.CORRECTED):
+        z0, z1, z_half, z2 = spec_argument(general_solution(lit, variant),
+                                           [0.0, t, t + period / 2.0, t + period])
+        assert z0 == pytest.approx(-1j)
+        # the argument path closes after two modulation periods
+        assert z2 == pytest.approx(z1, rel=1e-12)
+        # and flips sign after one
+        assert z_half == pytest.approx(-z1, rel=1e-12)
 
 
 def test_damped_params_validation_and_ratios():
@@ -331,14 +334,14 @@ def test_undamped_inadmissible_preimage_is_tagged():
 def test_homogeneous_and_split_odes_are_consistent():
     p = DampedParams(1.0, 0.4, 2.0, 0.6, 1.8)
     hom = homogeneous_ode(p)
-    pv, qv, fv = hom.coefficients_at(0.9)
+    (pv,), (qv,), (fv,) = hom.coefficients_on(np.array([0.9]))
     assert pv == pytest.approx(p.eta / p.m)
     assert qv == pytest.approx((p.k0 + p.k * math.cos(p.omega * 0.9)) / p.m)
     assert fv == 0.0
     plus = split_ode(p)
     minus = split_ode(p, conjugate=True)
-    _, qp, _ = plus.coefficients_at(0.9)
-    _, qm, _ = minus.coefficients_at(0.9)
+    _, (qp,), _ = plus.coefficients_on(np.array([0.9]))
+    _, (qm,), _ = minus.coefficients_on(np.array([0.9]))
     # the two exponential halves average to the cosine stiffness
     assert 0.5 * (qp + qm) == pytest.approx(qv)
 
@@ -346,7 +349,8 @@ def test_homogeneous_and_split_odes_are_consistent():
 def test_argument_scale_matches_bessel_argument():
     p = DampedParams(1.0, 0.0, 2.0, 3.0, 1.5)
     for variant in (Variant.CORRECTED, Variant.LITERAL):
-        assert bessel_argument(p, variant, 0.0) == pytest.approx(argument_scale(p, variant))
+        spec = general_solution(p, variant, allow_inadmissible=True)
+        assert spec_argument(spec, [0.0])[0] == pytest.approx(argument_scale(p, variant))
 
 
 WINDING = DampedParams(m=1.0, eta=0.5, k0=16.0625, k=4.0, omega=2.0)  # index 4

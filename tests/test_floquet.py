@@ -17,7 +17,6 @@ from mathieu_kit.floquet import (
     coefficients,
     eval_floquet,
     eval_floquet_grid,
-    exponent_details,
     general_mathieu_ode,
     hill_determinant,
     second_solution,
@@ -53,8 +52,8 @@ def test_normal_form_of_exponent():
     assert characteristic_exponent(GeneralParams(4.0, 0.0)) == pytest.approx(0.0j)
     # Im mu is folded into [0, 2); the smaller representative is preferred
     assert characteristic_exponent(GeneralParams(2.25, 0.0)) == pytest.approx(0.5j)
-    normalized, working = exponent_details(GeneralParams(4.0, 0.0))
-    assert normalized == pytest.approx(0.0j)
+    working = solve(GeneralParams(4.0, 0.0)).mu
+    assert normalize_exponent(working) == pytest.approx(0.0j)
     assert working == pytest.approx(2.0j)
 
 
@@ -190,8 +189,7 @@ def test_complex_parameters_supported():
 
 def test_solution_accessor_and_truncation():
     sol = solve(GeneralParams(1.0, 0.5))
-    assert sol.coefficient(0) == 1.0 + 0.0j
-    assert sol.coefficient(1) == sol.coeffs[sol.truncation + 1]
+    assert sol.coeffs[sol.truncation] == 1.0 + 0.0j
     assert len(sol.coeffs) == 2 * sol.truncation + 1
     assert sol.truncation >= 5
 

@@ -36,7 +36,6 @@ from mathieu_kit.flux import (
     particular_k0,
     sideband_amplitudes,
     simulate_full,
-    stiffness,
     symmetric_case_solution,
 )
 from mathieu_kit.samples import TimeSeries
@@ -59,12 +58,13 @@ def synthetic_series(model: InducedFieldModel, Omega: float, omega: float,
 
 
 def test_stiffness_values():
-    p = DampedParams(1.0, 0.0, 4.0, 0.5, 2.0)
-    assert stiffness(p, 0.0) == pytest.approx(4.5)
-    assert stiffness(p, math.pi / p.omega) == pytest.approx(3.5)
-    p0 = DampedParams(1.0, 0.0, 4.0, 0.0, 2.0)
-    for t in (0.0, 0.7, 3.1):
-        assert stiffness(p0, t) == pytest.approx(4.0)
+    # with m = 1 the equation's q is the stiffness k0 + k cos(omega t)
+    fp = make_fp(m=1.0, eta=0.0, k0=4.0, k=0.5, omega=2.0)
+    _, q, _ = full_ode(fp).coefficients_on(np.array([0.0, math.pi / 2.0]))
+    assert q == pytest.approx([4.5, 3.5])
+    _, q0, _ = full_ode(make_fp(m=1.0, eta=0.0, k0=4.0, k=0.0, omega=2.0)).coefficients_on(
+        np.array([0.0, 0.7, 3.1]))
+    assert q0 == pytest.approx([4.0, 4.0, 4.0])
 
 
 def test_flux_params_validation_and_drive():
@@ -100,12 +100,9 @@ def test_particular_k0_solves_its_equation():
     fp = make_fp()
     resp = particular_k0(fp)
     b = fp.base
-    worst = 0.0
-    for t in np.linspace(0.0, 25.0, 301):
-        s = resp.evaluate(t)
-        force = fp.drive_amplitude * math.cos(fp.Omega * t)
-        r = b.m * s.d2y + b.eta * s.dy + b.k0 * s.y - force
-        worst = max(worst, abs(r))
+    s = resp.evaluate(np.linspace(0.0, 25.0, 301))
+    force = fp.drive_amplitude * np.cos(fp.Omega * s.grid)
+    worst = np.max(np.abs(b.m * s.d2y + b.eta * s.dy + b.k0 * s.y - force))
     assert worst < 1e-10 * max(1.0, fp.drive_amplitude)
 
 
@@ -123,15 +120,12 @@ def test_linearized_delta_solves_its_equation():
     upper, lower = linearized_delta(fp)
     assert upper.frequency == pytest.approx(fp.Omega + b.omega)
     assert lower.frequency == pytest.approx(fp.Omega - b.omega)
-    worst = 0.0
-    for t in np.linspace(0.0, 40.0, 401):
-        su = upper.evaluate(t)
-        sl = lower.evaluate(t)
-        s0 = y0.evaluate(t)
-        lhs = (b.m * (su.d2y + sl.d2y) + b.eta * (su.dy + sl.dy)
-               + b.k0 * (su.y + sl.y))
-        rhs = -b.k * math.cos(b.omega * t) * s0.y
-        worst = max(worst, abs(lhs - rhs))
+    grid = np.linspace(0.0, 40.0, 401)
+    su, sl, s0 = upper.evaluate(grid), lower.evaluate(grid), y0.evaluate(grid)
+    lhs = (b.m * (su.d2y + sl.d2y) + b.eta * (su.dy + sl.dy)
+           + b.k0 * (su.y + sl.y))
+    rhs = -b.k * np.cos(b.omega * grid) * s0.y
+    worst = np.max(np.abs(lhs - rhs))
     assert worst < 1e-10 * max(1.0, abs(y0.amplitude))
 
 
@@ -146,8 +140,8 @@ def test_linearized_delta_static_limit():
     fp = make_fp(eta=1e-4, k0=400.0, k=4.0, omega=1e-4, Omega=0.05)
     y0 = particular_k0(fp)
     upper, lower = linearized_delta(fp)
-    delta0 = upper.evaluate(0.0).y + lower.evaluate(0.0).y
-    assert delta0 == pytest.approx(-(4.0 / 400.0) * y0.evaluate(0.0).y, rel=1e-4)
+    delta0 = upper.evaluate([0.0]).y[0] + lower.evaluate([0.0]).y[0]
+    assert delta0 == pytest.approx(-(4.0 / 400.0) * y0.evaluate([0.0]).y[0], rel=1e-4)
 
 
 def test_induced_field_model_identities():
@@ -184,11 +178,11 @@ def test_induced_field_undamped_phases_vanish():
 def test_induced_field_pinned_example():
     fp = make_fp(m=1.0, eta=0.0, k0=1.0, k=0.0, omega=0.05,
                  B=1.0, J0=1.0, Omega=10.0, c_light=1.0)
-    for t in (0.0, 0.1, 0.33):
-        value, model = induced_field(fp, t)
-        assert value == pytest.approx(10.0 * math.sin(10.0 * t), abs=1e-12)
-        assert model.prefactor == pytest.approx(10.0)
-        assert model.epsilon == 0.0
+    grid = np.array([0.0, 0.1, 0.33])
+    assert induced_field(fp, grid) == pytest.approx(10.0 * np.sin(10.0 * grid), abs=1e-12)
+    model = induced_field_model(fp)
+    assert model.prefactor == pytest.approx(10.0)
+    assert model.epsilon == 0.0
 
 
 def test_induced_field_requires_restoring_constant():
@@ -211,26 +205,23 @@ def test_validity_flags():
 
 def test_symmetric_case_solution():
     fp = make_fp(eta=0.8, B=2.0, J0=1.5, Omega=1.1, c_light=2.0)
-    sol = symmetric_case_solution(fp, y_at_0=0.3)
-    s0 = sol(0.0)
-    assert s0.y == pytest.approx(0.3)
+    s = symmetric_case_solution(fp, y_at_0=0.3, grid=[0.0, 0.7, 2.2, 5.9])
+    assert s.y[0] == pytest.approx(0.3)
     drive_half = fp.B * fp.J0 / (2.0 * fp.c_light)
-    assert s0.dy == pytest.approx(drive_half / 0.8)
+    assert s.dy[0] == pytest.approx(drive_half / 0.8)
     # eta * y' = (B J0 / 2c) cos(Omega t) identically
-    for t in (0.0, 0.7, 2.2, 5.9):
-        s = sol(t)
-        assert 0.8 * s.dy == pytest.approx(drive_half * math.cos(fp.Omega * t), abs=1e-15)
-        expected = 0.3 + drive_half * math.sin(fp.Omega * t) / (0.8 * fp.Omega)
-        assert s.y == pytest.approx(expected, rel=1e-14)
+    assert 0.8 * s.dy == pytest.approx(drive_half * np.cos(fp.Omega * s.grid), abs=1e-15)
+    expected = 0.3 + drive_half * np.sin(fp.Omega * s.grid) / (0.8 * fp.Omega)
+    assert s.y == pytest.approx(expected, rel=1e-14)
     with pytest.raises(InvalidParameterError):
-        symmetric_case_solution(make_fp(eta=0.0), 0.0)
+        symmetric_case_solution(make_fp(eta=0.0), 0.0, [0.0])
 
 
 def test_full_ode_coefficients():
     fp = make_fp(m=2.0, eta=0.6, k0=5.0, k=0.3, omega=0.7, B=1.2, J0=0.8, c_light=2.0)
     ode = full_ode(fp)
     t = 1.7
-    pv, qv, fv = ode.coefficients_at(t)
+    (pv,), (qv,), (fv,) = ode.coefficients_on(np.array([t]))
     assert pv == pytest.approx(0.3)
     assert qv == pytest.approx((5.0 + 0.3 * math.cos(0.7 * t)) / 2.0)
     assert fv == pytest.approx(1.2 * 0.8 / (2.0 * 2.0) * math.cos(fp.Omega * t))
@@ -241,20 +232,18 @@ def test_simulate_full_converges_to_steady_state():
     resp = particular_k0(fp)
     t_tail = np.linspace(35.0, 38.0, 61)  # far past the decay time m/eta
     series = simulate_full(fp, (0.0, 38.0), 1e-10, t_eval=t_tail)
-    worst = max(abs(series.y[i] - resp.evaluate(t).y)
-                for i, t in enumerate(t_tail))
+    worst = np.max(np.abs(series.y - resp.evaluate(t_tail).y))
     assert worst < 1e-6 * resp.amplitude
 
 
 def test_simulate_full_invariant_orbit():
     fp = make_fp(eta=0.0, k0=9.0, k=0.0, Omega=2.0)
     resp = particular_k0(fp)
-    s0 = resp.evaluate(0.0)
     t_eval = np.linspace(0.0, 20.0, 201)
+    s = resp.evaluate(t_eval)
     series = simulate_full(fp, (0.0, 20.0), 1e-11, t_eval=t_eval,
-                           y0=s0.y, dy0=s0.dy)
-    worst = max(abs(series.y[i] - resp.evaluate(t).y)
-                for i, t in enumerate(t_eval))
+                           y0=s.y[0], dy0=s.dy[0])
+    worst = np.max(np.abs(series.y - s.y))
     assert worst < 1e-8 * max(resp.amplitude, 1e-300)
 
 

@@ -315,7 +315,7 @@ def test_integrate_agrees_with_scipy_dop853():
         t_eval = np.linspace(0.0, t1, 121)
 
         def fun(t, u, ode=ode):
-            pv, qv, fv = ode.coefficients_at(t)
+            (pv,), (qv,), (fv,) = ode.coefficients_on(np.array([t]))
             return [u[1], fv - pv * u[1] - qv * u[0]]
 
         ref = scipy_integrate.solve_ivp(fun, (0.0, t1), [complex(y0), complex(dy0)],

@@ -1,0 +1,52 @@
+"""The package's public surface: its exported names and the README's examples."""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+import pytest
+
+import mathieu_kit
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_EXAMPLES = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                             flags=re.MULTILINE | re.DOTALL)
+
+# a change to the public API shows up as a change to this list
+PUBLIC_NAMES = [
+    "ADMISSIBILITY_TOL", "AdjudicationReport", "AdmissibilityError", "BesselValue",
+    "ClosedFormSpec", "ConvergenceError", "DampedParams", "DegeneracyError",
+    "DegenerateParametersError", "FloquetSolution", "FluxParams", "GeneralParams",
+    "InducedFieldModel", "InvalidParameterError", "LinearODE", "MapDomainError",
+    "MappingError", "MathieuKitError", "ModulationResult", "MonodromyResult",
+    "RangeLimitError", "ReductionInput", "ReductionResult", "ResidualReport",
+    "ResonanceError", "SingularityError", "SinusoidalResponse", "SolutionSample",
+    "SpanError", "StiffnessError", "TimeSeries", "Variant",
+    "adjudicate", "argument_scale", "bessel_j", "bessel_y", "characteristic_exponent",
+    "class_distance", "classify_stability", "closed_form_motion", "coefficients",
+    "damped_to_general", "eval_floquet", "eval_floquet_grid", "evaluate", "evaluate_grid",
+    "field_from_motion", "full_ode", "fundamental_pair", "general_mathieu_ode",
+    "general_solution", "hill_determinant", "homogeneous_ode", "identify_frequencies",
+    "index", "induced_field", "induced_field_model", "integrate", "interior_grid",
+    "is_admissible", "linearized_delta", "mirror", "modulation_analysis",
+    "monodromy_exponent", "normalize_exponent", "particular_k0", "pullback", "reduce",
+    "residual", "second_solution", "sideband_amplitudes", "simulate_full", "solve",
+    "source_ode", "split_ode", "symmetric_case_solution", "undamped_general_solution",
+    "validate_tolerance", "wronskian_abel",
+]
+
+
+def test_public_names_are_pinned():
+    assert mathieu_kit.__all__ == PUBLIC_NAMES
+
+
+def test_readme_has_examples():
+    assert len(README_EXAMPLES) >= 4
+
+
+@pytest.mark.parametrize("index", range(len(README_EXAMPLES)))
+def test_readme_example_runs(index):
+    # each block on its own, as a reader would paste it
+    code = compile(README_EXAMPLES[index], f"README.md python block {index + 1}", "exec")
+    exec(code, {"__name__": f"readme_example_{index + 1}"})

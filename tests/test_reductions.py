@@ -30,17 +30,11 @@ DAMPED_EXAMPLE = DampedParams(m=1.3, eta=0.9, k0=2.0, k=0.7, omega=1.6)
 
 
 def relative_defect(ode: LinearODE, series) -> float:
-    biggest = 1.0
-    worst = 0.0
-    defects = []
-    for i, t in enumerate(series.grid):
-        pv, qv, fv = ode.coefficients_at(float(t))
-        defects.append(series.d2y[i] + pv * series.dy[i] + qv * series.y[i] - fv)
-        biggest = max(biggest, abs(series.d2y[i]), abs(pv * series.dy[i]),
-                      abs(qv * series.y[i]), abs(fv))
-    for d in defects:
-        worst = max(worst, abs(d))
-    return worst / biggest
+    pv, qv, fv = ode.coefficients_on(series.grid)
+    terms = (series.d2y, pv * series.dy, qv * series.y, fv)
+    defect = terms[0] + terms[1] + terms[2] - terms[3]
+    biggest = max(1.0, *(float(np.max(np.abs(v))) for v in terms))
+    return float(np.max(np.abs(defect))) / biggest
 
 
 def reduced_series(result: ReductionResult, n: int = 161):
@@ -161,6 +155,15 @@ def test_pullback_rejects_vanishing_map_derivative():
         pullback(result, series)
 
 
+# each map's inverse (source -> reduced variable, principal branch), read off its name
+INVERSE_MAPS = {
+    MAP_COS: lambda result, t: np.arccos(t),
+    MAP_COS_SQ: lambda result, t: np.arccos(np.sqrt(t)),
+    MAP_LINEAR: lambda result, t: (2.0 / result.time_scale * t - math.pi / 2.0) / 2.0,
+    MAP_RESCALE: lambda result, t: t / result.time_scale,
+}
+
+
 @given(z=st.floats(min_value=0.02, max_value=1.5),
        family=st.sampled_from(FAMILIES))
 def test_variable_map_round_trip(z, family):
@@ -172,7 +175,7 @@ def test_variable_map_round_trip(z, family):
         inp = ReductionInput(family=family, a=1.0, b=0.5)
     result = reduce(inp)
     t = result.to_source_time(z)
-    back = result.to_reduced_time(t)
+    back = INVERSE_MAPS[result.variable_map](result, t)
     assert abs(float(back) - z) < 1e-12
     forward = result.to_source_time(back)
     assert abs(float(forward) - float(t)) < 1e-12
@@ -198,7 +201,7 @@ def test_source_ode_forms():
     inp = ReductionInput(family="eq11", a=1.0, b=2.0)
     ode = source_ode(inp)
     t = 0.3
-    pv, qv, fv = ode.coefficients_at(t)
+    (pv,), (qv,), (fv,) = ode.coefficients_on(np.array([t]))
     assert pv == pytest.approx(-t / (1.0 - t * t))
     assert qv == pytest.approx((2.0 * 1.0 * t * t + 2.0) / (1.0 - t * t))
     assert fv == 0.0
@@ -206,14 +209,14 @@ def test_source_ode_forms():
     inp13 = ReductionInput(family="eq13", a=2.0, b=1.0)
     ode13 = source_ode(inp13)
     t = 0.3
-    pv, qv, _ = ode13.coefficients_at(t)
+    (pv,), (qv,), _ = ode13.coefficients_on(np.array([t]))
     denom = 2.0 * t * (t - 1.0)
     assert pv == pytest.approx((2.0 * t - 1.0) / denom)
     assert qv == pytest.approx((2.0 * t + 1.0) / denom)
     # y'' + (a sin(lam t) + b) y = 0
     inp15 = ReductionInput(family="eq15", a=3.0, b=2.0, lam=2.0)
     ode15 = source_ode(inp15)
-    pv, qv, _ = ode15.coefficients_at(0.4)
+    (pv,), (qv,), _ = ode15.coefficients_on(np.array([0.4]))
     assert pv == 0.0
     assert qv == pytest.approx(3.0 * math.sin(0.8) + 2.0)
 

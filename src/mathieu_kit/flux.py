@@ -9,11 +9,12 @@ ratio epsilon = k/k0.  This module carries the closed-form steady states, the
 induced-field model, the quadrature demodulation that measures the depth, and
 two independent solutions of the full equation from rest:
 
-- closed_form_motion, with no stepper: the sideband steady state (Hill's
-  method for a forced periodic system) plus the Floquet transient from
-  floquet.solve.  It checks its own residual on the grid and refuses (a typed
-  error) above RESIDUAL_BOUND, so its accuracy does not depend on a
-  tolerance; on the flux regime it meets the equation to about 1e-12;
+- closed_form_motion, with no stepper: the sideband steady state (floquet's
+  recurrence at the drive exponent, with the source on its centre row) plus
+  the Floquet transient from floquet.solve.  It checks its own residual on
+  the grid and refuses (a typed error) above RESIDUAL_BOUND, so its accuracy
+  does not depend on a tolerance; on the flux regime it meets the equation
+  to about 1e-12;
 - simulate_full, the verification oracle's DOPRI5 integration, kept as the
   reference the closed form is tested against.
 
@@ -46,6 +47,7 @@ from .errors import (
     SpanError,
 )
 from .oracle import LinearODE, integrate
+from .reductions import damped_to_general
 from .samples import TimeSeries, as_grid
 
 REGIME_RATIO = 0.02
@@ -245,70 +247,32 @@ def simulate_full(fp: FluxParams, span: tuple[float, float], tol: float,
     return integrate(full_ode(fp), y0, dy0, span, tol, t_eval=t_eval)
 
 
-def exponential_sum(coeffs: np.ndarray, rate: complex, step: complex,
-                    grid: np.ndarray) -> np.ndarray:
-    """Rows y, y', y'' of sum_{n=-N..N} c_n e^{(rate + n step) t} on a grid.
-
-    coeffs holds c_{-N..N}.  The sum is one Horner pass in x = e^{step t} over
-    a (3, points) accumulator, then one prefactor e^{(rate - N step) t}: no
-    (points x terms) matrix.  Overflow is left to the caller as inf or nan.
-    """
-    n = (len(coeffs) - 1) // 2
-    rates = rate + step * np.arange(-n, n + 1)
-    # one (3, 1) column per term, highest power first
-    cols = np.stack([coeffs, rates * coeffs, rates * rates * coeffs], axis=1)[::-1, :, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = np.exp(step * grid)
-        acc = np.repeat(cols[0], len(grid), axis=1)
-        for col in cols[1:]:
-            acc *= x
-            acc += col
-        acc *= np.exp((rate - n * step) * grid)
-    return acc
-
-
-def _sideband_diagonal(fp: FluxParams, n: int) -> complex:
-    b = fp.base
-    lam = fp.Omega + n * b.omega
-    return complex(b.k0 - b.m * lam * lam, b.eta * lam)
-
-
 def sideband_amplitudes(fp: FluxParams) -> np.ndarray:
     """Amplitudes a_{-N..N} of the steady state y_p = Re sum a_n e^{i(Omega + n omega) t}.
 
     Row n of Hill's system is D_n a_n + (k/2)(a_{n-1} + a_{n+1}) = F delta_{n0},
     with D_n = k0 - m (Omega + n omega)^2 + i eta (Omega + n omega) and F the
-    drive amplitude.  It is tridiagonal with its source on row 0, so two
-    backward continued fractions, r_n = a_n/a_{n-1} and s_n = a_{-n}/a_{-(n-1)},
-    give a_0 = F / (D_0 + (k/2)(r_1 + s_1)) with no dense solve.  The sweep
+    drive amplitude.  Off row 0 it is floquet's recurrence at the damped
+    reduction and the drive exponent mu_d = (eta/2m + i Omega) 2/omega, times
+    m omega^2/4, so floquet's sweep at mu_d gives r_n = a_n/a_{n-1} and
+    s_n = a_{-n}/a_{-(n-1)}, and a_0 = F / (D_0 + (k/2)(r_1 + s_1)).  The sweep
     depth doubles until |a_{+-N}| <= SIDEBAND_TAIL max|a|, and the returned
     array keeps only the sidebands above that tail.  A zero pivot is an exact
     resonance (with k = 0: D_0 = 0 at eta = 0) and raises ResonanceError.
     """
-    half_k = fp.base.k / 2.0
+    b = fp.base
+    red = damped_to_general(b)
+    mu_d = complex(red.prefactor_rate, fp.Omega) * red.time_scale
+    d0 = complex(b.k0 - b.m * fp.Omega * fp.Omega, b.eta * fp.Omega)
+    half_k = b.k / 2.0
     n_keep = 16 if half_k else 0
     while True:
-        r = s = 0j
-        rs, ss = [], []
-        for n in range(2 * n_keep, 0, -1):
-            up = _sideband_diagonal(fp, n) + half_k * r
-            down = _sideband_diagonal(fp, -n) + half_k * s
-            if up == 0 or down == 0:
-                raise ResonanceError(f"sideband {n if up == 0 else -n} is at an exact resonance")
-            r = -half_k / up
-            s = -half_k / down
-            rs.append(r)
-            ss.append(s)
-        pivot = _sideband_diagonal(fp, 0) + half_k * (r + s)
+        r, s = floquet._sweep(red.gp, mu_d, 2 * n_keep)
+        pivot = d0 + half_k * (r[0] + s[0]) if r else d0
         if pivot == 0:
             raise ResonanceError(
                 f"drive frequency {fp.Omega!r} is at an exact resonance: no bounded steady state")
-        rs.reverse()
-        ss.reverse()
-        a = np.empty(2 * n_keep + 1, dtype=complex)
-        a[n_keep] = fp.drive_amplitude / pivot
-        a[n_keep + 1:] = a[n_keep] * np.cumprod(rs[:n_keep])
-        a[:n_keep] = (a[n_keep] * np.cumprod(ss[:n_keep]))[::-1]
+        a = (fp.drive_amplitude / pivot) * floquet.centred_coefficients(r[:n_keep], s[:n_keep])
         mags = np.abs(a)
         if not np.all(np.isfinite(mags)):
             raise RangeLimitError("steady-state sideband amplitudes overflow")
@@ -328,9 +292,9 @@ def closed_form_motion(fp: FluxParams, start: float, grid) -> TimeSeries:
 
     y = y_p + y_h.  y_p is the sideband steady state (sideband_amplitudes);
     y_h = e^{-eta t/2m} (c1 u(omega t/2) + c2 u(-omega t/2)), where u is
-    floquet.solve's series at the damped reduction (h, theta) =
-    (4 (k0/m - eta^2/4m^2)/omega^2, -2k/(m omega^2)), and c1, c2 cancel y_p
-    and y_p' at start.  Each part is summed by Horner's rule in e^{i omega t}.
+    floquet.solve's series at reductions.damped_to_general's (h, theta), and
+    c1, c2 cancel y_p and y_p' at start.  Each part is summed by
+    floquet.exponential_sum in e^{i omega t}.
 
     The result checks itself: the defect y'' + (eta/m) y' + q y - f, relative
     to |y''| + |(eta/m) y'| + |q y| + |f| at each grid point, must stay within
@@ -338,22 +302,20 @@ def closed_form_motion(fp: FluxParams, start: float, grid) -> TimeSeries:
     RangeLimitError; a pair u(z), u(-z) too dependent to fit start to that
     bound raises SingularityError; an exact resonance raises ResonanceError.
     """
-    b = fp.base
     grid = as_grid(grid)
     here = np.array([float(start)])
-    step = 1j * b.omega
+    step = 1j * fp.base.omega
     a = sideband_amplitudes(fp)
-    motion = exponential_sum(a, 1j * fp.Omega, step, grid)
+    motion = floquet.exponential_sum(a, 1j * fp.Omega, step, grid)
     # y_h and y_h' at start: minus the steady state's
-    want = -exponential_sum(a, 1j * fp.Omega, step, here)[:2, 0].real
+    want = -floquet.exponential_sum(a, 1j * fp.Omega, step, here)[:2, 0].real
 
-    decay = b.eta / (2.0 * b.m)
-    sol = floquet.solve(floquet.GeneralParams(
-        h=4.0 * (b.k0 / b.m - decay * decay) / b.omega ** 2,
-        theta=-2.0 * b.k / (b.m * b.omega ** 2)))
-    rate = sol.mu * b.omega / 2.0
+    red = damped_to_general(fp.base)
+    decay = red.prefactor_rate
+    sol = floquet.solve(red.gp)
+    rate = sol.mu / red.time_scale
     pair = ((sol.coeffs, rate - decay), (sol.coeffs[::-1], -rate - decay))
-    (u, du), (v, dv) = (exponential_sum(c, r, step, here)[:2, 0] for c, r in pair)
+    (u, du), (v, dv) = (floquet.exponential_sum(c, r, step, here)[:2, 0] for c, r in pair)
     det = u * dv - du * v
     # the fitted c1, c2 carry a relative error of about 2.2e-16 size / |det|
     size = abs(u * dv) + abs(du * v)
@@ -372,7 +334,7 @@ def closed_form_motion(fp: FluxParams, start: float, grid) -> TimeSeries:
         if r.real < 0 and floor > 0 and bound < math.inf:
             end = np.searchsorted(grid, math.log(floor / bound) / r.real) if bound else 0
         with np.errstate(over="ignore", invalid="ignore"):
-            motion[:, :end] += c * exponential_sum(coeffs, r, step, grid[:end])
+            motion[:, :end] += c * floquet.exponential_sum(coeffs, r, step, grid[:end])
     y, dy, d2y = motion.real
     _check_motion(fp, grid, y, dy, d2y)
     return TimeSeries(grid=grid, y=y, dy=dy, d2y=d2y)
@@ -397,7 +359,7 @@ def motion_from_rest(fp: FluxParams, start: float, grid, tol: float) -> tuple[Ti
 
 def _bound(coeffs: np.ndarray, rate: complex, step: complex) -> float:
     """Largest of sum |c_n (rate + n step)^k|, k = 0, 1, 2: a bound on the rows of
-    exponential_sum at t = 0."""
+    floquet.exponential_sum at t = 0."""
     n = (len(coeffs) - 1) // 2
     mags = np.abs(rate + step * np.arange(-n, n + 1))
     weights = np.abs(coeffs)

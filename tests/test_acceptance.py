@@ -8,12 +8,10 @@ deterministic.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 import time
 
 import numpy as np
-import pytest
 
 from mathieu_kit.bessel import bessel_j, bessel_y
 from mathieu_kit.cli import main as cli_main

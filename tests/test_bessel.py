@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from mathieu_kit.bessel import MAX_ARGUMENT, MAX_ORDER, BesselValue, bessel_j, bessel_y

@@ -10,7 +10,6 @@ from mathieu_kit import floquet, oracle
 from mathieu_kit.errors import ConvergenceError, DegeneracyError, InvalidParameterError
 from mathieu_kit.exponent_class import class_distance, normalize_exponent
 from mathieu_kit.floquet import (
-    FloquetSolution,
     GeneralParams,
     characteristic_exponent,
     classify_stability,
@@ -70,15 +69,28 @@ def test_unmodulated_evaluation_is_pure_exponential():
                                      (1 + 0.5j, 1 - 0.2j)])
 def test_grid_evaluation_equals_the_per_point_sums(h, theta):
     sol = solve(GeneralParams(h, theta))
-    grid = np.linspace(0.0, 4.0 * math.pi, 201)
+    n = sol.truncation
+    grid = np.linspace(-2.0, 4.0 * math.pi, 201)
     series = eval_floquet_grid(sol, grid)
-    rates = sol.mu + 2.0j * np.arange(-sol.truncation, sol.truncation + 1)
+    rates = sol.mu + 2.0j * np.arange(-n, n + 1)
     for i, t in enumerate(grid.tolist()):
-        terms = sol.coeffs * np.exp(rates * t)
-        assert series.y[i] == np.sum(terms)
-        assert series.dy[i] == np.sum(rates * terms)
-        assert series.d2y[i] == np.sum(rates * rates * terms)
-    assert eval_floquet(sol, grid[5]) == series[5]
+        point = np.array([t])
+        x, x_inv = np.exp(2.0j * point), np.exp(-2.0j * point)
+        for got, c in zip((series.y, series.dy, series.d2y),
+                          (sol.coeffs, rates * sol.coeffs, rates * rates * sol.coeffs)):
+            # centred on c_0: Horner in x over c_1..c_N and in 1/x over
+            # c_-1..c_-N, then the prefactor e^{mu t}: bit for bit
+            up = down = 0.0
+            for term in c[:n:-1]:
+                up = (up + term) * x
+            for term in c[:n]:
+                down = (down + term) * x_inv
+            assert got[i] == ((up + down + c[n]) * np.exp(sol.mu * point))[0]
+            # and the per-point sum of the terms, to the rounding of the exponents
+            terms = c * np.exp(rates * t)
+            bound = 16 * 2.2e-16 * (abs(sol.mu * t) + 2 * n * abs(t) + 1) * np.sum(np.abs(terms))
+            assert abs(got[i] - np.sum(terms)) <= bound
+        assert eval_floquet(sol, t) == series[i]
 
 
 def test_continuity_in_small_modulation():
@@ -231,6 +243,9 @@ def test_exponent_far_off_the_chart_matches_a_tight_monodromy():
     sol = solve(gp)
     mono = monodromy_exponent(general_mathieu_ode(gp), math.pi, 1e-13)
     assert class_distance(sol.mu, mono.mu_raw) <= 1e-7
+    # and the series itself: the centred sum keeps it within 5e-8 of its equation
+    rep = residual(general_mathieu_ode(gp), eval_floquet_grid(sol, np.linspace(0.0, math.pi, 41)))
+    assert rep.linf <= 5e-8
 
 
 def test_solve_recovers_a_root_whose_smallest_diagonal_row_sits_next_to_a_pole():

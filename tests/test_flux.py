@@ -18,13 +18,9 @@ from mathieu_kit.errors import (
     SpanError,
 )
 from mathieu_kit.flux import (
-    LOWPASS_CARRIER_PERIODS,
-    REGIME_RATIO,
     FluxParams,
     InducedFieldModel,
-    ModulationResult,
     closed_form_motion,
-    exponential_sum,
     field_from_motion,
     full_ode,
     identify_frequencies,
@@ -397,6 +393,27 @@ def test_sidebands_reduce_to_the_first_order_responses(k):
     assert abs(a[n + 1]) > 0.1 * eps * abs(y0)
 
 
+@pytest.mark.parametrize("name", ["flux_demod-0.012", "flux_demod-0.016", "flux_demod-0.02",
+                                  "undamped-stable", "k0<0", "undamped-D1=0"])
+def test_sidebands_solve_hills_system_in_flux_units(name):
+    # row n: D_n a_n + (k/2)(a_{n-1} + a_{n+1}) = F delta_{n0}, checked on the
+    # interior rows, whose neighbours were both kept
+    fp = DIFFERENTIAL_JOBS[name][0]
+    b = fp.base
+    a = sideband_amplitudes(fp)
+    n_keep = (len(a) - 1) // 2
+    assert n_keep > 0
+    half_k, force = b.k / 2.0, fp.drive_amplitude
+    for n in range(-n_keep + 1, n_keep):
+        lam = fp.Omega + n * b.omega
+        i = n + n_keep
+        diag = complex(b.k0 - b.m * lam * lam, b.eta * lam) * a[i]
+        source = force if n == 0 else 0.0
+        row = diag + half_k * (a[i - 1] + a[i + 1]) - source
+        scale = abs(diag) + abs(half_k) * (abs(a[i - 1]) + abs(a[i + 1])) + abs(source)
+        assert abs(row) <= 64 * 2.2e-16 * scale, (n, abs(row) / scale)
+
+
 def test_unmodulated_steady_state_is_one_line():
     a = sideband_amplitudes(make_fp(k=0.0))
     assert len(a) == 1
@@ -415,7 +432,7 @@ def test_closed_form_motion_runs_no_stepper(monkeypatch):
 
 def test_series_outside_its_precision_is_refused():
     # reduces to (h, theta) = (1, 3000), where floquet.solve's series misses
-    # its own equation by about 1e-5 (its known large-theta limit)
+    # its own equation by about 5e-7 (its known large-theta limit)
     fp = make_fp(eta=0.2, k0=0.0125, k=-15.0, omega=0.1)
     with pytest.raises(ConvergenceError, match=r"misses its equation by .* \(bound 1e-09\)"):
         closed_form_motion(fp, 0.0, np.linspace(0.0, 20.0, 401))
@@ -463,23 +480,31 @@ def test_refused_jobs_are_integrated_by_the_stepper():
 
 
 def test_exponential_sum_is_horner_at_each_point():
+    # floquet.exponential_sum as this module calls it: on a Floquet series
+    # (step 2i) and on the sideband steady state (rate i Omega, step i omega)
     sol = floquet.solve(floquet.GeneralParams(3.0, 1.5))
-    n = sol.truncation
+    fp = DIFFERENTIAL_JOBS["flux_demod-0.016"][0]
+    cases = ((sol.coeffs, sol.mu, 2.0j),
+             (sideband_amplitudes(fp), 1j * fp.Omega, 1j * fp.base.omega))
     grid = np.linspace(-2.0, 7.0, 37)
-    rows = exponential_sum(sol.coeffs, sol.mu, 2.0j, grid)
-    rates = sol.mu + 2.0j * np.arange(-n, n + 1)
-    direct = floquet.eval_floquet_grid(sol, grid)
-    for i, t in enumerate(grid.tolist()):
-        point = np.array([t])
-        x = np.exp(2.0j * point)
-        for row, terms in enumerate((sol.coeffs, rates * sol.coeffs, rates * rates * sol.coeffs)):
-            # highest power first, then the prefactor e^{(mu - 2iN) t}: bit for bit
-            acc = terms[-1:]
-            for c in terms[-2::-1]:
-                acc = acc * x + c
-            acc = acc * np.exp((sol.mu - 2.0j * n) * point)
-            assert rows[row, i] == acc[0]
-            # and the same sum as the per-point one, to the rounding of the exponents
-            want = (direct.y, direct.dy, direct.d2y)[row][i]
-            scale = np.sum(np.abs(terms * np.exp(rates * t)))
-            assert abs(rows[row, i] - want) <= 16 * 2.2e-16 * (abs(sol.mu * t) + 2 * n * abs(t) + 1) * scale
+    for coeffs, rate, step in cases:
+        n = (len(coeffs) - 1) // 2
+        assert n > 0
+        rows = floquet.exponential_sum(coeffs, rate, step, grid)
+        rates = rate + step * np.arange(-n, n + 1)
+        for i, t in enumerate(grid.tolist()):
+            point = np.array([t])
+            x, x_inv = np.exp(step * point), np.exp(-step * point)
+            for row, c in enumerate((coeffs, rates * coeffs, rates * rates * coeffs)):
+                # centred on c_0: Horner in x over c_1..c_N and in 1/x over
+                # c_-1..c_-N, then the prefactor e^{rate t}: bit for bit
+                up = down = 0.0
+                for term in c[:n:-1]:
+                    up = (up + term) * x
+                for term in c[:n]:
+                    down = (down + term) * x_inv
+                assert rows[row, i] == ((up + down + c[n]) * np.exp(rate * point))[0]
+                # and the per-point sum of the terms, to the rounding of the exponents
+                terms = c * np.exp(rates * t)
+                bound = 16 * 2.2e-16 * (abs(rate * t) + n * abs(step * t) + 1) * np.sum(np.abs(terms))
+                assert abs(rows[row, i] - np.sum(terms)) <= bound

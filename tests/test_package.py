@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -9,7 +10,8 @@ import pytest
 
 import mathieu_kit
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 README_EXAMPLES = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
                              flags=re.MULTILINE | re.DOTALL)
 
@@ -50,3 +52,29 @@ def test_readme_example_runs(index):
     # each block on its own, as a reader would paste it
     code = compile(README_EXAMPLES[index], f"README.md python block {index + 1}", "exec")
     exec(code, {"__name__": f"readme_example_{index + 1}"})
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads, except lines marked # noqa: F401."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unread = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unread.append(f"{path.relative_to(ROOT)}:{alias.lineno}: {name}")
+    return unread
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # package __init__ modules import to re-export, so they are not scanned
+    paths = [path for folder in ("src", "tests", "scripts")
+             for path in sorted((ROOT / folder).rglob("*.py")) if path.name != "__init__.py"]
+    assert len(paths) > 20
+    assert [name for path in paths for name in _unread_imports(path)] == []

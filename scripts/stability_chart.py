@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from mathieu_kit.floquet import GeneralParams, classify_stability, solve
+from mathieu_kit.floquet import GeneralParams, characteristic_exponent, classify_stability
 
 GLYPH = {"stable": ".", "unstable": "#", "boundary": "o"}
 
@@ -37,10 +37,11 @@ def main(argv=None) -> int:
     for theta in theta_values[::-1]:
         cells = []
         for h in h_values:
-            sol = solve(GeneralParams(float(h), float(theta)))
-            label = classify_stability(sol.mu)
+            # the canonical exponent, as mathieu-kit sweep writes it
+            mu = characteristic_exponent(GeneralParams(float(h), float(theta)))
+            label = classify_stability(mu)
             cells.append(GLYPH[label])
-            rows.append([float(h), float(theta), sol.mu.real, sol.mu.imag, label])
+            rows.append([float(h), float(theta), mu.real, mu.imag, label])
         lines.append(f"theta={theta:+7.3f} |" + "".join(cells) + "|")
 
     print(f"h in [{args.h0}, {args.h1}] left to right; "

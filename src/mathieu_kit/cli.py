@@ -8,6 +8,11 @@ command are null.  Complex numbers are serialized as {"re": ..., "im": ...}.
 With --out the CSV goes to the named file and the sidecar next to it
 ('.json'); without it the CSV goes to stdout and the sidecar to stderr.
 
+parse() builds each job's typed inputs once.  Each runner returns its table as
+a header plus the columns it already holds, and one writer, _write_csv,
+streams every table row by row: numbers as '%.17g', labels as they are, CRLF
+line ends.
+
 Exit codes: 0 success, 1 numerical failure (artifacts are still emitted when
 they exist), 2 usage error.  MATHIEU_KIT_TOL overrides the oracle tolerance
 (validated against the oracle's accepted range).  flux solves its job in
@@ -18,16 +23,14 @@ form refuses and the oracle answers (validity_flags.motion says which).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -38,26 +41,22 @@ from . import floquet as fl
 from .errors import InvalidParameterError, MathieuKitError
 from .exponent_class import normalize_exponent
 from .oracle import TOL_MAX, TOL_MIN, integrate, residual, validate_tolerance
-from .samples import TimeSeries
 
 DEFAULT_TOL = 1e-10
-# the most points a job's time grid may hold (--t0/--t1/--dt, or residual's
-# --n): one float column of it takes 80 MB and a job holds several, so a larger
-# grid would exhaust memory before it produced an answer
+# the most points a job's grid may hold (--t0/--t1/--dt, residual's --n, or
+# sweep's nh x ntheta): one float column of it takes 80 MB and a job holds
+# several, so a larger grid would exhaust memory before it produced an answer
 MAX_GRID_POINTS = 10**7
-_FLOAT_FMT = "{:.17g}"
 
 
 @dataclass
 class JobSpec:
     command: str
     parameters: dict
+    # the typed parameters parse() checked; None for sweep, which has one per row
+    inputs: Union[cf.DampedParams, fx.FluxParams, fl.GeneralParams, rd.ReductionInput, None]
     out_path: Optional[str] = None
     tolerance: float = DEFAULT_TOL
-
-
-def _fmt(x: float) -> str:
-    return _FLOAT_FMT.format(float(x))
 
 
 def _jsonify(value):
@@ -68,10 +67,6 @@ def _jsonify(value):
     if isinstance(value, cf.Variant):
         return value.value
     return value
-
-
-def _damped(p: dict) -> cf.DampedParams:
-    return cf.DampedParams(m=p["m"], eta=p["eta"], k0=p["k0"], k=p["k"], omega=p["omega"])
 
 
 def _point_count(p: dict) -> float:
@@ -186,52 +181,61 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_job(parser: argparse.ArgumentParser, ns: argparse.Namespace) -> None:
-    """Module-level precondition checks promoted to usage errors."""
-    try:
-        if ns.command in ("solve", "residual", "flux"):
-            base = _damped(vars(ns))
-        if ns.command == "flux":
-            fx.FluxParams(base=base, B=ns.B, J0=ns.J0, Omega=ns.Omega, c_light=ns.c_light)
-        if ns.command == "transform":
-            damped_given = [ns.m, ns.eta, ns.k0, ns.k, ns.omega]
-            if ns.family == "damped":
-                if any(v is None for v in damped_given):
-                    parser.error("family 'damped' requires --m --eta --k0 --k --omega")
-                rd.ReductionInput(family=ns.family, params=_damped(vars(ns)))
-            else:
-                if any(v is not None for v in damped_given):
-                    parser.error("damped-oscillator flags apply only to family 'damped'")
-                rd.ReductionInput(family=ns.family, a=ns.a, b=ns.b, lam=ns.lam)
-        if ns.command in ("floquet", "integrate"):
-            fl.GeneralParams(h=ns.h, theta=ns.theta)
-        if ns.command in ("solve", "integrate", "flux"):
-            if not all(map(math.isfinite, (ns.t0, ns.t1, ns.dt))):
-                parser.error("--t0, --t1 and --dt must be finite")
-            if not (ns.t1 > ns.t0):
-                parser.error("--t1 must exceed --t0")
-            if not (ns.dt > 0):
-                parser.error("--dt must be positive")
-            if _point_count(vars(ns)) > MAX_GRID_POINTS:
-                parser.error(f"--t0 to --t1 in steps of --dt exceeds {MAX_GRID_POINTS:,} points")
-        if ns.command == "residual":
-            if not (math.isfinite(ns.t0) and math.isfinite(ns.t1)):
-                parser.error("--t0 and --t1 must be finite")
-            if not (1 <= ns.n <= MAX_GRID_POINTS):
-                parser.error(f"--n must be between 1 and {MAX_GRID_POINTS:,}")
-        if ns.command == "sweep" and (ns.nh < 1 or ns.ntheta < 1):
-            parser.error("--nh and --ntheta must be at least 1")
-        if ns.command == "floquet" and ns.trunc < 5:
-            parser.error("--trunc must be at least 5")
-    except InvalidParameterError as exc:
-        parser.error(str(exc))
+def _typed_inputs(ns: argparse.Namespace):
+    """The job's typed parameters; raises InvalidParameterError for bad ones."""
+    if ns.command in ("floquet", "integrate"):
+        return fl.GeneralParams(h=ns.h, theta=ns.theta)
+    if ns.command == "sweep":
+        return None
+    if ns.command == "transform":
+        given = [v is not None for v in (ns.m, ns.eta, ns.k0, ns.k, ns.omega)]
+        if ns.family != "damped":
+            if any(given):
+                raise InvalidParameterError("damped-oscillator flags apply only to family 'damped'")
+            return rd.ReductionInput(family=ns.family, a=ns.a, b=ns.b, lam=ns.lam)
+        if not all(given):
+            raise InvalidParameterError("family 'damped' requires --m --eta --k0 --k --omega")
+    base = cf.DampedParams(m=ns.m, eta=ns.eta, k0=ns.k0, k=ns.k, omega=ns.omega)
+    if ns.command == "transform":
+        return rd.ReductionInput(family="damped", params=base)
+    if ns.command == "flux":
+        return fx.FluxParams(base=base, B=ns.B, J0=ns.J0, Omega=ns.Omega, c_light=ns.c_light)
+    return base
 
 
 def parse(argv: list[str]) -> JobSpec:
     """argv -> validated JobSpec; usage problems exit with code 2."""
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    _validate_job(parser, ns)
+    # module-level precondition checks promoted to usage errors
+    try:
+        inputs = _typed_inputs(ns)
+    except InvalidParameterError as exc:
+        parser.error(str(exc))
+    if ns.command in ("solve", "integrate", "flux"):
+        if not all(map(math.isfinite, (ns.t0, ns.t1, ns.dt))):
+            parser.error("--t0, --t1 and --dt must be finite")
+        if not (ns.t1 > ns.t0):
+            parser.error("--t1 must exceed --t0")
+        if not (ns.dt > 0):
+            parser.error("--dt must be positive")
+        if _point_count(vars(ns)) > MAX_GRID_POINTS:
+            parser.error(f"--t0 to --t1 in steps of --dt exceeds {MAX_GRID_POINTS:,} points")
+    if ns.command == "residual":
+        if not (math.isfinite(ns.t0) and math.isfinite(ns.t1)):
+            parser.error("--t0 and --t1 must be finite")
+        if not (1 <= ns.n <= MAX_GRID_POINTS):
+            parser.error(f"--n must be between 1 and {MAX_GRID_POINTS:,}")
+    if ns.command == "sweep":
+        ends = (ns.h0, ns.h1, ns.theta0, ns.theta1, ns.h1 - ns.h0, ns.theta1 - ns.theta0)
+        if not all(map(math.isfinite, ends)):
+            parser.error("--h0, --h1, --theta0, --theta1 and the spans between them must be finite")
+        if ns.nh < 1 or ns.ntheta < 1:
+            parser.error("--nh and --ntheta must be at least 1")
+        if ns.nh * ns.ntheta > MAX_GRID_POINTS:
+            parser.error(f"--nh x --ntheta exceeds {MAX_GRID_POINTS:,} points")
+    if ns.command in ("floquet", "sweep") and not (5 <= ns.trunc <= fl.MAX_TRUNCATION):
+        parser.error(f"--trunc must be between 5 and {fl.MAX_TRUNCATION}")
 
     tol_text = os.environ.get("MATHIEU_KIT_TOL")
     tol = DEFAULT_TOL
@@ -244,7 +248,8 @@ def parse(argv: list[str]) -> JobSpec:
             )
 
     params = {k: v for k, v in vars(ns).items() if k not in ("command", "out")}
-    return JobSpec(command=ns.command, parameters=params, out_path=ns.out, tolerance=tol)
+    return JobSpec(command=ns.command, parameters=params, inputs=inputs, out_path=ns.out,
+                   tolerance=tol)
 
 
 def _sidecar_base(job: JobSpec) -> dict:
@@ -261,25 +266,27 @@ def _sidecar_base(job: JobSpec) -> dict:
     }
 
 
-def _csv_text(header: list[str], rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+def _write_csv(fh, header: list[str], columns: list) -> None:
+    """Stream a table, given as its columns, to fh as CSV with CRLF line ends.
 
-
-def _series_rows(ts: TimeSeries):
+    Numbers print as '%.17g' (enough digits to round-trip), labels as they are:
+    none holds a comma, a quote or a line break, so no cell needs quoting.
+    """
+    arrays = [np.asarray(c) for c in columns]
+    row = ",".join("%s" if a.dtype.kind == "U" else "%.17g" for a in arrays) + "\r\n"
+    fh.write(",".join(header) + "\r\n")
     # Python floats format faster than numpy scalars, and print the same digits
-    columns = (ts.grid, ts.y.real, ts.y.imag, ts.dy.real, ts.dy.imag)
-    for row in zip(*(c.tolist() for c in columns)):
-        yield [_fmt(x) for x in row]
+    fh.writelines(row % cells for cells in zip(*(a.tolist() for a in arrays)))
+
+
+def _series_table(ts) -> tuple:
+    return (["t", "re_y", "im_y", "re_dy", "im_dy"],
+            [ts.grid, ts.y.real, ts.y.imag, ts.dy.real, ts.dy.imag])
 
 
 def _run_solve(job: JobSpec, sidecar: dict):
     p = job.parameters
-    params = _damped(p)
+    params = job.inputs
     spec = cf.general_solution(params, p["variant"], p["c1"], p["c2"],
                                allow_inadmissible=p["allow_inadmissible"])
     ts = cf.evaluate_grid(spec, params, _time_grid(p))
@@ -295,13 +302,12 @@ def _run_solve(job: JobSpec, sidecar: dict):
         },
     )
     code = 0 if rep.linf < 1e-8 else 1
-    return _csv_text(["t", "re_y", "im_y", "re_dy", "im_dy"], _series_rows(ts)), code
+    return _series_table(ts), code
 
 
 def _run_floquet(job: JobSpec, sidecar: dict):
-    p = job.parameters
-    gp = fl.GeneralParams(h=p["h"], theta=p["theta"])
-    sol = fl.solve(gp, p["trunc"])
+    gp = job.inputs
+    sol = fl.solve(gp, job.parameters["trunc"])
     grid = np.linspace(0.0, 4.0 * math.pi, 201)
     rep = residual(fl.general_mathieu_ode(gp), fl.eval_floquet_grid(sol, grid))
     sidecar.update(
@@ -314,15 +320,14 @@ def _run_floquet(job: JobSpec, sidecar: dict):
             "stability": fl.classify_stability(normalize_exponent(sol.mu)),
         },
     )
-    rows = ([str(n - sol.truncation), _fmt(c.real), _fmt(c.imag)]
-            for n, c in enumerate(sol.coeffs))
+    n = np.arange(-sol.truncation, sol.truncation + 1)
     code = 0 if rep.linf < 1e-8 else 1
-    return _csv_text(["n", "re_c", "im_c"], rows), code
+    return (["n", "re_c", "im_c"], [n, sol.coeffs.real, sol.coeffs.imag]), code
 
 
 def _run_residual(job: JobSpec, sidecar: dict):
     p = job.parameters
-    params = _damped(p)
+    params = job.inputs
     grid = np.linspace(p["t0"], p["t1"], p["n"])
     report = cf.adjudicate(params, grid, allow_inadmissible=p["allow_inadmissible"])
     sidecar.update(
@@ -346,34 +351,30 @@ def _run_residual(job: JobSpec, sidecar: dict):
 
 def _run_sweep(job: JobSpec, sidecar: dict):
     p = job.parameters
-    hs = np.linspace(p["h0"], p["h1"], p["nh"])
-    thetas = np.linspace(p["theta0"], p["theta1"], p["ntheta"])
-    rows = []
+    # h-major: every theta at the first h, then the next h
+    hs = np.repeat(np.linspace(p["h0"], p["h1"], p["nh"]), p["ntheta"])
+    thetas = np.tile(np.linspace(p["theta0"], p["theta1"], p["ntheta"]), p["nh"])
+    mus = np.full(len(hs), complex(math.nan, math.nan))
+    labels = ["failed"] * len(hs)
     failures = Counter()
-    for h in hs:
-        for th in thetas:
-            gp = fl.GeneralParams(h=float(h), theta=float(th))
-            try:
-                mu = fl.characteristic_exponent(gp, p["trunc"])
-                rows.append([_fmt(h), _fmt(th), _fmt(mu.real), _fmt(mu.imag),
-                             fl.classify_stability(mu)])
-            except MathieuKitError as exc:
-                failures[type(exc).__name__] += 1
-                rows.append([_fmt(h), _fmt(th), "nan", "nan", "failed"])
-    flags = {"grid_points": len(rows), "failures": sum(failures.values())}
+    for i, (h, th) in enumerate(zip(hs.tolist(), thetas.tolist())):
+        try:
+            mu = fl.characteristic_exponent(fl.GeneralParams(h=h, theta=th), p["trunc"])
+        except MathieuKitError as exc:
+            failures[type(exc).__name__] += 1
+            continue
+        mus[i], labels[i] = mu, fl.classify_stability(mu)
+    flags = {"grid_points": len(hs), "failures": sum(failures.values())}
     if failures:
         flags["failure_classes"] = dict(failures)
     sidecar.update(validity_flags=flags)
-    return _csv_text(["h", "theta", "re_mu", "im_mu", "stability"], rows), (1 if failures else 0)
+    table = (["h", "theta", "re_mu", "im_mu", "stability"],
+             [hs, thetas, mus.real, mus.imag, labels])
+    return table, (1 if failures else 0)
 
 
 def _run_transform(job: JobSpec, sidecar: dict):
-    p = job.parameters
-    if p["family"] == "damped":
-        inp = rd.ReductionInput(family="damped", params=_damped(p))
-    else:
-        inp = rd.ReductionInput(family=p["family"], a=p["a"], b=p["b"], lam=p["lam"])
-    res = rd.reduce(inp)
+    res = rd.reduce(job.inputs)
     sidecar.update(validity_flags={
         "h": _jsonify(res.gp.h),
         "theta": _jsonify(res.gp.theta),
@@ -381,17 +382,16 @@ def _run_transform(job: JobSpec, sidecar: dict):
         "time_scale": res.time_scale,
         "prefactor_rate": res.prefactor_rate,
     })
-    rows = [[_fmt(res.gp.h.real), _fmt(res.gp.h.imag),
-             _fmt(res.gp.theta.real), _fmt(res.gp.theta.imag),
-             res.variable_map, _fmt(res.time_scale), _fmt(res.prefactor_rate)]]
     header = ["re_h", "im_h", "re_theta", "im_theta", "variable_map", "time_scale", "prefactor_rate"]
-    return _csv_text(header, rows), 0
+    row = [res.gp.h.real, res.gp.h.imag, res.gp.theta.real, res.gp.theta.imag,
+           res.variable_map, res.time_scale, res.prefactor_rate]
+    return (header, [[cell] for cell in row]), 0
 
 
 def _run_flux(job: JobSpec, sidecar: dict):
     p = job.parameters
-    base = _damped(p)
-    fp = fx.FluxParams(base=base, B=p["B"], J0=p["J0"], Omega=p["Omega"], c_light=p["c_light"])
+    fp = job.inputs
+    base = fp.base
     grid = _time_grid(p)
     ts, motion = fx.motion_from_rest(fp, min(0.0, p["t0"]), grid, job.tolerance)
     field = fx.field_from_motion(fp, ts)
@@ -416,14 +416,12 @@ def _run_flux(job: JobSpec, sidecar: dict):
             flags.update(analysis_error=str(exc))
             code = 1
     sidecar.update(validity_flags=flags)
-    rows = ([_fmt(t), _fmt(y)] for t, y in zip(field.grid.tolist(), field.y.real.tolist()))
-    return _csv_text(["t", "field"], rows), code
+    return (["t", "field"], [field.grid, field.y.real]), code
 
 
 def _run_integrate(job: JobSpec, sidecar: dict):
     p = job.parameters
-    gp = fl.GeneralParams(h=p["h"], theta=p["theta"])
-    ode = fl.general_mathieu_ode(gp)
+    ode = fl.general_mathieu_ode(job.inputs)
     grid = _time_grid(p)
     # the grid's last point may round up past t1, so the span covers it
     ts = integrate(ode, p["y0"], p["dy0"], (p["t0"], max(p["t1"], float(grid[-1]))),
@@ -435,7 +433,7 @@ def _run_integrate(job: JobSpec, sidecar: dict):
         validity_flags={"steps": ts.meta.get("steps"),
                         "rhs_evaluations": ts.meta.get("rhs_evaluations")},
     )
-    return _csv_text(["t", "re_y", "im_y", "re_dy", "im_dy"], _series_rows(ts)), 0
+    return _series_table(ts), 0
 
 
 _RUNNERS = {
@@ -449,12 +447,12 @@ _RUNNERS = {
 }
 
 
-def _emit(job: JobSpec, csv_text: Optional[str], sidecar: dict) -> None:
+def _emit(job: JobSpec, table: Optional[tuple], sidecar: dict) -> None:
     sidecar_text = json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
     if job.out_path:
-        if csv_text is not None:
+        if table is not None:
             with open(job.out_path, "w", newline="") as fh:
-                fh.write(csv_text)
+                _write_csv(fh, *table)
             root, _ = os.path.splitext(job.out_path)
             sidecar_path = root + ".json"
         else:
@@ -464,8 +462,8 @@ def _emit(job: JobSpec, csv_text: Optional[str], sidecar: dict) -> None:
         with open(sidecar_path, "w") as fh:
             fh.write(sidecar_text)
     else:
-        if csv_text is not None:
-            sys.stdout.write(csv_text)
+        if table is not None:
+            _write_csv(sys.stdout, *table)
             sys.stderr.write(sidecar_text)
         else:
             sys.stdout.write(sidecar_text)
@@ -475,11 +473,11 @@ def execute(job: JobSpec) -> int:
     """Run a parsed job; returns the process exit code."""
     sidecar = _sidecar_base(job)
     try:
-        csv_text, code = _RUNNERS[job.command](job, sidecar)
+        table, code = _RUNNERS[job.command](job, sidecar)
     except MathieuKitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    _emit(job, csv_text, sidecar)
+    _emit(job, table, sidecar)
     return code
 
 

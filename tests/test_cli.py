@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import csv
+import importlib.util
+import io
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mathieu_kit import floquet
 from mathieu_kit import cli
-from mathieu_kit import flux, oracle
+from mathieu_kit import flux, oracle, reductions
 from mathieu_kit.cli import JobSpec, execute, main, parse
 from mathieu_kit.errors import ConvergenceError
 
@@ -20,6 +25,9 @@ SOLVE_ARGS = [
     "solve", "--m", "1", "--eta", "0", "--k0", "1", "--k", "1", "--omega", "2",
     "--variant", "corrected", "--t0", "0", "--t1", "10", "--dt", "0.01",
 ]
+
+SWEEP_ARGS = ["sweep", "--h0", "0", "--h1", "2", "--nh", "3",
+              "--theta0", "0", "--theta1", "1", "--ntheta", "2"]
 
 
 @pytest.fixture(autouse=True)
@@ -72,6 +80,14 @@ def test_parse_floquet_example():
      "--n", "10000001"],
     ["residual", "--m", "1", "--eta", "0", "--k0", "1", "--k", "4", "--omega", "2",
      "--t1", "inf"],
+    # sweep refuses what floquet refuses, and grids it cannot span or hold
+    SWEEP_ARGS + ["--trunc", "4"],
+    SWEEP_ARGS + ["--trunc", str(floquet.MAX_TRUNCATION + 1)],
+    ["floquet", "--h", "1", "--theta", "0.5", "--trunc", str(floquet.MAX_TRUNCATION + 1)],
+    SWEEP_ARGS + ["--h1", "inf"],
+    SWEEP_ARGS + ["--theta0", "nan"],
+    SWEEP_ARGS + ["--h0=-1e308", "--h1", "1e308"],
+    SWEEP_ARGS + ["--nh", "10001", "--ntheta", "1000"],
 ])
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
@@ -221,8 +237,7 @@ def test_residual_out_path(tmp_path):
 
 
 def test_sweep_csv(capsys):
-    code = main(["sweep", "--h0", "0", "--h1", "2", "--nh", "3",
-                 "--theta0", "0", "--theta1", "1", "--ntheta", "2"])
+    code = main(SWEEP_ARGS)
     captured = capsys.readouterr()
     assert code == 0
     lines = [ln for ln in captured.out.split("\r\n") if ln]
@@ -242,8 +257,7 @@ def test_sweep_failed_row_keeps_its_cause(monkeypatch, capsys):
         return solved(gp, trunc)
 
     monkeypatch.setattr(floquet, "characteristic_exponent", fails_at_one_point)
-    code = main(["sweep", "--h0", "0", "--h1", "2", "--nh", "3",
-                 "--theta0", "0", "--theta1", "1", "--ntheta", "2"])
+    code = main(SWEEP_ARGS)
     captured = capsys.readouterr()
     assert code == 1
     lines = [ln for ln in captured.out.split("\r\n") if ln]
@@ -254,6 +268,43 @@ def test_sweep_failed_row_keeps_its_cause(monkeypatch, capsys):
     assert sidecar["validity_flags"] == {
         "grid_points": 6, "failures": 1, "failure_classes": {"ConvergenceError": 1},
     }
+
+
+def test_stability_chart_script_writes_the_sweeps_exponents(tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "stability_chart.py"
+    spec = importlib.util.spec_from_file_location("stability_chart", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    # the script's default rectangle, 3 x 3: (8, 3) is a point whose working
+    # exponent differs from the canonical one
+    assert script.main(["--nh", "3", "--ntheta", "3", "--out", str(tmp_path / "chart.csv")]) == 0
+    assert main(["sweep", "--h0", "-1", "--h1", "8", "--nh", "3", "--theta0", "-3",
+                 "--theta1", "3", "--ntheta", "3", "--out", str(tmp_path / "sweep.csv")]) == 0
+
+    def exponents(name):
+        with open(tmp_path / name, newline="") as fh:
+            return {(float(r["h"]), float(r["theta"])): (float(r["re_mu"]), float(r["im_mu"]))
+                    for r in csv.DictReader(fh)}
+
+    chart = exponents("chart.csv")
+    assert len(chart) == 9 and chart == exponents("sweep.csv")
+
+
+def test_csv_writer_format_is_pinned():
+    buf = io.StringIO()
+    cli._write_csv(buf, ["n", "x", "y", "map"],
+                   [np.arange(-1, 2), np.array([-0.0, math.nan, math.inf]),
+                    np.array([1e-300, 0.1, -2.5]), [reductions.MAP_COS_SQ, "stable", "failed"]])
+    assert buf.getvalue().encode("utf-8") == (
+        b"n,x,y,map\r\n"
+        b"-1,-0,1e-300,t = cos\xc2\xb2z\r\n"
+        b"0,nan,0.10000000000000001,stable\r\n"
+        b"1,inf,-2.5,failed\r\n"
+    )
+    # the writer quotes nothing, so no label the program writes may need quoting
+    labels = [v for k, v in vars(reductions).items() if k.startswith("MAP_")]
+    labels += ["stable", "unstable", "boundary", "failed"]
+    assert not any(ch in label for label in labels for ch in ',"\r\n')
 
 
 def test_transform_csv(capsys):

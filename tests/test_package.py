@@ -4,16 +4,24 @@ from __future__ import annotations
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import mathieu_kit
+from mathieu_kit import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
-README_EXAMPLES = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
-                             flags=re.MULTILINE | re.DOTALL)
+README_TEXT = README.read_text(encoding="utf-8")
+README_EXAMPLES = re.findall(r"^```python\n(.*?)^```", README_TEXT, flags=re.MULTILINE | re.DOTALL)
+# the mathieu-kit lines of the README's sh blocks, continuation lines joined
+README_COMMANDS = [
+    shlex.split(line)[1:]
+    for block in re.findall(r"^```sh\n(.*?)^```", README_TEXT, flags=re.MULTILINE | re.DOTALL)
+    for line in block.replace("\\\n", " ").splitlines() if line.startswith("mathieu-kit ")
+]
 
 # a change to the public API shows up as a change to this list
 PUBLIC_NAMES = [
@@ -45,6 +53,7 @@ def test_public_names_are_pinned():
 
 def test_readme_has_examples():
     assert len(README_EXAMPLES) >= 4
+    assert len(README_COMMANDS) >= 7
 
 
 @pytest.mark.parametrize("index", range(len(README_EXAMPLES)))
@@ -52,6 +61,14 @@ def test_readme_example_runs(index):
     # each block on its own, as a reader would paste it
     code = compile(README_EXAMPLES[index], f"README.md python block {index + 1}", "exec")
     exec(code, {"__name__": f"readme_example_{index + 1}"})
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[argv[0] for argv in README_COMMANDS])
+def test_readme_cli_example_runs(argv, tmp_path, monkeypatch, capsys):
+    # --out paths land in tmp_path
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MATHIEU_KIT_TOL", raising=False)
+    assert cli.main(argv) == 0
 
 
 def _unread_imports(path: Path) -> list[str]:

@@ -6,7 +6,7 @@ the fixed key set {command, params, variant, nu, mu, residual_linf,
 residual_l2, passing_variant, validity_flags}; keys that do not apply to a
 command are null.  Complex numbers are serialized as {"re": ..., "im": ...}.
 With --out the CSV goes to the named file and the sidecar next to it
-('.json'); without it the CSV goes to stdout and the sidecar to stderr.
+('.json'), both UTF-8; without it the CSV goes to stdout and the sidecar to stderr.
 
 parse() builds each job's typed inputs once.  Each runner returns its table as
 a header plus the columns it already holds, and one writer, _write_csv,
@@ -120,7 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("floquet", help="characteristic exponent and series coefficients")
     p.add_argument("--h", type=_complex_flag, required=True)
     p.add_argument("--theta", type=_complex_flag, required=True)
-    p.add_argument("--trunc", type=int, default=fl.DEFAULT_TRUNCATION)
 
     p = sub.add_parser("residual", help="adjudicate both closed-form variants")
     damped_flags(p)
@@ -136,7 +135,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta0", type=float, required=True)
     p.add_argument("--theta1", type=float, required=True)
     p.add_argument("--ntheta", type=int, required=True)
-    p.add_argument("--trunc", type=int, default=fl.DEFAULT_TRUNCATION)
 
     p = sub.add_parser("transform", help="reduce a source family to Mathieu form")
     p.add_argument("--family", choices=list(rd.FAMILIES), required=True)
@@ -234,8 +232,6 @@ def parse(argv: list[str]) -> JobSpec:
             parser.error("--nh and --ntheta must be at least 1")
         if ns.nh * ns.ntheta > MAX_GRID_POINTS:
             parser.error(f"--nh x --ntheta exceeds {MAX_GRID_POINTS:,} points")
-    if ns.command in ("floquet", "sweep") and not (5 <= ns.trunc <= fl.MAX_TRUNCATION):
-        parser.error(f"--trunc must be between 5 and {fl.MAX_TRUNCATION}")
 
     tol_text = os.environ.get("MATHIEU_KIT_TOL")
     tol = DEFAULT_TOL
@@ -307,7 +303,7 @@ def _run_solve(job: JobSpec, sidecar: dict):
 
 def _run_floquet(job: JobSpec, sidecar: dict):
     gp = job.inputs
-    sol = fl.solve(gp, job.parameters["trunc"])
+    sol = fl.solve(gp)
     grid = np.linspace(0.0, 4.0 * math.pi, 201)
     rep = residual(fl.general_mathieu_ode(gp), fl.eval_floquet_grid(sol, grid))
     sidecar.update(
@@ -359,7 +355,7 @@ def _run_sweep(job: JobSpec, sidecar: dict):
     failures = Counter()
     for i, (h, th) in enumerate(zip(hs.tolist(), thetas.tolist())):
         try:
-            mu = fl.characteristic_exponent(fl.GeneralParams(h=h, theta=th), p["trunc"])
+            mu = fl.characteristic_exponent(fl.GeneralParams(h=h, theta=th))
         except MathieuKitError as exc:
             failures[type(exc).__name__] += 1
             continue
@@ -451,7 +447,7 @@ def _emit(job: JobSpec, table: Optional[tuple], sidecar: dict) -> None:
     sidecar_text = json.dumps(sidecar, sort_keys=True, indent=2) + "\n"
     if job.out_path:
         if table is not None:
-            with open(job.out_path, "w", newline="") as fh:
+            with open(job.out_path, "w", newline="", encoding="utf-8") as fh:
                 _write_csv(fh, *table)
             root, _ = os.path.splitext(job.out_path)
             sidecar_path = root + ".json"
@@ -459,7 +455,7 @@ def _emit(job: JobSpec, table: Optional[tuple], sidecar: dict) -> None:
             sidecar_path = job.out_path
             if not sidecar_path.endswith(".json"):
                 sidecar_path += ".json"
-        with open(sidecar_path, "w") as fh:
+        with open(sidecar_path, "w", encoding="utf-8") as fh:
             fh.write(sidecar_text)
     else:
         if table is not None:

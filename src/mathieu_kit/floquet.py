@@ -5,14 +5,17 @@ The exponent mu is seeded by Hill's closed formula, cosh(pi mu) =
 equation is integrated.  Coefficients of the series y = sum
 c_n e^{(mu+2in)t} come from backward continued fractions on both sides of
 n = 0, run together in one sweep on Python scalars, which satisfies every
-off-center row of the recurrence exactly; a secant polish of mu on the
-center-row defect makes the remaining row machine-small, and stops at the
-defect's rounding floor.  Each exponent tried is swept once.  The truncated
+off-center row of the recurrence exactly.  fourier_series decides where every
+series ends: the sweep starts at a depth that grows with sqrt|theta| and
+doubles until its last terms are negligible; then a secant polish of mu on
+the center-row defect runs once, at that depth, and stops at the defect's
+rounding floor (a seed already there is not polished); the series is cut
+where |c_n| falls below SERIES_TAIL of its peak.  flux's sideband series, the
+same recurrence at the drive exponent, ends by the same rule.  The truncated
 Hill determinant (rows scaled by smooth mu-independent weights so the
 infinite product converges) vanishes at the same mu and is kept as an
-independent check, as is the oracle's period map.  exponential_sum sums the
-series on a grid by Horner's rule centred on c_0; flux sums its sideband
-series, the same recurrence at the drive exponent, with it too.
+independent check, as is the oracle's period map.  exponential_sum sums
+every series on a grid by Horner's rule centred on c_0.
 
 The exponent stored on a FloquetSolution is the working one (the class member
 the coefficients are centered on); characteristic_exponent reports the
@@ -38,10 +41,11 @@ from .oracle import LinearODE
 from .oracle import monodromy_exponent  # noqa: F401  (not called; perfbench's trace wraps it here)
 from .samples import SolutionSample, TimeSeries, as_grid
 
-DEFAULT_TRUNCATION = 25
-MAX_TRUNCATION = 400
-TAIL_RATIO = 1e-12
-_CF_EXTRA = 25
+# a sweep is deep enough once its last terms are below CONVERGED_TAIL of the
+# peak; a series ends where |c_n| falls below SERIES_TAIL of it
+CONVERGED_TAIL = 1e-34
+SERIES_TAIL = 1e-19
+MAX_DEPTH = 4096
 _DEGENERACY_TOL = 1e-9
 
 
@@ -87,7 +91,7 @@ def _diagonal(gp: GeneralParams, mu: complex, n: int) -> complex:
     return gp.h + shifted * shifted
 
 
-def hill_determinant(gp: GeneralParams, mu: complex, trunc: int = DEFAULT_TRUNCATION) -> complex:
+def hill_determinant(gp: GeneralParams, mu: complex, trunc: int = 25) -> complex:
     """Truncated Hill determinant with rows scaled by w_n = 4n^2 + |h| + 1.
 
     The scaling is independent of mu, so roots are preserved while the
@@ -226,37 +230,37 @@ def _center_row(gp: GeneralParams, mu: complex, depth: int) -> tuple[complex, fl
     return d0 - th * (r[0] + s[0]), floor, r, s
 
 
-def _shift_order(gp: GeneralParams, mu: complex, trunc: int):
-    """Shifts n of mu + 2in in the order they are tried as the centre row.
+def _shift_order(gp: GeneralParams, mu: complex, window: int) -> list:
+    """Shifts n of mu + 2in, |n| <= window, in the order they are tried as the centre row.
 
-    The smallest diagonal comes first (ties prefer the positive shift so
-    theta=0 degeneracies resolve deterministically); the rest follow by
-    |diagonal| and are only sorted when asked for.
+    Listed 0, 1, -1, 2, -2, ... and stably sorted by |diagonal|, so ties keep
+    that order; the smallest diagonal comes first, a tie with it within 1e-14
+    relative going to the earlier shift (so theta = 0 degeneracies resolve
+    deterministically).
     """
-    best_n = 0
-    best = abs(_diagonal(gp, mu, 0))
-    for n in range(1, trunc + 1):
-        for cand in (n, -n):
-            val = abs(_diagonal(gp, mu, cand))
-            if val < best - 1e-14 * (1.0 + best):
-                best = val
-                best_n = cand
-    yield best_n
-    rest = (n for n in range(-trunc, trunc + 1) if n != best_n)
-    yield from sorted(rest, key=lambda n: abs(_diagonal(gp, mu, n)))
+    n = np.arange(1, window + 1)
+    shifts = np.zeros(2 * window + 1, dtype=int)
+    shifts[1::2], shifts[2::2] = n, -n
+    rows = mu + 2.0j * shifts
+    diag = np.abs(gp.h + rows * rows)
+    order = np.argsort(diag, kind="stable")
+    least = diag[order[0]]
+    first = np.argmax(diag <= least + 1e-14 * (1.0 + least))
+    return [int(shifts[first])] + shifts[order[order != first]].tolist()
 
 
-def _centre(gp: GeneralParams, mu: complex, trunc: int, depth: int) -> tuple[complex, tuple | None]:
+def _centre(gp: GeneralParams, mu: complex, depth: int) -> tuple[complex, tuple | None]:
     """mu moved onto the first row whose centre-row defect passes the gate.
 
     One row can fail with mu exact: when a neighbouring diagonal makes one
     continued fraction sit next to a pole, theta*(r_1 + s_1) cancels to a
     large defect (at (h, theta) = (200, 50) row +7 shows 54.5 where row -7
-    shows 1.7e-6).  Returns the working exponent and its _center_row
-    evaluation (None for theta = 0, where nothing is swept).
+    shows 1.7e-6).  The rows searched reach past n = -+sqrt(h)/2, where
+    h + (mu + 2in)^2 nearly vanishes.  Returns the working exponent and its
+    _center_row evaluation at depth (None for theta = 0, where nothing is swept).
     """
     first = None
-    for shift in _shift_order(gp, mu, trunc):
+    for shift in _shift_order(gp, mu, 40 + int(math.sqrt(abs(gp.h)) / 2)):
         mu_work = mu + 2.0j * shift
         if gp.theta == 0:
             return mu_work, None
@@ -280,63 +284,77 @@ def centred_coefficients(r: list, s: list) -> np.ndarray:
     return c
 
 
-def coefficients(gp: GeneralParams, mu: complex, trunc: int = DEFAULT_TRUNCATION) -> FloquetSolution:
+def _sweep_depth(gp: GeneralParams) -> int:
+    """The depth the first sweep at (h, theta) starts from."""
+    return 16 + math.ceil(math.sqrt(abs(gp.theta)))
+
+
+def fourier_series(gp: GeneralParams, mu: complex, ev: tuple | None = None,
+                   polish: bool = False) -> tuple[complex, np.ndarray]:
+    """Where a series of the recurrence at mu ends: mu and c_{-N..N}, c_0 = 1.
+
+    ev, when given, is _center_row(gp, mu, _sweep_depth(gp)).  The sweep
+    doubles its depth until the terms it reaches fall below CONVERGED_TAIL of
+    the peak, where cutting it no longer moves the ratios.  With polish, mu is
+    then moved once, at that depth, by a secant search on the centre-row
+    defect that stops at the defect's rounding floor, and is not started when
+    the defect is already there.  The series is cut where |c_n| falls below
+    SERIES_TAIL of its peak.  A non-finite series raises
+    DegenerateParametersError; one still above CONVERGED_TAIL past MAX_DEPTH
+    raises ConvergenceError.
+    """
+    ev = _center_row(gp, mu, _sweep_depth(gp)) if ev is None else ev
+    while True:
+        depth = len(ev[2])
+        c = centred_coefficients(ev[2], ev[3])
+        mags = np.abs(c)
+        if not np.all(np.isfinite(mags)):
+            raise DegenerateParametersError(
+                f"coefficient recursion degenerated for h={gp.h!r}, theta={gp.theta!r}, mu={mu!r}"
+            )
+        mags /= np.max(mags)
+        tail = max(mags[0], mags[-1])
+        if tail > CONVERGED_TAIL:
+            if depth >= MAX_DEPTH:
+                raise ConvergenceError(
+                    f"coefficient tail |c_N|/max = {tail:.3g} above {CONVERGED_TAIL:g} at N={depth}"
+                )
+            ev = _center_row(gp, mu, 2 * depth)
+        elif polish and abs(ev[0]) > ev[1]:
+            mu, ev = _secant(lambda m: _center_row(gp, m, depth), mu, ev, 5e-16)
+            polish = False
+        else:
+            big = np.flatnonzero(mags > SERIES_TAIL)
+            n = max(depth - big[0], big[-1] - depth)
+            return mu, c[depth - n:depth + n + 1]
+
+
+def coefficients(gp: GeneralParams, mu: complex) -> FloquetSolution:
     """Series coefficients around the class member of mu that admits c_0 = 1.
 
     Any representative of the exponent class may be passed; the working
     exponent is recentered (on the smallest-diagonal row whose center-row
-    defect passes the gate) and then polished on that defect by a secant
-    search that stops at its rounding floor, so all rows of the recurrence
-    hold to machine accuracy at the returned mu.  Each exponent tried costs
-    one two-sided sweep: the accepted row's is the secant's first evaluation,
-    and the secant's last gives the series.
+    defect passes the gate), then fourier_series deepens the sweep until it
+    has converged, polishes mu once at that depth and ends the series, so all
+    rows of the recurrence hold to machine accuracy at the returned mu.  Each
+    exponent tried costs one two-sided sweep at each depth.
     """
-    if trunc < 5:
-        raise InvalidParameterError("truncation must be at least 5")
     mu = complex(mu)
-    n_work = trunc
-    # the row whose diagonal h + (mu + 2in)^2 vanishes sits near n = +-sqrt(h)/2
-    window = max(trunc, 40) + int(abs(cmath.sqrt(gp.h)) / 2)
-    mu_work, ev = _centre(gp, mu, window, n_work + _CF_EXTRA)
-    while True:
-        depth = n_work + _CF_EXTRA
-        if gp.theta != 0:
-            if n_work > trunc:
-                ev = _center_row(gp, mu_work, depth)
-            polished = mu_work
-            if abs(ev[0]) > 0.0:
-                polished, ev = _secant(lambda m: _center_row(gp, m, depth), mu_work, ev, 5e-16)
-            if class_distance(polished, mu_work) > 1e-5 * max(1.0, abs(mu_work)):
-                raise InvalidParameterError(
-                    f"mu={mu!r} drifted to a different root during polishing"
-                )
-            r, s = ev[2][:n_work], ev[3][:n_work]
-        else:
-            # decoupled system: the exact exponent satisfies h + mu^2 = 0
-            target = 1j * cmath.sqrt(gp.h)
-            polished = target if abs(target - mu_work) <= abs(-target - mu_work) else -target
-            if abs(polished - mu_work) > 1e-6 * max(1.0, abs(mu_work)):
-                raise InvalidParameterError(
-                    f"mu={mu!r} does not solve the decoupled system for theta=0"
-                )
-            r = s = [0j] * n_work
-        c = centred_coefficients(r, s)
-        if not np.all(np.isfinite(c.view(float))):
-            raise DegenerateParametersError(
-                f"coefficient recursion degenerated for h={gp.h!r}, theta={gp.theta!r}, mu={polished!r}"
-            )
-        peak = float(np.max(np.abs(c)))
-        tail = max(abs(c[0]), abs(c[-1]))
-        if tail <= TAIL_RATIO * peak:
-            return FloquetSolution(mu=polished, coeffs=c, truncation=n_work)
-        if n_work >= MAX_TRUNCATION:
-            raise ConvergenceError(
-                f"coefficient tail |c_N|/max = {tail / peak:.3g} above {TAIL_RATIO:g} at N={n_work}"
-            )
-        n_work = min(2 * n_work, MAX_TRUNCATION)
+    mu_work, ev = _centre(gp, mu, _sweep_depth(gp))
+    if gp.theta == 0:
+        # decoupled system: the exact exponent satisfies h + mu^2 = 0
+        target = 1j * cmath.sqrt(gp.h)
+        polished = target if abs(target - mu_work) <= abs(-target - mu_work) else -target
+        if abs(polished - mu_work) > 1e-6 * max(1.0, abs(mu_work)):
+            raise InvalidParameterError(f"mu={mu!r} does not solve the decoupled system for theta=0")
+        return FloquetSolution(mu=polished, coeffs=np.ones(1, dtype=complex), truncation=0)
+    polished, c = fourier_series(gp, mu_work, ev, polish=True)
+    if class_distance(polished, mu_work) > 1e-5 * max(1.0, abs(mu_work)):
+        raise InvalidParameterError(f"mu={mu!r} drifted to a different root during polishing")
+    return FloquetSolution(mu=polished, coeffs=c, truncation=len(c) // 2)
 
 
-def solve(gp: GeneralParams, trunc: int = DEFAULT_TRUNCATION) -> FloquetSolution:
+def solve(gp: GeneralParams) -> FloquetSolution:
     """Exponent and coefficients together: Hill seed, then center-row polish.
 
     Hill's formula seeds the exponent without integrating the equation;
@@ -345,19 +363,17 @@ def solve(gp: GeneralParams, trunc: int = DEFAULT_TRUNCATION) -> FloquetSolution
     ConvergenceError.
 
     Supported range: at large |theta| with h below about 2|theta| the series
-    runs out of double-precision digits (Re mu is 24-34 at (1, 2000)-(1, 4000),
+    runs out of double-precision digits (Re mu is 24-48 at (1, 2000)-(1, 8000),
     so |y| spans tens of decades over one period), and no error says so.
     Measured on 41 points of [0, pi], the residual of the returned series is
-    2.1e-11 at (h, theta) = (1, 1000), 1.6e-8 at (1, 2000), 4.7e-7 at
-    (1, 3000) and 2.1e-5 at (1, 4000); (1, 8000) raises ConvergenceError.
-    Check a series in that region with
+    2.6e-11 at (h, theta) = (1, 1000), 4.3e-9 at (1, 2000), 1.6e-6 at
+    (1, 3000), 1.1e-5 at (1, 4000) and 1.3 at (1, 8000).  Check a series in
+    that region with
     oracle.residual(general_mathieu_ode(gp), eval_floquet_grid(sol, grid)).
     """
-    if trunc < 5:
-        raise InvalidParameterError("truncation must be at least 5")
     seed = _hill_seed(gp)
     try:
-        sol = coefficients(gp, seed, trunc)
+        sol = coefficients(gp, seed)
     except InvalidParameterError as exc:
         # the seed is this function's own, so a rejected seed is a failed solve
         raise ConvergenceError(f"Hill seed was not polished to a root: {exc}") from exc
@@ -369,9 +385,9 @@ def solve(gp: GeneralParams, trunc: int = DEFAULT_TRUNCATION) -> FloquetSolution
     return sol
 
 
-def characteristic_exponent(gp: GeneralParams, trunc: int = DEFAULT_TRUNCATION) -> complex:
+def characteristic_exponent(gp: GeneralParams) -> complex:
     """Canonical class representative of the Floquet exponent."""
-    return normalize_exponent(solve(gp, trunc).mu)
+    return normalize_exponent(solve(gp).mu)
 
 
 def exponential_sum(coeffs: np.ndarray, rate: complex, step: complex,

@@ -55,8 +55,6 @@ LOWPASS_CARRIER_PERIODS = 8
 # closed_form_motion refuses a motion whose residual, relative to the sum of
 # the magnitudes of the equation's terms at some grid point, exceeds this
 RESIDUAL_BOUND = 1e-9
-SIDEBAND_TAIL = 1e-17
-MAX_SIDEBANDS = 4096
 
 
 @dataclass(frozen=True)
@@ -255,36 +253,25 @@ def sideband_amplitudes(fp: FluxParams) -> np.ndarray:
     drive amplitude.  Off row 0 it is floquet's recurrence at the damped
     reduction and the drive exponent mu_d = (eta/2m + i Omega) 2/omega, times
     m omega^2/4, so floquet's sweep at mu_d gives r_n = a_n/a_{n-1} and
-    s_n = a_{-n}/a_{-(n-1)}, and a_0 = F / (D_0 + (k/2)(r_1 + s_1)).  The sweep
-    depth doubles until |a_{+-N}| <= SIDEBAND_TAIL max|a|, and the returned
-    array keeps only the sidebands above that tail.  A zero pivot is an exact
-    resonance (with k = 0: D_0 = 0 at eta = 0) and raises ResonanceError.
+    s_n = a_{-n}/a_{-(n-1)}, and a_0 = F / (D_0 + (k/2)(r_1 + s_1)).
+    floquet.fourier_series decides where the sum ends, as it does for every
+    Floquet series.  A zero pivot is an exact resonance (with k = 0: D_0 = 0
+    at eta = 0) and raises ResonanceError.
     """
     b = fp.base
     red = damped_to_general(b)
     mu_d = complex(red.prefactor_rate, fp.Omega) * red.time_scale
     d0 = complex(b.k0 - b.m * fp.Omega * fp.Omega, b.eta * fp.Omega)
-    half_k = b.k / 2.0
-    n_keep = 16 if half_k else 0
-    while True:
-        r, s = floquet._sweep(red.gp, mu_d, 2 * n_keep)
-        pivot = d0 + half_k * (r[0] + s[0]) if r else d0
-        if pivot == 0:
-            raise ResonanceError(
-                f"drive frequency {fp.Omega!r} is at an exact resonance: no bounded steady state")
-        a = (fp.drive_amplitude / pivot) * floquet.centred_coefficients(r[:n_keep], s[:n_keep])
-        mags = np.abs(a)
-        if not np.all(np.isfinite(mags)):
-            raise RangeLimitError("steady-state sideband amplitudes overflow")
-        big = np.nonzero(mags > SIDEBAND_TAIL * np.max(mags))[0]
-        keep = max(n_keep - big[0], big[-1] - n_keep) if len(big) else 0
-        if keep < n_keep or not half_k:
-            return a[n_keep - keep:n_keep + keep + 1]
-        if n_keep >= MAX_SIDEBANDS:
-            raise ConvergenceError(
-                f"sideband tail |a_N|/max = {max(mags[0], mags[-1]) / np.max(mags):.3g} "
-                f"above {SIDEBAND_TAIL:g} at N={n_keep}")
-        n_keep *= 2
+    _, c = floquet.fourier_series(red.gp, mu_d)
+    n = len(c) // 2
+    pivot = d0 + (b.k / 2.0) * complex(c[n + 1] + c[n - 1]) if n else d0
+    if pivot == 0:
+        raise ResonanceError(
+            f"drive frequency {fp.Omega!r} is at an exact resonance: no bounded steady state")
+    a = (fp.drive_amplitude / pivot) * c
+    if not np.all(np.isfinite(a.view(float))):
+        raise RangeLimitError("steady-state sideband amplitudes overflow")
+    return a
 
 
 def closed_form_motion(fp: FluxParams, start: float, grid) -> TimeSeries:
@@ -326,8 +313,8 @@ def closed_form_motion(fp: FluxParams, start: float, grid) -> TimeSeries:
     c1 = (want[0] * dv - want[1] * v) / det
     c2 = (u * want[1] - du * want[0]) / det
     # a decaying part is summed only while its bound |c| sum|c_n rate_n^k| e^{Re rate t}
-    # exceeds SIDEBAND_TAIL of the steady state's (the same cut as the sidebands')
-    floor = SIDEBAND_TAIL * _bound(a, 1j * fp.Omega, step)
+    # exceeds floquet.SERIES_TAIL of the steady state's (the same cut as the sidebands')
+    floor = floquet.SERIES_TAIL * _bound(a, 1j * fp.Omega, step)
     for c, (coeffs, r) in zip((c1, c2), pair):
         bound = abs(c) * _bound(coeffs, r, step)
         end = len(grid)

@@ -295,7 +295,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     fixtures = [
         ["solve", "--m", "1", "--eta", "0", "--k0", "1", "--k", "1", "--omega", "2",
          "--variant", "corrected", "--t0", "0", "--t1", "10", "--dt", "0.01"],
-        ["floquet", "--h", "1", "--theta", "0.5", "--trunc", "25"],
+        ["floquet", "--h", "1", "--theta", "0.5"],
         ["residual", "--m", "1", "--eta", "0", "--k0", "1", "--k", "4",
          "--omega", "2", "--t0", "0", "--t1", "10", "--n", "201"],
         ["sweep", "--h0", "-1", "--h1", "3", "--nh", "5",

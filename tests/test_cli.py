@@ -5,6 +5,9 @@ import importlib.util
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +51,9 @@ def test_parse_solve_example():
 
 
 def test_parse_floquet_example():
-    job = parse(["floquet", "--h", "1", "--theta", "0.5", "--trunc", "25"])
+    job = parse(["floquet", "--h", "1", "--theta", "0.5"])
     assert job.command == "floquet"
-    assert job.parameters["h"] == 1.0 + 0.0j
-    assert job.parameters["theta"] == 0.5 + 0.0j
-    assert job.parameters["trunc"] == 25
+    assert job.parameters == {"h": 1.0 + 0.0j, "theta": 0.5 + 0.0j}
 
 
 @pytest.mark.parametrize("argv", [
@@ -61,7 +62,8 @@ def test_parse_floquet_example():
     ["solve", "--m", "1", "--eta", "0", "--k0", "1", "--k", "1", "--omega", "2",
      "--t0", "1", "--t1", "0", "--dt", "0.1"],
     ["solve", "--badflag", "1"],
-    ["floquet", "--h", "1", "--theta", "0.5", "--trunc", "3"],
+    # the series ends where it has converged: there is no truncation flag
+    ["floquet", "--h", "1", "--theta", "0.5", "--trunc", "25"],
     ["nosuchcommand"],
     [],
     # non-finite or oversized grids are refused before any array is built
@@ -81,9 +83,9 @@ def test_parse_floquet_example():
     ["residual", "--m", "1", "--eta", "0", "--k0", "1", "--k", "4", "--omega", "2",
      "--t1", "inf"],
     # sweep refuses what floquet refuses, and grids it cannot span or hold
-    SWEEP_ARGS + ["--trunc", "4"],
-    SWEEP_ARGS + ["--trunc", str(floquet.MAX_TRUNCATION + 1)],
-    ["floquet", "--h", "1", "--theta", "0.5", "--trunc", str(floquet.MAX_TRUNCATION + 1)],
+    SWEEP_ARGS + ["--trunc", "25"],
+    SWEEP_ARGS + ["--nh", "0"],
+    ["floquet", "--h", "1", "--theta", "nan"],
     SWEEP_ARGS + ["--h1", "inf"],
     SWEEP_ARGS + ["--theta0", "nan"],
     SWEEP_ARGS + ["--h0=-1e308", "--h1", "1e308"],
@@ -106,9 +108,7 @@ def test_parser_is_built_once_and_each_job_parses_into_its_own_spec():
     assert cli._build_parser() is cli._build_parser()
     floquet_job = parse(["floquet", "--h", "2", "--theta", "0.25"])
     assert floquet_job.command == "floquet"
-    assert set(floquet_job.parameters) == {"h", "theta", "trunc"}
-    assert floquet_job.parameters["h"] == 2.0 + 0.0j
-    assert floquet_job.parameters["trunc"] == floquet.DEFAULT_TRUNCATION
+    assert floquet_job.parameters == {"h": 2.0 + 0.0j, "theta": 0.25 + 0.0j}
     # the earlier job is untouched and a repeat parse gives an equal spec
     assert solve.command == "solve" and solve.parameters["omega"] == 2.0
     assert parse(SOLVE_ARGS) == solve
@@ -251,10 +251,10 @@ def test_sweep_csv(capsys):
 def test_sweep_failed_row_keeps_its_cause(monkeypatch, capsys):
     solved = floquet.characteristic_exponent
 
-    def fails_at_one_point(gp, trunc):
+    def fails_at_one_point(gp):
         if gp.h == 1.0 and gp.theta == 0.0:
             raise ConvergenceError("no root")
-        return solved(gp, trunc)
+        return solved(gp)
 
     monkeypatch.setattr(floquet, "characteristic_exponent", fails_at_one_point)
     code = main(SWEEP_ARGS)
@@ -288,6 +288,20 @@ def test_stability_chart_script_writes_the_sweeps_exponents(tmp_path, capsys):
 
     chart = exponents("chart.csv")
     assert len(chart) == 9 and chart == exponents("sweep.csv")
+
+
+def test_out_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # transform's variable map is "t = cos²z"; stdout keeps the locale's encoding
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "mathieu_kit.cli", "transform", "--family", "eq13",
+         "--a", "1.5", "--b", "-0.5", "--out", str(out)],
+        env=env, capture_output=True, text=True, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "cos²z".encode("utf-8") in out.read_bytes()
+    assert json.loads((tmp_path / "x.json").read_text(encoding="utf-8"))["command"] == "transform"
 
 
 def test_csv_writer_format_is_pinned():

@@ -229,13 +229,39 @@ def test_solve_reports_an_overflowing_hill_formula_as_convergence_failure(theta)
         solve(GeneralParams(-1e6, theta))
 
 
-def test_coefficients_double_the_truncation_until_the_tail_is_small():
-    gp = GeneralParams(1.0, 5.0)
-    sol = solve(gp, trunc=5)
-    assert sol.truncation == 20
-    grid = np.linspace(0.0, math.pi, 41)
-    rep = residual(general_mathieu_ode(gp), eval_floquet_grid(sol, grid))
+@pytest.mark.parametrize("h, theta, polishes", [(3.0, 1.5, 1), (1.0, 5.0, 1), (200.0, 50.0, 1),
+                                                (1.0 + 0.3j, 0.4 - 0.1j, 1), (-50.0, 1000.0, 0)])
+def test_coefficients_polish_once_and_never_a_seed_at_its_floor(monkeypatch, h, theta, polishes):
+    # (1, 5) deepens its sweep before the polish; the Hill seed at (-50, 1000)
+    # has a defect of 5e-14, already below its rounding floor of 2e-12
+    started = []
+    secant = floquet._secant
+
+    def counting(f, x0, e0, *args):
+        started.append(abs(e0[0]) > e0[1])
+        return secant(f, x0, e0, *args)
+
+    monkeypatch.setattr(floquet, "_secant", counting)
+    gp = GeneralParams(h, theta)
+    sol = coefficients(gp, floquet._hill_seed(gp))
+    assert started == [True] * polishes
+    rep = residual(general_mathieu_ode(gp), eval_floquet_grid(sol, np.linspace(0.0, math.pi, 41)))
     assert rep.linf <= 1e-8
+
+
+@pytest.mark.parametrize("h, theta", [(1.0, 0.5), (10.0, 2.0), (200.0, 50.0), (1.0, 2000.0)])
+def test_series_ends_at_the_tail_constant(h, theta):
+    gp = GeneralParams(h, theta)
+    sol = coefficients(gp, floquet._hill_seed(gp))
+    n = sol.truncation
+    # the same recurrence swept far deeper at the returned exponent
+    _, _, r, s = floquet._center_row(gp, sol.mu, 4 * n + 50)
+    deep = np.abs(floquet.centred_coefficients(r, s))
+    kept = deep[len(r) - n:len(r) + n + 1]
+    peak = np.max(deep)
+    assert np.max(np.delete(deep, np.s_[len(r) - n:len(r) + n + 1])) <= floquet.SERIES_TAIL * peak
+    assert max(kept[0], kept[-1]) > floquet.SERIES_TAIL * peak
+    assert np.max(np.abs(np.abs(sol.coeffs) - kept)) <= 1e-12 * peak
 
 
 def test_exponent_far_off_the_chart_matches_a_tight_monodromy():
@@ -246,6 +272,13 @@ def test_exponent_far_off_the_chart_matches_a_tight_monodromy():
     # and the series itself: the centred sum keeps it within 5e-8 of its equation
     rep = residual(general_mathieu_ode(gp), eval_floquet_grid(sol, np.linspace(0.0, math.pi, 41)))
     assert rep.linf <= 5e-8
+
+
+@pytest.mark.parametrize("h, theta", [(-50.0, 1000.0), (10.0, 1000.0)])
+def test_exponent_at_large_theta_matches_a_tight_monodromy(h, theta):
+    gp = GeneralParams(h, theta)
+    mono = monodromy_exponent(general_mathieu_ode(gp), math.pi, 1e-13)
+    assert class_distance(solve(gp).mu, mono.mu_raw) <= 1e-9
 
 
 def test_solve_recovers_a_root_whose_smallest_diagonal_row_sits_next_to_a_pole():
@@ -277,10 +310,9 @@ def test_exponent_is_a_python_complex(h, theta):
     assert type(solve(GeneralParams(h, theta)).mu) is complex
 
 
-@pytest.mark.parametrize("h, theta, trunc", [(3.0, 1.5, 25), (1.0, 5.0, 5), (200.0, 50.0, 25),
-                                             (1.0 + 0.3j, 0.4 - 0.1j, 25)])
-def test_coefficients_sweep_each_exponent_once(monkeypatch, h, theta, trunc):
-    # (1, 5) doubles its truncation twice; (200, 50) rejects its first centre row
+@pytest.mark.parametrize("h, theta", [(3.0, 1.5), (1.0, 5.0), (200.0, 50.0), (1.0 + 0.3j, 0.4 - 0.1j)])
+def test_coefficients_sweep_each_exponent_once(monkeypatch, h, theta):
+    # (1, 5) deepens its sweep once; (200, 50) rejects its first centre row
     seen = []
     sweep = floquet._sweep
 
@@ -290,7 +322,7 @@ def test_coefficients_sweep_each_exponent_once(monkeypatch, h, theta, trunc):
 
     monkeypatch.setattr(floquet, "_sweep", recording)
     gp = GeneralParams(h, theta)
-    coefficients(gp, floquet._hill_seed(gp), trunc)
+    coefficients(gp, floquet._hill_seed(gp))
     assert seen and len(set(seen)) == len(seen)
 
 

@@ -6,7 +6,8 @@ the fixed key set {command, params, variant, nu, mu, residual_linf,
 residual_l2, passing_variant, validity_flags}; keys that do not apply to a
 command are null.  Complex numbers are serialized as {"re": ..., "im": ...}.
 With --out the CSV goes to the named file and the sidecar next to it
-('.json'), both UTF-8; without it the CSV goes to stdout and the sidecar to stderr.
+('.json'); without it the CSV goes to stdout and the sidecar to stderr.  The CSV
+is UTF-8 either way, whatever the locale.
 
 parse() builds each job's typed inputs once.  Each runner returns its table as
 a header plus the columns it already holds, and one writer, _write_csv,
@@ -23,6 +24,7 @@ form refuses and the oracle answers (validity_flags.motion says which).
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -40,7 +42,7 @@ from . import reductions as rd
 from . import floquet as fl
 from .errors import InvalidParameterError, MathieuKitError
 from .exponent_class import normalize_exponent
-from .oracle import TOL_MAX, TOL_MIN, integrate, residual, validate_tolerance
+from .oracle import PASS_TOL, TOL_MAX, TOL_MIN, integrate, residual, validate_tolerance
 
 DEFAULT_TOL = 1e-10
 # the most points a job's grid may hold (--t0/--t1/--dt, residual's --n, or
@@ -82,9 +84,12 @@ def _time_grid(p: dict) -> np.ndarray:
 
 def _complex_flag(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a complex literal: {text!r}") from None
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not finite: {text!r}")
+    return value
 
 
 @functools.cache
@@ -285,7 +290,7 @@ def _run_solve(job: JobSpec, sidecar: dict):
     params = job.inputs
     spec = cf.general_solution(params, p["variant"], p["c1"], p["c2"],
                                allow_inadmissible=p["allow_inadmissible"])
-    ts = cf.evaluate_grid(spec, params, _time_grid(p))
+    ts = cf.evaluate_grid(spec, _time_grid(p))
     rep = residual(cf.split_ode(params), ts)
     sidecar.update(
         variant=_jsonify(spec.variant),
@@ -297,7 +302,7 @@ def _run_solve(job: JobSpec, sidecar: dict):
             "admissible_nu": spec.admissible_nu,
         },
     )
-    code = 0 if rep.linf < 1e-8 else 1
+    code = 0 if rep.verdict else 1
     return _series_table(ts), code
 
 
@@ -317,7 +322,7 @@ def _run_floquet(job: JobSpec, sidecar: dict):
         },
     )
     n = np.arange(-sol.truncation, sol.truncation + 1)
-    code = 0 if rep.linf < 1e-8 else 1
+    code = 0 if rep.verdict else 1
     return (["n", "re_c", "im_c"], [n, sol.coeffs.real, sol.coeffs.imag]), code
 
 
@@ -336,9 +341,9 @@ def _run_residual(job: JobSpec, sidecar: dict):
             "corrected_l2": report.corrected.l2,
             "literal_linf": report.literal.linf,
             "literal_l2": report.literal.l2,
-            "corrected_passes": bool(report.corrected.verdict),
-            "literal_passes": bool(report.literal.verdict),
-            "tolerance": report.tol,
+            "corrected_passes": report.corrected.verdict,
+            "literal_passes": report.literal.verdict,
+            "tolerance": PASS_TOL,
         },
     )
     code = 0 if report.passing_variant is not None else 1
@@ -459,6 +464,8 @@ def _emit(job: JobSpec, table: Optional[tuple], sidecar: dict) -> None:
             fh.write(sidecar_text)
     else:
         if table is not None:
+            # a label can be non-ASCII ('t = cos²z'), so stdout is UTF-8 whatever the locale
+            sys.stdout.reconfigure(encoding="utf-8")
             _write_csv(sys.stdout, *table)
             sys.stderr.write(sidecar_text)
         else:

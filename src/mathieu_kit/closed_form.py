@@ -20,15 +20,15 @@ placements of the parameter ratios circulate:
                          two can be adjudicated side by side against the same
                          equation.  The token is a fixed interface string.
 
-Solutions only close at integer index (the two half-order branches collapse
-otherwise), hence the admissibility gate.  Evaluation follows the Bessel
-argument around its circular path in the complex plane, applying the
-analytic-continuation correction for the second kind when the path winds
-across the standard branch cut.
+The pair e^{-eta t/2m} J_{+-nu}(z(t)) solves the split equation at any index,
+but the Bessel core evaluates integer orders only, hence the admissibility
+gate.  Evaluation follows the Bessel argument around its circular path in the
+complex plane, applying the analytic-continuation correction for the second
+kind when the path winds across the standard branch cut.
 
-evaluate_grid(spec, params, grid) is the one evaluation body: it returns a
-TimeSeries that oracle.residual(ode, series) checks on its own grid, and
-evaluate() is its single-point wrapper.
+evaluate_grid(spec, grid) is the one evaluation body: it needs nothing but the
+spec, and returns a TimeSeries that oracle.residual(ode, series) checks on its
+own grid; evaluate() is its single-point wrapper.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .oracle import LinearODE, ResidualReport, residual
 from .samples import SolutionSample, TimeSeries, as_grid
 
 ADMISSIBILITY_TOL = 1e-9
-ADJUDICATION_TOL = 1e-8
 
 
 class Variant(str, Enum):
@@ -109,32 +108,39 @@ class DampedParams:
         return self.k / self.m
 
 
+def _integer_index(nu: complex) -> Optional[int]:
+    """The integer nearest nu when nu is within ADMISSIBILITY_TOL of it, else None."""
+    nearest = int(round(nu.real))
+    return nearest if abs(nu - nearest) <= ADMISSIBILITY_TOL else None
+
+
 @dataclass(frozen=True)
 class ClosedFormSpec:
-    """A fully determined closed-form solution, ready to evaluate.
+    """A fully determined closed-form solution, ready to evaluate on its own.
 
     The solution reads
 
-        y(t) = exp(-decay_rate * t) * [ c1 * J_nu(z(t)) + c2 * Y_nu(z(t)) ],
-        z(t) = argument_scale * exp(exponent_rate * t).
+        y(t) = exp(-decay_rate * t) * [ c1 * J_n(z(t)) + c2 * Y_n(z(t)) ],
+        z(t) = argument_scale * exp(exponent_rate * t),
 
-    ``admissible_nu`` is the integer order actually used by evaluation; None
-    marks a spec constructed with the admissibility gate overridden, in which
-    case the index is rounded and results are approximate by construction.
+    with n = order(), nu rounded.  ``admissible_nu`` is n when nu is within
+    ADMISSIBILITY_TOL of it; None marks the gate overridden, and results then
+    approximate by construction.  Both are worked out from nu, never stored.
     """
 
     variant: Variant
     nu: complex
-    admissible_nu: Optional[int]
     c1: complex
     c2: complex
     decay_rate: float
     argument_scale: complex
     exponent_rate: complex
 
+    @property
+    def admissible_nu(self) -> Optional[int]:
+        return _integer_index(self.nu)
+
     def order(self) -> int:
-        if self.admissible_nu is not None:
-            return self.admissible_nu
         return int(round(self.nu.real))
 
 
@@ -155,36 +161,29 @@ def argument_scale(params: DampedParams, variant=Variant.CORRECTED) -> complex:
 
 def is_admissible(params: DampedParams, variant=Variant.CORRECTED) -> Optional[int]:
     """Nearest integer index when nu is within ADMISSIBILITY_TOL of one, else None."""
-    nu = index(params, variant)
-    nearest = int(round(nu.real))
-    if abs(nu - nearest) <= ADMISSIBILITY_TOL:
-        return nearest
-    return None
-
-
-def _build_spec(params: DampedParams, variant: Variant, c1: complex, c2: complex,
-                allow_inadmissible: bool = False) -> ClosedFormSpec:
-    nu = index(params, variant)
-    adm = is_admissible(params, variant)
-    if adm is None and not allow_inadmissible:
-        raise AdmissibilityError(nu, int(round(nu.real)), ADMISSIBILITY_TOL)
-    return ClosedFormSpec(
-        variant=variant,
-        nu=nu,
-        admissible_nu=adm,
-        c1=complex(c1),
-        c2=complex(c2),
-        decay_rate=params.eta / (2.0 * params.m),
-        argument_scale=argument_scale(params, variant),
-        exponent_rate=0.5j * params.omega,
-    )
+    return _integer_index(index(params, variant))
 
 
 def general_solution(params: DampedParams, variant=Variant.CORRECTED,
                      c1: complex = 1.0, c2: complex = 0.0, *,
                      allow_inadmissible: bool = False) -> ClosedFormSpec:
-    """Single spec carrying both constants: c1 J + c2 Y under the decay prefactor."""
-    return _build_spec(params, _coerce_variant(variant), c1, c2, allow_inadmissible)
+    """One spec, c1 J + c2 Y under the decay prefactor; c1 and c2 must be finite."""
+    variant = _coerce_variant(variant)
+    c1, c2 = complex(c1), complex(c2)
+    if not (cmath.isfinite(c1) and cmath.isfinite(c2)):
+        raise InvalidParameterError(f"c1 and c2 must be finite, got {c1!r} and {c2!r}")
+    nu = index(params, variant)
+    if _integer_index(nu) is None and not allow_inadmissible:
+        raise AdmissibilityError(nu, int(round(nu.real)), ADMISSIBILITY_TOL)
+    return ClosedFormSpec(
+        variant=variant,
+        nu=nu,
+        c1=c1,
+        c2=c2,
+        decay_rate=params.eta / (2.0 * params.m),
+        argument_scale=argument_scale(params, variant),
+        exponent_rate=0.5j * params.omega,
+    )
 
 
 def fundamental_pair(params: DampedParams, variant=Variant.CORRECTED,
@@ -194,10 +193,8 @@ def fundamental_pair(params: DampedParams, variant=Variant.CORRECTED,
     The first member carries only the Y branch with weight c2, the second only
     the J branch with weight c1.  Inadmissible indices raise AdmissibilityError.
     """
-    variant = _coerce_variant(variant)
-    y_member = _build_spec(params, variant, 0.0, c2)
-    j_member = _build_spec(params, variant, c1, 0.0)
-    return (y_member, j_member)
+    return (general_solution(params, variant, 0.0, c2),
+            general_solution(params, variant, c1, 0.0))
 
 
 def mirror(spec: ClosedFormSpec) -> ClosedFormSpec:
@@ -208,8 +205,8 @@ def mirror(spec: ClosedFormSpec) -> ClosedFormSpec:
     J_{-n} = (-1)^n J_n contributes the parity sign to both constants.
     """
     if spec.admissible_nu is None:
-        raise AdmissibilityError(spec.nu, int(round(spec.nu.real)), ADMISSIBILITY_TOL)
-    sign = -1.0 if spec.admissible_nu % 2 else 1.0
+        raise AdmissibilityError(spec.nu, spec.order(), ADMISSIBILITY_TOL)
+    sign = -1.0 if spec.order() % 2 else 1.0
     return replace(
         spec,
         c1=sign * spec.c1,
@@ -219,20 +216,16 @@ def mirror(spec: ClosedFormSpec) -> ClosedFormSpec:
     )
 
 
-def evaluate_grid(spec: ClosedFormSpec, params: DampedParams, grid) -> TimeSeries:
+def evaluate_grid(spec: ClosedFormSpec, grid) -> TimeSeries:
     """The closed form with analytic derivatives on a strictly increasing grid.
 
-    Derivatives chain through z(t); the cylinder bracket's second derivative
-    comes from its own differential equation, and the second-kind branch is
-    continued across the log cut as the argument winds.  One J and one Y call
-    per grid (the bessel module's array path); the rest is array arithmetic.
+    The spec alone fixes it.  Derivatives chain through z(t); the cylinder
+    bracket's second derivative comes from its own differential equation, and
+    the second-kind branch is continued across the log cut as the argument
+    winds.  One J and one Y call per grid (bessel's array path); the rest is
+    array arithmetic.
     """
     grid = as_grid(grid)
-    expected_decay = params.eta / (2.0 * params.m)
-    if abs(spec.decay_rate - expected_decay) > 1e-12 * max(1.0, abs(expected_decay)):
-        raise InvalidParameterError(
-            f"spec decay rate {spec.decay_rate!r} does not match params ({expected_decay!r})"
-        )
     n = spec.order()
     r = spec.decay_rate
     pref = np.exp(-r * grid)
@@ -270,13 +263,9 @@ def evaluate_grid(spec: ClosedFormSpec, params: DampedParams, grid) -> TimeSerie
     )
 
 
-def evaluate(spec: ClosedFormSpec, params: DampedParams, t: float) -> SolutionSample:
+def evaluate(spec: ClosedFormSpec, t: float) -> SolutionSample:
     """The closed form and its first two derivatives at one time (see evaluate_grid)."""
-    return evaluate_grid(spec, params, [t])[0]
-
-
-# contract alias for the evaluation entry point
-eval = evaluate
+    return evaluate_grid(spec, [t])[0]
 
 
 def split_ode(params: DampedParams, conjugate: bool = False) -> LinearODE:
@@ -334,7 +323,6 @@ class AdjudicationReport:
     corrected: ResidualReport
     literal: ResidualReport
     passing_variant: Optional[str]
-    tol: float
 
 
 def adjudicate(params: DampedParams, grid=None, *,
@@ -342,8 +330,8 @@ def adjudicate(params: DampedParams, grid=None, *,
     """Evaluate both variants (c1 = c2 = 1) against the single-exponential equation.
 
     Both residuals are always computed and reported; passing_variant names the
-    smaller-residual variant among those below ADJUDICATION_TOL, or None if
-    neither qualifies.  No smallness is asserted here: this is a measurement.
+    smaller-residual variant among those whose verdict passes, or None if
+    neither does.  No smallness is asserted here: this is a measurement.
     """
     if grid is None:
         grid = np.linspace(0.0, 10.0, 501)
@@ -352,9 +340,8 @@ def adjudicate(params: DampedParams, grid=None, *,
     for variant in (Variant.CORRECTED, Variant.LITERAL):
         spec = general_solution(params, variant, 1.0, 1.0,
                                 allow_inadmissible=allow_inadmissible)
-        reports[variant] = residual(ode, evaluate_grid(spec, params, grid), tol=ADJUDICATION_TOL)
-    passing = [v for v in (Variant.CORRECTED, Variant.LITERAL)
-               if reports[v].linf < ADJUDICATION_TOL]
+        reports[variant] = residual(ode, evaluate_grid(spec, grid))
+    passing = [v for v in (Variant.CORRECTED, Variant.LITERAL) if reports[v].verdict]
     winner = None
     if passing:
         winner = min(passing, key=lambda v: reports[v].linf).value
@@ -362,5 +349,4 @@ def adjudicate(params: DampedParams, grid=None, *,
         corrected=reports[Variant.CORRECTED],
         literal=reports[Variant.LITERAL],
         passing_variant=winner,
-        tol=ADJUDICATION_TOL,
     )

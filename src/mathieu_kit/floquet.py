@@ -66,11 +66,15 @@ class GeneralParams:
 
 @dataclass(frozen=True)
 class FloquetSolution:
-    """Truncated series solution y(t) = sum c_n exp((mu + 2 i n) t), c_0 = 1."""
+    """Truncated series y(t) = sum c_n exp((mu + 2 i n) t), coeffs c_{-N..N}, c_0 = 1."""
 
     mu: complex
     coeffs: np.ndarray
-    truncation: int
+
+    @property
+    def truncation(self) -> int:
+        """N, fixed by the coefficients."""
+        return len(self.coeffs) // 2
 
 
 def general_mathieu_ode(gp: GeneralParams) -> LinearODE:
@@ -347,11 +351,11 @@ def coefficients(gp: GeneralParams, mu: complex) -> FloquetSolution:
         polished = target if abs(target - mu_work) <= abs(-target - mu_work) else -target
         if abs(polished - mu_work) > 1e-6 * max(1.0, abs(mu_work)):
             raise InvalidParameterError(f"mu={mu!r} does not solve the decoupled system for theta=0")
-        return FloquetSolution(mu=polished, coeffs=np.ones(1, dtype=complex), truncation=0)
+        return FloquetSolution(mu=polished, coeffs=np.ones(1, dtype=complex))
     polished, c = fourier_series(gp, mu_work, ev, polish=True)
     if class_distance(polished, mu_work) > 1e-5 * max(1.0, abs(mu_work)):
         raise InvalidParameterError(f"mu={mu!r} drifted to a different root during polishing")
-    return FloquetSolution(mu=polished, coeffs=c, truncation=len(c) // 2)
+    return FloquetSolution(mu=polished, coeffs=c)
 
 
 def solve(gp: GeneralParams) -> FloquetSolution:
@@ -380,8 +384,7 @@ def solve(gp: GeneralParams) -> FloquetSolution:
     # canonical orientation: a purely oscillatory exponent points upward
     # (reflection t -> -t maps solutions to solutions, so this is free)
     if abs(sol.mu.real) <= 1e-12 and sol.mu.imag < -1e-12:
-        sol = FloquetSolution(mu=-sol.mu, coeffs=sol.coeffs[::-1].copy(),
-                              truncation=sol.truncation)
+        sol = FloquetSolution(mu=-sol.mu, coeffs=sol.coeffs[::-1].copy())
     return sol
 
 
@@ -443,7 +446,7 @@ def second_solution(sol: FloquetSolution) -> FloquetSolution:
         raise DegeneracyError(
             f"i*mu = {1j * mu:.6g} is an integer: the reflected solution is not independent"
         )
-    return FloquetSolution(mu=-mu, coeffs=sol.coeffs[::-1].copy(), truncation=sol.truncation)
+    return FloquetSolution(mu=-mu, coeffs=sol.coeffs[::-1].copy())
 
 
 def classify_stability(mu: complex) -> str:
@@ -451,9 +454,12 @@ def classify_stability(mu: complex) -> str:
 
     Growing solutions (|Re mu| above 1e-8) are unstable; bounded solutions
     whose multiplier sits at +-1 (Im mu within 1e-8 of an integer) lie on a
-    tongue boundary; everything else is stable.
+    tongue boundary; everything else is stable.  A non-finite mu raises
+    InvalidParameterError.
     """
     mu = complex(mu)
+    if not cmath.isfinite(mu):
+        raise InvalidParameterError(f"mu must be finite, got {mu!r}")
     if abs(mu.real) > 1e-8:
         return "unstable"
     if abs(mu.imag - round(mu.imag)) <= 1e-8:

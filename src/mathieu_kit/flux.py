@@ -393,7 +393,6 @@ def field_from_motion(fp: FluxParams, series: TimeSeries) -> TimeSeries:
         y=scale * dy,
         dy=scale * d2y,
         d2y=scale * d3y,
-        meta={"signal": "induced-field", "convention": "E = -(B/c) dy/dt"},
     )
 
 

@@ -43,6 +43,8 @@ Coefficient = Callable[[float], float | complex]
 
 TOL_MIN = 1.0e-14
 TOL_MAX = 1.0e-3
+# a residual passes when its scaled defect linf is below this
+PASS_TOL = 1.0e-8
 
 _MAX_STEPS = 1_000_000
 
@@ -124,7 +126,7 @@ class ResidualReport:
     linf: float
     l2: float
     normalization: float
-    verdict: bool | None
+    verdict: bool  # linf < PASS_TOL
     pointwise: np.ndarray = field(repr=False, compare=False)
 
 
@@ -339,8 +341,7 @@ def integrate(
     ys, dys = samples.T
     pv, qv, fv = ode.coefficients_on(grid)
     d2ys = fv - pv * dys - qv * ys
-    meta = {"method": "dormand-prince-5(4)", "tolerance": tol, **stats}
-    return TimeSeries(grid=grid, y=ys, dy=dys, d2y=d2ys, meta=meta)
+    return TimeSeries(grid=grid, y=ys, dy=dys, d2y=d2ys, meta=stats)
 
 
 def monodromy_exponent(ode: LinearODE, period: float, tol: float) -> MonodromyResult:
@@ -388,7 +389,6 @@ def residual(
     ode: LinearODE,
     candidate: TimeSeries | Callable[[float], SolutionSample],
     grid: Sequence[float] | None = None,
-    tol: float | None = None,
 ) -> ResidualReport:
     """Pointwise defect of a candidate solution, scaled by the largest term.
 
@@ -396,8 +396,8 @@ def residual(
     t -> SolutionSample, sampled on grid first; either way one array
     expression gives the defect.  The normalization max(1, |y''|, |p y'|,
     |q y|, |f|) (each maximized over the grid) keeps the report meaningful
-    when the solution itself is huge or tiny; verdict stays None when no
-    tolerance is given.
+    when the solution itself is huge or tiny.  verdict is the one pass rule,
+    linf < PASS_TOL; a non-finite defect fails it.
     """
     series = isinstance(candidate, TimeSeries)
     if series and grid is not None:
@@ -415,8 +415,7 @@ def residual(
     biggest = max(1.0, *(float(np.max(np.abs(v))) for v in (d2y, p_dy, q_y, fv)))
     linf = float(np.max(np.abs(defect))) / biggest
     l2 = _rms(defect) / biggest
-    verdict = None if tol is None else bool(linf <= tol)
-    return ResidualReport(linf, l2, biggest, verdict, defect)
+    return ResidualReport(linf, l2, biggest, linf < PASS_TOL, defect)
 
 
 def wronskian_abel(p: Coefficient | None, w0: complex, grid: Sequence[float]) -> np.ndarray:

@@ -228,7 +228,6 @@ def pullback(result: ReductionResult, z_solution: TimeSeries) -> TimeSeries:
         y=np.ascontiguousarray(y[order]),
         dy=np.ascontiguousarray(yt[order]),
         d2y=np.ascontiguousarray(ytt[order]),
-        meta={"variable_map": result.variable_map},
     )
 
 

@@ -110,7 +110,7 @@ def test_criterion_02_closed_form_residual():
     for _ in range(50):
         params = random_admissible_params(rng)
         spec = general_solution(params, Variant.CORRECTED, c1=1.0, c2=1.0)
-        rep = residual(split_ode(params), evaluate_grid(spec, params, grid))
+        rep = residual(split_ode(params), evaluate_grid(spec, grid))
         worst = max(worst, rep.linf)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-8 and elapsed < 10.0
@@ -222,8 +222,8 @@ def test_criterion_07_abel_wronskian():
     for _ in range(20):
         params = random_admissible_params(rng)
         y_member, j_member = fundamental_pair(params, Variant.CORRECTED)
-        s1 = evaluate_grid(y_member, params, grid)
-        s2 = evaluate_grid(j_member, params, grid)
+        s1 = evaluate_grid(y_member, grid)
+        s2 = evaluate_grid(j_member, grid)
         w = s1.y * s2.dy - s1.dy * s2.y
         expected = w[0] * np.exp(-(params.eta / params.m) * grid)
         scale = max(1.0, float(np.max(np.abs(expected))))

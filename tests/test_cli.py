@@ -90,6 +90,11 @@ def test_parse_floquet_example():
     SWEEP_ARGS + ["--theta0", "nan"],
     SWEEP_ARGS + ["--h0=-1e308", "--h1", "1e308"],
     SWEEP_ARGS + ["--nh", "10001", "--ntheta", "1000"],
+    # complex flags are finite too
+    SOLVE_ARGS + ["--c1", "nan"],
+    SOLVE_ARGS + ["--c2", "inf"],
+    ["integrate", "--h", "1", "--theta", "0", "--y0", "nan"],
+    ["integrate", "--h", "1", "--theta", "0", "--dy0", "1+infj"],
 ])
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
@@ -226,6 +231,37 @@ def test_residual_job_failure_exit(capsys):
     assert doc["passing_variant"] is None
 
 
+@pytest.mark.parametrize("argv, passing", [
+    (["residual", "--m", "1", "--eta", "0", "--k0", "1", "--k", "4", "--omega", "2",
+      "--n", "201"], "corrected"),
+    (["residual", "--m", "1", "--eta", "0.3", "--k0", "0.8", "--k", "0.9", "--omega", "1.1",
+      "--t1", "5", "--n", "101", "--allow-inadmissible"], None),
+])
+def test_residual_passes_are_the_passing_variant(argv, passing, capsys):
+    code = main(argv)
+    doc = json.loads(capsys.readouterr().out)
+    flags = doc["validity_flags"]
+    assert doc["passing_variant"] == passing
+    assert flags["corrected_passes"] == (passing == "corrected")
+    assert flags["corrected_passes"] == (flags["corrected_linf"] < oracle.PASS_TOL)
+    assert flags["tolerance"] == oracle.PASS_TOL
+    assert code == (0 if passing else 1)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "--m", "1", "--eta", "0", "--k0", "1", "--k", "1", "--omega", "2",
+      "--t1", "1"], 0),
+    (["solve", "--m", "1", "--eta", "0", "--k0", "1", "--k", "4", "--omega", "2",
+      "--variant", "paper-literal", "--t1", "1"], 1),
+    (["floquet", "--h", "1", "--theta", "0.5"], 0),
+    (["floquet", "--h", "1", "--theta", "3000"], 1),
+])
+def test_solve_and_floquet_exit_on_the_residual_verdict(argv, code, tmp_path):
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == code
+    linf = json.loads((tmp_path / "x.json").read_text())["residual_linf"]
+    assert code == (0 if linf < oracle.PASS_TOL else 1)
+
+
 def test_residual_out_path(tmp_path):
     out = tmp_path / "report"
     code = main(["residual", "--m", "1", "--eta", "0", "--k0", "1", "--k", "1",
@@ -290,15 +326,27 @@ def test_stability_chart_script_writes_the_sweeps_exponents(tmp_path, capsys):
     assert len(chart) == 9 and chart == exponents("sweep.csv")
 
 
-def test_out_files_are_utf8_under_an_ascii_locale(tmp_path):
-    # transform's variable map is "t = cos²z"; stdout keeps the locale's encoding
+def _transform_under_an_ascii_locale(cwd, *extra):
+    # transform's variable map is "t = cos²z", which ASCII cannot encode
     env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
                PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    out = tmp_path / "x.csv"
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "mathieu_kit.cli", "transform", "--family", "eq13",
-         "--a", "1.5", "--b", "-0.5", "--out", str(out)],
-        env=env, capture_output=True, text=True, cwd=tmp_path)
+         "--a", "1.5", "--b", "-0.5", *extra],
+        env=env, capture_output=True, cwd=cwd)
+
+
+def test_stdout_csv_is_utf8_under_an_ascii_locale(tmp_path):
+    proc = _transform_under_an_ascii_locale(tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(b"re_h,im_h,")
+    assert "cos²z".encode("utf-8") in proc.stdout
+    assert json.loads(proc.stderr)["command"] == "transform"
+
+
+def test_out_files_are_utf8_under_an_ascii_locale(tmp_path):
+    out = tmp_path / "x.csv"
+    proc = _transform_under_an_ascii_locale(tmp_path, "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert "cos²z".encode("utf-8") in out.read_bytes()
     assert json.loads((tmp_path / "x.json").read_text(encoding="utf-8"))["command"] == "transform"

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mathieu_kit import closed_form
 from mathieu_kit.bessel import bessel_j
 from mathieu_kit.closed_form import (
     AdjudicationReport,
@@ -37,7 +36,7 @@ from mathieu_kit.errors import (
     SingularityError,
 )
 from mathieu_kit.floquet import GeneralParams, general_mathieu_ode
-from mathieu_kit.oracle import residual, wronskian_abel
+from mathieu_kit.oracle import PASS_TOL, residual, wronskian_abel
 
 
 def admissible_params(n_index: int, m: float, eta: float, k: float, omega: float,
@@ -125,7 +124,7 @@ def test_spec_structural_invariants():
 def test_evaluate_pinned_value_at_origin():
     p = DampedParams(1.0, 0.0, 1.0, 1.0, 2.0)
     spec = general_solution(p, Variant.LITERAL, c1=1.0, c2=0.0)
-    sample = evaluate(spec, p, 0.0)
+    sample = evaluate(spec, 0.0)
     expected = bessel_j(1, -1j).value
     assert sample.y == pytest.approx(expected, rel=1e-14)
 
@@ -153,7 +152,7 @@ def test_allow_inadmissible_is_tagged():
     spec = general_solution(p, Variant.LITERAL, allow_inadmissible=True)
     assert spec.admissible_nu is None
     assert spec.order() == 1
-    sample = evaluate(spec, p, 0.5)  # evaluable, approximate by construction
+    sample = evaluate(spec, 0.5)  # evaluable, approximate by construction
     assert np.isfinite(sample.y.real) and np.isfinite(sample.y.imag)
 
 
@@ -169,7 +168,7 @@ def test_corrected_variant_solves_split_equation(n, m, eta, k, omega):
     spec = general_solution(p, Variant.CORRECTED, c1=1.0, c2=1.0)
     ode = split_ode(p)
     grid = np.linspace(0.0, 10.0, 101)
-    rep = residual(ode, evaluate_grid(spec, p, grid), tol=1e-8)
+    rep = residual(ode, evaluate_grid(spec, grid))
     assert rep.verdict is True
     assert rep.linf < 1e-8
 
@@ -189,7 +188,7 @@ def test_adjudicate_reports_both_variants():
     assert np.isfinite(report.literal.linf)
     assert report.literal.linf > 1e-3  # measurably not a solution here
     assert report.passing_variant == "corrected"
-    assert report.tol == 1e-8
+    assert report.corrected.verdict and not report.literal.verdict
 
 
 def test_adjudicate_custom_grid_and_failure():
@@ -206,11 +205,10 @@ def test_prefactor_law():
     spec = general_solution(p, Variant.CORRECTED, c1=1.0, c2=2.0)
     # same bracket with the decay stripped: identical index/argument fields
     bare = replace(spec, decay_rate=0.0)
-    p_bare = DampedParams(m=p.m, eta=0.0, k0=p.k0, k=p.k, omega=p.omega)
     rate = p.eta / (2.0 * p.m)
     for t in (0.0, 0.9, 2.4, 5.5, 9.7):
-        full = evaluate(spec, p, t)
-        bracket = evaluate(bare, p_bare, t)
+        full = evaluate(spec, t)
+        bracket = evaluate(bare, t)
         assert abs(full.y) == pytest.approx(math.exp(-rate * t) * abs(bracket.y), rel=1e-13)
 
 
@@ -221,9 +219,9 @@ def test_linearity_in_constants():
     s_10 = general_solution(p, Variant.CORRECTED, c1=1.0, c2=0.0)
     s_01 = general_solution(p, Variant.CORRECTED, c1=0.0, c2=1.0)
     for t in (0.0, 1.3, 4.8, 8.9):
-        lhs = evaluate(s_ab, p, t)
-        y1 = evaluate(s_10, p, t)
-        y2 = evaluate(s_01, p, t)
+        lhs = evaluate(s_ab, t)
+        y1 = evaluate(s_10, t)
+        y2 = evaluate(s_01, t)
         scale = max(abs(lhs.y), 1e-30)
         assert abs(lhs.y - (a * y1.y + b * y2.y)) / scale < 1e-12
         scale_d = max(abs(lhs.dy), 1e-30)
@@ -236,8 +234,8 @@ def test_pair_wronskian_abel_decay():
     grid = np.linspace(0.0, 10.0, 41)
     w = np.empty(len(grid), dtype=complex)
     for i, t in enumerate(grid):
-        s1 = evaluate(y_member, p, t)
-        s2 = evaluate(j_member, p, t)
+        s1 = evaluate(y_member, t)
+        s2 = evaluate(j_member, t)
         w[i] = s1.y * s2.dy - s1.dy * s2.y
     assert abs(w[0]) > 1e-3  # linearly independent at the start
     expected = wronskian_abel(lambda t: p.eta / p.m, w[0], grid)
@@ -252,7 +250,7 @@ def test_mirror_solves_conjugate_equation():
     assert twin.argument_scale == -spec.argument_scale
     ode = split_ode(p, conjugate=True)
     grid = np.linspace(0.0, 10.0, 101)
-    rep = residual(ode, evaluate_grid(twin, p, grid), tol=1e-8)
+    rep = residual(ode, evaluate_grid(twin, grid))
     assert rep.verdict is True
 
 
@@ -267,6 +265,21 @@ def test_mirror_parity_sign():
     assert t_even.c1 == 2.0 and t_even.c2 == 3.0
 
 
+@pytest.mark.parametrize("shift, order, admissible",
+                         [(0.0, 2, 2), (1e-10, 2, 2), (1.0, 3, 3), (0.3, 2, None), (0.7, 3, None)])
+def test_admissible_nu_and_order_follow_nu(shift, order, admissible):
+    p = admissible_params(2, m=1.0, eta=0.8, k=1.6, omega=1.4)
+    moved = replace(general_solution(p, Variant.CORRECTED, c1=1.0, c2=1.0), nu=2.0 + shift)
+    assert (moved.order(), moved.admissible_nu) == (order, admissible)
+    if admissible is None:
+        with pytest.raises(AdmissibilityError):
+            mirror(moved)
+    else:
+        twin = mirror(moved)
+        assert (twin.order(), twin.admissible_nu) == (order, admissible)
+        assert twin.c1 == (-1) ** order * moved.c1
+
+
 def test_mirror_requires_admissible_spec():
     p = DampedParams(1.0, 0.0, 1.0, 1.69, 2.0)
     spec = general_solution(p, Variant.LITERAL, allow_inadmissible=True)
@@ -278,21 +291,17 @@ def test_zero_argument_scale_paths():
     # k = 0 collapses the argument to the origin for the corrected variant
     p = DampedParams(1.0, 0.0, 1.0, 0.0, 2.0)  # corrected index 1
     spec_j = general_solution(p, Variant.CORRECTED, c1=1.0, c2=0.0)
-    s = evaluate(spec_j, p, 0.7)
+    s = evaluate(spec_j, 0.7)
     assert s.y == 0.0 and s.dy == 0.0 and s.d2y == 0.0  # J_1(0) = 0
     spec_y = general_solution(p, Variant.CORRECTED, c1=0.0, c2=1.0)
     with pytest.raises(SingularityError):
-        evaluate(spec_y, p, 0.7)
+        evaluate(spec_y, 0.7)
     # order zero gives the constant solution of y'' = 0
     p0 = DampedParams(1.0, 0.0, 0.0, 0.0, 2.0)
     spec0 = general_solution(p0, Variant.CORRECTED, c1=2.5, c2=0.0)
-    s0 = evaluate(spec0, p0, 1.3)
+    s0 = evaluate(spec0, 1.3)
     assert s0.y == pytest.approx(2.5)
     assert s0.dy == 0.0 and s0.d2y == 0.0
-
-
-def test_eval_alias():
-    assert closed_form.eval is evaluate
 
 
 def test_undamped_general_solution_roundtrip():
@@ -313,10 +322,10 @@ def test_undamped_general_solution_reports_residual():
     p = DampedParams(1.0, 0.0, 1.0, 1.0, 2.0)
     ode = general_mathieu_ode(gp)
     grid = np.linspace(0.0, 6.0, 61)
-    rep = residual(ode, evaluate_grid(spec, p, grid))
+    rep = residual(ode, evaluate_grid(spec, grid))
     # measured and reported; no smallness claim is made for this construction
     assert np.isfinite(rep.linf)
-    assert rep.verdict is None
+    assert rep.verdict == (rep.linf < PASS_TOL)
 
 
 def test_undamped_general_solution_rejects_complex_parameters():
@@ -374,10 +383,10 @@ def test_evaluate_grid_matches_pointwise_evaluate(case):
     else:
         spec = general_solution(p, Variant.LITERAL, c1=1.0, c2=1.0, allow_inadmissible=True)
         assert spec.admissible_nu is None
-    series = evaluate_grid(spec, p, grid)
+    series = evaluate_grid(spec, grid)
     eps = np.finfo(float).eps
     for i, t in enumerate(grid.tolist()):
-        s = evaluate(spec, p, t)
+        s = evaluate(spec, t)
         assert series.grid[i] == s.t
         for got, want in ((series.y[i], s.y), (series.dy[i], s.dy), (series.d2y[i], s.d2y)):
             assert abs(got - want) <= 4.0 * eps * abs(want)
@@ -386,8 +395,8 @@ def test_evaluate_grid_matches_pointwise_evaluate(case):
 def test_evaluate_grid_feeds_residual_directly():
     spec = general_solution(WINDING, Variant.CORRECTED, c1=1.0, c2=0.5)
     grid = np.linspace(0.0, 20.0, 401)
-    series = evaluate_grid(spec, WINDING, grid)
-    rep = residual(split_ode(WINDING), series, tol=1e-8)
+    series = evaluate_grid(spec, grid)
+    rep = residual(split_ode(WINDING), series)
     assert rep.verdict is True
     assert len(rep.pointwise) == len(grid)
 
@@ -401,10 +410,10 @@ def test_evaluate_grid_memory_stays_flat_on_501_points(n, zabs):
     grid = np.linspace(0.0, 10.0, 501)
     for variant in (Variant.CORRECTED, Variant.LITERAL):
         spec = general_solution(p, variant, c1=1.0, c2=1.0, allow_inadmissible=True)
-        evaluate_grid(spec, p, grid)
+        evaluate_grid(spec, grid)
         tracemalloc.start()
         try:
-            evaluate_grid(spec, p, grid)
+            evaluate_grid(spec, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -134,7 +134,7 @@ def test_series_solves_equation():
     gp = GeneralParams(1.0, 0.5)
     sol = solve(gp)
     grid = np.linspace(0.0, 4.0 * math.pi, 201)
-    rep = residual(general_mathieu_ode(gp), eval_floquet_grid(sol, grid), tol=1e-8)
+    rep = residual(general_mathieu_ode(gp), eval_floquet_grid(sol, grid))
     assert rep.verdict is True
 
 
@@ -159,7 +159,7 @@ def test_second_solution_structure_and_residual():
     assert other.mu == -sol.mu
     assert np.allclose(other.coeffs, sol.coeffs[::-1])
     grid = np.linspace(0.0, 4.0 * math.pi, 201)
-    rep = residual(general_mathieu_ode(gp), eval_floquet_grid(other, grid), tol=1e-8)
+    rep = residual(general_mathieu_ode(gp), eval_floquet_grid(other, grid))
     assert rep.verdict is True
     s1 = eval_floquet(sol, 0.0)
     s2 = eval_floquet(other, 0.0)
@@ -195,7 +195,7 @@ def test_complex_parameters_supported():
     gp = GeneralParams(1.0 + 0.3j, 0.4 - 0.1j)
     sol = solve(gp)
     grid = np.linspace(0.0, 2.0 * math.pi, 101)
-    rep = residual(general_mathieu_ode(gp), eval_floquet_grid(sol, grid), tol=1e-8)
+    rep = residual(general_mathieu_ode(gp), eval_floquet_grid(sol, grid))
     assert rep.verdict is True
 
 
@@ -204,6 +204,14 @@ def test_solution_accessor_and_truncation():
     assert sol.coeffs[sol.truncation] == 1.0 + 0.0j
     assert len(sol.coeffs) == 2 * sol.truncation + 1
     assert sol.truncation >= 5
+
+
+@pytest.mark.parametrize("h, theta", [(2.5, 0.0), (1.0, 0.5), (3.0, -1.5)])
+def test_truncation_is_fixed_by_the_coefficients(h, theta):
+    sol = solve(GeneralParams(h, theta))
+    assert sol.truncation == len(sol.coeffs) // 2
+    assert (sol.truncation == 0) == (theta == 0.0)
+    assert second_solution(sol).truncation == sol.truncation
 
 
 def test_normalize_exponent_properties():

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from mathieu_kit import flux
 from mathieu_kit.closed_form import DampedParams, evaluate_grid, general_solution
 from mathieu_kit.errors import InvalidParameterError, SpanError, StiffnessError
-from mathieu_kit.floquet import GeneralParams, general_mathieu_ode
+from mathieu_kit.floquet import GeneralParams, classify_stability, general_mathieu_ode
 from mathieu_kit.oracle import (
+    PASS_TOL,
     TOL_MAX,
     TOL_MIN,
     LinearODE,
@@ -354,11 +355,18 @@ def test_residual_exact_solution():
     rep = residual(HARMONIC, candidate, grid)
     assert rep.linf < 1e-12
     assert rep.l2 <= rep.linf
-    assert rep.verdict is None
-    rep2 = residual(HARMONIC, candidate, grid, tol=1e-10)
-    assert rep2.verdict is True
-    assert rep2.normalization >= 1.0
-    assert len(rep2.pointwise) == len(grid)
+    assert rep.verdict is True
+    assert rep.normalization >= 1.0
+    assert len(rep.pointwise) == len(grid)
+
+
+@pytest.mark.parametrize("force, passes", [(0.5 * PASS_TOL, True), (PASS_TOL, False),
+                                           (math.nan, False)])
+def test_verdict_is_the_one_pass_rule(force, passes):
+    # y = 0 against y'' = f: the defect is -f, scaled by max(1, |f|) = 1
+    rep = residual(LinearODE(p=None, q=None, f=lambda t: force), _series_on([0.0, 1.0]))
+    assert rep.linf == force or math.isnan(force)
+    assert rep.verdict is passes
 
 
 def test_residual_detects_wrong_candidate():
@@ -368,7 +376,7 @@ def test_residual_detects_wrong_candidate():
         return SolutionSample(t=t, y=math.cos(1.1 * t), dy=-1.1 * math.sin(1.1 * t),
                               d2y=-1.21 * math.cos(1.1 * t))
 
-    rep = residual(HARMONIC, wrong, grid, tol=1e-8)
+    rep = residual(HARMONIC, wrong, grid)
     assert rep.linf > 1e-2
     assert rep.verdict is False
 
@@ -464,8 +472,8 @@ def test_residual_of_series_equals_callable_on_its_grid():
     t_eval = np.linspace(0.0, 6.0, 121)
     series = integrate(DRIVEN, 1.0, 0.0, (0.0, 6.0), 1e-9, t_eval=t_eval)
     table = {float(t): series[i] for i, t in enumerate(series.grid)}
-    a = residual(DRIVEN, series, tol=1e-8)
-    b = residual(DRIVEN, table.__getitem__, series.grid, tol=1e-8)
+    a = residual(DRIVEN, series)
+    b = residual(DRIVEN, table.__getitem__, series.grid)
     assert (a.linf, a.l2, a.normalization, a.verdict) == (b.linf, b.l2, b.normalization, b.verdict)
     assert np.array_equal(a.pointwise, b.pointwise)
     assert a.linf < 1e-12
@@ -582,12 +590,25 @@ NON_FINITE_GRIDS = {
     "residual-callable-nan": lambda: residual(HARMONIC, _cosine, [0.0, math.nan, 1.0]),
     "residual-callable-inf": lambda: residual(HARMONIC, _cosine, [0.0, math.inf]),
     "wronskian-abel-nan": lambda: wronskian_abel(lambda t: 1.0, 1.0, [math.nan]),
-    "evaluate-grid-nan": lambda: evaluate_grid(general_solution(_UNDAMPED), _UNDAMPED,
-                                               [0.0, math.nan]),
+    "evaluate-grid-nan": lambda: evaluate_grid(general_solution(_UNDAMPED), [0.0, math.nan]),
 }
 
 
 @pytest.mark.parametrize("call", NON_FINITE_GRIDS.values(), ids=NON_FINITE_GRIDS.keys())
 def test_non_finite_grids_are_rejected(call):
+    with pytest.raises(InvalidParameterError):
+        call()
+
+
+NON_FINITE_VALUES = {
+    "general-solution-c1-nan": lambda: general_solution(_UNDAMPED, c1=math.nan),
+    "general-solution-c2-inf": lambda: general_solution(_UNDAMPED, c2=complex(0.0, math.inf)),
+    "classify-stability-nan": lambda: classify_stability(complex(math.nan, 0.0)),
+    "classify-stability-imag-nan": lambda: classify_stability(complex(0.0, math.nan)),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_VALUES.values(), ids=NON_FINITE_VALUES.keys())
+def test_non_finite_values_are_rejected(call):
     with pytest.raises(InvalidParameterError):
         call()

@@ -76,6 +76,7 @@ from .flux import (
     particular_k0,
     sideband_amplitudes,
     simulate_full,
+    steady_state_modulation,
     symmetric_case_solution,
 )
 from .oracle import (

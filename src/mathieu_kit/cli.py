@@ -11,8 +11,8 @@ is UTF-8 either way, whatever the locale.
 
 parse() builds each job's typed inputs once.  Each runner returns its table as
 a header plus the columns it already holds, and one writer, _write_csv,
-streams every table row by row: numbers as '%.17g', labels as they are, CRLF
-line ends.
+streams every table in blocks of rows: numbers as '%.17g', labels as they are,
+CRLF line ends.
 
 Exit codes: 0 success, 1 numerical failure (artifacts are still emitted when
 they exist), 2 usage error.  MATHIEU_KIT_TOL overrides the oracle tolerance
@@ -49,6 +49,9 @@ DEFAULT_TOL = 1e-10
 # sweep's nh x ntheta): one float column of it takes 80 MB and a job holds
 # several, so a larger grid would exhaust memory before it produced an answer
 MAX_GRID_POINTS = 10**7
+# rows _write_csv formats per '%': enough to amortise the call, few enough that
+# only one block's cells are ever held as Python objects
+CSV_BLOCK_ROWS = 2048
 
 
 @dataclass
@@ -169,7 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-light", type=float, default=1.0)
     grid_flags(p, t1_default=50.0)
     p.add_argument("--analyze", action="store_true",
-                   help="demodulate the field and report modulation depth")
+                   help="report the steady field's carrier amplitude and modulation "
+                        "depth and phase, exactly, from its sideband amplitudes")
 
     p = sub.add_parser("integrate", help="oracle integration of the general equation")
     p.add_argument("--h", type=_complex_flag, required=True)
@@ -272,12 +276,20 @@ def _write_csv(fh, header: list[str], columns: list) -> None:
 
     Numbers print as '%.17g' (enough digits to round-trip), labels as they are:
     none holds a comma, a quote or a line break, so no cell needs quoting.
+    Rows are formatted CSV_BLOCK_ROWS at a time, one '%' per block.
     """
     arrays = [np.asarray(c) for c in columns]
     row = ",".join("%s" if a.dtype.kind == "U" else "%.17g" for a in arrays) + "\r\n"
     fh.write(",".join(header) + "\r\n")
-    # Python floats format faster than numpy scalars, and print the same digits
-    fh.writelines(row % cells for cells in zip(*(a.tolist() for a in arrays)))
+    n, width = len(arrays[0]), len(arrays)
+    for start in range(0, n, CSV_BLOCK_ROWS):
+        stop = min(start + CSV_BLOCK_ROWS, n)
+        # the block's cells row by row; Python floats format faster than numpy
+        # scalars, and print the same digits
+        cells = [None] * ((stop - start) * width)
+        for j, a in enumerate(arrays):
+            cells[j::width] = a[start:stop].tolist()
+        fh.write((row * (stop - start)) % tuple(cells))
 
 
 def _series_table(ts) -> tuple:
@@ -403,15 +415,16 @@ def _run_flux(job: JobSpec, sidecar: dict):
         flags.update(epsilon=model.epsilon, phi=model.phi, alpha=model.alpha,
                      prefactor=model.prefactor, validity=model.validity)
     if p["analyze"]:
+        # the steady state's exact figures, under the key names the measured
+        # (demodulated) ones had, which downstream readers keep using
         try:
-            res = fx.modulation_analysis(field, fp.Omega, base.omega)
-            carrier_freq, mod_freq = fx.identify_frequencies(field)
+            res = fx.steady_state_modulation(fp)
             flags.update(
                 measured_depth=res.modulation_depth,
                 measured_carrier_amplitude=res.carrier_amplitude,
                 measured_modulation_phase=res.modulation_phase,
-                carrier_frequency=carrier_freq,
-                modulation_frequency=mod_freq,
+                carrier_frequency=fp.Omega,
+                modulation_frequency=abs(base.omega),
             )
         except MathieuKitError as exc:
             flags.update(analysis_error=str(exc))

@@ -46,7 +46,7 @@ from .bessel import bessel_j, bessel_y  # noqa: F401  (not called; perfbench's t
 from .errors import AdmissibilityError, InvalidParameterError, SingularityError
 from .floquet import GeneralParams
 from .oracle import LinearODE, ResidualReport, residual
-from .samples import SolutionSample, TimeSeries, as_grid
+from .samples import SolutionSample, TimeSeries, as_grid, require_finite
 
 ADMISSIBILITY_TOL = 1e-9
 
@@ -223,9 +223,18 @@ def evaluate_grid(spec: ClosedFormSpec, grid) -> TimeSeries:
     bracket's second derivative comes from its own differential equation, and
     the second-kind branch is continued across the log cut as the argument
     winds.  One J and one Y call per grid (bessel's array path); the rest is
-    array arithmetic.
+    array arithmetic.  A value or derivative that overflows double precision
+    (say, from constants near 1e308) raises RangeLimitError at its first t.
     """
     grid = as_grid(grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, dy, d2y = _rows(spec, grid)
+    require_finite("the closed form", grid, y, dy, d2y)
+    return TimeSeries(grid=grid, y=y, dy=dy, d2y=d2y)
+
+
+def _rows(spec: ClosedFormSpec, grid: np.ndarray) -> tuple:
+    """y, y', y'' of evaluate_grid, overflow left as inf or nan."""
     n = spec.order()
     r = spec.decay_rate
     pref = np.exp(-r * grid)
@@ -234,7 +243,7 @@ def evaluate_grid(spec: ClosedFormSpec, grid) -> TimeSeries:
         if spec.c2 != 0:
             raise SingularityError("second-kind branch diverges at identically zero argument")
         y = pref * (spec.c1 * (1.0 if n == 0 else 0.0))
-        return TimeSeries(grid=grid, y=y, dy=-r * y, d2y=r ** 2 * y)
+        return y, -r * y, r ** 2 * y
 
     z = spec.argument_scale * np.exp(spec.exponent_rate * grid)
     j = bessel.bessel_j(n, z)
@@ -255,12 +264,7 @@ def evaluate_grid(spec: ClosedFormSpec, grid) -> TimeSeries:
     d2z = spec.exponent_rate ** 2 * z
     bt = db * dz
     btt = d2b * dz * dz + db * d2z
-    return TimeSeries(
-        grid=grid,
-        y=pref * b,
-        dy=pref * (bt - r * b),
-        d2y=pref * (btt - 2.0 * r * bt + r * r * b),
-    )
+    return pref * b, pref * (bt - r * b), pref * (btt - 2.0 * r * bt + r * r * b)
 
 
 def evaluate(spec: ClosedFormSpec, t: float) -> SolutionSample:

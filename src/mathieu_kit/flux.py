@@ -1,4 +1,4 @@
-"""Flux-lattice oscillator: driven responses, induced field, and demodulation.
+"""Flux-lattice oscillator: driven responses, induced field, and its modulation.
 
 The displacement obeys m y'' + eta y' + (k0 + k cos(omega t)) y =
 (B J0 / c) cos(Omega t): a damped oscillator with slowly modulated stiffness
@@ -6,8 +6,16 @@ under a fast microwave drive.  In the separated-scales regime (k << |k0|,
 omega << Omega, m Omega^2 << |k0|) the induced electric field is an
 amplitude-modulated carrier whose modulation depth is the stiffness-modulation
 ratio epsilon = k/k0.  This module carries the closed-form steady states, the
-induced-field model, the quadrature demodulation that measures the depth, and
-two independent solutions of the full equation from rest:
+induced-field model, and the modulation figures two ways:
+
+- steady_state_modulation, exact: the steady field's carrier amplitude and
+  modulation depth and phase, read off its sideband amplitudes with no time
+  grid.  `mathieu-kit flux --analyze` reports these;
+- modulation_analysis and identify_frequencies, the quadrature demodulation
+  and spectrum of a sampled field: the independent measurement the exact
+  figures are tested against.
+
+It also carries two independent solutions of the full equation from rest:
 
 - closed_form_motion, with no stepper: the sideband steady state (floquet's
   recurrence at the drive exponent, with the source on its centre row) plus
@@ -48,10 +56,14 @@ from .errors import (
 )
 from .oracle import LinearODE, integrate
 from .reductions import damped_to_general
-from .samples import TimeSeries, as_grid
+from .samples import TimeSeries, as_grid, require_finite
 
 REGIME_RATIO = 0.02
 LOWPASS_CARRIER_PERIODS = 8
+# phases per modulation period at which steady_state_modulation samples the
+# envelope; its j-th harmonic is about (k/2k0)^j of its mean, so aliasing
+# stays far below rounding unless k approaches k0
+ENVELOPE_POINTS = 256
 # closed_form_motion refuses a motion whose residual, relative to the sum of
 # the magnitudes of the equation's terms at some grid point, exceeds this
 RESIDUAL_BOUND = 1e-9
@@ -274,6 +286,34 @@ def sideband_amplitudes(fp: FluxParams) -> np.ndarray:
     return a
 
 
+def steady_state_modulation(fp: FluxParams) -> ModulationResult:
+    """Carrier amplitude and modulation depth/phase of the steady-state field, exactly.
+
+    The steady field is E = Re e^{i Omega t} Z(t), Z = sum b_n e^{i n omega t},
+    with b_n = -(B/c) i (Omega + n omega) a_n from sideband_amplitudes.  Its
+    envelope |Z| is sampled at ENVELOPE_POINTS phases of one modulation
+    period; the mean is the carrier amplitude A, and the first harmonic h1
+    (per |omega| t) gives the depth |h1|/A and the phase psi of the envelope
+    model A (1 - d cos(|omega| t - psi)), the model modulation_analysis fits.
+    No grid, span or floquet.solve is involved; an exact resonance raises
+    ResonanceError.
+    """
+    b = fp.base
+    a = sideband_amplitudes(fp)
+    n = (len(a) - 1) // 2
+    side = (-fp.B / fp.c_light) * 1j * (fp.Omega + b.omega * np.arange(-n, n + 1)) * a
+    phase = 2.0 * math.pi * np.arange(ENVELOPE_POINTS) / ENVELOPE_POINTS
+    # Z at |omega| t = phase: e^{i n omega t} = e^{i n sign(omega) phase}
+    env = np.abs(floquet.exponential_sum(side, 0.0, math.copysign(1.0, b.omega) * 1j, phase)[0])
+    carrier = float(np.mean(env))
+    if carrier == 0.0:
+        return ModulationResult(carrier_amplitude=0.0, modulation_depth=0.0, modulation_phase=0.0)
+    h1 = 2.0 * np.mean(env * np.exp(-1j * phase))
+    return ModulationResult(carrier_amplitude=carrier,
+                            modulation_depth=float(abs(h1)) / carrier,
+                            modulation_phase=_wrap_phase(math.atan2(h1.imag, -h1.real)))
+
+
 def closed_form_motion(fp: FluxParams, start: float, grid) -> TimeSeries:
     """The motion from rest, y(start) = y'(start) = 0, on a grid, with no stepper.
 
@@ -356,10 +396,7 @@ def _bound(coeffs: np.ndarray, rate: complex, step: complex) -> float:
 def _check_motion(fp: FluxParams, grid: np.ndarray, y, dy, d2y) -> None:
     """Refuse a non-finite motion, or one whose relative residual exceeds RESIDUAL_BOUND."""
     b = fp.base
-    finite = np.isfinite(y) & np.isfinite(dy) & np.isfinite(d2y)
-    if not np.all(finite):
-        raise RangeLimitError(
-            f"the closed-form motion overflows at t = {grid[np.argmin(finite)]:.6g}")
+    require_finite("the closed-form motion", grid, y, dy, d2y)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = (d2y, (b.eta / b.m) * dy, (b.k0 + b.k * np.cos(b.omega * grid)) / b.m * y,
                  -(fp.drive_amplitude / b.m) * np.cos(fp.Omega * grid))

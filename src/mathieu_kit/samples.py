@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, RangeLimitError
 
 
 def as_grid(points, name: str = "grid") -> np.ndarray:
@@ -17,6 +17,13 @@ def as_grid(points, name: str = "grid") -> np.ndarray:
     if not np.all(np.isfinite(grid)):
         raise InvalidParameterError(f"{name} must be finite")
     return grid
+
+
+def require_finite(what: str, grid: np.ndarray, y, dy, d2y) -> None:
+    """Raise RangeLimitError naming the first grid point where y, y' or y'' is not finite."""
+    finite = np.isfinite(y) & np.isfinite(dy) & np.isfinite(d2y)
+    if not finite.all():
+        raise RangeLimitError(f"{what} overflows at t = {grid[np.argmin(finite)]:.6g}")
 
 
 @dataclass(frozen=True)

@@ -195,6 +195,18 @@ def test_solve_literal_variant_fails_numerically(tmp_path):
     assert sidecar["variant"] == "paper-literal"
 
 
+def test_solve_that_overflows_writes_no_artifacts(tmp_path, capsys):
+    # constants near the largest double: y'' overflows, and no NaN reaches a sidecar
+    out = tmp_path / "big.csv"
+    code = main(["solve", "--m", "1", "--eta", "0", "--k0", "1", "--k", "1", "--omega", "2",
+                 "--c1", "1e308", "--c2", "1e308", "--t1", "1", "--dt", "0.5",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert not out.exists() and not (tmp_path / "big.json").exists()
+    assert captured.err == "error: the closed form overflows at t = 0\n"
+
+
 def test_solve_inadmissible_is_an_error(capsys):
     code = main(["solve", "--m", "1", "--eta", "0", "--k0", "1", "--k", "1.69",
                  "--omega", "2", "--variant", "paper-literal",
@@ -369,6 +381,24 @@ def test_csv_writer_format_is_pinned():
     assert not any(ch in label for label in labels for ch in ',"\r\n')
 
 
+def test_csv_writer_blocks_match_the_row_by_row_rendering():
+    block = cli.CSV_BLOCK_ROWS
+    n = 3 * block + 5  # three whole blocks and a remainder
+    ints = np.arange(n) - 7
+    x = np.linspace(-3.0, 3.0, n) ** 3 / 7.0
+    y = np.exp(np.linspace(-700.0, 700.0, n))
+    # special values on both sides of every block boundary
+    x[[0, block - 1, block, 2 * block, n - 1]] = [-0.0, math.nan, math.inf, -math.inf, 1e-300]
+    y[[1, 2 * block - 1, 3 * block, n - 2]] = [1e-300, -0.0, math.nan, math.inf]
+    labels = [(reductions.MAP_COS_SQ, "stable", "failed")[i % 3] for i in range(n)]
+    buf = io.StringIO()
+    cli._write_csv(buf, ["n", "x", "y", "map"], [ints, x, y, labels])
+    expected = "n,x,y,map\r\n" + "".join(
+        "%.17g,%.17g,%.17g,%s\r\n" % (int(i), float(a), float(b), label)
+        for i, a, b, label in zip(ints, x, y, labels))
+    assert buf.getvalue().encode("utf-8") == expected.encode("utf-8")
+
+
 def test_transform_csv(capsys):
     code = main(["transform", "--family", "eq11", "--a", "1", "--b", "2"])
     captured = capsys.readouterr()
@@ -467,13 +497,37 @@ def test_flux_analyze_reports_depth_near_epsilon(tmp_path):
     assert abs(flags["measured_depth"] - flags["epsilon"]) <= 0.1 * flags["epsilon"]
 
 
-def test_flux_analyze_too_short_records_the_error(tmp_path):
+ANALYSIS_KEYS = ("measured_depth", "measured_carrier_amplitude", "measured_modulation_phase",
+                 "carrier_frequency", "modulation_frequency")
+
+
+def test_flux_analyze_figures_do_not_depend_on_the_span(tmp_path):
+    # 30 time units hold under one modulation period (31.4), yet the figures
+    # come from the sideband amplitudes, not from the samples
+    figures = []
+    for t1 in ("40", "110"):
+        out = tmp_path / f"flux{t1}.csv"
+        assert main(FLUX_ANALYZE_ARGS + ["--t1", t1, "--out", str(out)]) == 0
+        flags = json.loads((tmp_path / f"flux{t1}.json").read_text())["validity_flags"]
+        assert "analysis_error" not in flags
+        figures.append([flags[key] for key in ANALYSIS_KEYS])
+    assert figures[0] == figures[1]
+    assert figures[0][3:] == [1.0, 0.2]
+
+
+def test_flux_analyze_at_a_resonance_records_the_error(tmp_path):
+    # eta = k = 0 and k0 = m Omega^2: the stepper answers the motion, but no
+    # steady state exists to analyze
     out = tmp_path / "flux.csv"
-    code = main(FLUX_ANALYZE_ARGS + ["--t1", "40", "--out", str(out)])
+    code = main(["flux", "--analyze", "--m", "1", "--eta", "0", "--k0", "1", "--k", "0",
+                 "--omega", "0.2", "--B", "1", "--J0", "1", "--Omega", "1",
+                 "--t1", "5", "--dt", "0.5", "--out", str(out)])
     assert code == 1
     flags = json.loads((tmp_path / "flux.json").read_text())["validity_flags"]
-    assert "modulation periods" in flags["analysis_error"]
-    assert "measured_depth" not in flags
+    assert flags["motion"].startswith("stepper: ResonanceError")
+    assert "exact resonance" in flags["analysis_error"]
+    assert not any(key in flags for key in ANALYSIS_KEYS)
+    assert len(out.read_bytes().split(b"\r\n")) == 1 + 11 + 1
 
 
 def test_flux_runs_no_stepper(tmp_path, monkeypatch):

@@ -33,6 +33,7 @@ from mathieu_kit.errors import (
     AdmissibilityError,
     InvalidParameterError,
     MappingError,
+    RangeLimitError,
     SingularityError,
 )
 from mathieu_kit.floquet import GeneralParams, general_mathieu_ode
@@ -302,6 +303,20 @@ def test_zero_argument_scale_paths():
     s0 = evaluate(spec0, 1.3)
     assert s0.y == pytest.approx(2.5)
     assert s0.dy == 0.0 and s0.d2y == 0.0
+
+
+def test_evaluate_grid_refuses_an_overflow_at_its_first_t():
+    # constants near the largest double: y and y' stay finite, y'' does not
+    spec = general_solution(DampedParams(1.0, 0.0, 1.0, 1.0, 2.0), Variant.CORRECTED,
+                            c1=1e308, c2=1e308)
+    with pytest.raises(RangeLimitError, match="overflows at t = 0$"):
+        evaluate_grid(spec, [0.0, 0.5, 1.0])
+    # the decay prefactor e^{-t} overflows for t below about -709.8
+    damped = general_solution(admissible_params(1, 1.0, 2.0, 1.0, 2.0), Variant.CORRECTED,
+                              c1=1.0, c2=0.0)
+    with pytest.raises(RangeLimitError, match="overflows at t = -800$"):
+        evaluate_grid(damped, [-800.0, -750.0, -700.0, 0.0])
+    assert np.all(np.isfinite(evaluate_grid(damped, [-700.0, 0.0]).d2y))
 
 
 def test_undamped_general_solution_roundtrip():

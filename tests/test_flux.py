@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mathieu_kit import floquet, oracle
+from mathieu_kit import floquet, flux, oracle
 from mathieu_kit.closed_form import DampedParams
 from mathieu_kit.errors import (
     ConvergenceError,
@@ -32,6 +33,7 @@ from mathieu_kit.flux import (
     particular_k0,
     sideband_amplitudes,
     simulate_full,
+    steady_state_modulation,
     symmetric_case_solution,
 )
 from mathieu_kit.samples import TimeSeries
@@ -477,6 +479,60 @@ def test_refused_jobs_are_integrated_by_the_stepper():
     motion, path = motion_from_rest(fp, 0.0, grid, 1e-8)
     assert path == "closed form"
     assert np.array_equal(motion.y, closed_form_motion(fp, 0.0, grid).y)
+
+
+# ------------------------------------------------ exact steady-state figures
+
+FLUX_DEMOD_SPAN = 3.3 * 2.0 * math.pi / 0.012  # the flux_demod workload's span
+
+
+@pytest.mark.parametrize("ratio", [0.012, 0.016, 0.02])
+def test_steady_state_modulation_agrees_with_the_demodulation(ratio):
+    fp = flux_demod_fp(ratio)
+    grid = _uniform(17.5, 17.5 + FLUX_DEMOD_SPAN, FLUX_DEMOD_DT)
+    field = field_from_motion(fp, closed_form_motion(fp, 0.0, grid))
+    measured = modulation_analysis(field, fp.Omega, fp.base.omega)
+    carrier, modulation = identify_frequencies(field)
+    exact = steady_state_modulation(fp)
+    assert abs(exact.modulation_depth - measured.modulation_depth) <= 5e-4 * exact.modulation_depth
+    assert abs(exact.carrier_amplitude - measured.carrier_amplitude) <= (
+        1e-5 * exact.carrier_amplitude)
+    assert abs(exact.modulation_phase - measured.modulation_phase) <= 1e-3
+    # the exact frequencies, Omega and |omega|, are within a bin of the spectrum's
+    bin_width = 2.0 * math.pi / (grid[-1] - grid[0])
+    assert abs(carrier - fp.Omega) <= bin_width
+    assert abs(modulation - fp.base.omega) <= bin_width
+    # and the depth is the paper's first-order epsilon = k/k0, to 2 %
+    epsilon = fp.base.k / fp.base.k0
+    assert abs(exact.modulation_depth - epsilon) <= 0.02 * epsilon
+
+
+@pytest.mark.parametrize("ratio", [0.012, 0.016, 0.02])
+def test_steady_state_modulation_has_converged_in_its_envelope_points(ratio, monkeypatch):
+    coarse = steady_state_modulation(flux_demod_fp(ratio))
+    monkeypatch.setattr(flux, "ENVELOPE_POINTS", 4 * flux.ENVELOPE_POINTS)
+    fine = steady_state_modulation(flux_demod_fp(ratio))
+    assert abs(coarse.modulation_depth - fine.modulation_depth) <= 1e-13 * fine.modulation_depth
+    assert abs(coarse.carrier_amplitude - fine.carrier_amplitude) <= (
+        1e-13 * fine.carrier_amplitude)
+    assert abs(coarse.modulation_phase - fine.modulation_phase) <= 1e-13
+
+
+def test_steady_state_modulation_edge_cases():
+    fp = flux_demod_fp(0.016)
+    # cos(omega t) is even in omega, so the sign of omega changes nothing
+    mirrored = replace(fp, base=replace(fp.base, omega=-fp.base.omega))
+    assert steady_state_modulation(mirrored) == steady_state_modulation(fp)
+    # unmodulated: one line, whose field amplitude is (B/c) Omega |a_0|
+    unmodulated = make_fp(k=0.0)
+    flat = steady_state_modulation(unmodulated)
+    assert flat.modulation_depth <= 1e-15
+    assert flat.carrier_amplitude == pytest.approx(
+        unmodulated.Omega * abs(sideband_amplitudes(unmodulated)[0]), rel=1e-14)
+    # no drive, no field
+    assert steady_state_modulation(make_fp(B=0.0)).carrier_amplitude == 0.0
+    with pytest.raises(ResonanceError):
+        steady_state_modulation(make_fp(eta=0.0, k0=1.44, k=0.0, Omega=1.2))
 
 
 def test_exponential_sum_is_horner_at_each_point():

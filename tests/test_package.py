@@ -42,8 +42,8 @@ PUBLIC_NAMES = [
     "is_admissible", "linearized_delta", "mirror", "modulation_analysis",
     "monodromy_exponent", "normalize_exponent", "particular_k0", "pullback", "reduce",
     "residual", "second_solution", "sideband_amplitudes", "simulate_full", "solve",
-    "source_ode", "split_ode", "symmetric_case_solution", "undamped_general_solution",
-    "validate_tolerance", "wronskian_abel",
+    "source_ode", "split_ode", "steady_state_modulation", "symmetric_case_solution",
+    "undamped_general_solution", "validate_tolerance", "wronskian_abel",
 ]
 
 

@@ -21,13 +21,17 @@ array gives value and derivative arrays, and a scalar is the [0] element of a
 one-point array.  The method choice is a boolean mask over the points: J sums
 its series where |z| <= 6 and runs Miller's recurrence elsewhere; Y sums its
 direct series where |z| <= 6, |z| - |Im z| <= 9 or |n| >= |z|, and takes the
-upward path elsewhere.  Each series is summed term by term over all its points
-at once until every point has converged.  The Miller sweep starts every point
-at the index the largest |z| needs (on the closed form's circular path |z| is
-constant) and is streamed: it carries the last rows of the recurrence, adds
-each new row into the normalization sum and, for Y, into the two log-Neumann
-sums, keeps only the orders the caller reads, and rescales a column once it
-passes 1e250.  Validation raises if any point fails, with the error a scalar call on
+upward path elsewhere.  bessel_jy gives both from one validation, and reads J
+from Y's series pass where both sum their series.  A series is one Horner pass
+over all its points in w = -(z/S)^2, S the power of two at or below the
+largest |z|, through a per-call table of coefficients that ends where the
+terms left at that |z| sum to below 2^-60 of the largest.  The Miller sweep
+starts every point at the index the largest |z| needs (on the closed form's
+circular path |z| is constant) and is streamed: it carries the last rows of
+the recurrence, multiplies by a per-point 2/z, adds each new row into the
+normalization sum and, for Y, into the two log-Neumann sums through one
+reused buffer, keeps only the orders the caller reads, and rescales a column
+once it passes 1e250.  Validation raises if any point fails, with the error a scalar call on
 that point would raise.
 
 Accuracy: on circles |z| = 0.5 ... 40 with 0 <= n <= 40, J and J' agree with
@@ -131,56 +135,79 @@ def _series_cap(r: float) -> int:
     return max(200, int(0.6 * r) + 80)
 
 
-def _ascending(orders: np.ndarray, z: np.ndarray, with_psi: bool = False):
+def _series_table(orders: np.ndarray, r: float, scale: float) -> np.ndarray:
+    """Horner coefficients b_k = (scale/2)^{2k} / (k! (o+1)_k), one column per order o.
+
+    The table ends at the first k after which, for every order, the true
+    terms at |z| = r, (r/2)^{2k} / (k! (o+1)_k), sum to below 2^-60 of their
+    largest, and at _series_cap(r) at the latest.
+    """
+    ks = np.arange(1, _series_cap(r))[:, None]
+    den = ks * (orders + ks)
+    end = 1
+    if r > 0.0:
+        log_t = np.cumsum(2.0 * math.log2(r / 2.0) - np.log2(den), axis=0)
+        log_t = np.vstack((np.zeros(len(orders)), log_t))
+        tail = np.cumsum(np.exp2(log_t - log_t.max(axis=0))[::-1], axis=0)[::-1]
+        done = (tail[1:] < 2.0 ** -60).all(axis=1)
+        end = int(done.argmax()) if done.any() else len(den)
+    # (scale/2)^2 is a power of four, so scaling scale by a power of two
+    # scales every b_k by an exact power of four
+    return np.cumprod(np.vstack((np.ones(len(orders)), (scale * scale / 4.0) / den[:end])), axis=0)
+
+
+def _ascending(orders: np.ndarray, z: np.ndarray, with_psi: bool = False) -> np.ndarray:
     """Ascending series of J_o(z): one row per order o, one column per point.
 
-    With with_psi it also sums, from the same terms t_k, the psi series
-    sum_k (H_k + H_{o+k} - 2 gamma) t_k of Y's integer-order limit form.
-    Each sum stops taking terms where it has converged, as a one-point call
-    would, and the loop ends when every sum has.
+    J_o(z) = (z/2)^o / o! * sum_k b_k w^k with w = -(z/S)^2, summed in one
+    Horner pass; S is the power of two at or below the largest |z|, so no
+    b_k exceeds the largest term and, the scaling being exact, a point's
+    value does not hang on S (the table's length still follows the largest
+    |z|).  With with_psi the rows are followed by the
+    psi series sum_k (H_k + H_{o+k} - 2 gamma) t_k of Y's integer-order limit
+    form, from the same pass.
     """
-    half = z / 2.0
+    r = float(_modulus(z).max())
+    scale = math.ldexp(1.0, math.frexp(r)[1] - 1)
+    table = _series_table(orders, r, scale)
+    if with_psi:
+        ks = np.arange(len(table))
+        top = int(orders[-1]) + len(ks)
+        harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, top + 1))))
+        psi = harmonic[ks][:, None] + harmonic[orders + ks[:, None]] - 2.0 * EULER_GAMMA
+        table = np.hstack((table, table * psi))
+    table = table.astype(complex)[:, :, None]
+    zs = z / scale
+    w = -(zs * zs)
+    acc = np.empty((table.shape[1], len(z)), dtype=complex)
+    acc[:] = table[-1]
+    for b in table[-2::-1]:
+        acc *= w
+        acc += b
     # first terms (z/2)^o / o!, built incrementally so no power overflows;
     # consecutive orders continue the same product.  Products of one-point
     # arrays are written out of place: numpy's in-place complex multiply on a
     # single element rounds differently from its vector loop.
+    half = z / 2.0
     term = np.empty((len(orders), len(z)), dtype=complex)
     term[0] = 1.0
     for j in range(1, int(orders[0]) + 1):
         term[0] = term[0] * (half / j)
     for row in range(1, len(orders)):
         term[row] = term[row - 1] * (half / int(orders[row]))
-    h2 = -(half * half)
-    ks = np.arange(_series_cap(float(_modulus(z).max())))[:, None]
-    den = (ks * (orders + ks)).astype(float)[:, :, None]
-    # the sums ride as layers of one array: J itself, then the psi series
-    coef = np.ones((len(ks), 1, len(orders), 1))
-    if with_psi:
-        top = int(orders[-1]) + len(ks)
-        harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, top + 1))))
-        psi_coef = harmonic[ks] + harmonic[orders + ks] - 2.0 * EULER_GAMMA
-        coef = np.concatenate((coef, psi_coef[:, None, :, None]), axis=1)
-    sums = coef[0] * term
-    live = np.ones(sums.shape, dtype=bool)
-    for k in range(1, len(ks)):
-        term *= h2 / den[k]
-        contrib = coef[k] * term
-        np.add(sums, contrib, out=sums, where=live)
-        # a sum has converged once its term is below 1e-17 of it; testing
-        # every fourth term still decides each point by its own values alone
-        if k % 4 == 0:
-            live &= np.abs(contrib) > 1e-17 * np.abs(sums)
-            if not live.any():
-                break
-    return sums if with_psi else sums[0]
+    return acc.reshape(-1, *term.shape) * term if with_psi else acc * term
 
 
 def _j_series(na: int, z: np.ndarray) -> np.ndarray:
     return _ascending(_orders(na), z)
 
 
-def _y_series(na: int, z: np.ndarray) -> np.ndarray:
-    # integer-order limit form: log term + finite singular part + psi series
+def _jy_series(na: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J's and Y's rows from one ascending pass.
+
+    Y is the integer-order limit form: log term + finite singular part + psi
+    series.  The J rows are what _j_series returns for the same points.
+    """
     orders = _orders(na)
     jn, psi = _ascending(orders, z, with_psi=True)
     half = z / 2.0
@@ -196,12 +223,15 @@ def _y_series(na: int, z: np.ndarray) -> np.ndarray:
     term = np.array(rows)
     finite = term.copy()
     hh = half * half
-    for k in range(1, int(orders[-1])):
-        # rows whose sum has ended divide by inf and add zeros from here on
-        den = k * (orders - k)
-        term *= hh / np.where(den > 0, den, np.inf)[:, None]
+    ks = np.arange(1, max(int(orders[-1]), 1))[:, None]
+    den = ks * (orders - ks)
+    # rows whose sum has ended multiply by 0 and add zeros from here on
+    inv = np.where(den > 0, 1.0 / np.maximum(den, 1), 0.0)[:, :, None]
+    for c in inv:
+        term *= hh
+        term *= c
         finite += term
-    return log_term - finite / math.pi - psi / math.pi
+    return jn, log_term - finite / math.pi - psi / math.pi
 
 
 def _miller_start(n_top: int, r: float) -> int:
@@ -226,10 +256,13 @@ def _miller(n_top: int, z: np.ndarray, keep, dtype: type = complex, neumann: boo
     r_min = float(r.min())
     kmax = (m - 1) // 2
     zz = z.astype(dtype)
+    two_over_z = 2.0 / zz
+    # the Neumann sums multiply by 1/k in the sweep's own precision
+    one = zz.real.dtype.type(1)
     f_hi2, f_hi, f = np.zeros_like(zz), np.zeros_like(zz), np.full_like(zz, 1e-150)
     # normalization sum split by parity: sum over even j of i^j f_j, and over
     # odd j of i^(j-1) f_j; the odd part takes the sign of the half plane
-    even, odd, s0, s1 = (np.zeros_like(zz) for _ in range(4))
+    even, odd, s0, s1, tmp = (np.zeros_like(zz) for _ in range(5))
     kept = {}
     growth = 0.0
     for j in range(m, 0, -1):
@@ -241,12 +274,13 @@ def _miller(n_top: int, z: np.ndarray, keep, dtype: type = complex, neumann: boo
         if j % 2:  # j = 2k - 1
             minus(odd, f, out=odd)
             if neumann and k <= kmax:
-                plus(s1, (f - f_hi2) / (2 * k), out=s1)
+                np.subtract(f, f_hi2, tmp)
+                plus(s1, np.multiply(tmp, one / (2 * k), tmp), s1)
         else:  # j = 2k
             plus(even, f, out=even)
             if neumann and k <= kmax:
-                plus(s0, f / k, out=s0)
-        f, f_hi, f_hi2 = (2.0 * j / zz) * f - f_hi, f, f_hi
+                plus(s0, np.multiply(f, one / k, tmp), s0)
+        f, f_hi, f_hi2 = (two_over_z * float(j)) * f - f_hi, f, f_hi
         # |f_{j-1}| <= (2j/|z| + 1) max(|f_j|, |f_{j+1}|) bounds the growth
         growth += math.log10(2.0 * j / r_min + 1.0)
         if growth > _RESCALE_DECADES:
@@ -327,15 +361,38 @@ def bessel_y(n: int, z) -> BesselValue:
     Y_{-n} = (-1)^n Y_n.  Raises RangeLimitError when the value overflows
     double precision.
     """
+    return _bessel_y(n, z, with_j=False)[1]
+
+
+def bessel_jy(n: int, z) -> tuple[BesselValue, BesselValue]:
+    """(bessel_j(n, z), bessel_y(n, z)), validated once and summed in fewer passes.
+
+    Where both sum their series (|z| <= 6) J is read from Y's series pass,
+    which runs over all of Y's direct points; elsewhere J runs its own Miller
+    sweep.  A J point that shares Y's pass with larger |z| may differ from
+    bessel_j in its last bits.
+    """
+    return _bessel_y(n, z, with_j=True)
+
+
+def _bessel_y(n, z, with_j: bool):
+    """Y, and with with_j J too, as (J or None, Y)."""
     na, z, scalar = _validate(n, z)
     if (z == 0).any():
         raise SingularityError("Y_n is singular at z = 0")
     r = _modulus(z)
     direct = (r <= SERIES_RADIUS) | (r - np.abs(z.imag) <= Y_SERIES_WEDGE) | (na >= r)
+    # without J, J's masks are empty and its arrays stay unread
+    series = (r <= SERIES_RADIUS) & with_j
+    jv, jd = _evaluate(na, z, ((~series & with_j, _j_miller),))
     # an overflowing point is reported below as RangeLimitError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        val, der = _evaluate(na, z, ((direct, _y_series), (~direct, _y_upward)))
-    bad = ~(np.isfinite(val) & np.isfinite(der))
+        yv, yd = _evaluate(na, z, ((~direct, _y_upward),))
+        if direct.any():
+            j_rows, y_rows = _jy_series(na, z[direct])
+            yv[direct], yd[direct] = _value_and_derivative(y_rows, na)
+            jv[series], jd[series] = _value_and_derivative(j_rows[:, series[direct]], na)
+    bad = ~(np.isfinite(yv) & np.isfinite(yd))
     if bad.any():
         raise RangeLimitError(f"Y_{na}({_first(z, bad)!r}) exceeds double-precision range")
-    return _result(n, val, der, scalar)
+    return _result(n, jv, jd, scalar) if with_j else None, _result(n, yv, yd, scalar)

@@ -222,8 +222,9 @@ def evaluate_grid(spec: ClosedFormSpec, grid) -> TimeSeries:
     The spec alone fixes it.  Derivatives chain through z(t); the cylinder
     bracket's second derivative comes from its own differential equation, and
     the second-kind branch is continued across the log cut as the argument
-    winds.  One J and one Y call per grid (bessel's array path); the rest is
-    array arithmetic.  A value or derivative that overflows double precision
+    winds.  One Bessel call per grid, bessel_jy when the second kind is
+    present and bessel_j otherwise (bessel's array path); the rest is array
+    arithmetic.  A value or derivative that overflows double precision
     (say, from constants near 1e308) raises RangeLimitError at its first t.
     """
     grid = as_grid(grid)
@@ -246,7 +247,7 @@ def _rows(spec: ClosedFormSpec, grid: np.ndarray) -> tuple:
         return y, -r * y, r ** 2 * y
 
     z = spec.argument_scale * np.exp(spec.exponent_rate * grid)
-    j = bessel.bessel_j(n, z)
+    j, y = bessel.bessel_jy(n, z) if spec.c2 != 0 else (bessel.bessel_j(n, z), None)
     b = spec.c1 * j.value
     db = spec.c1 * j.derivative
     if spec.c2 != 0:
@@ -254,7 +255,6 @@ def _rows(spec: ClosedFormSpec, grid: np.ndarray) -> tuple:
         # accumulated angle passes +-pi; Y_n picks up 4 i w J_n per full turn.
         angle = cmath.phase(spec.argument_scale) + spec.exponent_rate.imag * grid
         w4 = 4.0j * np.round((angle - np.angle(z)) / (2.0 * math.pi))
-        y = bessel.bessel_y(n, z)
         b += spec.c2 * (y.value + w4 * j.value)
         db += spec.c2 * (y.derivative + w4 * j.derivative)
     # cylinder equation: B'' = -B'/z + (n^2/z^2 - 1) B

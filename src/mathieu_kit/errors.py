@@ -57,8 +57,9 @@ class ResonanceError(MathieuKitError):
 
 
 class StiffnessError(MathieuKitError):
-    """The stepper cannot go on (step-size underflow, step budget exhausted or a
-    non-finite derivative); carries the last good state."""
+    """The stepper cannot go on (step-size underflow, step budget exhausted, an
+    initial derivative norm that overflows or a non-finite derivative); carries
+    the last good state."""
 
     def __init__(self, message: str, t_last: float, state_last):
         self.t_last = t_last

@@ -130,10 +130,6 @@ class ResidualReport:
     pointwise: np.ndarray = field(repr=False, compare=False)
 
 
-def _rms(v: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.abs(v) ** 2)))
-
-
 # an absent coefficient's values at a step's six stages
 _ABSENT = (0.0,) * 6
 
@@ -162,7 +158,7 @@ def _initial_step(coefficients, t0: float, ys: list, dys: list, accs: list, t1: 
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, t1 - t0)
     if h0 == 0.0:
-        # d1 overflowed: no trial step exists, and the stepper's underflow check raises
+        # d1 overflowed: no trial step exists, and the stepper raises
         return h0
     pv, qv, fv = (0.0 if fn is None else fn(t0 + h0) for fn in coefficients)
     ys1 = [y + h0 * v for y, v in zip(ys, dys)]
@@ -225,6 +221,8 @@ def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: Sequence[complex], 
     if not all(map(cmath.isfinite, accs)):
         raise stiff("derivative is not finite at")
     h = _initial_step((p, q, f), t0, ys, dys, accs, t1, tol)
+    if h == 0.0:
+        raise stiff("scaled derivative norm overflows double precision at")
     err_old = 1e-4
     last_rejected = False
     times, rows = ([t0], [ys + dys]) if tq is None else (tq, [])
@@ -414,7 +412,8 @@ def residual(
     defect = d2y + p_dy + q_y - fv
     biggest = max(1.0, *(float(np.max(np.abs(v))) for v in (d2y, p_dy, q_y, fv)))
     linf = float(np.max(np.abs(defect))) / biggest
-    l2 = _rms(defect) / biggest
+    # scaled before squaring, so a defect near the overflow edge does not overflow
+    l2 = float(np.sqrt(np.mean(np.abs(defect / biggest) ** 2)))
     return ResidualReport(linf, l2, biggest, linf < PASS_TOL, defect)
 
 

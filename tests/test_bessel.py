@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mathieu_kit import bessel
 from mathieu_kit.bessel import MAX_ARGUMENT, MAX_ORDER, BesselValue, bessel_j, bessel_y
 from mathieu_kit.errors import InvalidParameterError, RangeLimitError, SingularityError
 
@@ -243,6 +244,71 @@ def test_one_grid_straddles_every_mask_edge():
             one = fn(n, zi)
             assert abs(grid.value[i] - one.value) <= 1e-14 * abs(one.value)
             assert abs(grid.derivative[i] - one.derivative) <= 1e-14 * abs(one.derivative)
+
+
+@pytest.mark.parametrize("radius", [0.5, 6.0, 7.0, 20.0, 40.0])
+def test_jy_is_bessel_j_and_bessel_y_bit_for_bit_on_circles(radius):
+    z = _circle(radius)
+    for n in range(13):
+        j, y = bessel.bessel_jy(n, z)
+        for got, want in ((j, bessel_j(n, z)), (y, bessel_y(n, z))):
+            assert np.array_equal(got.value, want.value), n
+            assert np.array_equal(got.derivative, want.derivative), n
+
+
+def test_jy_agrees_with_its_parts_across_the_mask_edges():
+    # the points of test_one_grid_straddles_every_mask_edge: J's series points
+    # share Y's pass with larger |z| here, so only the last bits may differ
+    d, y_wedge = 1e-9, 6.0
+    z = np.array([
+        (6.0 - d) * cmath.exp(1.0j), (6.0 + d) * cmath.exp(1.0j),
+        complex(math.sqrt(225.0 - (y_wedge + d) ** 2), y_wedge + d),
+        complex(math.sqrt(225.0 - (y_wedge - d) ** 2), y_wedge - d),
+        complex(12.0 - d, 0.0), complex(12.0 + d, 0.0),
+    ])
+    for n in (0, 1, 12, -7):
+        j, y = bessel.bessel_jy(n, z)
+        for got, want in ((j, bessel_j(n, z)), (y, bessel_y(n, z))):
+            assert np.all(np.abs(got.value - want.value) <= 1e-14 * np.abs(want.value))
+            assert np.all(np.abs(got.derivative - want.derivative) <= 1e-14 * np.abs(want.derivative))
+    scalar_j, scalar_y = bessel.bessel_jy(3, 2.0 + 1.0j)
+    assert type(scalar_j.value) is complex and type(scalar_y.derivative) is complex
+
+
+def test_jy_raises_what_bessel_y_raises():
+    with pytest.raises(SingularityError):
+        bessel.bessel_jy(0, np.array([1.0, 0.0]))
+    with pytest.raises(RangeLimitError, match="Y_200"):
+        bessel.bessel_jy(200, 0.5)
+
+
+@pytest.mark.parametrize("n", [0, 3, 12, 40, 200])
+@pytest.mark.parametrize("r", [1e-3, 0.5, 3.7, 6.0, 15.0, 40.0, 200.0, 600.0, 709.0])
+def test_series_table_ends_where_its_tail_is_below_2_to_the_minus_60(n, r):
+    # true terms (r/2)^{2k} / (k! (o+1)_k) out to the cap, in logs
+    orders = bessel._orders(n)
+    cap = bessel._series_cap(r)
+    log_t = np.array([[2 * kk * math.log(r / 2.0) - math.lgamma(kk + 1)
+                       - math.lgamma(o + kk + 1) + math.lgamma(o + 1) for o in orders]
+                      for kk in range(cap)])
+    rel = np.exp(log_t - log_t.max(axis=0))
+    end = len(bessel._series_table(orders, r, 1.0))
+    assert end < cap
+    assert np.all(rel[end:].sum(axis=0) < 2.0 ** -60)
+    # and the table stops at the first such k
+    assert np.any(rel[end - 1:].sum(axis=0) >= 2.0 ** -60)
+
+
+@pytest.mark.parametrize("z", [690j, 5.0 + 600j, -3.0 + 520j])
+def test_far_up_the_imaginary_axis_the_series_stays_in_range(z):
+    # Y sums its series here at |z| in the hundreds: a Horner scale above |z|
+    # would overflow its coefficients, one at or below |z| keeps them in range
+    special = pytest.importorskip("scipy.special")
+    for fn, ref, dref in ((bessel_j, special.jv, special.jvp), (bessel_y, special.yv, special.yvp)):
+        got = fn(3, z)
+        assert cmath.isfinite(got.value) and cmath.isfinite(got.derivative)
+        assert abs(got.value - ref(3, z)) <= 1e-12 * abs(ref(3, z))
+        assert abs(got.derivative - dref(3, z)) <= 1e-12 * abs(dref(3, z))
 
 
 @pytest.mark.parametrize("fn, n, bad, error", [

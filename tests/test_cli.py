@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,28 @@ def test_solve_that_overflows_writes_no_artifacts(tmp_path, capsys):
     assert code == 1
     assert not out.exists() and not (tmp_path / "big.json").exists()
     assert captured.err == "error: the closed form overflows at t = 0\n"
+
+
+def test_solve_near_the_overflow_edge_reports_finite_residuals(tmp_path):
+    # y'' stays finite at 3e307, and so must the squares behind residual_l2
+    out = tmp_path / "s.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["solve", "--m", "1", "--eta", "0", "--k0", "1", "--k", "1", "--omega", "2",
+                     "--c1", "3e307", "--c2", "3e307", "--t1", "1", "--dt", "0.5",
+                     "--out", str(out)])
+    assert code == 0
+    sidecar = json.loads((tmp_path / "s.json").read_text())
+    assert math.isfinite(sidecar["residual_l2"])
+    assert sidecar["residual_l2"] <= sidecar["residual_linf"]
+
+
+def test_integrate_whose_derivative_norm_overflows_says_so(capsys):
+    code = main(["integrate", "--h", "1", "--theta", "0", "--y0", "1e308",
+                 "--t1", "1", "--dt", "0.5"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "overflows" in err and "underflow" not in err
 
 
 def test_solve_inadmissible_is_an_error(capsys):

@@ -231,6 +231,8 @@ def parse(argv: list[str]) -> JobSpec:
     if ns.command == "residual":
         if not (math.isfinite(ns.t0) and math.isfinite(ns.t1)):
             parser.error("--t0 and --t1 must be finite")
+        if not (ns.t1 > ns.t0):
+            parser.error("--t1 must exceed --t0")
         if not (1 <= ns.n <= MAX_GRID_POINTS):
             parser.error(f"--n must be between 1 and {MAX_GRID_POINTS:,}")
     if ns.command == "sweep":

@@ -285,6 +285,7 @@ def split_ode(params: DampedParams, conjugate: bool = False) -> LinearODE:
     return LinearODE(
         p=(lambda t: a) if a != 0 else None,
         q=lambda t: b0 + c0 * cmath.exp(s * 1j * params.omega * t),
+        on_grid=lambda t: (a, b0 + c0 * np.exp(s * 1j * params.omega * t), 0.0),
     )
 
 
@@ -296,6 +297,7 @@ def homogeneous_ode(params: DampedParams) -> LinearODE:
     return LinearODE(
         p=(lambda t: a) if a != 0 else None,
         q=lambda t: b0 + c0 * math.cos(params.omega * t),
+        on_grid=lambda t: (a, b0 + c0 * np.cos(params.omega * t), 0.0),
     )
 
 

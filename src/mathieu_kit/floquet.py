@@ -86,8 +86,10 @@ def general_mathieu_ode(gp: GeneralParams) -> LinearODE:
     h, theta = gp.h, gp.theta
     if h.imag == 0.0 and theta.imag == 0.0:
         hr, thr = h.real, theta.real
-        return LinearODE(p=None, q=lambda t: hr - 2.0 * thr * math.cos(2.0 * t))
-    return LinearODE(p=None, q=lambda t: h - 2.0 * theta * cmath.cos(2.0 * t))
+        return LinearODE(p=None, q=lambda t: hr - 2.0 * thr * math.cos(2.0 * t),
+                         on_grid=lambda t: (0.0, hr - 2.0 * thr * np.cos(2.0 * t), 0.0))
+    return LinearODE(p=None, q=lambda t: h - 2.0 * theta * cmath.cos(2.0 * t),
+                     on_grid=lambda t: (0.0, h - 2.0 * theta * np.cos(2.0 * t), 0.0))
 
 
 def _diagonal(gp: GeneralParams, mu: complex, n: int) -> complex:

@@ -247,6 +247,8 @@ def full_ode(fp: FluxParams) -> LinearODE:
         p=(lambda t: rate) if rate != 0 else None,
         q=lambda t: (b.k0 + b.k * math.cos(b.omega * t)) / b.m,
         f=lambda t: force * math.cos(fp.Omega * t),
+        on_grid=lambda t: (rate, (b.k0 + b.k * np.cos(b.omega * t)) / b.m,
+                           force * np.cos(fp.Omega * t)),
     )
 
 
@@ -395,11 +397,11 @@ def _bound(coeffs: np.ndarray, rate: complex, step: complex) -> float:
 
 def _check_motion(fp: FluxParams, grid: np.ndarray, y, dy, d2y) -> None:
     """Refuse a non-finite motion, or one whose relative residual exceeds RESIDUAL_BOUND."""
-    b = fp.base
     require_finite("the closed-form motion", grid, y, dy, d2y)
+    # the equation is real: its coefficients' real parts keep the sums on floats
+    p, q, f = (v.real for v in full_ode(fp).coefficients_on(grid))
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = (d2y, (b.eta / b.m) * dy, (b.k0 + b.k * np.cos(b.omega * grid)) / b.m * y,
-                 -(fp.drive_amplitude / b.m) * np.cos(fp.Omega * grid))
+        terms = (d2y, p * dy, q * y, -f)
         size = np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2]) + np.abs(terms[3])
         rel = np.abs(terms[0] + terms[1] + terms[2] + terms[3]) / np.maximum(size, 1e-300)
     worst = int(np.argmax(rel))

@@ -22,7 +22,10 @@ arithmetic makes NaN); the returned arrays are complex either way.
 Results cross layer boundaries as TimeSeries arrays: integrate returns one
 (the step-end states when no times are requested), and residual(ode, series)
 checks one on its own grid (a per-point callable plus a grid is accepted too,
-and is sampled into arrays first).
+and is sampled into arrays first).  Grids read an equation's coefficients
+through its array form, the same expressions on numpy ufuncs, which every
+equation the library builds carries; a LinearODE given only scalar callables
+is sampled one point at a time.
 """
 
 from __future__ import annotations
@@ -88,20 +91,34 @@ def validate_tolerance(tol: float) -> float:
 
 @dataclass(frozen=True)
 class LinearODE:
-    """y'' + p(t) y' + q(t) y = f(t); None stands for the zero function."""
+    """y'' + p(t) y' + q(t) y = f(t); None stands for the zero function.
+
+    on_grid, when given, is the same equation on arrays: a grid in, p, q and f
+    out as arrays or broadcastable scalars, 0.0 for an absent term.  The
+    stepper calls the scalar callables; grids read on_grid.
+    """
 
     p: Coefficient | None
     q: Coefficient | None
     f: Coefficient | None = None
+    on_grid: Callable[[np.ndarray], tuple] | None = None
 
     def coefficients_on(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """p, q and f sampled on a grid as complex arrays (zeros for None)."""
-        return _sample(self.p, grid), _sample(self.q, grid), _sample(self.f, grid)
+        """p, q and f on a grid as complex arrays (zeros for None)."""
+        if self.on_grid is None:
+            return _sample(self.p, grid), _sample(self.q, grid), _sample(self.f, grid)
+        return tuple(_filled(v, grid) for v in self.on_grid(grid))
+
+
+def _filled(values, points: np.ndarray) -> np.ndarray:
+    out = np.empty(np.shape(points), dtype=complex)
+    out[...] = values
+    return out
 
 
 def _sample(fn: Coefficient | None, points: np.ndarray) -> np.ndarray:
-    # Coefficients stay scalar math/cmath callables, which the stepper calls six
-    # times a step (a numpy ufunc costs more per call); grids sample them here.
+    # a coefficient without an array form (a user's callable, wronskian_abel's
+    # p) is called once per point
     out = np.zeros(np.shape(points), dtype=complex)
     if fn is not None:
         out.flat[:] = [fn(t) for t in np.ravel(points).tolist()]

@@ -153,27 +153,31 @@ def reduce(inp: ReductionInput) -> ReductionResult:
     )
 
 
+def _rational_ode(p, q) -> LinearODE:
+    # rational coefficients read an array as they read a float
+    return LinearODE(p=p, q=q, on_grid=lambda t: (p(t), q(t), 0.0))
+
+
 def source_ode(inp: ReductionInput) -> LinearODE:
     """The source family as a LinearODE in its own variable (normal form)."""
     a, b = inp.a, inp.b
     if inp.family == "damped":
         return homogeneous_ode(inp.params)
     if inp.family == "eq11":
-        return LinearODE(
-            p=lambda t: -t / (1.0 - t * t),
-            q=lambda t: (2.0 * a * t * t + b) / (1.0 - t * t),
-        )
+        return _rational_ode(lambda t: -t / (1.0 - t * t),
+                             lambda t: (2.0 * a * t * t + b) / (1.0 - t * t))
     if inp.family == "eq13":
-        return LinearODE(
-            p=lambda t: (2.0 * t - 1.0) / (2.0 * t * (t - 1.0)),
-            q=lambda t: (a * t + b) / (2.0 * t * (t - 1.0)),
-        )
+        return _rational_ode(lambda t: (2.0 * t - 1.0) / (2.0 * t * (t - 1.0)),
+                             lambda t: (a * t + b) / (2.0 * t * (t - 1.0)))
     if inp.family == "eq15":
         lam = inp.lam
-        return LinearODE(p=None, q=lambda t: a * math.sin(lam * t) + b)
+        return LinearODE(p=None, q=lambda t: a * math.sin(lam * t) + b,
+                         on_grid=lambda t: (0.0, a * np.sin(lam * t) + b, 0.0))
     if inp.family == "eq17-sin":
-        return LinearODE(p=None, q=lambda t: a * math.sin(t) ** 2 + b)
-    return LinearODE(p=None, q=lambda t: a * math.cos(t) ** 2 + b)
+        return LinearODE(p=None, q=lambda t: a * math.sin(t) ** 2 + b,
+                         on_grid=lambda t: (0.0, a * np.sin(t) ** 2 + b, 0.0))
+    return LinearODE(p=None, q=lambda t: a * math.cos(t) ** 2 + b,
+                     on_grid=lambda t: (0.0, a * np.cos(t) ** 2 + b, 0.0))
 
 
 def _map_derivatives(result: ReductionResult, z: np.ndarray):

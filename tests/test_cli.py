@@ -83,6 +83,8 @@ def test_parse_floquet_example():
      "--n", "10000001"],
     ["residual", "--m", "1", "--eta", "0", "--k0", "1", "--k", "4", "--omega", "2",
      "--t1", "inf"],
+    ["residual", "--m", "1", "--eta", "0.5", "--k0", "16.0625", "--k", "4", "--omega", "2",
+     "--t0", "5", "--t1", "0", "--n", "11"],
     # sweep refuses what floquet refuses, and grids it cannot span or hold
     SWEEP_ARGS + ["--trunc", "25"],
     SWEEP_ARGS + ["--nh", "0"],

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mathieu_kit import flux
+from mathieu_kit import closed_form, flux, reductions
 from mathieu_kit.closed_form import DampedParams, evaluate_grid, general_solution
 from mathieu_kit.errors import InvalidParameterError, SpanError, StiffnessError
 from mathieu_kit.floquet import GeneralParams, classify_stability, general_mathieu_ode
@@ -613,3 +613,89 @@ NON_FINITE_VALUES = {
 def test_non_finite_values_are_rejected(call):
     with pytest.raises(InvalidParameterError):
         call()
+
+
+def _source_input(family: str) -> reductions.ReductionInput:
+    if family == "damped":
+        return reductions.ReductionInput(family, params=DampedParams(1.0, 0.4, 6.0, 2.0, 1.3))
+    return reductions.ReductionInput(family, a=1.5, b=-0.5, lam=0.8)
+
+
+# every equation the library builds, each with its array form
+_LIBRARY_ODES = {
+    "split+": lambda: closed_form.split_ode(DampedParams(1.0, 0.5, 16.0625, 4.0, 2.0)),
+    "split-": lambda: closed_form.split_ode(DampedParams(1.0, 0.5, 16.0625, 4.0, 2.0),
+                                            conjugate=True),
+    "homogeneous damped": lambda: closed_form.homogeneous_ode(
+        DampedParams(2.0, 0.3, 5.0, -1.5, 0.7)),
+    "homogeneous undamped": lambda: closed_form.homogeneous_ode(
+        DampedParams(1.0, 0.0, 3.0, 1.0, 2.0)),
+    "mathieu real": lambda: general_mathieu_ode(GeneralParams(h=3.0, theta=1.5)),
+    "mathieu complex": lambda: general_mathieu_ode(GeneralParams(h=2.0 + 1.0j, theta=0.5 - 0.3j)),
+    "flux": lambda: flux.full_ode(flux.FluxParams(
+        base=DampedParams(1.0, 0.5, 9.0, 0.05, 0.05), B=1.0, J0=1.0, Omega=1.2, c_light=1.0)),
+    **{f"source {family}": (lambda family=family: reductions.source_ode(_source_input(family)))
+       for family in reductions.FAMILIES},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LIBRARY_ODES))
+def test_array_forms_agree_with_their_scalar_callables(name):
+    ode = _LIBRARY_ODES[name]()
+    assert ode.on_grid is not None
+    # inside (0, 1), where eq11's and eq13's rational coefficients are finite
+    grid = np.sort(np.random.default_rng(7).uniform(0.01, 0.99, 400))
+    if not name.startswith(("source eq11", "source eq13")):
+        grid = 40.0 * grid - 5.0
+    formed = ode.coefficients_on(grid)
+    sampled = LinearODE(p=ode.p, q=ode.q, f=ode.f).coefficients_on(grid)
+    for got, want in zip(formed, sampled):
+        assert got.dtype == np.complex128 and got.shape == grid.shape
+        # with numpy 2.4 on x86-64 Linux: bit-identical, but for eq17's sin², one
+        # ulp off at about 1 point in 1,000 (the scalar x ** 2 is libm's pow, the
+        # array's a correctly rounded square); other builds may take SIMD
+        # sin/cos/exp loops a few ulp from libm's
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps * scale
+
+
+def _counted(ode: LinearODE, calls: list, keep_form: bool) -> LinearODE:
+    """ode with its scalar coefficients counting their calls, with or without its array form."""
+    def count(fn):
+        def counted(t):
+            calls.append(t)
+            return fn(t)
+        return None if fn is None else counted
+
+    return LinearODE(count(ode.p), count(ode.q), count(ode.f),
+                     on_grid=ode.on_grid if keep_form else None)
+
+
+def test_an_equation_without_its_array_form_is_sampled_to_the_same_report():
+    params = DampedParams(1.0, 0.5, 16.0625, 4.0, 2.0)
+    ode = closed_form.split_ode(params)
+    grid = np.linspace(0.0, 10.0, 501)
+    series = evaluate_grid(general_solution(params, closed_form.Variant.CORRECTED, 1.0, 1.0), grid)
+    # as perfbench's counting wrapper rebuilds it: p, q and f only
+    full, bare = residual(ode, series), residual(LinearODE(p=ode.p, q=ode.q, f=ode.f), series)
+    assert full == bare
+    assert full.pointwise.tobytes() == bare.pointwise.tobytes()
+
+
+def test_grids_make_no_scalar_coefficient_call(monkeypatch):
+    calls = []
+    split_ode = closed_form.split_ode
+    for keep_form, expected in ((False, 2 * 2 * 501), (True, 0)):
+        monkeypatch.setattr(closed_form, "split_ode",
+                            lambda *a, **k: _counted(split_ode(*a, **k), calls, keep_form))
+        calls.clear()
+        closed_form.adjudicate(DampedParams(1.0, 0.5, 16.0625, 4.0, 2.0),
+                               np.linspace(0.0, 10.0, 501), allow_inadmissible=True)
+        # p and q, both variants, every point; or none at all
+        assert len(calls) == expected
+
+    ode = _counted(general_mathieu_ode(GeneralParams(h=3.0, theta=1.5)), calls, True)
+    calls.clear()
+    series = integrate(ode, 1.0, 0.0, (0.0, 10.0), 1e-9, t_eval=np.linspace(0.0, 10.0, 201))
+    # the stepper's stage calls only: y'' on the grid comes from the array form
+    assert len(calls) == series.meta["rhs_evaluations"]

@@ -372,16 +372,19 @@ def _run_sweep(job: JobSpec, sidecar: dict):
     mus = np.full(len(hs), complex(math.nan, math.nan))
     labels = ["failed"] * len(hs)
     failures = Counter()
+    examples = {}  # the first failing point of each class, with its message
     for i, (h, th) in enumerate(zip(hs.tolist(), thetas.tolist())):
         try:
             mu = fl.characteristic_exponent(fl.GeneralParams(h=h, theta=th))
         except MathieuKitError as exc:
             failures[type(exc).__name__] += 1
+            examples.setdefault(type(exc).__name__, {"h": h, "theta": th, "message": str(exc)})
             continue
         mus[i], labels[i] = mu, fl.classify_stability(mu)
     flags = {"grid_points": len(hs), "failures": sum(failures.values())}
     if failures:
         flags["failure_classes"] = dict(failures)
+        flags["failure_examples"] = examples
     sidecar.update(validity_flags=flags)
     table = (["h", "theta", "re_mu", "im_mu", "stability"],
              [hs, thetas, mus.real, mus.imag, labels])

@@ -17,6 +17,13 @@ infinite product converges) vanishes at the same mu and is kept as an
 independent check, as is the oracle's period map.  exponential_sum sums
 every series on a grid by Horner's rule centred on c_0.
 
+A solve keeps its working figures on the Python scalars the sweep returns:
+the ratios, the moduli of their running products (which decide where a
+series ends), and Hill's determinant recursion.  numpy builds what is
+returned (c_{-N..N}, once per series) and the few reductions long enough to
+pay for a call: Hill's tail sum, the |diagonal| of the rows searched for the
+centre, and their stable sort when the first row fails.
+
 The exponent stored on a FloquetSolution is the working one (the class member
 the coefficients are centered on); characteristic_exponent reports the
 canonical class representative instead.
@@ -25,7 +32,10 @@ canonical class representative instead.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,19 +165,40 @@ def _hill_cosh_pi_mu(gp: GeneralParams) -> complex:
     # theta = 8000); the Fourier series built on it runs out of digits far
     # sooner (see solve)
     big_n = int(20 + 12.0 * math.sqrt(abs(th)) + math.sqrt(abs(h)))
-    n = np.arange(-big_n, big_n + 1)
-    s = h - 4.0 * n * n
-    pinned = np.abs(n) == r
-    diag = np.where(pinned, s, 1.0)
-    s[pinned] = 1.0
-    det_prev, det = 1.0, complex(diag[0])
-    for a, e in zip(diag[1:].tolist(), (th * th / (s[1:] * s[:-1])).tolist()):
+    rows = _hill_rows if big_n <= _CACHED_HILL_ROWS else _hill_rows.__wrapped__
+    four_n2, four_m2, four_m1_2 = rows(big_n)
+    s = h - four_n2
+    # the pinned rows n = +-r (one row when r = 0): diagonal s_n, divisor 1
+    diag = [1.0 + 0.0j] * len(s)
+    for i in {big_n - r, big_n + r}:
+        diag[i] = complex(s[i])
+        s[i] = 1.0
+    det_prev, det = 1.0, diag[0]
+    for a, e in zip(diag[1:], (th * th / (s[1:] * s[:-1])).tolist()):
         det_prev, det = det, a * det - e * det_prev
     # sum over m > N: exact to 4N, then the midpoint-rule integral of 1/(16 m^4)
-    m = np.arange(big_n + 1, 4 * big_n + 1)
-    tail = np.sum(1.0 / ((4.0 * m * m - h) * (4.0 * (m - 1) ** 2 - h)))
+    tail = np.sum(1.0 / ((four_m2 - h) * (four_m1_2 - h)))
     tail += 1.0 / (48.0 * (4 * big_n) ** 3)
     return 1.0 - 2.0 * det * cmath.exp(-2.0 * th * th * tail) * g * g
+
+
+# _hill_rows keeps at most 64 truncations, each of N up to this many rows
+_CACHED_HILL_ROWS = 1024
+
+
+@functools.lru_cache(maxsize=64)
+def _hill_rows(big_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mu-independent constants of Hill's formula at truncation N, read-only.
+
+    4n^2 for |n| <= N (the rows of Delta(0)), then 4m^2 and 4(m-1)^2 for
+    N < m <= 4N (the exact part of the tail sum).
+    """
+    n = np.arange(-big_n, big_n + 1)
+    m = np.arange(big_n + 1, 4 * big_n + 1)
+    rows = (4.0 * n * n, 4.0 * m * m, 4.0 * (m - 1) ** 2)
+    for a in rows:
+        a.flags.writeable = False
+    return rows
 
 
 def _secant(f, x0: complex, e0: tuple, xtol: float, max_iter: int = 80) -> tuple[complex, tuple]:
@@ -236,23 +267,35 @@ def _center_row(gp: GeneralParams, mu: complex, depth: int) -> tuple[complex, fl
     return d0 - th * (r[0] + s[0]), floor, r, s
 
 
-def _shift_order(gp: GeneralParams, mu: complex, window: int) -> list:
+def _shift_order(gp: GeneralParams, mu: complex, window: int):
     """Shifts n of mu + 2in, |n| <= window, in the order they are tried as the centre row.
 
     Listed 0, 1, -1, 2, -2, ... and stably sorted by |diagonal|, so ties keep
     that order; the smallest diagonal comes first, a tie with it within 1e-14
     relative going to the earlier shift (so theta = 0 degeneracies resolve
-    deterministically).
+    deterministically).  A generator: the first shift costs one |diagonal|
+    array and its minimum; the stable sort behind the rest is made only when
+    _centre asks for a second row.  The listing is built once per window
+    (_listed_shifts).
     """
+    shifts = _listed_shifts(window)
+    rows = mu + 2.0j * shifts
+    diag = np.abs(gp.h + rows * rows)
+    least = diag.min()
+    first = int(np.argmax(diag <= least + 1e-14 * (1.0 + least)))
+    yield int(shifts[first])
+    order = np.argsort(diag, kind="stable")
+    yield from shifts[order[order != first]].tolist()
+
+
+@functools.lru_cache(maxsize=64)
+def _listed_shifts(window: int) -> np.ndarray:
+    """0, 1, -1, 2, -2, ..., window, -window, read-only."""
     n = np.arange(1, window + 1)
     shifts = np.zeros(2 * window + 1, dtype=int)
     shifts[1::2], shifts[2::2] = n, -n
-    rows = mu + 2.0j * shifts
-    diag = np.abs(gp.h + rows * rows)
-    order = np.argsort(diag, kind="stable")
-    least = diag[order[0]]
-    first = np.argmax(diag <= least + 1e-14 * (1.0 + least))
-    return [int(shifts[first])] + shifts[order[order != first]].tolist()
+    shifts.flags.writeable = False
+    return shifts
 
 
 def _centre(gp: GeneralParams, mu: complex, depth: int) -> tuple[complex, tuple | None]:
@@ -308,18 +351,27 @@ def fourier_series(gp: GeneralParams, mu: complex, ev: tuple | None = None,
     SERIES_TAIL of its peak.  A non-finite series raises
     DegenerateParametersError; one still above CONVERGED_TAIL past MAX_DEPTH
     raises ConvergenceError.
+
+    Each pass reads these tests from the moduli of the running products of
+    the ratios (_moduli, Python scalars), each divided by the peak; the
+    array c_{-N..N} is built once, by centred_coefficients, for the series
+    returned.
     """
     ev = _center_row(gp, mu, _sweep_depth(gp)) if ev is None else ev
     while True:
         depth = len(ev[2])
-        c = centred_coefficients(ev[2], ev[3])
-        mags = np.abs(c)
-        if not np.all(np.isfinite(mags)):
+        try:
+            ups, downs = _moduli(ev[2]), _moduli(ev[3])
+        except OverflowError:
+            ups = downs = [math.inf]
+        # a product that leaves the finite numbers never returns, so the last
+        # term on each side shows whether any did
+        if not (math.isfinite(ups[-1]) and math.isfinite(downs[-1])):
             raise DegenerateParametersError(
                 f"coefficient recursion degenerated for h={gp.h!r}, theta={gp.theta!r}, mu={mu!r}"
             )
-        mags /= np.max(mags)
-        tail = max(mags[0], mags[-1])
+        peak = max(1.0, max(ups), max(downs))
+        tail = max(downs[-1] / peak, ups[-1] / peak)
         if tail > CONVERGED_TAIL:
             if depth >= MAX_DEPTH:
                 raise ConvergenceError(
@@ -330,9 +382,24 @@ def fourier_series(gp: GeneralParams, mu: complex, ev: tuple | None = None,
             mu, ev = _secant(lambda m: _center_row(gp, m, depth), mu, ev, 5e-16)
             polish = False
         else:
-            big = np.flatnonzero(mags > SERIES_TAIL)
-            n = max(depth - big[0], big[-1] - depth)
-            return mu, c[depth - n:depth + n + 1]
+            n = max(_reach(ups, peak), _reach(downs, peak))
+            return mu, centred_coefficients(ev[2][:n], ev[3][:n])
+
+
+def _moduli(ratios: list) -> list:
+    """|c_1|, |c_2|, ... on one side, from the running products centred_coefficients forms.
+
+    A finite product whose modulus overflows raises OverflowError.
+    """
+    return [abs(c) for c in itertools.accumulate(ratios, operator.mul)]
+
+
+def _reach(moduli: list, peak: float) -> int:
+    """The largest n with |c_n|/peak above SERIES_TAIL on one side, 0 if there is none."""
+    for n in range(len(moduli), 0, -1):
+        if moduli[n - 1] / peak > SERIES_TAIL:
+            return n
+    return 0
 
 
 def coefficients(gp: GeneralParams, mu: complex) -> FloquetSolution:

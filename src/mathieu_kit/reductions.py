@@ -173,11 +173,17 @@ def source_ode(inp: ReductionInput) -> LinearODE:
         lam = inp.lam
         return LinearODE(p=None, q=lambda t: a * math.sin(lam * t) + b,
                          on_grid=lambda t: (0.0, a * np.sin(lam * t) + b, 0.0))
+    # squared as s * s, exactly as numpy's ** 2 squares; libm's pow behind a
+    # scalar ** 2 is not correctly rounded
     if inp.family == "eq17-sin":
-        return LinearODE(p=None, q=lambda t: a * math.sin(t) ** 2 + b,
+        return LinearODE(p=None, q=lambda t: a * _square(math.sin(t)) + b,
                          on_grid=lambda t: (0.0, a * np.sin(t) ** 2 + b, 0.0))
-    return LinearODE(p=None, q=lambda t: a * math.cos(t) ** 2 + b,
+    return LinearODE(p=None, q=lambda t: a * _square(math.cos(t)) + b,
                      on_grid=lambda t: (0.0, a * np.cos(t) ** 2 + b, 0.0))
+
+
+def _square(s: float) -> float:
+    return s * s
 
 
 def _map_derivatives(result: ReductionResult, z: np.ndarray):

@@ -340,7 +340,29 @@ def test_sweep_failed_row_keeps_its_cause(monkeypatch, capsys):
     assert set(sidecar.keys()) == SIDECAR_KEYS
     assert sidecar["validity_flags"] == {
         "grid_points": 6, "failures": 1, "failure_classes": {"ConvergenceError": 1},
+        "failure_examples": {"ConvergenceError": {"h": 1.0, "theta": 0.0, "message": "no root"}},
     }
+
+
+def test_sweep_sidecar_says_why_each_class_failed(tmp_path):
+    # Hill's formula overflows at h = -1e6 for every theta: the first point speaks for both
+    argv = ["sweep", "--h0=-1e6", "--h1", "1", "--nh", "2",
+            "--theta0", "0.5", "--theta1", "1", "--ntheta", "2"]
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / f"{name}.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        runs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+    assert runs[0] == runs[1]
+    csv_bytes, sidecar_bytes = runs[0]
+    assert csv_bytes.count(b"nan,nan,failed") == 2
+    sidecar = json.loads(sidecar_bytes)
+    assert set(sidecar.keys()) == SIDECAR_KEYS
+    flags = sidecar["validity_flags"]
+    assert flags["failure_classes"] == {"ConvergenceError": 2}
+    example = flags["failure_examples"]["ConvergenceError"]
+    assert (example["h"], example["theta"]) == (-1e6, 0.5)
+    assert example["message"].startswith("Hill's formula overflowed for h=(-1000000+0j), theta=(0.5+0j)")
 
 
 def test_stability_chart_script_writes_the_sweeps_exponents(tmp_path, capsys):

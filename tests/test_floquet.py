@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from mathieu_kit import floquet, oracle
-from mathieu_kit.errors import ConvergenceError, DegeneracyError, InvalidParameterError
+from mathieu_kit.errors import (
+    ConvergenceError,
+    DegeneracyError,
+    DegenerateParametersError,
+    InvalidParameterError,
+)
 from mathieu_kit.exponent_class import class_distance, normalize_exponent
 from mathieu_kit.floquet import (
     GeneralParams,
@@ -272,6 +277,19 @@ def test_series_ends_at_the_tail_constant(h, theta):
     assert np.max(np.abs(np.abs(sol.coeffs) - kept)) <= 1e-12 * peak
 
 
+def test_fourier_series_refuses_a_non_finite_or_unconverged_series():
+    # at mu = 0 the sweep's last row, n = 14159, has a zero diagonal: its ratio is theta/1e-300 = inf
+    with pytest.raises(DegenerateParametersError, match="degenerated"):
+        floquet.fourier_series(GeneralParams(4.0 * 14159 ** 2, 2e8), 0.0)
+    # finite coefficients whose modulus overflows midway: c_2 = 1.5e308 (1 + i), c_3 = 1.5e8 (1 + i)
+    ev = (0j, 0.0, [1.5e300 + 0j, 1e8 + 1e8j, 1e-300 + 0j], [0.5 + 0j] * 3)
+    with pytest.raises(DegenerateParametersError, match="degenerated"):
+        floquet.fourier_series(GeneralParams(1.0, 1.0), 0.0, ev)
+    ev = (0j, 0.0, [1.0 + 0j] * floquet.MAX_DEPTH, [0.5 + 0j] * floquet.MAX_DEPTH)
+    with pytest.raises(ConvergenceError, match="above 1e-34 at N=4096"):
+        floquet.fourier_series(GeneralParams(1.0, 1.0), 0.0, ev)
+
+
 def test_exponent_far_off_the_chart_matches_a_tight_monodromy():
     gp = GeneralParams(1.0, 2000.0)
     sol = solve(gp)
@@ -332,6 +350,55 @@ def test_coefficients_sweep_each_exponent_once(monkeypatch, h, theta):
     gp = GeneralParams(h, theta)
     coefficients(gp, floquet._hill_seed(gp))
     assert seen and len(set(seen)) == len(seen)
+
+
+def _stable_sort_shift_order(gp, mu, window):
+    """The centre-row order as one full array sort: the reference the lazy order must equal."""
+    n = np.arange(1, window + 1)
+    shifts = np.zeros(2 * window + 1, dtype=int)
+    shifts[1::2], shifts[2::2] = n, -n
+    rows = mu + 2.0j * shifts
+    diag = np.abs(gp.h + rows * rows)
+    order = np.argsort(diag, kind="stable")
+    least = diag[order[0]]
+    first = np.argmax(diag <= least + 1e-14 * (1.0 + least))
+    return [int(shifts[first])] + shifts[order[order != first]].tolist(), int(shifts[order[0]])
+
+
+def test_lazy_shift_order_is_the_full_stable_sort(monkeypatch):
+    rng = np.random.default_rng(21)
+    cases = [(GeneralParams(complex(h, hi), complex(th, thi)), complex(mr, mi))
+             for h, hi, th, thi, mr, mi in zip(rng.uniform(-2.0, 300.0, 60), rng.choice([0.0, 0.5], 60),
+                                               rng.uniform(-60.0, 60.0, 60), rng.choice([0.0, -0.3], 60),
+                                               rng.uniform(-1.0, 1.0, 60), rng.uniform(-3.0, 3.0, 60))]
+    # theta = 0 at h = 4k^2: rows 0 and -2k tie at the exact exponent 2ik, and a
+    # last-bit offset leaves row -2k below row 0 by less than 1e-14
+    for k in rng.integers(1, 30, 400).tolist():
+        eps, delta = rng.uniform(-3e-15, 3e-15), rng.uniform(-1e-16, 1e-16)
+        cases.append((GeneralParams(4.0 * k * k, 0.0), 1j * (2 * k + eps * k) + delta))
+    ties = 0
+    for gp, mu in cases:
+        window = 40 + int(math.sqrt(abs(gp.h)) / 2)
+        expected, smallest = _stable_sort_shift_order(gp, mu, window)
+        assert list(floquet._shift_order(gp, mu, window)) == expected, (gp, mu)
+        ties += expected[0] != smallest
+    assert ties > 0  # the tie rule, not the sort, chose the first row
+
+    # (200, 50): row +7 fails the gate, so the fallback order is consumed
+    consumed = []
+    lazy = floquet._shift_order
+
+    def recording(gp, mu, window):
+        for shift in lazy(gp, mu, window):
+            consumed.append(shift)
+            yield shift
+
+    monkeypatch.setattr(floquet, "_shift_order", recording)
+    gp = GeneralParams(200.0, 50.0)
+    seed = floquet._hill_seed(gp)
+    floquet._centre(gp, seed, floquet._sweep_depth(gp))
+    expected, _ = _stable_sort_shift_order(gp, seed, 40 + int(math.sqrt(200.0) / 2))
+    assert len(consumed) >= 2 and consumed == expected[:len(consumed)]
 
 
 def test_series_residuals_over_the_sweep_box_stay_at_rounding_level():

@@ -651,10 +651,8 @@ def test_array_forms_agree_with_their_scalar_callables(name):
     sampled = LinearODE(p=ode.p, q=ode.q, f=ode.f).coefficients_on(grid)
     for got, want in zip(formed, sampled):
         assert got.dtype == np.complex128 and got.shape == grid.shape
-        # with numpy 2.4 on x86-64 Linux: bit-identical, but for eq17's sin², one
-        # ulp off at about 1 point in 1,000 (the scalar x ** 2 is libm's pow, the
-        # array's a correctly rounded square); other builds may take SIMD
-        # sin/cos/exp loops a few ulp from libm's
+        # with numpy 2.4 on x86-64 Linux: bit-identical; other builds may take
+        # SIMD sin/cos/exp loops a few ulp from libm's
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps * scale
 

@@ -221,6 +221,20 @@ def test_source_ode_forms():
     assert qv == pytest.approx(3.0 * math.sin(0.8) + 2.0)
 
 
+@pytest.mark.parametrize("family, scalar, array", [("eq17-sin", math.sin, np.sin),
+                                                    ("eq17-cos", math.cos, np.cos)])
+def test_eq17_scalar_and_grid_q_are_the_same_expression(family, scalar, array):
+    # the stepper reads q(t), a grid reads on_grid: where libm's and numpy's
+    # sine agree, the two must agree to the bit
+    ode = source_ode(ReductionInput(family=family, a=1.5, b=-0.5))
+    t = np.random.default_rng(17).uniform(-20.0, 20.0, 2000)
+    on_grid = ode.on_grid(t)[1].tolist()
+    same = [scalar(x) == y for x, y in zip(t.tolist(), array(t).tolist())]
+    assert sum(same) >= 0.99 * len(t)
+    assert [ode.q(x) for x, ok in zip(t.tolist(), same) if ok] == \
+        [q for q, ok in zip(on_grid, same) if ok]
+
+
 def test_composition_with_closed_form():
     params = DampedParams(1.0, 0.0, 1.0, 1.0, 2.0)
     result = damped_to_general(params)

@@ -7,15 +7,16 @@ c_n e^{(mu+2in)t} come from backward continued fractions on both sides of
 n = 0, run together in one sweep on Python scalars, which satisfies every
 off-center row of the recurrence exactly.  fourier_series decides where every
 series ends: the sweep starts at a depth that grows with sqrt|theta| and
-doubles until its last terms are negligible; then a secant polish of mu on
-the center-row defect runs once, at that depth, and stops at the defect's
-rounding floor (a seed already there is not polished); the series is cut
-where |c_n| falls below SERIES_TAIL of its peak.  flux's sideband series, the
-same recurrence at the drive exponent, ends by the same rule.  The truncated
-Hill determinant (rows scaled by smooth mu-independent weights so the
-infinite product converges) vanishes at the same mu and is kept as an
-independent check, as is the oracle's period map.  exponential_sum sums
-every series on a grid by Horner's rule centred on c_0.
+doubles until its last terms are negligible (a depth past MAX_DEPTH, like a
+Hill truncation past MAX_HILL_TRUNCATION, raises ConvergenceError); then a
+secant polish of mu on the center-row defect runs once, at that depth, and
+stops at the defect's rounding floor (a seed already there is not polished);
+the series is cut where |c_n| falls below SERIES_TAIL of its peak.  flux's
+sideband series, the same recurrence at the drive exponent, ends by the same
+rule.  The truncated Hill determinant (rows scaled by smooth mu-independent
+weights so the infinite product converges) vanishes at the same mu and is
+kept as an independent check, as is the oracle's period map.
+exponential_sum sums every series on a grid by Horner's rule centred on c_0.
 
 A solve keeps its working figures on the Python scalars the sweep returns:
 the ratios, the moduli of their running products (which decide where a
@@ -56,6 +57,8 @@ from .samples import SolutionSample, TimeSeries, as_grid
 CONVERGED_TAIL = 1e-34
 SERIES_TAIL = 1e-19
 MAX_DEPTH = 4096
+# the largest truncation N of Hill's formula (2N + 1 rows, 3N more in its tail)
+MAX_HILL_TRUNCATION = 65536
 _DEGENERACY_TOL = 1e-9
 
 
@@ -126,7 +129,11 @@ def hill_determinant(gp: GeneralParams, mu: complex, trunc: int = 25) -> complex
 
 
 def _hill_seed(gp: GeneralParams) -> complex:
-    """One member of the exponent class from Hill's formula, without integration."""
+    """One member of the exponent class from Hill's formula, without integration.
+
+    A truncation above MAX_HILL_TRUNCATION (|theta| beyond about 3e7, or |h|
+    beyond about 4e9) raises ConvergenceError, as does a formula that overflows.
+    """
     try:
         cosh_pi_mu = _hill_cosh_pi_mu(gp)
     except OverflowError:
@@ -164,7 +171,11 @@ def _hill_cosh_pi_mu(gp: GeneralParams) -> complex:
     # ~1e-9 in this seed mu out to theta ~ 1e4 (6 sqrt|theta| leaves 1e-7 at
     # theta = 8000); the Fourier series built on it runs out of digits far
     # sooner (see solve)
-    big_n = int(20 + 12.0 * math.sqrt(abs(th)) + math.sqrt(abs(h)))
+    big_n = 20 + 12.0 * math.sqrt(abs(th)) + math.sqrt(abs(h))
+    if big_n > MAX_HILL_TRUNCATION:
+        raise ConvergenceError(f"Hill's formula needs truncation N={big_n:.3g} for h={h!r}, "
+                               f"theta={th!r}: above {MAX_HILL_TRUNCATION}")
+    big_n = int(big_n)
     rows = _hill_rows if big_n <= _CACHED_HILL_ROWS else _hill_rows.__wrapped__
     four_n2, four_m2, four_m1_2 = rows(big_n)
     s = h - four_n2
@@ -334,8 +345,17 @@ def centred_coefficients(r: list, s: list) -> np.ndarray:
 
 
 def _sweep_depth(gp: GeneralParams) -> int:
-    """The depth the first sweep at (h, theta) starts from."""
-    return 16 + math.ceil(math.sqrt(abs(gp.theta)))
+    """The depth the first sweep at (h, theta) starts from.
+
+    A depth above MAX_DEPTH (|theta| above 4080^2, about 1.7e7) raises
+    ConvergenceError before anything is swept.
+    """
+    depth = 16 + math.ceil(math.sqrt(abs(gp.theta)))
+    if depth > MAX_DEPTH:
+        raise ConvergenceError(
+            f"first sweep depth N={depth:.3g} for theta={gp.theta!r} is above MAX_DEPTH={MAX_DEPTH}"
+        )
+    return depth
 
 
 def fourier_series(gp: GeneralParams, mu: complex, ev: tuple | None = None,
@@ -349,8 +369,8 @@ def fourier_series(gp: GeneralParams, mu: complex, ev: tuple | None = None,
     defect that stops at the defect's rounding floor, and is not started when
     the defect is already there.  The series is cut where |c_n| falls below
     SERIES_TAIL of its peak.  A non-finite series raises
-    DegenerateParametersError; one still above CONVERGED_TAIL past MAX_DEPTH
-    raises ConvergenceError.
+    DegenerateParametersError; one still above CONVERGED_TAIL past MAX_DEPTH,
+    or whose first depth is already above it, raises ConvergenceError.
 
     Each pass reads these tests from the moduli of the running products of
     the ratios (_moduli, Python scalars), each divided by the peak; the

@@ -2,22 +2,21 @@
 
 Everything here checks other results rather than producing them: one
 Dormand-Prince 5(4) stepper for y'' + p y' + q y = f (PI step controller) that
-advances any number of solution columns at once (integrate passes one, the
-monodromy period map two) and streams each step's classical quartic
-interpolant to the requested times, keeping nothing per step; pointwise defect
-residuals with a scale-aware normalization; and the Abel/Liouville Wronskian
-reference.
+advances one solution and streams each step's classical quartic interpolant to
+the requested times, keeping nothing per step (integrate is one sweep, the
+monodromy period map two, one per column); pointwise defect residuals with a
+scale-aware normalization; and the Abel/Liouville Wronskian reference.
 
 The stepper's tableau is unrolled on Python scalars, because a state of two
-or four numbers is too small for numpy to pay off: each step evaluates p, q
-and f once per stage and then loops over the columns, and arrays appear only
-in what it returns.  It does only the arithmetic the problem has: a state
-component with a zero imaginary part enters as a float, so a real equation
-runs on floats and a complex coefficient value promotes the state by itself;
-an absent coefficient is 0.0 at every stage, without a call.  Float
-arithmetic gives the real parts complex arithmetic gives, so the values do
-not depend on the typing (only an overflow may show as inf where complex
-arithmetic makes NaN); the returned arrays are complex either way.
+numbers is too small for numpy to pay off: y, y' and y'' are local variables,
+each step evaluates p, q and f once per stage, and arrays appear only in what
+it returns.  It does only the arithmetic the problem has: a state component
+with a zero imaginary part enters as a float, so a real equation runs on
+floats and a complex coefficient value promotes the state by itself; an
+absent coefficient is 0.0 at every stage, without a call.  Float arithmetic
+gives the real parts complex arithmetic gives, so the values do not depend
+on the typing (only an overflow may show as inf where complex arithmetic
+makes NaN); the returned arrays are complex either way.
 
 Results cross layer boundaries as TimeSeries arrays: integrate returns one
 (the step-end states when no times are requested), and residual(ode, series)
@@ -157,31 +156,30 @@ def _real_or_complex(v) -> float | complex:
     return v.real if v.imag == 0.0 else v
 
 
-def _scaled_rms(v, sc) -> float:
-    """Root mean square of v / sc over the state (the step controller's norm)."""
-    acc = 0.0
-    for x, s in zip(v, sc):
-        re, im = x.real / s, x.imag / s
-        acc += re * re + im * im
-    return math.sqrt(acc / len(sc))
+def _stiff(reason: str, t: float, y, v) -> StiffnessError:
+    return StiffnessError(f"{reason} t={t:.6g}", t_last=t,
+                          state_last=np.array([y, v], dtype=complex))
 
 
-def _initial_step(coefficients, t0: float, ys: list, dys: list, accs: list, t1: float,
-                  tol: float) -> float:
-    u0, f0 = ys + dys, dys + accs
-    sc = [tol + tol * abs(x) for x in u0]
-    d0 = _scaled_rms(u0, sc)
-    d1 = _scaled_rms(f0, sc)
+def _scaled_rms(y, v, sy: float, sv: float) -> float:
+    """Root mean square of y / sy and v / sv (the step controller's norm)."""
+    ry, iy, rv, iv = y.real / sy, y.imag / sy, v.real / sv, v.imag / sv
+    return math.sqrt(((ry * ry + iy * iy) + (rv * rv + iv * iv)) / 2)
+
+
+def _initial_step(coefficients, t0: float, y, v, a, t1: float, tol: float) -> float:
+    sy, sv = tol + tol * abs(y), tol + tol * abs(v)
+    d0 = _scaled_rms(y, v, sy, sv)
+    d1 = _scaled_rms(v, a, sy, sv)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, t1 - t0)
     if h0 == 0.0:
         # d1 overflowed: no trial step exists, and the stepper raises
         return h0
     pv, qv, fv = (0.0 if fn is None else fn(t0 + h0) for fn in coefficients)
-    ys1 = [y + h0 * v for y, v in zip(ys, dys)]
-    dys1 = [v + h0 * a for v, a in zip(dys, accs)]
-    f1 = dys1 + [fv - pv * v - qv * y for y, v in zip(ys1, dys1)]
-    d2 = _scaled_rms([b - a for a, b in zip(f0, f1)], sc) / h0
+    y1 = y + h0 * v
+    v1 = v + h0 * a
+    d2 = _scaled_rms(v1 - v, (fv - pv * v1 - qv * y1) - a, sy, sv) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -189,67 +187,70 @@ def _initial_step(coefficients, t0: float, ys: list, dys: list, accs: list, t1: 
     return min(100.0 * h0, h1, t1 - t0)
 
 
-def _dense_rows(t: float, h: float, components: list, times):
-    """Rows of the step [t, t + h]'s quartic interpolant at times.
+def _quartic(h: float, a, b, g1, g3, g4, g5, g6, g7) -> tuple:
+    """Coefficients of one component's quartic interpolant over a step of size h.
 
-    components holds, per state component, its values at both step ends and
-    its stages k1, k3..k7 (k2's interpolation weight is 0).
+    a and b are its values at the step ends, g1, g3..g7 its stages (k2's
+    interpolation weight is 0).
     """
-    coeffs = []
-    for a, b, g1, g3, g4, g5, g6, g7 in components:
-        delta = b - a
-        c = h * g1 - delta
-        e = h * (_D1 * g1 + _D3 * g3 + _D4 * g4 + _D5 * g5 + _D6 * g6 + _D7 * g7)
-        coeffs.append((a, delta, c, delta - h * g7 - c, e))
+    delta = b - a
+    c = h * g1 - delta
+    e = h * (_D1 * g1 + _D3 * g3 + _D4 * g4 + _D5 * g5 + _D6 * g6 + _D7 * g7)
+    return a, delta, c, delta - h * g7 - c, e
+
+
+def _dense_rows(t: float, h: float, times, y, y7, v, v3, v4, v5, v6, v7,
+                a, a3, a4, a5, a6, a7):
+    """Rows (y, y') of the step [t, t + h]'s interpolant at times.
+
+    y runs from y to y7 with stages v, v3..v7, and y' from v to v7 with
+    stages a, a3..a7.
+    """
+    y0, y1, y2, y3, y4 = _quartic(h, y, y7, v, v3, v4, v5, v6, v7)
+    v0, v1, v2, v3, v4 = _quartic(h, v, v7, a, a3, a4, a5, a6, a7)
     for tk in times:
         theta = (tk - t) / h
         rest = 1.0 - theta
-        yield [a + theta * (b + rest * (c + theta * (d + rest * e))) for a, b, c, d, e in coeffs]
+        yield (y0 + theta * (y1 + rest * (y2 + theta * (y3 + rest * y4))),
+               v0 + theta * (v1 + rest * (v2 + theta * (v3 + rest * v4))))
 
 
 def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: Sequence[complex], tol: float, tq):
-    """Adaptive DOPRI5 sweep of y'' + p y' + q y = f for any number of solutions.
+    """Adaptive DOPRI5 sweep of y'' + p y' + q y = f for one solution.
 
-    The state stacks the solution columns' values over their derivatives,
-    [y_1..y_m, y'_1..y'_m], on Python scalars: floats where u0 is real, so a
-    real equation stays on floats.  A step evaluates p, q and f once per stage
-    (the stage times do not depend on the state; an absent one is 0.0), then
-    runs the whole tableau on each column in turn: the stages of y are the
-    stage values of y', and those of y' are f - p y' - q y.  Each accepted step
-    evaluates its interpolant at the ascending times tq below its end (the
-    last step takes the rest); tq None records the step-end states.  Returns
-    sample times, samples and final state (complex arrays) and stats.
+    u0 is the start (y, y'); the state y, v = y' and its acceleration
+    a = f - p v - q y live on Python scalars: floats where u0 is real, so a
+    real equation stays on floats.  A step evaluates p, q and f once per
+    stage (the stage times do not depend on the state; an absent one is
+    0.0): the stages of y are the stage values of v, and those of v are
+    f - p v - q y.  Each accepted step evaluates its interpolant at the
+    ascending times tq below its end (the last step takes the rest); tq None
+    records the step-end states.  Returns sample times, samples (rows y, y')
+    and final state (complex arrays) and stats.
     """
-    m = len(u0) // 2
     # the callables' float or complex values enter the arithmetic as is: on
     # real parts, float arithmetic gives what complex arithmetic gives, and a
     # complex value makes the state complex from that stage on
     p, q, f = ode.p, ode.q, ode.f
     t = t0
-    ys = [_real_or_complex(v) for v in u0[:m]]
-    dys = [_real_or_complex(v) for v in u0[m:]]
-
-    def stiff(reason: str):
-        return StiffnessError(f"{reason} t={t:.6g}", t_last=t,
-                              state_last=np.array(ys + dys, dtype=complex))
-
+    y, v = (_real_or_complex(x) for x in u0)
     p1, q1, f1 = (0.0 if fn is None else fn(t) for fn in (p, q, f))
-    accs = [f1 - p1 * v - q1 * y for y, v in zip(ys, dys)]  # first stage, reused (FSAL)
-    if not all(map(cmath.isfinite, accs)):
-        raise stiff("derivative is not finite at")
-    h = _initial_step((p, q, f), t0, ys, dys, accs, t1, tol)
+    a = f1 - p1 * v - q1 * y  # first stage, reused (FSAL)
+    if not cmath.isfinite(a):
+        raise _stiff("derivative is not finite at", t, y, v)
+    h = _initial_step((p, q, f), t0, y, v, a, t1, tol)
     if h == 0.0:
-        raise stiff("scaled derivative norm overflows double precision at")
+        raise _stiff("scaled derivative norm overflows double precision at", t, y, v)
     err_old = 1e-4
     last_rejected = False
-    times, rows = ([t0], [ys + dys]) if tq is None else (tq, [])
+    times, rows = ([t0], [(y, v)]) if tq is None else (tq, [])
     n_accept = n_reject = 0
     while t < t1:
         if n_accept + n_reject > _MAX_STEPS:
-            raise stiff("step budget exhausted at")
+            raise _stiff("step budget exhausted at", t, y, v)
         h = min(h, t1 - t)
         if h <= _H_UNDERFLOW * max(abs(t), 1.0):
-            raise stiff("step size underflow at")
+            raise _stiff("step size underflow at", t, y, v)
         t2, t3, t4, t5, t6 = t + _C2 * h, t + _C3 * h, t + _C4 * h, t + _C5 * h, t + h
         # one coefficient evaluation per stage, as rhs_evaluations counts them;
         # stages 6 and 7 both sit at the step end
@@ -259,54 +260,46 @@ def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: Sequence[complex], 
             _ABSENT if q is None else (q(t2), q(t3), q(t4), q(t5), q(t6), q(t6)))
         f2, f3, f4, f5, f6, f7 = (
             _ABSENT if f is None else (f(t2), f(t3), f(t4), f(t5), f(t6), f(t6)))
-        ys_new, dys_new, accs_new, y_stages, dy_stages = [], [], [], [], []
-        acc = 0.0
-        # one column: y, its derivative v and its acceleration a at stages 1..7
-        for y, v1, a1 in zip(ys, dys, accs):
-            y2 = y + h * (_A21 * v1)
-            v2 = v1 + h * (_A21 * a1)
-            a2 = f2 - p2 * v2 - q2 * y2
-            y3 = y + h * (_A31 * v1 + _A32 * v2)
-            v3 = v1 + h * (_A31 * a1 + _A32 * a2)
-            a3 = f3 - p3 * v3 - q3 * y3
-            y4 = y + h * (_A41 * v1 + _A42 * v2 + _A43 * v3)
-            v4 = v1 + h * (_A41 * a1 + _A42 * a2 + _A43 * a3)
-            a4 = f4 - p4 * v4 - q4 * y4
-            y5 = y + h * (_A51 * v1 + _A52 * v2 + _A53 * v3 + _A54 * v4)
-            v5 = v1 + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4)
-            a5 = f5 - p5 * v5 - q5 * y5
-            y6 = y + h * (_A61 * v1 + _A62 * v2 + _A63 * v3 + _A64 * v4 + _A65 * v5)
-            v6 = v1 + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
-            a6 = f6 - p6 * v6 - q6 * y6
-            # stage 7 sits on the 5th-order result, which is the step's end state
-            y7 = y + h * (_B1 * v1 + _B3 * v3 + _B4 * v4 + _B5 * v5 + _B6 * v6)
-            v7 = v1 + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6)
-            a7 = f7 - p7 * v7 - q7 * y7
-            ey = h * (_E1 * v1 + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v7)
-            ev = h * (_E1 * a1 + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * a7)
-            ey /= tol + tol * max(abs(y), abs(y7))
-            ev /= tol + tol * max(abs(v1), abs(v7))
-            acc += ey.real * ey.real + ey.imag * ey.imag + ev.real * ev.real + ev.imag * ev.imag
-            ys_new.append(y7)
-            dys_new.append(v7)
-            accs_new.append(a7)
-            y_stages.append((y, y7, v1, v3, v4, v5, v6, v7))
-            dy_stages.append((v1, v7, a1, a3, a4, a5, a6, a7))
-        err = math.sqrt(acc / (2 * m))
+        y2 = y + h * (_A21 * v)
+        v2 = v + h * (_A21 * a)
+        a2 = f2 - p2 * v2 - q2 * y2
+        y3 = y + h * (_A31 * v + _A32 * v2)
+        v3 = v + h * (_A31 * a + _A32 * a2)
+        a3 = f3 - p3 * v3 - q3 * y3
+        y4 = y + h * (_A41 * v + _A42 * v2 + _A43 * v3)
+        v4 = v + h * (_A41 * a + _A42 * a2 + _A43 * a3)
+        a4 = f4 - p4 * v4 - q4 * y4
+        y5 = y + h * (_A51 * v + _A52 * v2 + _A53 * v3 + _A54 * v4)
+        v5 = v + h * (_A51 * a + _A52 * a2 + _A53 * a3 + _A54 * a4)
+        a5 = f5 - p5 * v5 - q5 * y5
+        y6 = y + h * (_A61 * v + _A62 * v2 + _A63 * v3 + _A64 * v4 + _A65 * v5)
+        v6 = v + h * (_A61 * a + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
+        a6 = f6 - p6 * v6 - q6 * y6
+        # stage 7 sits on the 5th-order result, which is the step's end state
+        y7 = y + h * (_B1 * v + _B3 * v3 + _B4 * v4 + _B5 * v5 + _B6 * v6)
+        v7 = v + h * (_B1 * a + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6)
+        a7 = f7 - p7 * v7 - q7 * y7
+        ey = h * (_E1 * v + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v7)
+        ev = h * (_E1 * a + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * a7)
+        ey /= tol + tol * max(abs(y), abs(y7))
+        ev /= tol + tol * max(abs(v), abs(v7))
+        err = math.sqrt(
+            (ey.real * ey.real + ey.imag * ey.imag + ev.real * ev.real + ev.imag * ev.imag) / 2)
         if err != err:
-            raise stiff("derivative is not finite in the step from")
+            raise _stiff("derivative is not finite in the step from", t, y, v)
         if err <= 1.0:
             t_new = t + h
             if tq is None:
                 times.append(t_new)
-                rows.append(ys_new + dys_new)
+                rows.append((y7, v7))
             else:
                 # a time equal to a step end goes to the next step, at theta = 0
                 stop = len(tq) if t_new >= t1 else bisect_left(tq, t_new, len(rows))
                 if stop > len(rows):
-                    rows += _dense_rows(t, h, y_stages + dy_stages, tq[len(rows):stop])
+                    rows += _dense_rows(t, h, tq[len(rows):stop], y, y7, v, v3, v4, v5, v6, v7,
+                                        a, a3, a4, a5, a6, a7)
             n_accept += 1
-            t, ys, dys, accs = t_new, ys_new, dys_new, accs_new
+            t, y, v, a = t_new, y7, v7, a7
             fac = _SAFETY * err ** (-_ALPHA) * err_old ** _BETA if err > 0.0 else _FAC_MAX
             fac = min(_FAC_MAX, max(_FAC_MIN, fac))
             if last_rejected:
@@ -321,7 +314,7 @@ def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: Sequence[complex], 
     # the initial step size's trial evaluation counts too
     nfev = 2 + 6 * (n_accept + n_reject)
     stats = {"steps": n_accept, "rejected": n_reject, "rhs_evaluations": nfev}
-    return times, np.array(rows, dtype=complex), np.array(ys + dys, dtype=complex), stats
+    return times, np.array(rows, dtype=complex), np.array([y, v], dtype=complex), stats
 
 
 def integrate(
@@ -362,8 +355,9 @@ def integrate(
 def monodromy_exponent(ode: LinearODE, period: float, tol: float) -> MonodromyResult:
     """Floquet exponent from direct integration of both fundamental columns.
 
-    The two columns start from the identity and advance together; the final
-    state is the period map.  The larger-modulus eigenvalue rho of the period
+    The period map's columns are two sweeps over one period, from (y, y') =
+    (1, 0) and from (0, 1); a StiffnessError names the column that failed and
+    carries its state.  The larger-modulus eigenvalue rho of the period
     map gives mu_raw = Log(rho)/period; mu is its canonical class
     representative.  branch_ambiguous flags rho so close to the negative real
     axis that the principal log's imaginary part is not trustworthy.
@@ -374,8 +368,14 @@ def monodromy_exponent(ode: LinearODE, period: float, tol: float) -> MonodromyRe
     period = float(period)
     if not (math.isfinite(period) and period > 0.0):
         raise SpanError(f"period must be finite and positive, got {period!r}")
-    u1 = _integrate_raw(ode, 0.0, period, (1.0, 0.0, 0.0, 1.0), tol, ())[2]
-    (y1, y2), (dy1, dy2) = u1.reshape(2, 2)
+    columns = []
+    for name, u0 in (("(1, 0)", (1.0, 0.0)), ("(0, 1)", (0.0, 1.0))):
+        try:
+            columns.append(_integrate_raw(ode, 0.0, period, u0, tol, ())[2])
+        except StiffnessError as exc:
+            exc.args = (f"period map column {name}: {exc}",)
+            raise
+    (y1, dy1), (y2, dy2) = columns
     trace = y1 + dy2
     det_m = y1 * dy2 - y2 * dy1
     disc = cmath.sqrt(trace * trace - 4.0 * det_m)

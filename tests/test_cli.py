@@ -365,6 +365,29 @@ def test_sweep_sidecar_says_why_each_class_failed(tmp_path):
     assert example["message"].startswith("Hill's formula overflowed for h=(-1000000+0j), theta=(0.5+0j)")
 
 
+def test_floquet_beyond_hills_truncation_cap_is_an_error(capsys):
+    # theta = 1e150 asks Hill's formula for 1.2e76 rows: refused, not a numpy traceback
+    assert main(["floquet", "--h", "1", "--theta", "1e150"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Hill's formula needs truncation N=1.2e+76")
+    assert "above 65536" in captured.err
+
+
+def test_sweep_beyond_hills_truncation_cap_fails_only_that_point(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--h0", "1", "--h1", "1", "--nh", "1", "--theta0", "0.5",
+                 "--theta1", "1e150", "--ntheta", "2", "--out", str(out)]) == 1
+    rows = out.read_bytes().split(b"\r\n")
+    assert rows[1].startswith(b"1,0.5,") and rows[1].endswith(b",unstable")
+    assert rows[2].endswith(b",nan,nan,failed")
+    flags = json.loads(out.with_suffix(".json").read_text())["validity_flags"]
+    assert flags["failure_classes"] == {"ConvergenceError": 1}
+    example = flags["failure_examples"]["ConvergenceError"]
+    assert (example["h"], example["theta"]) == (1.0, 1e150)
+    assert example["message"].startswith("Hill's formula needs truncation")
+
+
 def test_stability_chart_script_writes_the_sweeps_exponents(tmp_path, capsys):
     path = Path(__file__).resolve().parents[1] / "scripts" / "stability_chart.py"
     spec = importlib.util.spec_from_file_location("stability_chart", path)

@@ -278,9 +278,10 @@ def test_series_ends_at_the_tail_constant(h, theta):
 
 
 def test_fourier_series_refuses_a_non_finite_or_unconverged_series():
-    # at mu = 0 the sweep's last row, n = 14159, has a zero diagonal: its ratio is theta/1e-300 = inf
+    # at mu = 0 the sweep's last row, n = 100, has a zero diagonal: its ratio is theta/1e-300 = inf
+    gp = GeneralParams(4.0 * 100 ** 2, 2e8)
     with pytest.raises(DegenerateParametersError, match="degenerated"):
-        floquet.fourier_series(GeneralParams(4.0 * 14159 ** 2, 2e8), 0.0)
+        floquet.fourier_series(gp, 0.0, floquet._center_row(gp, 0.0, 100))
     # finite coefficients whose modulus overflows midway: c_2 = 1.5e308 (1 + i), c_3 = 1.5e8 (1 + i)
     ev = (0j, 0.0, [1.5e300 + 0j, 1e8 + 1e8j, 1e-300 + 0j], [0.5 + 0j] * 3)
     with pytest.raises(DegenerateParametersError, match="degenerated"):
@@ -288,6 +289,34 @@ def test_fourier_series_refuses_a_non_finite_or_unconverged_series():
     ev = (0j, 0.0, [1.0 + 0j] * floquet.MAX_DEPTH, [0.5 + 0j] * floquet.MAX_DEPTH)
     with pytest.raises(ConvergenceError, match="above 1e-34 at N=4096"):
         floquet.fourier_series(GeneralParams(1.0, 1.0), 0.0, ev)
+
+
+def test_a_first_sweep_deeper_than_max_depth_is_refused_before_sweeping(monkeypatch):
+    # 16 + ceil(sqrt|theta|) is 10^75 at theta = 1e150: a sweep that deep would
+    # never end, so no sweep may be asked for beyond MAX_DEPTH
+    swept = floquet._sweep
+
+    def bounded(gp, mu, depth):
+        assert depth <= floquet.MAX_DEPTH, f"asked to sweep to depth {depth}"
+        return swept(gp, mu, depth)
+
+    monkeypatch.setattr(floquet, "_sweep", bounded)
+    for theta in (1e150, 4081.0 ** 2):
+        gp = GeneralParams(1.0, theta)
+        with pytest.raises(ConvergenceError, match="first sweep depth .* above MAX_DEPTH=4096"):
+            coefficients(gp, 0.1j)
+        with pytest.raises(ConvergenceError, match="first sweep depth"):
+            floquet.fourier_series(gp, 0.1j)
+    # the largest theta whose first depth is MAX_DEPTH itself still sweeps
+    assert floquet._sweep_depth(GeneralParams(1.0, 4080.0 ** 2)) == floquet.MAX_DEPTH
+
+
+def test_hill_truncation_above_its_cap_is_refused():
+    for gp in (GeneralParams(1.0, 1e150), GeneralParams(1e10, 1.0), GeneralParams(1.0, 3e7)):
+        with pytest.raises(ConvergenceError, match=r"Hill's formula needs truncation N=.* above 65536"):
+            solve(gp)
+    # just inside the cap the formula runs: N = 64,839 at h = 4.2e9
+    assert math.isfinite(abs(floquet._hill_seed(GeneralParams(4.2e9, 1.0))))
 
 
 def test_exponent_far_off_the_chart_matches_a_tight_monodromy():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mathieu_kit import closed_form, flux, reductions
+from mathieu_kit import closed_form, flux, oracle, reductions
 from mathieu_kit.closed_form import DampedParams, evaluate_grid, general_solution
 from mathieu_kit.errors import InvalidParameterError, SpanError, StiffnessError
 from mathieu_kit.floquet import GeneralParams, classify_stability, general_mathieu_ode
@@ -112,14 +112,19 @@ def test_stiffness_error_carries_last_state():
     assert len(exc.value.state_last) == 2
 
 
-def test_monodromy_stiffness_error_carries_both_columns():
+def test_monodromy_stiffness_error_names_its_column():
+    # the period map's first column, from (1, 0), is the sweep that fails
     sing = LinearODE(p=None, q=lambda t: 1.0 / (1.0 - t) ** 2)
-    with pytest.raises(StiffnessError) as exc:
+    with pytest.raises(StiffnessError, match=r"^period map column \(1, 0\): step size underflow") as exc:
         monodromy_exponent(sing, 1.0, 1e-10)
     assert 0.9 < exc.value.t_last < 1.0
     state = exc.value.state_last
-    assert isinstance(state, np.ndarray) and state.shape == (4,)
+    assert isinstance(state, np.ndarray) and state.shape == (2,)
     assert np.all(np.isfinite(state))
+    with pytest.raises(StiffnessError) as alone:
+        _integrate_raw(sing, 0.0, 1.0, (1.0, 0.0), 1e-10, ())
+    assert exc.value.t_last == alone.value.t_last
+    assert exc.value.state_last.tobytes() == alone.value.state_last.tobytes()
 
 
 def test_a_non_finite_derivative_raises_at_once():
@@ -175,10 +180,34 @@ def test_step_sequences_are_pinned():
 
     ode = LinearODE(p=None, q=counted_q)
     monodromy_exponent(ode, math.pi, 1e-10)
-    assert len(calls) == 878
-    # the period map is this sweep of both columns from the identity
-    stats = _integrate_raw(ode, 0.0, math.pi, (1.0, 0.0, 0.0, 1.0), 1e-10, ())[3]
-    assert _stats(stats) == (146, 0, 878)
+    assert len(calls) == 1732
+    # the period map is one sweep per column, from (1, 0) and from (0, 1)
+    for u0 in ((1.0, 0.0), (0.0, 1.0)):
+        stats = _integrate_raw(ode, 0.0, math.pi, u0, 1e-10, ())[3]
+        assert _stats(stats) == (144, 0, 866)
+
+
+@pytest.mark.parametrize("gp", [GeneralParams(3.0, 1.5), GeneralParams(2.0 + 1.0j, 0.5 - 0.3j)])
+def test_the_period_map_is_two_one_solution_sweeps(gp, monkeypatch):
+    # monodromy_exponent steps nothing itself: its period map is bit for bit
+    # the final states of two sweeps, from (1, 0) and from (0, 1)
+    ode = general_mathieu_ode(gp)
+    (y1, dy1), (y2, dy2) = (_integrate_raw(ode, 0.0, math.pi, u0, 1e-10, ())[2]
+                            for u0 in ((1.0, 0.0), (0.0, 1.0)))
+    seen = []
+
+    def recorded(*args):
+        out = _integrate_raw(*args)
+        seen.append((args[3], out[2].tobytes()))
+        return out
+
+    monkeypatch.setattr(oracle, "_integrate_raw", recorded)
+    mono = monodromy_exponent(ode, math.pi, 1e-10)
+    assert seen == [((1.0, 0.0), np.array([y1, dy1]).tobytes()),
+                    ((0.0, 1.0), np.array([y2, dy2]).tobytes())]
+    assert mono.det_m.tobytes() == (y1 * dy2 - y2 * dy1).tobytes()
+    rho = np.linalg.eigvals(np.array([[y1, y2], [dy1, dy2]]))
+    assert min(abs(rho - mono.multiplier)) <= 1e-12 * abs(mono.multiplier)
 
 
 def _as_complex(ode: LinearODE) -> LinearODE:
@@ -269,7 +298,7 @@ def test_absent_coefficients_are_never_called():
         sys.setprofile(profile)
         try:
             stats = _integrate_raw(LinearODE(p=None, q=q, f=None), 0.0, period,
-                                   (1.0, 0.0, 0.0, 1.0), 1e-10, None)[3]
+                                   (1.0, 0.0), 1e-10, None)[3]
         finally:
             sys.setprofile(None)
         assert len(q_calls) == stats["rhs_evaluations"] == 2 + 6 * stats["steps"]

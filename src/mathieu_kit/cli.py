@@ -24,7 +24,6 @@ form refuses and the oracle answers (validity_flags.motion says which).
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import math
@@ -43,6 +42,7 @@ from . import floquet as fl
 from .errors import InvalidParameterError, MathieuKitError
 from .exponent_class import normalize_exponent
 from .oracle import PASS_TOL, TOL_MAX, TOL_MIN, integrate, residual, validate_tolerance
+from .samples import complex_number, real_number
 
 DEFAULT_TOL = 1e-10
 # the most points a job's grid may hold (--t0/--t1/--dt, residual's --n, or
@@ -85,14 +85,20 @@ def _time_grid(p: dict) -> np.ndarray:
     return p["t0"] + p["dt"] * np.arange(_point_count(p))
 
 
-def _complex_flag(text: str) -> complex:
+def _number_flag(admit, literal, unreadable: str, text: str):
+    """An argparse type: literal(text), admitted by the package's number rule."""
     try:
-        value = complex(text.replace(" ", ""))
+        return admit("value", literal(text))
+    except InvalidParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a complex literal: {text!r}") from None
-    if not cmath.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not finite: {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"{unreadable}: {text!r}") from None
+
+
+_real_flag = functools.partial(_number_flag, real_number, float, "invalid float value")
+_complex_flag = functools.partial(_number_flag, complex_number,
+                                  lambda text: complex(text.replace(" ", "")),
+                                  "not a complex literal")
 
 
 @functools.cache
@@ -106,16 +112,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def damped_flags(p):
-        p.add_argument("--m", type=float, required=True, help="mass coefficient")
-        p.add_argument("--eta", type=float, required=True, help="damping coefficient")
-        p.add_argument("--k0", type=float, required=True, help="static stiffness")
-        p.add_argument("--k", type=float, required=True, help="stiffness modulation amplitude")
-        p.add_argument("--omega", type=float, required=True, help="modulation angular frequency")
+        p.add_argument("--m", type=_real_flag, required=True, help="mass coefficient")
+        p.add_argument("--eta", type=_real_flag, required=True, help="damping coefficient")
+        p.add_argument("--k0", type=_real_flag, required=True, help="static stiffness")
+        p.add_argument("--k", type=_real_flag, required=True, help="stiffness modulation amplitude")
+        p.add_argument("--omega", type=_real_flag, required=True, help="modulation angular frequency")
 
     def grid_flags(p, t1_default=10.0):
-        p.add_argument("--t0", type=float, default=0.0)
-        p.add_argument("--t1", type=float, default=t1_default)
-        p.add_argument("--dt", type=float, default=0.01)
+        p.add_argument("--t0", type=_real_flag, default=0.0)
+        p.add_argument("--t1", type=_real_flag, default=t1_default)
+        p.add_argument("--dt", type=_real_flag, default=0.01)
 
     p = sub.add_parser("solve", help="evaluate a closed-form solution on a grid")
     damped_flags(p)
@@ -131,29 +137,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("residual", help="adjudicate both closed-form variants")
     damped_flags(p)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=10.0)
+    p.add_argument("--t0", type=_real_flag, default=0.0)
+    p.add_argument("--t1", type=_real_flag, default=10.0)
     p.add_argument("--n", type=int, default=501, help="grid points")
     p.add_argument("--allow-inadmissible", action="store_true")
 
     p = sub.add_parser("sweep", help="stability sweep over the (h, theta) plane")
-    p.add_argument("--h0", type=float, required=True)
-    p.add_argument("--h1", type=float, required=True)
+    p.add_argument("--h0", type=_real_flag, required=True)
+    p.add_argument("--h1", type=_real_flag, required=True)
     p.add_argument("--nh", type=int, required=True)
-    p.add_argument("--theta0", type=float, required=True)
-    p.add_argument("--theta1", type=float, required=True)
+    p.add_argument("--theta0", type=_real_flag, required=True)
+    p.add_argument("--theta1", type=_real_flag, required=True)
     p.add_argument("--ntheta", type=int, required=True)
 
     p = sub.add_parser("transform", help="reduce a source family to Mathieu form")
     p.add_argument("--family", choices=list(rd.FAMILIES), required=True)
-    p.add_argument("--a", type=float, default=0.0)
-    p.add_argument("--b", type=float, default=0.0)
-    p.add_argument("--lam", type=float, default=0.0, help="eq15 frequency coefficient")
-    p.add_argument("--m", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--k0", type=float)
-    p.add_argument("--k", type=float)
-    p.add_argument("--omega", type=float)
+    p.add_argument("--a", type=_real_flag, default=0.0)
+    p.add_argument("--b", type=_real_flag, default=0.0)
+    p.add_argument("--lam", type=_real_flag, default=0.0, help="eq15 frequency coefficient")
+    p.add_argument("--m", type=_real_flag)
+    p.add_argument("--eta", type=_real_flag)
+    p.add_argument("--k0", type=_real_flag)
+    p.add_argument("--k", type=_real_flag)
+    p.add_argument("--omega", type=_real_flag)
 
     p = sub.add_parser(
         "flux", help="the driven flux-lattice oscillator from rest, in closed form",
@@ -166,10 +172,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     "integrated by the oracle instead, and only for those does MATHIEU_KIT_TOL "
                     "set the accuracy; the sidecar's validity_flags.motion names the path.")
     damped_flags(p)
-    p.add_argument("--B", type=float, required=True)
-    p.add_argument("--J0", type=float, required=True)
-    p.add_argument("--Omega", type=float, required=True)
-    p.add_argument("--c-light", type=float, default=1.0)
+    p.add_argument("--B", type=_real_flag, required=True)
+    p.add_argument("--J0", type=_real_flag, required=True)
+    p.add_argument("--Omega", type=_real_flag, required=True)
+    p.add_argument("--c-light", type=_real_flag, default=1.0)
     grid_flags(p, t1_default=50.0)
     p.add_argument("--analyze", action="store_true",
                    help="report the steady field's carrier amplitude and modulation "
@@ -219,25 +225,18 @@ def parse(argv: list[str]) -> JobSpec:
         inputs = _typed_inputs(ns)
     except InvalidParameterError as exc:
         parser.error(str(exc))
+    if ns.command in ("solve", "integrate", "flux", "residual") and not ns.t1 > ns.t0:
+        parser.error("--t1 must exceed --t0")
     if ns.command in ("solve", "integrate", "flux"):
-        if not all(map(math.isfinite, (ns.t0, ns.t1, ns.dt))):
-            parser.error("--t0, --t1 and --dt must be finite")
-        if not (ns.t1 > ns.t0):
-            parser.error("--t1 must exceed --t0")
         if not (ns.dt > 0):
             parser.error("--dt must be positive")
         if _point_count(vars(ns)) > MAX_GRID_POINTS:
             parser.error(f"--t0 to --t1 in steps of --dt exceeds {MAX_GRID_POINTS:,} points")
-    if ns.command == "residual":
-        if not (math.isfinite(ns.t0) and math.isfinite(ns.t1)):
-            parser.error("--t0 and --t1 must be finite")
-        if not (ns.t1 > ns.t0):
-            parser.error("--t1 must exceed --t0")
-        if not (1 <= ns.n <= MAX_GRID_POINTS):
-            parser.error(f"--n must be between 1 and {MAX_GRID_POINTS:,}")
+    if ns.command == "residual" and not (1 <= ns.n <= MAX_GRID_POINTS):
+        parser.error(f"--n must be between 1 and {MAX_GRID_POINTS:,}")
     if ns.command == "sweep":
-        ends = (ns.h0, ns.h1, ns.theta0, ns.theta1, ns.h1 - ns.h0, ns.theta1 - ns.theta0)
-        if not all(map(math.isfinite, ends)):
+        # finite ends can still span an overflow
+        if not (math.isfinite(ns.h1 - ns.h0) and math.isfinite(ns.theta1 - ns.theta0)):
             parser.error("--h0, --h1, --theta0, --theta1 and the spans between them must be finite")
         if ns.nh < 1 or ns.ntheta < 1:
             parser.error("--nh and --ntheta must be at least 1")

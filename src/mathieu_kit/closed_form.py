@@ -47,6 +47,7 @@ from .errors import AdmissibilityError, InvalidParameterError, SingularityError
 from .floquet import GeneralParams
 from .oracle import LinearODE, ResidualReport, residual
 from .samples import SolutionSample, TimeSeries, as_grid, require_finite
+from .samples import admit_fields, complex_number, real_number
 
 ADMISSIBILITY_TOL = 1e-9
 
@@ -80,14 +81,7 @@ class DampedParams:
     omega: float
 
     def __post_init__(self):
-        for name in ("m", "eta", "k0", "k", "omega"):
-            v = getattr(self, name)
-            if isinstance(v, complex):
-                raise InvalidParameterError(f"{name} must be real, got {v!r}")
-            v = float(v)
-            if not math.isfinite(v):
-                raise InvalidParameterError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+        admit_fields(self, real_number, "m", "eta", "k0", "k", "omega")
         if self.m <= 0:
             raise InvalidParameterError(f"mass must be positive, got {self.m!r}")
         if self.eta < 0:
@@ -169,9 +163,7 @@ def general_solution(params: DampedParams, variant=Variant.CORRECTED,
                      allow_inadmissible: bool = False) -> ClosedFormSpec:
     """One spec, c1 J + c2 Y under the decay prefactor; c1 and c2 must be finite."""
     variant = _coerce_variant(variant)
-    c1, c2 = complex(c1), complex(c2)
-    if not (cmath.isfinite(c1) and cmath.isfinite(c2)):
-        raise InvalidParameterError(f"c1 and c2 must be finite, got {c1!r} and {c2!r}")
+    c1, c2 = complex_number("c1", c1), complex_number("c2", c2)
     nu = index(params, variant)
     if _integer_index(nu) is None and not allow_inadmissible:
         raise AdmissibilityError(nu, int(round(nu.real)), ADMISSIBILITY_TOL)

@@ -50,7 +50,7 @@ from .errors import (
 from .exponent_class import class_distance, normalize_exponent
 from .oracle import LinearODE
 from .oracle import monodromy_exponent  # noqa: F401  (not called; perfbench's trace wraps it here)
-from .samples import SolutionSample, TimeSeries, as_grid
+from .samples import SolutionSample, TimeSeries, admit_fields, as_grid, complex_number
 
 # a sweep is deep enough once its last terms are below CONVERGED_TAIL of the
 # peak; a series ends where |c_n| falls below SERIES_TAIL of it
@@ -59,6 +59,7 @@ SERIES_TAIL = 1e-19
 MAX_DEPTH = 4096
 # the largest truncation N of Hill's formula (2N + 1 rows, 3N more in its tail)
 MAX_HILL_TRUNCATION = 65536
+HILL_DETERMINANT_TRUNCATION = 25
 _DEGENERACY_TOL = 1e-9
 
 
@@ -70,11 +71,7 @@ class GeneralParams:
     theta: complex
 
     def __post_init__(self):
-        for name in ("h", "theta"):
-            v = complex(getattr(self, name))
-            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-                raise InvalidParameterError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+        admit_fields(self, complex_number, "h", "theta")
 
 
 @dataclass(frozen=True)
@@ -110,14 +107,13 @@ def _diagonal(gp: GeneralParams, mu: complex, n: int) -> complex:
     return gp.h + shifted * shifted
 
 
-def hill_determinant(gp: GeneralParams, mu: complex, trunc: int = 25) -> complex:
+def hill_determinant(gp: GeneralParams, mu: complex) -> complex:
     """Truncated Hill determinant with rows scaled by w_n = 4n^2 + |h| + 1.
 
     The scaling is independent of mu, so roots are preserved while the
     determinant stays bounded as the truncation grows.
     """
-    if trunc < 1:
-        raise InvalidParameterError("truncation must be at least 1")
+    trunc = HILL_DETERMINANT_TRUNCATION
     w = lambda n: 4.0 * n * n + abs(gp.h) + 1.0
     th = gp.theta
     d_prev2 = 1.0 + 0.0j
@@ -432,7 +428,7 @@ def coefficients(gp: GeneralParams, mu: complex) -> FloquetSolution:
     rows of the recurrence hold to machine accuracy at the returned mu.  Each
     exponent tried costs one two-sided sweep at each depth.
     """
-    mu = complex(mu)
+    mu = complex_number("mu", mu)
     mu_work, ev = _centre(gp, mu, _sweep_depth(gp))
     if gp.theta == 0:
         # decoupled system: the exact exponent satisfies h + mu^2 = 0
@@ -546,9 +542,7 @@ def classify_stability(mu: complex) -> str:
     tongue boundary; everything else is stable.  A non-finite mu raises
     InvalidParameterError.
     """
-    mu = complex(mu)
-    if not cmath.isfinite(mu):
-        raise InvalidParameterError(f"mu must be finite, got {mu!r}")
+    mu = complex_number("mu", mu)
     if abs(mu.real) > 1e-8:
         return "unstable"
     if abs(mu.imag - round(mu.imag)) <= 1e-8:

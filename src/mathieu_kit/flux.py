@@ -56,7 +56,7 @@ from .errors import (
 )
 from .oracle import LinearODE, integrate
 from .reductions import damped_to_general
-from .samples import TimeSeries, as_grid, require_finite
+from .samples import TimeSeries, admit_fields, as_grid, real_number, require_finite
 
 REGIME_RATIO = 0.02
 LOWPASS_CARRIER_PERIODS = 8
@@ -80,11 +80,7 @@ class FluxParams:
     c_light: float
 
     def __post_init__(self):
-        for name in ("B", "J0", "Omega", "c_light"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise InvalidParameterError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+        admit_fields(self, real_number, "B", "J0", "Omega", "c_light")
         if self.Omega <= 0:
             raise InvalidParameterError(f"drive frequency must be positive, got {self.Omega!r}")
         if self.c_light <= 0:

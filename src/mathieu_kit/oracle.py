@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, SpanError, StiffnessError
 from .exponent_class import normalize_exponent
-from .samples import SolutionSample, TimeSeries, as_grid
+from .samples import SolutionSample, TimeSeries, as_grid, real_number
 
 Coefficient = Callable[[float], float | complex]
 
@@ -80,7 +80,7 @@ _H_UNDERFLOW = 16.0 * float(np.finfo(float).eps)
 
 
 def validate_tolerance(tol: float) -> float:
-    tol = float(tol)
+    tol = real_number("tolerance", tol)
     if not (TOL_MIN <= tol <= TOL_MAX):
         raise InvalidParameterError(
             f"tolerance {tol:g} outside supported range [{TOL_MIN:g}, {TOL_MAX:g}]"
@@ -378,7 +378,8 @@ def monodromy_exponent(ode: LinearODE, period: float, tol: float) -> MonodromyRe
     (y1, dy1), (y2, dy2) = columns
     trace = y1 + dy2
     det_m = y1 * dy2 - y2 * dy1
-    disc = cmath.sqrt(trace * trace - 4.0 * det_m)
+    # trace^2 - 4 det without its cancellation where the map is +-I (a double multiplier)
+    disc = cmath.sqrt((y1 - dy2) * (y1 - dy2) + 4.0 * y2 * dy1)
     # add the root branch that avoids cancellation, recover the other via the product
     if (trace.conjugate() * disc).real >= 0.0:
         r_big = (trace + disc) / 2.0

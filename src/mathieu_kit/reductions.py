@@ -33,7 +33,7 @@ from .closed_form import DampedParams, homogeneous_ode
 from .errors import InvalidParameterError, MapDomainError
 from .floquet import GeneralParams
 from .oracle import LinearODE
-from .samples import TimeSeries
+from .samples import TimeSeries, admit_fields, real_number
 
 FAMILIES = ("eq11", "eq13", "eq15", "eq17-sin", "eq17-cos", "damped")
 
@@ -65,11 +65,7 @@ class ReductionInput:
             raise InvalidParameterError(
                 f"unknown family {self.family!r}: expected one of {FAMILIES}"
             )
-        for name in ("a", "b", "lam"):
-            v = float(getattr(self, name))
-            if not math.isfinite(v):
-                raise InvalidParameterError(f"{name} must be finite, got {v!r}")
-            object.__setattr__(self, name, v)
+        admit_fields(self, real_number, "a", "b", "lam")
         if self.family == "eq15" and self.lam == 0.0:
             raise InvalidParameterError("eq15 requires a nonzero lambda coefficient")
         if (self.family == "damped") != (self.params is not None):

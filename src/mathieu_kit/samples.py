@@ -1,17 +1,58 @@
-"""Shared sample containers for solutions of second-order linear ODEs."""
+"""Shared sample containers for solutions of second-order linear ODEs, and the rule
+that admits a number from outside: a finite Python or numpy int, float or complex
+(a real field refuses a complex value, even one with a zero imaginary part)."""
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidParameterError, RangeLimitError
 
+_REAL_TYPES = (int, float, np.integer, np.floating)
+_NUMBER_TYPES = _REAL_TYPES + (complex, np.complexfloating)
+
+
+def real_number(name: str, value) -> float:
+    """value as a finite float, or InvalidParameterError naming the field."""
+    return _admit(name, value, _REAL_TYPES, "real", float)
+
+
+def complex_number(name: str, value) -> complex:
+    """value as a finite complex, or InvalidParameterError naming the field."""
+    return _admit(name, value, _NUMBER_TYPES, "a number", complex)
+
+
+def _admit(name: str, value, types: tuple, what: str, kind: type):
+    if not isinstance(value, types):
+        raise InvalidParameterError(f"{name} must be {what}, got {value!r}")
+    try:
+        number = kind(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not cmath.isfinite(number):
+        raise InvalidParameterError(f"{name} must be finite, got {number!r}")
+    return number
+
+
+def admit_fields(instance, admit, *names: str) -> None:
+    """Set each named field of a frozen dataclass to admit(name, its value)."""
+    for name in names:
+        object.__setattr__(instance, name, admit(name, getattr(instance, name)))
+
 
 def as_grid(points, name: str = "grid") -> np.ndarray:
-    """points as a float array, checked to be 1-d, non-empty and finite."""
-    grid = np.asarray(points, dtype=float)
+    """points as a float array, checked to be real numbers, 1-d, non-empty and finite."""
+    try:
+        grid = np.asarray(points)
+    except ValueError:  # nested sequences of unequal lengths
+        raise InvalidParameterError(f"{name} must be a non-empty 1-d sequence") from None
+    if grid.dtype.kind not in "biuf":  # complex, text, objects such as None
+        raise InvalidParameterError(f"{name} must be real numbers, got {grid.dtype} values")
+    grid = grid.astype(float, copy=False)
     if grid.ndim != 1 or len(grid) == 0:
         raise InvalidParameterError(f"{name} must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(grid)):

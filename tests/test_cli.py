@@ -105,6 +105,19 @@ def test_usage_errors_exit_2(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (SOLVE_ARGS + ["--t1", "inf"], "argument --t1: value must be finite, got inf"),
+    (SOLVE_ARGS + ["--c1", "nan"], "argument --c1: value must be finite, got (nan+0j)"),
+    (SOLVE_ARGS + ["--m", "one"], "argument --m: invalid float value: 'one'"),
+    (SOLVE_ARGS + ["--c2", "1+"], "argument --c2: not a complex literal: '1+'"),
+])
+def test_a_flag_that_is_not_a_finite_number_names_itself(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
 def test_grid_point_cap_is_inclusive():
     # parse only: the 10^7-point grid itself is never built
     job = parse(SOLVE_ARGS + ["--t1", "9.999999", "--dt", "1e-6"])

@@ -135,6 +135,15 @@ def test_exponent_matches_monodromy_oracle():
         assert class_distance(sol.mu, mono.mu_raw) < 1e-6
 
 
+@pytest.mark.parametrize("h", [4.0, 16.0])
+def test_monodromy_keeps_its_digits_at_a_double_multiplier(h):
+    # at theta = 0 and h = n^2 the period map is +-I, where trace^2 - 4 det cancels
+    # to rounding and its square root would carry about sqrt(tol) into mu
+    gp = GeneralParams(h, 0.0)
+    mono = monodromy_exponent(general_mathieu_ode(gp), math.pi, 1e-10)
+    assert class_distance(solve(gp).mu, mono.mu_raw) <= 1e-9
+
+
 def test_series_solves_equation():
     gp = GeneralParams(1.0, 0.5)
     sol = solve(gp)

@@ -1,0 +1,130 @@
+"""The one rule that admits a number from outside the package.
+
+A parameter type, the closed form's constants, the tolerance, a grid and a
+CLI flag all admit a finite Python or numpy int, float or complex (a real
+field a real one only), and refuse anything else with InvalidParameterError.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from mathieu_kit.closed_form import DampedParams, general_solution
+from mathieu_kit.errors import InvalidParameterError
+from mathieu_kit.floquet import GeneralParams, classify_stability, coefficients
+from mathieu_kit.flux import FluxParams
+from mathieu_kit.oracle import validate_tolerance
+from mathieu_kit.reductions import ReductionInput
+from mathieu_kit.samples import as_grid, complex_number, real_number
+
+DAMPED = DampedParams(m=1.0, eta=0.5, k0=2.0, k=1.0, omega=2.0)
+FLUX = FluxParams(base=DAMPED, B=1.0, J0=1.0, Omega=2.0, c_light=1.0)
+REDUCTION = ReductionInput("eq15", a=1.0, b=0.5, lam=1.0)
+GENERAL = GeneralParams(3.0, 1.5)
+
+
+def _field_sites(instance, names):
+    return [(f"{type(instance).__name__}.{name}",
+             lambda v, name=name: replace(instance, **{name: v})) for name in names]
+
+
+REAL_SITES = [
+    *_field_sites(DAMPED, ("m", "eta", "k0", "k", "omega")),
+    *_field_sites(FLUX, ("B", "J0", "Omega", "c_light")),
+    *_field_sites(REDUCTION, ("a", "b", "lam")),
+    ("validate_tolerance", validate_tolerance),
+    ("as_grid", lambda v: as_grid([0.0, v, 1.0])),
+    ("real_number", lambda v: real_number("x", v)),
+]
+COMPLEX_SITES = [
+    *_field_sites(GENERAL, ("h", "theta")),
+    ("general_solution.c1", lambda v: general_solution(DAMPED, c1=v)),
+    ("general_solution.c2", lambda v: general_solution(DAMPED, c2=v)),
+    ("classify_stability", classify_stability),
+    ("coefficients", lambda v: coefficients(GENERAL, v)),
+    ("complex_number", lambda v: complex_number("x", v)),
+]
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# what no site admits: a non-finite real or complex value (Python's or numpy's),
+# an int beyond the float range, None, text, and other objects
+REFUSED_EVERYWHERE = st.one_of(
+    _NON_FINITE,
+    _NON_FINITE.map(np.float64),
+    st.tuples(_NON_FINITE, st.floats()).map(lambda p: complex(*p)),
+    st.tuples(st.floats(), _NON_FINITE).map(lambda p: np.complex128(complex(*p))),
+    st.integers(min_value=2**1024),
+    st.integers(max_value=-(2**1024)),
+    st.none(),
+    st.text(),
+    st.binary(),
+    st.lists(st.floats(), min_size=2, max_size=3),
+)
+# and what a real site refuses too: any complex value, a zero imaginary part included
+REFUSED_WHERE_REAL = st.one_of(
+    REFUSED_EVERYWHERE,
+    st.complex_numbers(allow_nan=False, allow_infinity=False),
+    st.complex_numbers(allow_nan=False, allow_infinity=False).map(np.complex128),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: complex(x, 0.0)),
+)
+
+
+@pytest.mark.parametrize("site, call, refused",
+                         [(name, call, REFUSED_WHERE_REAL) for name, call in REAL_SITES]
+                         + [(name, call, REFUSED_EVERYWHERE) for name, call in COMPLEX_SITES],
+                         ids=[name for name, _ in REAL_SITES + COMPLEX_SITES])
+@given(data=st.data())
+def test_every_site_refuses_what_is_not_an_admissible_number(site, call, refused, data):
+    value = data.draw(refused)
+    with pytest.raises(InvalidParameterError):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [3, 2.5, np.float32(0.5), np.int64(-4), 2**1023])
+def test_every_finite_real_number_is_admitted_as_a_python_number(value):
+    assert type(real_number("x", value)) is float and real_number("x", value) == float(value)
+    assert type(complex_number("x", value)) is complex and complex_number("x", value) == value
+
+
+def test_a_complex_site_admits_numpy_complex_values():
+    assert complex_number("x", np.complex64(1 - 2j)) == 1 - 2j
+    assert GeneralParams(np.complex128(2 + 1j), 0.5).h == 2 + 1j
+
+
+# before the shared rule, these lost their imaginary parts with at most a ComplexWarning
+def test_flux_params_refuse_a_complex_drive_instead_of_truncating_it():
+    with pytest.raises(InvalidParameterError, match="B must be real"):
+        FluxParams(base=DAMPED, B=np.complex128(1 + 2j), J0=1.0, Omega=2.0, c_light=1.0)
+
+
+def test_reduction_input_refuses_a_complex_coefficient_instead_of_truncating_it():
+    with pytest.raises(InvalidParameterError, match="a must be real"):
+        ReductionInput("eq11", a=np.complex128(1 + 2j))
+
+
+def test_as_grid_refuses_a_complex_array_instead_of_truncating_it():
+    with pytest.raises(InvalidParameterError, match="grid must be real numbers"):
+        as_grid(np.array([1 + 2j, 3]))
+
+
+# and this one was a TypeError
+def test_flux_params_refuse_none_with_the_package_error():
+    with pytest.raises(InvalidParameterError, match="B must be real, got None"):
+        FluxParams(base=DAMPED, B=None, J0=1.0, Omega=2.0, c_light=1.0)
+
+
+def test_refusals_name_the_field_and_the_value():
+    with pytest.raises(InvalidParameterError, match=r"^omega must be finite, got inf$"):
+        replace(DAMPED, omega=math.inf)
+    with pytest.raises(InvalidParameterError, match=r"^theta must be finite, got \(nan\+0j\)$"):
+        GeneralParams(1.0, math.nan)
+    with pytest.raises(InvalidParameterError, match=r"^c2 must be a number, got 'x'$"):
+        general_solution(DAMPED, c2="x")
+    with pytest.raises(InvalidParameterError, match=r"^tolerance must be finite, got inf$"):
+        validate_tolerance(10**400)

@@ -22,17 +22,17 @@ one-point array.  The method choice is a boolean mask over the points: J sums
 its series where |z| <= 6 and runs Miller's recurrence elsewhere; Y sums its
 direct series where |z| <= 6, |z| - |Im z| <= 9 or |n| >= |z|, and takes the
 upward path elsewhere.  bessel_jy gives both from one validation, and reads J
-from Y's series pass where both sum their series.  A series is one Horner pass
-over all its points in w = -(z/S)^2, S the power of two at or below the
-largest |z|, through a per-call table of coefficients that ends where the
-terms left at that |z| sum to below 2^-60 of the largest.  The Miller sweep
-starts every point at the index the largest |z| needs (on the closed form's
-circular path |z| is constant) and is streamed: it carries the last rows of
-the recurrence, multiplies by a per-point 2/z, adds each new row into the
-normalization sum and, for Y, into the two log-Neumann sums through one
-reused buffer, keeps only the orders the caller reads, and rescales a column
-once it passes 1e250.  Validation raises if any point fails, with the error a scalar call on
-that point would raise.
+from Y's series pass where both sum their series; bessel_y is bessel_jy's Y.
+A series is one Horner pass over all its points in w = -(z/S)^2, S the power
+of two at or below the largest |z|, through a per-call table of coefficients
+that ends where the terms left at that |z| sum to below 2^-60 of the largest.
+The Miller sweep starts every point at the index the largest |z| needs (on
+the closed form's circular path |z| is constant) and is streamed: it carries
+the last rows of the recurrence, multiplies by a per-point 2/z, adds each new
+row into the normalization sum and, for Y, into the two log-Neumann sums
+through one reused buffer, keeps only the orders the caller reads, and
+rescales a column once it passes 1e250.  Validation raises if any point
+fails, with the error a scalar call on that point would raise.
 
 Accuracy: on circles |z| = 0.5 ... 40 with 0 <= n <= 40, J and J' agree with
 scipy.special to 1e-12 relative at every point, and so do Y and Y' outside one
@@ -359,9 +359,9 @@ def bessel_y(n: int, z) -> BesselValue:
 
     z may be a 1-d array.  |n| <= 200 and |z| <= 1e4; negative orders via
     Y_{-n} = (-1)^n Y_n.  Raises RangeLimitError when the value overflows
-    double precision.
+    double precision.  It is bessel_jy's Y, so it pays for J's pass too.
     """
-    return _bessel_y(n, z, with_j=False)[1]
+    return bessel_jy(n, z)[1]
 
 
 def bessel_jy(n: int, z) -> tuple[BesselValue, BesselValue]:
@@ -372,19 +372,13 @@ def bessel_jy(n: int, z) -> tuple[BesselValue, BesselValue]:
     sweep.  A J point that shares Y's pass with larger |z| may differ from
     bessel_j in its last bits.
     """
-    return _bessel_y(n, z, with_j=True)
-
-
-def _bessel_y(n, z, with_j: bool):
-    """Y, and with with_j J too, as (J or None, Y)."""
     na, z, scalar = _validate(n, z)
     if (z == 0).any():
         raise SingularityError("Y_n is singular at z = 0")
     r = _modulus(z)
     direct = (r <= SERIES_RADIUS) | (r - np.abs(z.imag) <= Y_SERIES_WEDGE) | (na >= r)
-    # without J, J's masks are empty and its arrays stay unread
-    series = (r <= SERIES_RADIUS) & with_j
-    jv, jd = _evaluate(na, z, ((~series & with_j, _j_miller),))
+    series = r <= SERIES_RADIUS
+    jv, jd = _evaluate(na, z, ((~series, _j_miller),))
     # an overflowing point is reported below as RangeLimitError, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         yv, yd = _evaluate(na, z, ((~direct, _y_upward),))
@@ -395,4 +389,4 @@ def _bessel_y(n, z, with_j: bool):
     bad = ~(np.isfinite(yv) & np.isfinite(yd))
     if bad.any():
         raise RangeLimitError(f"Y_{na}({_first(z, bad)!r}) exceeds double-precision range")
-    return _result(n, jv, jd, scalar) if with_j else None, _result(n, yv, yd, scalar)
+    return _result(n, jv, jd, scalar), _result(n, yv, yd, scalar)

@@ -46,7 +46,7 @@ from .bessel import bessel_j, bessel_y  # noqa: F401  (not called; perfbench's t
 from .errors import AdmissibilityError, InvalidParameterError, SingularityError
 from .floquet import GeneralParams
 from .oracle import LinearODE, ResidualReport, residual
-from .samples import SolutionSample, TimeSeries, as_grid, require_finite
+from .samples import SolutionSample, TimeSeries, as_grid, decayed, require_finite
 from .samples import admit_fields, complex_number, real_number
 
 ADMISSIBILITY_TOL = 1e-9
@@ -230,12 +230,12 @@ def _rows(spec: ClosedFormSpec, grid: np.ndarray) -> tuple:
     """y, y', y'' of evaluate_grid, overflow left as inf or nan."""
     n = spec.order()
     r = spec.decay_rate
-    pref = np.exp(-r * grid)
 
     if spec.argument_scale == 0:
         if spec.c2 != 0:
             raise SingularityError("second-kind branch diverges at identically zero argument")
-        y = pref * (spec.c1 * (1.0 if n == 0 else 0.0))
+        # a constant bracket: y = c e^{-rt} (decayed's products would round differently)
+        y = np.exp(-r * grid) * (spec.c1 * (1.0 if n == 0 else 0.0))
         return y, -r * y, r ** 2 * y
 
     z = spec.argument_scale * np.exp(spec.exponent_rate * grid)
@@ -254,9 +254,7 @@ def _rows(spec: ClosedFormSpec, grid: np.ndarray) -> tuple:
 
     dz = spec.exponent_rate * z
     d2z = spec.exponent_rate ** 2 * z
-    bt = db * dz
-    btt = d2b * dz * dz + db * d2z
-    return pref * b, pref * (bt - r * b), pref * (btt - 2.0 * r * bt + r * r * b)
+    return decayed(r, grid, b, db * dz, d2b * dz * dz + db * d2z)
 
 
 def evaluate(spec: ClosedFormSpec, t: float) -> SolutionSample:

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 
+from .samples import complex_number
+
 _RE_TOL = 1e-12
 
 
 def normalize_exponent(mu: complex, im_modulus: float = 2.0) -> complex:
     """Canonical representative of the class {s*mu + i*k*im_modulus}."""
-    mu = complex(mu)
+    mu = complex_number("mu", mu)
     if mu.real < 0.0:
         mu = -mu
     mu = complex(mu.real, mu.imag % im_modulus)
@@ -28,8 +30,7 @@ def normalize_exponent(mu: complex, im_modulus: float = 2.0) -> complex:
 
 def class_distance(mu_a: complex, mu_b: complex) -> float:
     """Distance between the exponent classes {s*mu + 2ik} of mu_a and mu_b."""
-    mu_a = complex(mu_a)
-    mu_b = complex(mu_b)
+    mu_a, mu_b = complex_number("mu_a", mu_a), complex_number("mu_b", mu_b)
     best = math.inf
     for s in (1.0, -1.0):
         base = s * mu_a

@@ -100,6 +100,7 @@ class SinusoidalResponse:
     phase: float
 
     def __post_init__(self):
+        admit_fields(self, real_number, "amplitude", "frequency", "phase")
         if self.amplitude < 0:
             raise InvalidParameterError("amplitude must be nonnegative")
         if not (-math.pi < self.phase <= math.pi):
@@ -227,6 +228,7 @@ def symmetric_case_solution(fp: FluxParams, y_at_0: float, grid) -> TimeSeries:
     b = fp.base
     if b.eta == 0:
         raise InvalidParameterError("symmetric-case solution requires nonzero damping")
+    y_at_0 = real_number("y_at_0", y_at_0)
     scale = fp.drive_amplitude / (2.0 * b.eta)
     grid = as_grid(grid)
     sin, cos = np.sin(fp.Omega * grid), np.cos(fp.Omega * grid)
@@ -328,7 +330,8 @@ def closed_form_motion(fp: FluxParams, start: float, grid) -> TimeSeries:
     bound raises SingularityError; an exact resonance raises ResonanceError.
     """
     grid = as_grid(grid)
-    here = np.array([float(start)])
+    start = real_number("start", start)
+    here = np.array([start])
     step = 1j * fp.base.omega
     a = sideband_amplitudes(fp)
     motion = floquet.exponential_sum(a, 1j * fp.Omega, step, grid)
@@ -470,6 +473,7 @@ def modulation_analysis(series: TimeSeries, Omega: float, omega: float) -> Modul
     envelope to A (1 - d cos(omega t - psi)); the boxcar's attenuation at the
     modulation frequency is divided back out of the depth.
     """
+    Omega, omega = real_number("Omega", Omega), real_number("omega", omega)
     if Omega <= 0 or omega <= 0:
         raise InvalidParameterError("frequencies must be positive")
     grid, signal, dt = _uniform_samples(series)

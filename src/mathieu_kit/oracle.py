@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, SpanError, StiffnessError
 from .exponent_class import normalize_exponent
-from .samples import SolutionSample, TimeSeries, as_grid, real_number
+from .samples import SolutionSample, TimeSeries, as_grid, complex_number, real_number
 
 Coefficient = Callable[[float], float | complex]
 
@@ -150,9 +150,8 @@ class ResidualReport:
 _ABSENT = (0.0,) * 6
 
 
-def _real_or_complex(v) -> float | complex:
+def _real_or_complex(v: float | complex) -> float | complex:
     """v as a float when its imaginary part is zero, else as a complex."""
-    v = complex(v)
     return v.real if v.imag == 0.0 else v
 
 
@@ -332,6 +331,7 @@ def integrate(
     as it is accepted.  y'' comes from the equation, not numerical differences.
     """
     tol = validate_tolerance(tol)
+    y0, dy0 = complex_number("y0", y0), complex_number("dy0", dy0)
     t0, t1 = float(span[0]), float(span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)) or t1 <= t0:
         raise SpanError(f"span must be a finite increasing pair, got {span!r}")

@@ -6,6 +6,11 @@ pullback() to reconstruct a source-variable solution (with derivatives) from a
 reduced-variable one, so the oracle can measure the source-equation residual
 directly.
 
+Each map is stated once: _source_time gives its t, dt/dz and d2t/dz2 at z, and
+_BRANCHES each cosine map's principal branch (interior_grid's z-interval, the
+t-interval pullback admits).  pullback applies the damped family's e^{-eta t/2m}
+by samples.decayed, as the closed form does (rate 0 for the other families).
+
 Families:
 
   damped     m y'' + eta y' + (k0 + k cos(omega t)) y = 0        tau = omega t / 2
@@ -33,7 +38,7 @@ from .closed_form import DampedParams, homogeneous_ode
 from .errors import InvalidParameterError, MapDomainError
 from .floquet import GeneralParams
 from .oracle import LinearODE
-from .samples import TimeSeries, admit_fields, real_number
+from .samples import TimeSeries, admit_fields, as_grid, decayed, real_number
 
 FAMILIES = ("eq11", "eq13", "eq15", "eq17-sin", "eq17-cos", "damped")
 
@@ -43,6 +48,13 @@ MAP_LINEAR = "λt = 2z + π/2"
 MAP_RESCALE = "identity-time-rescale"
 
 _DERIVATIVE_FLOOR = 1e-12
+
+# each cosine map's principal branch: the z-interval interior_grid spans (5 %
+# trimmed from both ends) and the open t-interval pullback's samples must lie in
+_BRANCHES = {
+    MAP_COS: ((0.05 * math.pi, 0.95 * math.pi), (-1.0, 1.0)),
+    MAP_COS_SQ: ((0.05 * (math.pi / 2.0), 0.95 * (math.pi / 2.0)), (0.0, 1.0)),
+}
 
 
 @dataclass(frozen=True)
@@ -89,16 +101,9 @@ class ReductionResult:
     time_scale: float = 1.0
 
     def to_source_time(self, z):
-        """Forward map: reduced variable -> source variable."""
-        z = np.asarray(z, dtype=float)
-        if self.variable_map == MAP_COS:
-            return np.cos(z)
-        if self.variable_map == MAP_COS_SQ:
-            return np.cos(z) ** 2
-        if self.variable_map == MAP_LINEAR:
-            lam = 2.0 / self.time_scale
-            return (2.0 * z + math.pi / 2.0) / lam
-        return self.time_scale * z
+        """Forward map: reduced variable z (a real number or a 1-d array) -> source variable."""
+        z = real_number("z", z) if np.ndim(z) == 0 else as_grid(z, "z")
+        return _source_time(self, z)[0]
 
 
 def damped_to_general(params: DampedParams) -> ReductionResult:
@@ -182,51 +187,46 @@ def _square(s: float) -> float:
     return s * s
 
 
-def _map_derivatives(result: ReductionResult, z: np.ndarray):
-    """dt/dz and d2t/dz2 of the variable map."""
+def _source_time(result: ReductionResult, z):
+    """t, dt/dz and d2t/dz2 of the variable map at z."""
     if result.variable_map == MAP_COS:
-        return -np.sin(z), -np.cos(z)
+        return np.cos(z), -np.sin(z), -np.cos(z)
     if result.variable_map == MAP_COS_SQ:
-        return -np.sin(2.0 * z), -2.0 * np.cos(2.0 * z)
-    return np.full_like(z, result.time_scale), np.zeros_like(z)
+        return np.cos(z) ** 2, -np.sin(2.0 * z), -2.0 * np.cos(2.0 * z)
+    if result.variable_map == MAP_LINEAR:
+        t = (2.0 * z + math.pi / 2.0) / (2.0 / result.time_scale)
+    else:
+        t = result.time_scale * z
+    return t, np.full_like(z, result.time_scale), np.zeros_like(z)
 
 
 def pullback(result: ReductionResult, z_solution: TimeSeries) -> TimeSeries:
     """Transport a reduced-variable solution back to the source variable.
 
     Derivatives are chained through the inverse map analytically; samples at
-    points where the map derivative vanishes (cosine-map endpoints) raise
-    MapDomainError, since the chain rule degenerates there.
+    points where the map derivative vanishes, or outside a cosine map's
+    principal branch, raise MapDomainError, since the chain rule degenerates
+    there.
     """
-    z = np.asarray(z_solution.grid, dtype=float)
+    z = as_grid(z_solution.grid)
     w = np.asarray(z_solution.y, dtype=complex)
     wz = np.asarray(z_solution.dy, dtype=complex)
     wzz = np.asarray(z_solution.d2y, dtype=complex)
 
-    dtdz, d2tdz2 = _map_derivatives(result, z)
+    t, dtdz, d2tdz2 = _source_time(result, z)
     if np.any(np.abs(dtdz) < _DERIVATIVE_FLOOR):
         bad = float(z[np.argmin(np.abs(dtdz))])
         raise MapDomainError(
             f"map derivative vanishes at z = {bad:.6g}: sample outside the usable domain"
         )
-
-    t = result.to_source_time(z)
-    if result.variable_map == MAP_COS and np.any(np.abs(t) >= 1.0):
-        raise MapDomainError("t = cos z samples must satisfy |t| < 1")
-    if result.variable_map == MAP_COS_SQ and np.any((t <= 0.0) | (t >= 1.0)):
-        raise MapDomainError("t = cos^2 z samples must satisfy 0 < t < 1")
+    if result.variable_map in _BRANCHES:
+        lo, hi = _BRANCHES[result.variable_map][1]
+        if np.any((t <= lo) | (t >= hi)):
+            raise MapDomainError(f"{result.variable_map} samples must satisfy {lo:g} < t < {hi:g}")
     # t = f(z): y_t = w_z / f',  y_tt = w_zz / f'^2 - w_z f'' / f'^3
     yt = wz / dtdz
     ytt = wzz / dtdz ** 2 - wz * d2tdz2 / dtdz ** 3
-
-    y = w.copy()
-    if result.prefactor_rate != 0.0:
-        r = result.prefactor_rate
-        damp = np.exp(-r * t)
-        y2 = damp * (r * r * w - 2.0 * r * yt + ytt)
-        y1 = damp * (yt - r * w)
-        y0 = damp * w
-        y, yt, ytt = y0, y1, y2
+    y, yt, ytt = decayed(result.prefactor_rate, t, w, yt, ytt)
 
     order = np.argsort(t)
     return TimeSeries(
@@ -243,11 +243,5 @@ def interior_grid(result: ReductionResult, n: int = 201, span: float = 4.0 * mat
     Cosine maps get the interior of their principal branch with 5 % trimmed
     from both ends; unrestricted maps get [0, span].
     """
-    if result.variable_map == MAP_COS:
-        lo, hi = 0.05 * math.pi, 0.95 * math.pi
-    elif result.variable_map == MAP_COS_SQ:
-        half = math.pi / 2.0
-        lo, hi = 0.05 * half, 0.95 * half
-    else:
-        lo, hi = 0.0, span
+    lo, hi = _BRANCHES[result.variable_map][0] if result.variable_map in _BRANCHES else (0.0, span)
     return np.linspace(lo, hi, n)

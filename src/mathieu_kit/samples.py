@@ -1,6 +1,7 @@
-"""Shared sample containers for solutions of second-order linear ODEs, and the rule
-that admits a number from outside: a finite Python or numpy int, float or complex
-(a real field refuses a complex value, even one with a zero imaginary part)."""
+"""Shared sample containers for solutions of second-order linear ODEs, the chain rule
+of an e^{-rt} prefactor (decayed), and the rule that admits a number from outside: a
+finite Python or numpy int, float or complex (a real field refuses a complex value,
+even one with a zero imaginary part)."""
 
 from __future__ import annotations
 
@@ -65,6 +66,12 @@ def require_finite(what: str, grid: np.ndarray, y, dy, d2y) -> None:
     finite = np.isfinite(y) & np.isfinite(dy) & np.isfinite(d2y)
     if not finite.all():
         raise RangeLimitError(f"{what} overflows at t = {grid[np.argmin(finite)]:.6g}")
+
+
+def decayed(r: float, t, y, dy, d2y) -> tuple:
+    """e^{-r t} y with its first two derivatives, from y, y' and y'' at t."""
+    pref = np.exp(-r * t)
+    return pref * y, pref * (dy - r * y), pref * (d2y - 2.0 * r * dy + r * r * y)
 
 
 @dataclass(frozen=True)

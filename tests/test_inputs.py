@@ -1,8 +1,10 @@
 """The one rule that admits a number from outside the package.
 
-A parameter type, the closed form's constants, the tolerance, a grid and a
-CLI flag all admit a finite Python or numpy int, float or complex (a real
-field a real one only), and refuse anything else with InvalidParameterError.
+A parameter type, the closed form's constants, the tolerance, a grid, a CLI
+flag and the numbers the public entry points take (an initial value, an
+exponent, a start time, a frequency) all admit a finite Python or numpy int,
+float or complex (a real field a real one only), and refuse anything else with
+InvalidParameterError.
 """
 
 from __future__ import annotations
@@ -17,16 +19,27 @@ from hypothesis import strategies as st
 
 from mathieu_kit.closed_form import DampedParams, general_solution
 from mathieu_kit.errors import InvalidParameterError
-from mathieu_kit.floquet import GeneralParams, classify_stability, coefficients
-from mathieu_kit.flux import FluxParams
-from mathieu_kit.oracle import validate_tolerance
+from mathieu_kit.exponent_class import class_distance, normalize_exponent
+from mathieu_kit.floquet import GeneralParams, classify_stability, coefficients, general_mathieu_ode
+from mathieu_kit.flux import (
+    FluxParams,
+    SinusoidalResponse,
+    closed_form_motion,
+    modulation_analysis,
+    symmetric_case_solution,
+)
+from mathieu_kit.oracle import integrate, validate_tolerance
 from mathieu_kit.reductions import ReductionInput
-from mathieu_kit.samples import as_grid, complex_number, real_number
+from mathieu_kit.samples import TimeSeries, as_grid, complex_number, real_number
 
 DAMPED = DampedParams(m=1.0, eta=0.5, k0=2.0, k=1.0, omega=2.0)
 FLUX = FluxParams(base=DAMPED, B=1.0, J0=1.0, Omega=2.0, c_light=1.0)
 REDUCTION = ReductionInput("eq15", a=1.0, b=0.5, lam=1.0)
 GENERAL = GeneralParams(3.0, 1.5)
+RESPONSE = SinusoidalResponse(amplitude=1.0, frequency=2.0, phase=0.5)
+_T = np.linspace(0.0, 100.0, 2001)
+SIGNAL = TimeSeries(grid=_T, y=np.cos(2.0 * _T), dy=-2.0 * np.sin(2.0 * _T),
+                    d2y=-4.0 * np.cos(2.0 * _T))
 
 
 def _field_sites(instance, names):
@@ -38,9 +51,14 @@ REAL_SITES = [
     *_field_sites(DAMPED, ("m", "eta", "k0", "k", "omega")),
     *_field_sites(FLUX, ("B", "J0", "Omega", "c_light")),
     *_field_sites(REDUCTION, ("a", "b", "lam")),
+    *_field_sites(RESPONSE, ("amplitude", "frequency", "phase")),
     ("validate_tolerance", validate_tolerance),
     ("as_grid", lambda v: as_grid([0.0, v, 1.0])),
     ("real_number", lambda v: real_number("x", v)),
+    ("symmetric_case_solution.y_at_0", lambda v: symmetric_case_solution(FLUX, v, [0.0, 1.0])),
+    ("closed_form_motion.start", lambda v: closed_form_motion(FLUX, v, [0.0, 1.0])),
+    ("modulation_analysis.Omega", lambda v: modulation_analysis(SIGNAL, v, 0.3)),
+    ("modulation_analysis.omega", lambda v: modulation_analysis(SIGNAL, 2.0, v)),
 ]
 COMPLEX_SITES = [
     *_field_sites(GENERAL, ("h", "theta")),
@@ -49,6 +67,11 @@ COMPLEX_SITES = [
     ("classify_stability", classify_stability),
     ("coefficients", lambda v: coefficients(GENERAL, v)),
     ("complex_number", lambda v: complex_number("x", v)),
+    ("integrate.y0", lambda v: integrate(general_mathieu_ode(GENERAL), v, 0.0, (0.0, 0.1), 1e-8)),
+    ("integrate.dy0", lambda v: integrate(general_mathieu_ode(GENERAL), 1.0, v, (0.0, 0.1), 1e-8)),
+    ("normalize_exponent", normalize_exponent),
+    ("class_distance.mu_a", lambda v: class_distance(v, 0.5j)),
+    ("class_distance.mu_b", lambda v: class_distance(0.5j, v)),
 ]
 
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -82,6 +105,14 @@ REFUSED_WHERE_REAL = st.one_of(
 @given(data=st.data())
 def test_every_site_refuses_what_is_not_an_admissible_number(site, call, refused, data):
     value = data.draw(refused)
+    with pytest.raises(InvalidParameterError):
+        call(value)
+
+
+@pytest.mark.parametrize("site, call", REAL_SITES + COMPLEX_SITES,
+                         ids=[name for name, _ in REAL_SITES + COMPLEX_SITES])
+@pytest.mark.parametrize("value", [math.nan, None, "1.0"], ids=["nan", "None", "text"])
+def test_every_site_refuses_nan_none_and_text(site, call, value):
     with pytest.raises(InvalidParameterError):
         call(value)
 
@@ -128,3 +159,9 @@ def test_refusals_name_the_field_and_the_value():
         general_solution(DAMPED, c2="x")
     with pytest.raises(InvalidParameterError, match=r"^tolerance must be finite, got inf$"):
         validate_tolerance(10**400)
+    with pytest.raises(InvalidParameterError, match=r"^y0 must be a number, got 'x'$"):
+        integrate(general_mathieu_ode(GENERAL), "x", 0.0, (0.0, 0.1), 1e-8)
+    with pytest.raises(InvalidParameterError, match=r"^start must be finite, got nan$"):
+        closed_form_motion(FLUX, math.nan, [0.0, 1.0])
+    with pytest.raises(InvalidParameterError, match=r"^amplitude must be finite, got nan$"):
+        SinusoidalResponse(math.nan, 1.0, 0.0)

@@ -19,12 +19,14 @@ from mathieu_kit.reductions import (
     MAP_RESCALE,
     ReductionInput,
     ReductionResult,
+    _source_time,
     damped_to_general,
     interior_grid,
     pullback,
     reduce,
     source_ode,
 )
+from mathieu_kit.samples import TimeSeries
 
 DAMPED_EXAMPLE = DampedParams(m=1.3, eta=0.9, k0=2.0, k=0.7, omega=1.6)
 
@@ -179,6 +181,42 @@ def test_variable_map_round_trip(z, family):
     assert abs(float(back) - z) < 1e-12
     forward = result.to_source_time(back)
     assert abs(float(forward) - float(t)) < 1e-12
+
+
+# one family per map: t = cos z, t = cos^2 z, lambda t = 2z + pi/2 and t = (2/omega) z
+ONE_PER_MAP = [ReductionInput("eq11", a=1.0, b=0.5), ReductionInput("eq13", a=1.0, b=0.5),
+               ReductionInput("eq15", a=1.0, b=0.5, lam=1.3),
+               ReductionInput("damped", params=DAMPED_EXAMPLE)]
+
+
+@pytest.mark.parametrize("inp", ONE_PER_MAP, ids=[inp.family for inp in ONE_PER_MAP])
+def test_map_derivatives_are_the_derivatives_of_its_t(inp):
+    result = reduce(inp)
+    z = np.linspace(0.1, 1.4, 27)
+    t, dtdz, d2tdz2 = _source_time(result, z)
+    assert np.array_equal(t, result.to_source_time(z))
+    h = 1e-4
+    t_up, t_down = _source_time(result, z + h)[0], _source_time(result, z - h)[0]
+    assert np.allclose(dtdz, (t_up - t_down) / (2.0 * h), rtol=0.0, atol=1e-7)
+    assert np.allclose(d2tdz2, (t_up - 2.0 * t + t_down) / (h * h), rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("z", [np.array([0.3 + 2j]), math.nan, np.array([0.3, math.nan]),
+                               0.3 + 2j, None, "0.3"])
+def test_to_source_time_refuses_what_is_not_real(z):
+    # np.asarray(z, dtype=float) once mapped 0.3+2j to cos 0.3 with only a ComplexWarning
+    result = reduce(ReductionInput("eq11", a=1.0, b=0.5))
+    with pytest.raises(InvalidParameterError):
+        result.to_source_time(z)
+
+
+def test_pullback_refuses_a_sample_outside_the_principal_branch():
+    # |sin 1e-9| is above the derivative floor, but cos 1e-9 rounds to 1
+    result = reduce(ReductionInput("eq11", a=1.0, b=0.5))
+    grid = np.array([1e-9, 0.5])
+    series = TimeSeries(grid=grid, y=np.ones(2), dy=np.ones(2), d2y=np.ones(2))
+    with pytest.raises(MapDomainError, match=r"^t = cos z samples must satisfy -1 < t < 1$"):
+        pullback(result, series)
 
 
 def test_interior_grid_avoids_singular_points():

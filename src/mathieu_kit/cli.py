@@ -42,13 +42,9 @@ from . import floquet as fl
 from .errors import InvalidParameterError, MathieuKitError
 from .exponent_class import normalize_exponent
 from .oracle import PASS_TOL, TOL_MAX, TOL_MIN, integrate, residual, validate_tolerance
-from .samples import complex_number, real_number
+from .samples import MAX_GRID_POINTS, complex_number, real_number
 
 DEFAULT_TOL = 1e-10
-# the most points a job's grid may hold (--t0/--t1/--dt, residual's --n, or
-# sweep's nh x ntheta): one float column of it takes 80 MB and a job holds
-# several, so a larger grid would exhaust memory before it produced an answer
-MAX_GRID_POINTS = 10**7
 # rows _write_csv formats per '%': enough to amortise the call, few enough that
 # only one block's cells are ever held as Python objects
 CSV_BLOCK_ROWS = 2048

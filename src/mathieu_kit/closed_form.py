@@ -45,7 +45,7 @@ from . import bessel
 from .bessel import bessel_j, bessel_y  # noqa: F401  (not called; perfbench's trace wraps them here)
 from .errors import AdmissibilityError, InvalidParameterError, SingularityError
 from .floquet import GeneralParams
-from .oracle import LinearODE, ResidualReport, residual
+from .oracle import LinearODE, ResidualReport, equation, residual
 from .samples import SolutionSample, TimeSeries, as_grid, decayed, require_finite
 from .samples import admit_fields, complex_number, real_number
 
@@ -268,27 +268,19 @@ def split_ode(params: DampedParams, conjugate: bool = False) -> LinearODE:
     y'' + (eta/m) y' + (k0/m + (k/m) e^{+-i omega t}) y = 0; conjugate=True
     selects the e^{-i omega t} twin.
     """
-    a = params.damping_rate
     b0 = params.stiffness_ratio
     c0 = params.modulation_ratio
     s = -1.0 if conjugate else 1.0
-    return LinearODE(
-        p=(lambda t: a) if a != 0 else None,
-        q=lambda t: b0 + c0 * cmath.exp(s * 1j * params.omega * t),
-        on_grid=lambda t: (a, b0 + c0 * np.exp(s * 1j * params.omega * t), 0.0),
-    )
+    return equation(p=params.damping_rate,
+                    q=lambda t, xp=cmath: b0 + c0 * xp.exp(s * 1j * params.omega * t))
 
 
 def homogeneous_ode(params: DampedParams) -> LinearODE:
     """The real cosine-modulated homogeneous equation itself."""
-    a = params.damping_rate
     b0 = params.stiffness_ratio
     c0 = params.modulation_ratio
-    return LinearODE(
-        p=(lambda t: a) if a != 0 else None,
-        q=lambda t: b0 + c0 * math.cos(params.omega * t),
-        on_grid=lambda t: (a, b0 + c0 * np.cos(params.omega * t), 0.0),
-    )
+    return equation(p=params.damping_rate,
+                    q=lambda t, xp=math: b0 + c0 * xp.cos(params.omega * t))
 
 
 def undamped_general_solution(gp: GeneralParams, c1: complex = 1.0, c2: complex = 0.0) -> ClosedFormSpec:

@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import math
 
-from .samples import complex_number
+from .errors import InvalidParameterError
+from .samples import complex_number, real_number
 
 _RE_TOL = 1e-12
 
 
 def normalize_exponent(mu: complex, im_modulus: float = 2.0) -> complex:
     """Canonical representative of the class {s*mu + i*k*im_modulus}."""
-    mu = complex_number("mu", mu)
+    mu, im_modulus = complex_number("mu", mu), real_number("im_modulus", im_modulus)
+    if im_modulus <= 0.0:
+        raise InvalidParameterError(f"im_modulus must be positive, got {im_modulus!r}")
     if mu.real < 0.0:
         mu = -mu
     mu = complex(mu.real, mu.imag % im_modulus)

@@ -48,7 +48,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .exponent_class import class_distance, normalize_exponent
-from .oracle import LinearODE
+from .oracle import LinearODE, equation
 from .oracle import monodromy_exponent  # noqa: F401  (not called; perfbench's trace wraps it here)
 from .samples import SolutionSample, TimeSeries, admit_fields, as_grid, complex_number
 
@@ -90,16 +90,14 @@ class FloquetSolution:
 def general_mathieu_ode(gp: GeneralParams) -> LinearODE:
     """The equation as a LinearODE for the verification oracle.
 
-    With h and theta both real, q is a float-valued math.cos expression, so the
-    oracle integrates a real equation in real arithmetic; otherwise q is complex.
+    q is one expression, h - 2 theta cos 2t: on h's and theta's real parts and
+    math.cos when both are real, so the oracle integrates a real equation in
+    real arithmetic, and on cmath.cos otherwise.
     """
-    h, theta = gp.h, gp.theta
+    h, theta, xp = gp.h, gp.theta, cmath
     if h.imag == 0.0 and theta.imag == 0.0:
-        hr, thr = h.real, theta.real
-        return LinearODE(p=None, q=lambda t: hr - 2.0 * thr * math.cos(2.0 * t),
-                         on_grid=lambda t: (0.0, hr - 2.0 * thr * np.cos(2.0 * t), 0.0))
-    return LinearODE(p=None, q=lambda t: h - 2.0 * theta * cmath.cos(2.0 * t),
-                     on_grid=lambda t: (0.0, h - 2.0 * theta * np.cos(2.0 * t), 0.0))
+        h, theta, xp = h.real, theta.real, math
+    return equation(q=lambda t, xp=xp: h - 2.0 * theta * xp.cos(2.0 * t))
 
 
 def _diagonal(gp: GeneralParams, mu: complex, n: int) -> complex:

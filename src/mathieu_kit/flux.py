@@ -54,7 +54,7 @@ from .errors import (
     SingularityError,
     SpanError,
 )
-from .oracle import LinearODE, integrate
+from .oracle import LinearODE, equation, integrate
 from .reductions import damped_to_general
 from .samples import TimeSeries, admit_fields, as_grid, real_number, require_finite
 
@@ -239,15 +239,10 @@ def symmetric_case_solution(fp: FluxParams, y_at_0: float, grid) -> TimeSeries:
 def full_ode(fp: FluxParams) -> LinearODE:
     """The driven modulated oscillator in normal form."""
     b = fp.base
-    rate = b.eta / b.m
     force = fp.drive_amplitude / b.m
-    return LinearODE(
-        p=(lambda t: rate) if rate != 0 else None,
-        q=lambda t: (b.k0 + b.k * math.cos(b.omega * t)) / b.m,
-        f=lambda t: force * math.cos(fp.Omega * t),
-        on_grid=lambda t: (rate, (b.k0 + b.k * np.cos(b.omega * t)) / b.m,
-                           force * np.cos(fp.Omega * t)),
-    )
+    return equation(p=b.eta / b.m,
+                    q=lambda t, xp=math: (b.k0 + b.k * xp.cos(b.omega * t)) / b.m,
+                    f=lambda t, xp=math: force * xp.cos(fp.Omega * t))
 
 
 def simulate_full(fp: FluxParams, span: tuple[float, float], tol: float,

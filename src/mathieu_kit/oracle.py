@@ -21,10 +21,10 @@ makes NaN); the returned arrays are complex either way.
 Results cross layer boundaries as TimeSeries arrays: integrate returns one
 (the step-end states when no times are requested), and residual(ode, series)
 checks one on its own grid (a per-point callable plus a grid is accepted too,
-and is sampled into arrays first).  Grids read an equation's coefficients
-through its array form, the same expressions on numpy ufuncs, which every
-equation the library builds carries; a LinearODE given only scalar callables
-is sampled one point at a time.
+and is sampled into arrays first).  Each library equation writes a coefficient
+once, as c(t, xp): the stepper calls c(t), xp defaulting to math, cmath or
+none as its values need, and a grid calls c(grid, np) with no per-point call; a
+LinearODE given only scalar callables is sampled one point at a time.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, SpanError, StiffnessError
+from .errors import InvalidParameterError, RangeLimitError, SpanError, StiffnessError
 from .exponent_class import normalize_exponent
 from .samples import SolutionSample, TimeSeries, as_grid, complex_number, real_number
 
@@ -92,9 +92,9 @@ def validate_tolerance(tol: float) -> float:
 class LinearODE:
     """y'' + p(t) y' + q(t) y = f(t); None stands for the zero function.
 
-    on_grid, when given, is the same equation on arrays: a grid in, p, q and f
-    out as arrays or broadcastable scalars, 0.0 for an absent term.  The
-    stepper calls the scalar callables; grids read on_grid.
+    on_grid is the same equation on arrays (a grid in; p, q and f out as arrays
+    or broadcastable scalars, 0.0 for an absent term); equation() derives both
+    from one expression per coefficient.  The stepper calls p, q and f.
     """
 
     p: Coefficient | None
@@ -106,13 +106,20 @@ class LinearODE:
         """p, q and f on a grid as complex arrays (zeros for None)."""
         if self.on_grid is None:
             return _sample(self.p, grid), _sample(self.q, grid), _sample(self.f, grid)
-        return tuple(_filled(v, grid) for v in self.on_grid(grid))
+        return tuple(np.full(np.shape(grid), v, dtype=complex) for v in self.on_grid(grid))
 
 
-def _filled(values, points: np.ndarray) -> np.ndarray:
-    out = np.empty(np.shape(points), dtype=complex)
-    out[...] = values
-    return out
+def equation(p=None, q=None, f=None) -> LinearODE:
+    """The LinearODE of one expression c(t, xp) per coefficient (a number is a constant, 0 none).
+
+    The stepper calls c(t), with xp at its default; on_grid calls c(grid, np).
+    """
+    p, q, f = (c if c is None or callable(c) else _constant(c) for c in (p, q, f))
+    return LinearODE(p, q, f, on_grid=lambda t: tuple(0.0 if c is None else c(t, np) for c in (p, q, f)))
+
+
+def _constant(value):
+    return (lambda t, xp=None: value) if value != 0 else None
 
 
 def _sample(fn: Coefficient | None, points: np.ndarray) -> np.ndarray:
@@ -148,11 +155,6 @@ class ResidualReport:
 
 # an absent coefficient's values at a step's six stages
 _ABSENT = (0.0,) * 6
-
-
-def _real_or_complex(v: float | complex) -> float | complex:
-    """v as a float when its imaginary part is zero, else as a complex."""
-    return v.real if v.imag == 0.0 else v
 
 
 def _stiff(reason: str, t: float, y, v) -> StiffnessError:
@@ -232,7 +234,7 @@ def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: Sequence[complex], 
     # complex value makes the state complex from that stage on
     p, q, f = ode.p, ode.q, ode.f
     t = t0
-    y, v = (_real_or_complex(x) for x in u0)
+    y, v = (x.real if x.imag == 0.0 else x for x in u0)
     p1, q1, f1 = (0.0 if fn is None else fn(t) for fn in (p, q, f))
     a = f1 - p1 * v - q1 * y  # first stage, reused (FSAL)
     if not cmath.isfinite(a):
@@ -332,8 +334,8 @@ def integrate(
     """
     tol = validate_tolerance(tol)
     y0, dy0 = complex_number("y0", y0), complex_number("dy0", dy0)
-    t0, t1 = float(span[0]), float(span[1])
-    if not (math.isfinite(t0) and math.isfinite(t1)) or t1 <= t0:
+    t0, t1 = real_number("span start", span[0]), real_number("span end", span[1])
+    if t1 <= t0:
         raise SpanError(f"span must be a finite increasing pair, got {span!r}")
     tq = None
     if t_eval is not None:
@@ -365,8 +367,8 @@ def monodromy_exponent(ode: LinearODE, period: float, tol: float) -> MonodromyRe
     tol = validate_tolerance(tol)
     if ode.f is not None:
         raise InvalidParameterError("monodromy requires a homogeneous equation")
-    period = float(period)
-    if not (math.isfinite(period) and period > 0.0):
+    period = real_number("period", period)
+    if period <= 0.0:
         raise SpanError(f"period must be finite and positive, got {period!r}")
     columns = []
     for name, u0 in (("(1, 0)", (1.0, 0.0)), ("(0, 1)", (0.0, 1.0))):
@@ -376,10 +378,15 @@ def monodromy_exponent(ode: LinearODE, period: float, tol: float) -> MonodromyRe
             exc.args = (f"period map column {name}: {exc}",)
             raise
     (y1, dy1), (y2, dy2) = columns
-    trace = y1 + dy2
-    det_m = y1 * dy2 - y2 * dy1
-    # trace^2 - 4 det without its cancellation where the map is +-I (a double multiplier)
-    disc = cmath.sqrt((y1 - dy2) * (y1 - dy2) + 4.0 * y2 * dy1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        trace = y1 + dy2
+        det_m = y1 * dy2 - y2 * dy1
+        # trace^2 - 4 det without its cancellation where the map is +-I (a double multiplier)
+        disc_sq = (y1 - dy2) * (y1 - dy2) + 4.0 * y2 * dy1
+    if not (cmath.isfinite(det_m) and cmath.isfinite(disc_sq)):
+        raise RangeLimitError(f"period map over {period:g} overflows double precision: "
+                              f"det = {complex(det_m)!r}")
+    disc = cmath.sqrt(disc_sq)
     # add the root branch that avoids cancellation, recover the other via the product
     if (trace.conjugate() * disc).real >= 0.0:
         r_big = (trace + disc) / 2.0
@@ -441,16 +448,13 @@ def wronskian_abel(p: Coefficient | None, w0: complex, grid: Sequence[float]) ->
     The integral is a running sum of 10-point Gauss-Legendre quadratures,
     one per grid interval.
     """
-    grid = as_grid(grid)
+    w0, grid = complex_number("w0", w0), as_grid(grid)
     if np.any(np.diff(grid) <= 0.0):
         raise InvalidParameterError("grid must be strictly increasing")
     if p is None:
-        return np.full(len(grid), complex(w0))
+        return np.full(len(grid), w0)
     nodes, weights = np.polynomial.legendre.leggauss(10)
     mid = 0.5 * (grid[1:] + grid[:-1])
     rad = 0.5 * np.diff(grid)
     acc = np.cumsum(rad * (_sample(p, mid[:, None] + rad[:, None] * nodes) @ weights))
-    out = np.empty(len(grid), dtype=complex)
-    out[0] = complex(w0)
-    out[1:] = complex(w0) * np.exp(-acc)
-    return out
+    return w0 * np.exp(-np.concatenate(([0.0], acc)))

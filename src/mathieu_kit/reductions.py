@@ -37,8 +37,8 @@ import numpy as np
 from .closed_form import DampedParams, homogeneous_ode
 from .errors import InvalidParameterError, MapDomainError
 from .floquet import GeneralParams
-from .oracle import LinearODE
-from .samples import TimeSeries, admit_fields, as_grid, decayed, real_number
+from .oracle import LinearODE, equation
+from .samples import MAX_GRID_POINTS, TimeSeries, admit_fields, as_grid, decayed, real_number
 
 FAMILIES = ("eq11", "eq13", "eq15", "eq17-sin", "eq17-cos", "damped")
 
@@ -154,33 +154,26 @@ def reduce(inp: ReductionInput) -> ReductionResult:
     )
 
 
-def _rational_ode(p, q) -> LinearODE:
-    # rational coefficients read an array as they read a float
-    return LinearODE(p=p, q=q, on_grid=lambda t: (p(t), q(t), 0.0))
-
-
 def source_ode(inp: ReductionInput) -> LinearODE:
     """The source family as a LinearODE in its own variable (normal form)."""
     a, b = inp.a, inp.b
     if inp.family == "damped":
         return homogeneous_ode(inp.params)
+    # rational coefficients read an array as they read a float
     if inp.family == "eq11":
-        return _rational_ode(lambda t: -t / (1.0 - t * t),
-                             lambda t: (2.0 * a * t * t + b) / (1.0 - t * t))
+        return equation(p=lambda t, xp=None: -t / (1.0 - t * t),
+                        q=lambda t, xp=None: (2.0 * a * t * t + b) / (1.0 - t * t))
     if inp.family == "eq13":
-        return _rational_ode(lambda t: (2.0 * t - 1.0) / (2.0 * t * (t - 1.0)),
-                             lambda t: (a * t + b) / (2.0 * t * (t - 1.0)))
+        return equation(p=lambda t, xp=None: (2.0 * t - 1.0) / (2.0 * t * (t - 1.0)),
+                        q=lambda t, xp=None: (a * t + b) / (2.0 * t * (t - 1.0)))
     if inp.family == "eq15":
         lam = inp.lam
-        return LinearODE(p=None, q=lambda t: a * math.sin(lam * t) + b,
-                         on_grid=lambda t: (0.0, a * np.sin(lam * t) + b, 0.0))
+        return equation(q=lambda t, xp=math: a * xp.sin(lam * t) + b)
     # squared as s * s, exactly as numpy's ** 2 squares; libm's pow behind a
     # scalar ** 2 is not correctly rounded
     if inp.family == "eq17-sin":
-        return LinearODE(p=None, q=lambda t: a * _square(math.sin(t)) + b,
-                         on_grid=lambda t: (0.0, a * np.sin(t) ** 2 + b, 0.0))
-    return LinearODE(p=None, q=lambda t: a * _square(math.cos(t)) + b,
-                     on_grid=lambda t: (0.0, a * np.cos(t) ** 2 + b, 0.0))
+        return equation(q=lambda t, xp=math: a * _square(xp.sin(t)) + b)
+    return equation(q=lambda t, xp=math: a * _square(xp.cos(t)) + b)
 
 
 def _square(s: float) -> float:
@@ -243,5 +236,10 @@ def interior_grid(result: ReductionResult, n: int = 201, span: float = 4.0 * mat
     Cosine maps get the interior of their principal branch with 5 % trimmed
     from both ends; unrestricted maps get [0, span].
     """
+    if not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_GRID_POINTS):
+        raise InvalidParameterError(f"n must be an int from 1 to {MAX_GRID_POINTS:,}, got {n!r}")
+    span = real_number("span", span)
+    if span <= 0.0:
+        raise InvalidParameterError(f"span must be positive, got {span!r}")
     lo, hi = _BRANCHES[result.variable_map][0] if result.variable_map in _BRANCHES else (0.0, span)
     return np.linspace(lo, hi, n)

@@ -13,6 +13,11 @@ import numpy as np
 
 from .errors import InvalidParameterError, RangeLimitError
 
+# the most points a grid may hold (a CLI job's --t0/--t1/--dt, residual's --n or
+# sweep's nh x ntheta, interior_grid's n): one float column of it takes 80 MB and
+# a job holds several, so a larger grid would exhaust memory before it answered
+MAX_GRID_POINTS = 10**7
+
 _REAL_TYPES = (int, float, np.integer, np.floating)
 _NUMBER_TYPES = _REAL_TYPES + (complex, np.complexfloating)
 

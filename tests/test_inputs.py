@@ -2,9 +2,10 @@
 
 A parameter type, the closed form's constants, the tolerance, a grid, a CLI
 flag and the numbers the public entry points take (an initial value, an
-exponent, a start time, a frequency) all admit a finite Python or numpy int,
-float or complex (a real field a real one only), and refuse anything else with
-InvalidParameterError.
+exponent, a start time, a frequency, a span, a period) all admit a finite
+Python or numpy int, float or complex (a real field a real one only), and
+refuse anything else with InvalidParameterError.  A modulus or a span must be
+positive too, and a point count is an int from 1 to MAX_GRID_POINTS.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from mathieu_kit.flux import (
     modulation_analysis,
     symmetric_case_solution,
 )
-from mathieu_kit.oracle import integrate, validate_tolerance
-from mathieu_kit.reductions import ReductionInput
-from mathieu_kit.samples import TimeSeries, as_grid, complex_number, real_number
+from mathieu_kit.oracle import integrate, monodromy_exponent, validate_tolerance, wronskian_abel
+from mathieu_kit.reductions import ReductionInput, interior_grid, reduce
+from mathieu_kit.samples import MAX_GRID_POINTS, TimeSeries, as_grid, complex_number, real_number
 
 DAMPED = DampedParams(m=1.0, eta=0.5, k0=2.0, k=1.0, omega=2.0)
 FLUX = FluxParams(base=DAMPED, B=1.0, J0=1.0, Omega=2.0, c_light=1.0)
@@ -38,6 +39,7 @@ REDUCTION = ReductionInput("eq15", a=1.0, b=0.5, lam=1.0)
 GENERAL = GeneralParams(3.0, 1.5)
 RESPONSE = SinusoidalResponse(amplitude=1.0, frequency=2.0, phase=0.5)
 _T = np.linspace(0.0, 100.0, 2001)
+REDUCED = reduce(REDUCTION)
 SIGNAL = TimeSeries(grid=_T, y=np.cos(2.0 * _T), dy=-2.0 * np.sin(2.0 * _T),
                     d2y=-4.0 * np.cos(2.0 * _T))
 
@@ -59,6 +61,20 @@ REAL_SITES = [
     ("closed_form_motion.start", lambda v: closed_form_motion(FLUX, v, [0.0, 1.0])),
     ("modulation_analysis.Omega", lambda v: modulation_analysis(SIGNAL, v, 0.3)),
     ("modulation_analysis.omega", lambda v: modulation_analysis(SIGNAL, 2.0, v)),
+    ("integrate.span start",
+     lambda v: integrate(general_mathieu_ode(GENERAL), 1.0, 0.0, (v, 0.1), 1e-8)),
+    ("integrate.span end",
+     lambda v: integrate(general_mathieu_ode(GENERAL), 1.0, 0.0, (0.0, v), 1e-8)),
+    ("monodromy_exponent.period", lambda v: monodromy_exponent(general_mathieu_ode(GENERAL), v, 1e-8)),
+]
+# real fields that must be positive as well
+POSITIVE_SITES = [
+    ("normalize_exponent.im_modulus", lambda v: normalize_exponent(0.5j, v)),
+    ("interior_grid.span", lambda v: interior_grid(REDUCED, span=v)),
+]
+# a grid's point count
+COUNT_SITES = [
+    ("interior_grid.n", lambda v: interior_grid(REDUCED, n=v)),
 ]
 COMPLEX_SITES = [
     *_field_sites(GENERAL, ("h", "theta")),
@@ -72,7 +88,9 @@ COMPLEX_SITES = [
     ("normalize_exponent", normalize_exponent),
     ("class_distance.mu_a", lambda v: class_distance(v, 0.5j)),
     ("class_distance.mu_b", lambda v: class_distance(0.5j, v)),
+    ("wronskian_abel.w0", lambda v: wronskian_abel(lambda t: 0.5, v, [0.0, 1.0])),
 ]
+ALL_SITES = REAL_SITES + POSITIVE_SITES + COUNT_SITES + COMPLEX_SITES
 
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 # what no site admits: a non-finite real or complex value (Python's or numpy's),
@@ -96,12 +114,19 @@ REFUSED_WHERE_REAL = st.one_of(
     st.complex_numbers(allow_nan=False, allow_infinity=False).map(np.complex128),
     st.floats(allow_nan=False, allow_infinity=False).map(lambda x: complex(x, 0.0)),
 )
+REFUSED_WHERE_POSITIVE = st.one_of(REFUSED_WHERE_REAL, st.floats(max_value=0.0),
+                                   st.integers(max_value=0))
+# a count refuses every float, even an integral one
+REFUSED_AS_COUNT = st.one_of(REFUSED_WHERE_REAL, st.floats(), st.integers(max_value=0),
+                             st.integers(MAX_GRID_POINTS + 1, 2**63 - 1).map(np.int64))
 
 
 @pytest.mark.parametrize("site, call, refused",
                          [(name, call, REFUSED_WHERE_REAL) for name, call in REAL_SITES]
+                         + [(name, call, REFUSED_WHERE_POSITIVE) for name, call in POSITIVE_SITES]
+                         + [(name, call, REFUSED_AS_COUNT) for name, call in COUNT_SITES]
                          + [(name, call, REFUSED_EVERYWHERE) for name, call in COMPLEX_SITES],
-                         ids=[name for name, _ in REAL_SITES + COMPLEX_SITES])
+                         ids=[name for name, _ in ALL_SITES])
 @given(data=st.data())
 def test_every_site_refuses_what_is_not_an_admissible_number(site, call, refused, data):
     value = data.draw(refused)
@@ -109,8 +134,7 @@ def test_every_site_refuses_what_is_not_an_admissible_number(site, call, refused
         call(value)
 
 
-@pytest.mark.parametrize("site, call", REAL_SITES + COMPLEX_SITES,
-                         ids=[name for name, _ in REAL_SITES + COMPLEX_SITES])
+@pytest.mark.parametrize("site, call", ALL_SITES, ids=[name for name, _ in ALL_SITES])
 @pytest.mark.parametrize("value", [math.nan, None, "1.0"], ids=["nan", "None", "text"])
 def test_every_site_refuses_nan_none_and_text(site, call, value):
     with pytest.raises(InvalidParameterError):
@@ -165,3 +189,13 @@ def test_refusals_name_the_field_and_the_value():
         closed_form_motion(FLUX, math.nan, [0.0, 1.0])
     with pytest.raises(InvalidParameterError, match=r"^amplitude must be finite, got nan$"):
         SinusoidalResponse(math.nan, 1.0, 0.0)
+    with pytest.raises(InvalidParameterError, match=r"^span start must be real, got '0'$"):
+        integrate(general_mathieu_ode(GENERAL), 1.0, 0.0, ("0", 1.0), 1e-8)
+    with pytest.raises(InvalidParameterError, match=r"^period must be real, got '3.14'$"):
+        monodromy_exponent(general_mathieu_ode(GENERAL), "3.14", 1e-8)
+    with pytest.raises(InvalidParameterError, match=r"^w0 must be finite, got \(nan\+0j\)$"):
+        wronskian_abel(None, math.nan, [0.0, 1.0])
+    with pytest.raises(InvalidParameterError, match=r"^im_modulus must be positive, got 0.0$"):
+        normalize_exponent(0.5j, 0)
+    with pytest.raises(InvalidParameterError, match=r"^n must be an int from 1 to 10,000,000, got -1$"):
+        interior_grid(REDUCED, n=-1)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from mathieu_kit import closed_form, flux, oracle, reductions
 from mathieu_kit.closed_form import DampedParams, evaluate_grid, general_solution
-from mathieu_kit.errors import InvalidParameterError, SpanError, StiffnessError
+from mathieu_kit.errors import InvalidParameterError, RangeLimitError, SpanError, StiffnessError
 from mathieu_kit.floquet import GeneralParams, classify_stability, general_mathieu_ode
 from mathieu_kit.oracle import (
     PASS_TOL,
@@ -444,6 +444,16 @@ def test_monodromy_rejects_forced_equation():
         monodromy_exponent(HARMONIC, -1.0, 1e-12)
 
 
+def test_a_period_map_beyond_double_precision_is_a_range_limit():
+    # both columns integrate, but y1 y2' overflows: the parent warned six
+    # times and then blamed mu, an input the caller never gave
+    ode = general_mathieu_ode(GeneralParams(-1.7e4, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeLimitError, match="period map over 3.14159 overflows double"):
+            monodromy_exponent(ode, math.pi, 1e-8)
+
+
 def test_monodromy_with_damping_matches_abel_and_the_characteristic_roots():
     # y'' + 0.3 y' + 2 y = 0: det M = exp(-0.3 pi) (Abel), and the exponents
     # are the roots of lam^2 + 0.3 lam + 2 = 0, defined modulo 2i over period pi
@@ -684,6 +694,22 @@ def test_array_forms_agree_with_their_scalar_callables(name):
         # SIMD sin/cos/exp loops a few ulp from libm's
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps * scale
+
+
+# the equations whose values are complex; every other coefficient is real
+_COMPLEX_Q = {"split+", "split-", "mathieu complex"}
+
+
+@pytest.mark.parametrize("name", sorted(_LIBRARY_ODES))
+def test_scalar_coefficients_return_the_type_the_stepper_computes_in(name):
+    # a float t gives a Python float for a real coefficient, so the stepper
+    # stays on float arithmetic, and a Python complex for a complex one
+    ode = _LIBRARY_ODES[name]()
+    for t in np.random.default_rng(11).uniform(0.01, 0.99, 50).tolist():
+        for coefficient, fn in zip("pqf", (ode.p, ode.q, ode.f)):
+            if fn is not None:
+                complex_valued = coefficient == "q" and name in _COMPLEX_Q
+                assert type(fn(t)) is (complex if complex_valued else float), coefficient
 
 
 def _counted(ode: LinearODE, calls: list, keep_form: bool) -> LinearODE:

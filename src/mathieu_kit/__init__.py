@@ -3,10 +3,11 @@
 The package centers on the damped modulated oscillator
 m y'' + eta y' + (k0 + k cos(omega t)) y = (B J0 / c) cos(Omega t) and the
 general Mathieu equation y'' + (h - 2 theta cos 2t) y = 0 it reduces to:
-cylinder-function closed forms with an explicit variant adjudication, Hill
-determinant / continued-fraction Floquet machinery cross-checked against an
-independent integration oracle, the catalogued variable-map reductions, and
-the flux-lattice field-modulation pipeline.
+cylinder-function closed forms of the split equation (the cosine replaced by
+e^{i omega t}) with an explicit variant adjudication, Hill determinant /
+continued-fraction Floquet machinery for the cosine equation itself,
+cross-checked against an independent integration oracle, the catalogued
+variable-map reductions, and the flux-lattice field-modulation pipeline.
 """
 
 from types import ModuleType as _ModuleType
@@ -29,7 +30,6 @@ from .closed_form import (
     is_admissible,
     mirror,
     split_ode,
-    undamped_general_solution,
 )
 from .errors import (
     AdmissibilityError,
@@ -38,7 +38,6 @@ from .errors import (
     DegenerateParametersError,
     InvalidParameterError,
     MapDomainError,
-    MappingError,
     MathieuKitError,
     RangeLimitError,
     ResonanceError,

@@ -119,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t1", type=_real_flag, default=t1_default)
         p.add_argument("--dt", type=_real_flag, default=0.01)
 
-    p = sub.add_parser("solve", help="evaluate a closed-form solution on a grid")
+    p = sub.add_parser("solve", help="evaluate the closed form (it solves the split equation)")
     damped_flags(p)
     p.add_argument("--variant", choices=[v.value for v in cf.Variant], default="corrected")
     p.add_argument("--c1", type=_complex_flag, default=1.0 + 0.0j)
@@ -131,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=_complex_flag, required=True)
     p.add_argument("--theta", type=_complex_flag, required=True)
 
-    p = sub.add_parser("residual", help="adjudicate both closed-form variants")
+    p = sub.add_parser("residual", help="adjudicate both closed-form variants on the split equation")
     damped_flags(p)
     p.add_argument("--t0", type=_real_flag, default=0.0)
     p.add_argument("--t1", type=_real_flag, default=10.0)
@@ -309,6 +309,7 @@ def _run_solve(job: JobSpec, sidecar: dict):
         validity_flags={
             "admissible": spec.admissible_nu is not None,
             "admissible_nu": spec.admissible_nu,
+            "equation": "y'' + (eta/m) y' + (k0/m + (k/m) e^{i omega t}) y = 0",
         },
     )
     code = 0 if rep.verdict else 1

@@ -44,7 +44,6 @@ import numpy as np
 from . import bessel
 from .bessel import bessel_j, bessel_y  # noqa: F401  (not called; perfbench's trace wraps them here)
 from .errors import AdmissibilityError, InvalidParameterError, SingularityError
-from .floquet import GeneralParams
 from .oracle import LinearODE, ResidualReport, equation, residual
 from .samples import SolutionSample, TimeSeries, as_grid, decayed, require_finite
 from .samples import admit_fields, complex_number, real_number
@@ -161,7 +160,12 @@ def is_admissible(params: DampedParams, variant=Variant.CORRECTED) -> Optional[i
 def general_solution(params: DampedParams, variant=Variant.CORRECTED,
                      c1: complex = 1.0, c2: complex = 0.0, *,
                      allow_inadmissible: bool = False) -> ClosedFormSpec:
-    """One spec, c1 J + c2 Y under the decay prefactor; c1 and c2 must be finite."""
+    """One spec, c1 J + c2 Y under the decay prefactor; c1 and c2 must be finite.
+
+    At an admissible index the corrected variant solves split_ode(params),
+    the e^{i omega t} equation, and the cosine equation homogeneous_ode(params)
+    only at k = 0; the paper-literal variant misses split_ode (see adjudicate).
+    """
     variant = _coerce_variant(variant)
     c1, c2 = complex_number("c1", c1), complex_number("c2", c2)
     nu = index(params, variant)
@@ -183,7 +187,8 @@ def fundamental_pair(params: DampedParams, variant=Variant.CORRECTED,
     """The (second-kind, first-kind) pair spanning the solution space.
 
     The first member carries only the Y branch with weight c2, the second only
-    the J branch with weight c1.  Inadmissible indices raise AdmissibilityError.
+    the J branch with weight c1; in the corrected variant both solve
+    split_ode(params).  Inadmissible indices raise AdmissibilityError.
     """
     return (general_solution(params, variant, 0.0, c2),
             general_solution(params, variant, c1, 0.0))
@@ -192,9 +197,11 @@ def fundamental_pair(params: DampedParams, variant=Variant.CORRECTED,
 def mirror(spec: ClosedFormSpec) -> ClosedFormSpec:
     """The companion spec solving the conjugate-exponential equation.
 
-    Negating the exponent rate sends e^{+i omega t} to e^{-i omega t}; the
-    argument flips sign along with it and the integer-order reflection
-    J_{-n} = (-1)^n J_n contributes the parity sign to both constants.
+    Where spec solves split_ode(params), its mirror solves
+    split_ode(params, conjugate=True).  Negating the exponent rate sends
+    e^{+i omega t} to e^{-i omega t}; the argument flips sign along with it
+    and the integer-order reflection J_{-n} = (-1)^n J_n contributes the
+    parity sign to both constants.
     """
     if spec.admissible_nu is None:
         raise AdmissibilityError(spec.nu, spec.order(), ADMISSIBILITY_TOL)
@@ -211,13 +218,15 @@ def mirror(spec: ClosedFormSpec) -> ClosedFormSpec:
 def evaluate_grid(spec: ClosedFormSpec, grid) -> TimeSeries:
     """The closed form with analytic derivatives on a strictly increasing grid.
 
-    The spec alone fixes it.  Derivatives chain through z(t); the cylinder
-    bracket's second derivative comes from its own differential equation, and
-    the second-kind branch is continued across the log cut as the argument
-    winds.  One Bessel call per grid, bessel_jy when the second kind is
-    present and bessel_j otherwise (bessel's array path); the rest is array
-    arithmetic.  A value or derivative that overflows double precision
-    (say, from constants near 1e308) raises RangeLimitError at its first t.
+    The spec alone fixes it: a corrected spec from general_solution(params)
+    solves split_ode(params), and its mirror the conjugate twin.  Derivatives
+    chain through z(t); the cylinder bracket's second derivative comes from
+    its own differential equation, and the second-kind branch is continued
+    across the log cut as the argument winds.  One Bessel call per grid,
+    bessel_jy when the second kind is present and bessel_j otherwise
+    (bessel's array path); the rest is array arithmetic.  A value or
+    derivative that overflows double precision (say, from constants near
+    1e308) raises RangeLimitError at its first t.
     """
     grid = as_grid(grid)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -281,27 +290,6 @@ def homogeneous_ode(params: DampedParams) -> LinearODE:
     c0 = params.modulation_ratio
     return equation(p=params.damping_rate,
                     q=lambda t, xp=math: b0 + c0 * xp.cos(params.omega * t))
-
-
-def undamped_general_solution(gp: GeneralParams, c1: complex = 1.0, c2: complex = 0.0) -> ClosedFormSpec:
-    """Closed-form spec for the general equation y'' + (h - 2 theta cos 2t) y = 0.
-
-    The equation is pulled back to its canonical undamped preimage
-    (m=1, eta=0, k0=h, k=-2 theta, omega=2, identical time variable) and the
-    corrected closed form is built there.  Only real parameters admit such a
-    preimage; complex h or theta raise MappingError.  The returned spec is
-    tagged inadmissible (admissible_nu None) when the index misses an integer,
-    and its residual against the cosine equation is a statement to be
-    measured, not a guarantee.
-    """
-    from .errors import MappingError
-
-    if gp.h.imag != 0.0 or gp.theta.imag != 0.0:
-        raise MappingError(
-            f"no real undamped preimage for h={gp.h!r}, theta={gp.theta!r}"
-        )
-    params = DampedParams(m=1.0, eta=0.0, k0=gp.h.real, k=-2.0 * gp.theta.real, omega=2.0)
-    return general_solution(params, Variant.CORRECTED, c1, c2, allow_inadmissible=True)
 
 
 @dataclass(frozen=True)

@@ -32,10 +32,6 @@ class AdmissibilityError(MathieuKitError):
         )
 
 
-class MappingError(MathieuKitError):
-    """No valid preimage / image under a requested variable mapping."""
-
-
 class MapDomainError(MathieuKitError):
     """Sample lies outside the variable map's valid domain."""
 

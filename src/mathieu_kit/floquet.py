@@ -111,6 +111,7 @@ def hill_determinant(gp: GeneralParams, mu: complex) -> complex:
     The scaling is independent of mu, so roots are preserved while the
     determinant stays bounded as the truncation grows.
     """
+    mu = complex_number("mu", mu)
     trunc = HILL_DETERMINANT_TRUNCATION
     w = lambda n: 4.0 * n * n + abs(gp.h) + 1.0
     th = gp.theta
@@ -419,12 +420,13 @@ def _reach(moduli: list, peak: float) -> int:
 def coefficients(gp: GeneralParams, mu: complex) -> FloquetSolution:
     """Series coefficients around the class member of mu that admits c_0 = 1.
 
-    Any representative of the exponent class may be passed; the working
-    exponent is recentered (on the smallest-diagonal row whose center-row
-    defect passes the gate), then fourier_series deepens the sweep until it
-    has converged, polishes mu once at that depth and ends the series, so all
-    rows of the recurrence hold to machine accuracy at the returned mu.  Each
-    exponent tried costs one two-sided sweep at each depth.
+    The series solves general_mathieu_ode(gp).  Any representative of the
+    exponent class may be passed; the working exponent is recentered (on the
+    smallest-diagonal row whose center-row defect passes the gate), then
+    fourier_series deepens the sweep until it has converged, polishes mu once
+    at that depth and ends the series, so all rows of the recurrence hold to
+    machine accuracy at the returned mu.  Each exponent tried costs one
+    two-sided sweep at each depth.
     """
     mu = complex_number("mu", mu)
     mu_work, ev = _centre(gp, mu, _sweep_depth(gp))
@@ -442,7 +444,7 @@ def coefficients(gp: GeneralParams, mu: complex) -> FloquetSolution:
 
 
 def solve(gp: GeneralParams) -> FloquetSolution:
-    """Exponent and coefficients together: Hill seed, then center-row polish.
+    """Exponent and series solving general_mathieu_ode(gp): Hill seed, then center-row polish.
 
     Hill's formula seeds the exponent without integrating the equation;
     coefficients() recenters it, polishes it on the center-row defect and
@@ -507,25 +509,28 @@ def exponential_sum(coeffs: np.ndarray, rate: complex, step: complex,
 
 
 def eval_floquet_grid(sol: FloquetSolution, grid) -> TimeSeries:
-    """The truncated series with analytic first and second derivatives on a grid."""
+    """The series and its first two derivatives on a grid, solving general_mathieu_ode(gp)."""
     grid = as_grid(grid)
     y, dy, d2y = exponential_sum(sol.coeffs, sol.mu, 2.0j, grid)
     return TimeSeries(grid=grid, y=y, dy=dy, d2y=d2y)
 
 
 def eval_floquet(sol: FloquetSolution, t: float) -> SolutionSample:
-    """The truncated series and its first two derivatives at one time."""
+    """The series and its first two derivatives at one time (see eval_floquet_grid)."""
     return eval_floquet_grid(sol, [t])[0]
 
 
 def second_solution(sol: FloquetSolution) -> FloquetSolution:
     """The reflected solution exp(-mu t) P(-t): exponent -mu, coefficients reversed.
 
-    Fails when i*mu is an integer (exponent class self-paired), where the
-    reflected series is not guaranteed independent.
+    It solves general_mathieu_ode(gp) where sol does.  DegeneracyError marks
+    i*mu an integer (a self-paired class, so not independent), except for a
+    one-term series (theta = 0) with mu != 0, whose e^{+-mu t} are independent.
     """
     mu = sol.mu
-    if abs(mu.real) <= _DEGENERACY_TOL and abs(mu.imag - round(mu.imag)) <= _DEGENERACY_TOL:
+    # the exponent in iZ the reflection may pair mu with: only 0 for one term
+    pair = round(mu.imag) if len(sol.coeffs) > 1 else 0
+    if abs(mu.real) <= _DEGENERACY_TOL and abs(mu.imag - pair) <= _DEGENERACY_TOL:
         raise DegeneracyError(
             f"i*mu = {1j * mu:.6g} is an integer: the reflected solution is not independent"
         )

@@ -107,7 +107,7 @@ class SinusoidalResponse:
             raise InvalidParameterError("phase must lie in (-pi, pi]")
 
     def evaluate(self, grid) -> TimeSeries:
-        """x and its first two derivatives on a grid."""
+        """x and its first two derivatives on a grid (see particular_k0, linearized_delta)."""
         grid = as_grid(grid)
         arg = self.frequency * grid - self.phase
         a, f = self.amplitude, self.frequency
@@ -158,7 +158,7 @@ def _driven_response(m: float, eta: float, k0: float,
 
 
 def particular_k0(fp: FluxParams) -> SinusoidalResponse:
-    """Steady state with the stiffness modulation switched off (k = 0)."""
+    """Steady state of m x'' + eta x' + k0 x = (B J0 / c) cos(Omega t): full_ode at k = 0."""
     b = fp.base
     return _driven_response(b.m, b.eta, b.k0, fp.drive_amplitude, fp.Omega, 0.0)
 
@@ -167,8 +167,9 @@ def linearized_delta(fp: FluxParams) -> tuple[SinusoidalResponse, SinusoidalResp
     """First-order displacement correction from the stiffness modulation.
 
     The product -k cos(omega t) * y0(t) splits into drives at Omega + omega and
-    Omega - omega; each is solved as its own driven oscillator.  Returned in
-    (upper sideband, lower sideband) order.
+    Omega - omega, each solved as its own driven oscillator: the pair sums to
+    a solution of m d'' + eta d' + k0 d = -k cos(omega t) y0(t), y0 =
+    particular_k0(fp).  Returned in (upper sideband, lower sideband) order.
     """
     b = fp.base
     y0 = particular_k0(fp)
@@ -248,7 +249,7 @@ def full_ode(fp: FluxParams) -> LinearODE:
 def simulate_full(fp: FluxParams, span: tuple[float, float], tol: float,
                   t_eval: Optional[np.ndarray] = None,
                   y0: complex = 0.0, dy0: complex = 0.0) -> TimeSeries:
-    """Integrate the full equation with the verification oracle."""
+    """Integrate the full equation, full_ode(fp), with the verification oracle."""
     return integrate(full_ode(fp), y0, dy0, span, tol, t_eval=t_eval)
 
 
@@ -318,11 +319,11 @@ def closed_form_motion(fp: FluxParams, start: float, grid) -> TimeSeries:
     c1, c2 cancel y_p and y_p' at start.  Each part is summed by
     floquet.exponential_sum in e^{i omega t}.
 
-    The result checks itself: the defect y'' + (eta/m) y' + q y - f, relative
-    to |y''| + |(eta/m) y'| + |q y| + |f| at each grid point, must stay within
-    RESIDUAL_BOUND, or ConvergenceError names it.  A non-finite motion raises
-    RangeLimitError; a pair u(z), u(-z) too dependent to fit start to that
-    bound raises SingularityError; an exact resonance raises ResonanceError.
+    The result solves full_ode(fp) and checks itself: the defect y'' + (eta/m) y'
+    + q y - f, relative to |y''| + |(eta/m) y'| + |q y| + |f| at each grid point,
+    must stay within RESIDUAL_BOUND, or ConvergenceError names it.  A non-finite
+    motion raises RangeLimitError; a pair u(z), u(-z) too dependent to fit start
+    to that bound raises SingularityError; an exact resonance raises ResonanceError.
     """
     grid = as_grid(grid)
     start = real_number("start", start)

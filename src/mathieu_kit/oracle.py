@@ -9,11 +9,12 @@ scale-aware normalization; and the Abel/Liouville Wronskian reference.
 
 The stepper's tableau is unrolled on Python scalars, because a state of two
 numbers is too small for numpy to pay off: y, y' and y'' are local variables,
-each step evaluates p, q and f once per stage, and arrays appear only in what
-it returns.  It does only the arithmetic the problem has: a state component
-with a zero imaginary part enters as a float, so a real equation runs on
-floats and a complex coefficient value promotes the state by itself; an
-absent coefficient is 0.0 at every stage, without a call.  Float arithmetic
+each step evaluates p, q and f once per stage time (stage 7 shares stage 6's,
+the step end), and arrays appear only in what it returns.  It does only the
+arithmetic the problem has: a state component with a zero imaginary part
+enters as a float, so a real equation runs on floats and a complex
+coefficient value promotes the state by itself; an absent coefficient is 0.0
+at every stage, without a call.  Float arithmetic
 gives the real parts complex arithmetic gives, so the values do not depend
 on the typing (only an overflow may show as inf where complex arithmetic
 makes NaN); the returned arrays are complex either way.
@@ -153,8 +154,8 @@ class ResidualReport:
     pointwise: np.ndarray = field(repr=False, compare=False)
 
 
-# an absent coefficient's values at a step's six stages
-_ABSENT = (0.0,) * 6
+# an absent coefficient's values at a step's five stage times after its start
+_ABSENT = (0.0,) * 5
 
 
 def _stiff(reason: str, t: float, y, v) -> StiffnessError:
@@ -221,13 +222,14 @@ def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: Sequence[complex], 
 
     u0 is the start (y, y'); the state y, v = y' and its acceleration
     a = f - p v - q y live on Python scalars: floats where u0 is real, so a
-    real equation stays on floats.  A step evaluates p, q and f once per
-    stage (the stage times do not depend on the state; an absent one is
-    0.0): the stages of y are the stage values of v, and those of v are
-    f - p v - q y.  Each accepted step evaluates its interpolant at the
-    ascending times tq below its end (the last step takes the rest); tq None
-    records the step-end states.  Returns sample times, samples (rows y, y')
-    and final state (complex arrays) and stats.
+    real equation stays on floats.  A step evaluates p, q and f once at each
+    of its five stage times after t (the times do not depend on the state,
+    and stage 7 shares stage 6's, the step end; an absent one is 0.0): the
+    stages of y are the stage values of v, and those of v are f - p v - q y,
+    formed at all six stages.  Each accepted step evaluates its interpolant at
+    the ascending times tq below its end (the last step takes the rest); tq
+    None records the step-end states.  Returns sample times, samples (rows y,
+    y') and final state (complex arrays) and stats.
     """
     # the callables' float or complex values enter the arithmetic as is: on
     # real parts, float arithmetic gives what complex arithmetic gives, and a
@@ -253,14 +255,11 @@ def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: Sequence[complex], 
         if h <= _H_UNDERFLOW * max(abs(t), 1.0):
             raise _stiff("step size underflow at", t, y, v)
         t2, t3, t4, t5, t6 = t + _C2 * h, t + _C3 * h, t + _C4 * h, t + _C5 * h, t + h
-        # one coefficient evaluation per stage, as rhs_evaluations counts them;
-        # stages 6 and 7 both sit at the step end
-        p2, p3, p4, p5, p6, p7 = (
-            _ABSENT if p is None else (p(t2), p(t3), p(t4), p(t5), p(t6), p(t6)))
-        q2, q3, q4, q5, q6, q7 = (
-            _ABSENT if q is None else (q(t2), q(t3), q(t4), q(t5), q(t6), q(t6)))
-        f2, f3, f4, f5, f6, f7 = (
-            _ABSENT if f is None else (f(t2), f(t3), f(t4), f(t5), f(t6), f(t6)))
+        # one coefficient evaluation per stage time: stages 6 and 7 both sit
+        # at the step end, so stage 7 reuses stage 6's values
+        p2, p3, p4, p5, p6 = _ABSENT if p is None else (p(t2), p(t3), p(t4), p(t5), p(t6))
+        q2, q3, q4, q5, q6 = _ABSENT if q is None else (q(t2), q(t3), q(t4), q(t5), q(t6))
+        f2, f3, f4, f5, f6 = _ABSENT if f is None else (f(t2), f(t3), f(t4), f(t5), f(t6))
         y2 = y + h * (_A21 * v)
         v2 = v + h * (_A21 * a)
         a2 = f2 - p2 * v2 - q2 * y2
@@ -279,7 +278,7 @@ def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: Sequence[complex], 
         # stage 7 sits on the 5th-order result, which is the step's end state
         y7 = y + h * (_B1 * v + _B3 * v3 + _B4 * v4 + _B5 * v5 + _B6 * v6)
         v7 = v + h * (_B1 * a + _B3 * a3 + _B4 * a4 + _B5 * a5 + _B6 * a6)
-        a7 = f7 - p7 * v7 - q7 * y7
+        a7 = f6 - p6 * v7 - q6 * y7
         ey = h * (_E1 * v + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v7)
         ev = h * (_E1 * a + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * a7)
         ey /= tol + tol * max(abs(y), abs(y7))
@@ -312,7 +311,8 @@ def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: Sequence[complex], 
             h *= max(_FAC_MIN, _SAFETY * err ** (-_ALPHA))
             n_reject += 1
             last_rejected = True
-    # the initial step size's trial evaluation counts too
+    # the right-hand side is formed at a step's six stages; the first state
+    # and the initial step size's trial evaluation count too
     nfev = 2 + 6 * (n_accept + n_reject)
     stats = {"steps": n_accept, "rejected": n_reject, "rhs_evaluations": nfev}
     return times, np.array(rows, dtype=complex), np.array([y, v], dtype=complex), stats
@@ -326,7 +326,7 @@ def integrate(
     tol: float,
     t_eval: Sequence[float] | None = None,
 ) -> TimeSeries:
-    """Solve the initial value problem over span, adaptively.
+    """Solve ode's initial value problem over span, adaptively.
 
     Without t_eval the step-end states are returned on t0 and the step ends;
     t_eval, checked before the sweep, is sampled from each step's interpolant

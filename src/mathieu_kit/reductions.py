@@ -196,6 +196,8 @@ def _source_time(result: ReductionResult, z):
 def pullback(result: ReductionResult, z_solution: TimeSeries) -> TimeSeries:
     """Transport a reduced-variable solution back to the source variable.
 
+    A solution of general_mathieu_ode(result.gp) comes back as one of
+    source_ode(inp), for the inp that reduce() took to result.
     Derivatives are chained through the inverse map analytically; samples at
     points where the map derivative vanishes, or outside a cosine map's
     principal branch, raise MapDomainError, since the chain rule degenerates

@@ -174,6 +174,9 @@ def test_solve_to_files(tmp_path):
     assert sidecar["residual_linf"] < 1e-8
     assert sidecar["validity_flags"]["admissible"] is True
     assert sidecar["validity_flags"]["admissible_nu"] == 1
+    # the residual is against the split equation, not the cosine one
+    assert sidecar["validity_flags"]["equation"] == \
+        "y'' + (eta/m) y' + (k0/m + (k/m) e^{i omega t}) y = 0"
     # every numeric flag echoes into params
     for key in ("m", "eta", "k0", "k", "omega", "t0", "t1", "dt", "c1", "c2"):
         assert key in sidecar["params"]

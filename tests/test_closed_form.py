@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import cmath
 import math
 import tracemalloc
 from dataclasses import replace
@@ -27,17 +26,14 @@ from mathieu_kit.closed_form import (
     is_admissible,
     mirror,
     split_ode,
-    undamped_general_solution,
 )
 from mathieu_kit.errors import (
     AdmissibilityError,
     InvalidParameterError,
-    MappingError,
     RangeLimitError,
     SingularityError,
 )
-from mathieu_kit.floquet import GeneralParams, general_mathieu_ode
-from mathieu_kit.oracle import PASS_TOL, residual, wronskian_abel
+from mathieu_kit.oracle import residual, wronskian_abel
 
 
 def admissible_params(n_index: int, m: float, eta: float, k: float, omega: float,
@@ -317,42 +313,6 @@ def test_evaluate_grid_refuses_an_overflow_at_its_first_t():
     with pytest.raises(RangeLimitError, match="overflows at t = -800$"):
         evaluate_grid(damped, [-800.0, -750.0, -700.0, 0.0])
     assert np.all(np.isfinite(evaluate_grid(damped, [-700.0, 0.0]).d2y))
-
-
-def test_undamped_general_solution_roundtrip():
-    gp = GeneralParams(h=1.0, theta=-0.5)
-    spec = undamped_general_solution(gp, c1=1.0, c2=0.0)
-    assert spec.decay_rate == 0.0
-    assert spec.admissible_nu == 1
-    # bracket arguments repeat once the exponential closes its loop
-    t = 0.4
-    z1 = spec.argument_scale * cmath.exp(spec.exponent_rate * t)
-    z2 = spec.argument_scale * cmath.exp(spec.exponent_rate * (t + 2.0 * math.pi))
-    assert z2 == pytest.approx(z1, rel=1e-12)
-
-
-def test_undamped_general_solution_reports_residual():
-    gp = GeneralParams(h=1.0, theta=-0.5)
-    spec = undamped_general_solution(gp, c1=1.0, c2=1.0)
-    p = DampedParams(1.0, 0.0, 1.0, 1.0, 2.0)
-    ode = general_mathieu_ode(gp)
-    grid = np.linspace(0.0, 6.0, 61)
-    rep = residual(ode, evaluate_grid(spec, grid))
-    # measured and reported; no smallness claim is made for this construction
-    assert np.isfinite(rep.linf)
-    assert rep.verdict == (rep.linf < PASS_TOL)
-
-
-def test_undamped_general_solution_rejects_complex_parameters():
-    with pytest.raises(MappingError):
-        undamped_general_solution(GeneralParams(h=1.0 + 1.0j, theta=0.5))
-    with pytest.raises(MappingError):
-        undamped_general_solution(GeneralParams(h=1.0, theta=0.5j))
-
-
-def test_undamped_inadmissible_preimage_is_tagged():
-    spec = undamped_general_solution(GeneralParams(h=2.0, theta=0.3))
-    assert spec.admissible_nu is None
 
 
 def test_homogeneous_and_split_odes_are_consistent():

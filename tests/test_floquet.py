@@ -182,10 +182,28 @@ def test_second_solution_structure_and_residual():
 
 
 def test_second_solution_degenerate_cases():
+    # h = theta = 0: the one solution e^{0 t} is its own reflection
     with pytest.raises(DegeneracyError):
-        second_solution(solve(GeneralParams(4.0, 0.0)))
+        second_solution(solve(GeneralParams(0.0, 0.0)))
+    # a tongue edge with theta != 0: mu = 2i, and Ince's theorem leaves one periodic solution
+    special = pytest.importorskip("scipy.special")
+    sol = solve(GeneralParams(float(special.mathieu_a(2, 1.0)), 1.0))
+    assert abs(sol.mu - 2j) <= 1e-9 and sol.truncation > 0
     with pytest.raises(DegeneracyError):
-        second_solution(solve(GeneralParams(1.0, 0.0)))
+        second_solution(sol)
+
+
+@pytest.mark.parametrize("h", [1.0, 4.0])
+def test_second_solution_of_a_decoupled_integer_exponent_is_independent(h):
+    # theta = 0 and h = n^2: mu = i n lies in iZ, yet e^{+-i n t} are independent
+    gp = GeneralParams(h, 0.0)
+    sol = solve(gp)
+    other = second_solution(sol)
+    assert other.mu == -sol.mu and abs(sol.mu) == math.sqrt(h)
+    grid = np.linspace(0.0, 2.0 * math.pi, 41)
+    assert residual(general_mathieu_ode(gp), eval_floquet_grid(other, grid)).verdict
+    s1, s2 = eval_floquet(sol, 0.0), eval_floquet(other, 0.0)
+    assert abs(s1.y * s2.dy - s1.dy * s2.y) == pytest.approx(2.0 * math.sqrt(h))
 
 
 def test_classify_stability():

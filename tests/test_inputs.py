@@ -21,7 +21,13 @@ from hypothesis import strategies as st
 from mathieu_kit.closed_form import DampedParams, general_solution
 from mathieu_kit.errors import InvalidParameterError
 from mathieu_kit.exponent_class import class_distance, normalize_exponent
-from mathieu_kit.floquet import GeneralParams, classify_stability, coefficients, general_mathieu_ode
+from mathieu_kit.floquet import (
+    GeneralParams,
+    classify_stability,
+    coefficients,
+    general_mathieu_ode,
+    hill_determinant,
+)
 from mathieu_kit.flux import (
     FluxParams,
     SinusoidalResponse,
@@ -82,6 +88,7 @@ COMPLEX_SITES = [
     ("general_solution.c2", lambda v: general_solution(DAMPED, c2=v)),
     ("classify_stability", classify_stability),
     ("coefficients", lambda v: coefficients(GENERAL, v)),
+    ("hill_determinant", lambda v: hill_determinant(GENERAL, v)),
     ("complex_number", lambda v: complex_number("x", v)),
     ("integrate.y0", lambda v: integrate(general_mathieu_ode(GENERAL), v, 0.0, (0.0, 0.1), 1e-8)),
     ("integrate.dy0", lambda v: integrate(general_mathieu_ode(GENERAL), 1.0, v, (0.0, 0.1), 1e-8)),
@@ -150,6 +157,9 @@ def test_every_finite_real_number_is_admitted_as_a_python_number(value):
 def test_a_complex_site_admits_numpy_complex_values():
     assert complex_number("x", np.complex64(1 - 2j)) == 1 - 2j
     assert GeneralParams(np.complex128(2 + 1j), 0.5).h == 2 + 1j
+    # and computes on the Python complex it admits
+    det = hill_determinant(GENERAL, np.complex128(0.3 + 0.2j))
+    assert type(det) is complex and det == hill_determinant(GENERAL, 0.3 + 0.2j)
 
 
 # before the shared rule, these lost their imaginary parts with at most a ComplexWarning

@@ -180,7 +180,9 @@ def test_step_sequences_are_pinned():
 
     ode = LinearODE(p=None, q=counted_q)
     monodromy_exponent(ode, math.pi, 1e-10)
-    assert len(calls) == 1732
+    # q is called once per stage time: five per step (stage 7 reuses stage 6's
+    # value at the step end), plus the start and the initial step's trial, per column
+    assert len(calls) == 1444
     # the period map is one sweep per column, from (1, 0) and from (0, 1)
     for u0 in ((1.0, 0.0), (0.0, 1.0)):
         stats = _integrate_raw(ode, 0.0, math.pi, u0, 1e-10, ())[3]
@@ -287,7 +289,7 @@ def test_absent_coefficients_are_never_called():
         return 3.0 - 2.0 * math.cos(2.0 * t)
 
     def other_calls(period: float) -> int:
-        """Python calls other than q in one sweep; q must run once per rhs evaluation."""
+        """Python calls other than q in one sweep; q must run once per stage time."""
         calls = []
 
         def profile(frame, event, arg):
@@ -301,7 +303,10 @@ def test_absent_coefficients_are_never_called():
                                    (1.0, 0.0), 1e-10, None)[3]
         finally:
             sys.setprofile(None)
-        assert len(q_calls) == stats["rhs_evaluations"] == 2 + 6 * stats["steps"]
+        assert stats["rejected"] == 0
+        assert stats["rhs_evaluations"] == 2 + 6 * stats["steps"]
+        # stage 7 reuses stage 6's q at the step end
+        assert len(q_calls) == 2 + 5 * stats["steps"]
         return len(calls)
 
     # twice the steps, the same setup calls: nothing stands in for p or f per stage
@@ -750,5 +755,8 @@ def test_grids_make_no_scalar_coefficient_call(monkeypatch):
     ode = _counted(general_mathieu_ode(GeneralParams(h=3.0, theta=1.5)), calls, True)
     calls.clear()
     series = integrate(ode, 1.0, 0.0, (0.0, 10.0), 1e-9, t_eval=np.linspace(0.0, 10.0, 201))
-    # the stepper's stage calls only: y'' on the grid comes from the array form
-    assert len(calls) == series.meta["rhs_evaluations"]
+    # the stepper's calls only, one per stage time (stage 7 reuses stage 6's at
+    # the step end): y'' on the grid comes from the array form
+    meta = series.meta
+    assert len(calls) == 2 + 5 * (meta["steps"] + meta["rejected"])
+    assert meta["rhs_evaluations"] == 2 + 6 * (meta["steps"] + meta["rejected"])

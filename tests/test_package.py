@@ -29,7 +29,7 @@ PUBLIC_NAMES = [
     "ClosedFormSpec", "ConvergenceError", "DampedParams", "DegeneracyError",
     "DegenerateParametersError", "FloquetSolution", "FluxParams", "GeneralParams",
     "InducedFieldModel", "InvalidParameterError", "LinearODE", "MapDomainError",
-    "MappingError", "MathieuKitError", "ModulationResult", "MonodromyResult",
+    "MathieuKitError", "ModulationResult", "MonodromyResult",
     "RangeLimitError", "ReductionInput", "ReductionResult", "ResidualReport",
     "ResonanceError", "SingularityError", "SinusoidalResponse", "SolutionSample",
     "SpanError", "StiffnessError", "TimeSeries", "Variant",
@@ -43,7 +43,7 @@ PUBLIC_NAMES = [
     "monodromy_exponent", "normalize_exponent", "particular_k0", "pullback", "reduce",
     "residual", "second_solution", "sideband_amplitudes", "simulate_full", "solve",
     "source_ode", "split_ode", "steady_state_modulation", "symmetric_case_solution",
-    "undamped_general_solution", "validate_tolerance", "wronskian_abel",
+    "validate_tolerance", "wronskian_abel",
 ]
 
 

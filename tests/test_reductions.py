@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mathieu_kit.closed_form import DampedParams, undamped_general_solution
+from mathieu_kit.closed_form import DampedParams, homogeneous_ode
 from mathieu_kit.errors import InvalidParameterError, MapDomainError
-from mathieu_kit.floquet import general_mathieu_ode
-from mathieu_kit.oracle import LinearODE, integrate
+from mathieu_kit.floquet import eval_floquet_grid, general_mathieu_ode, second_solution, solve
+from mathieu_kit.oracle import LinearODE, integrate, residual
 from mathieu_kit.reductions import (
     FAMILIES,
     MAP_COS,
@@ -274,10 +274,14 @@ def test_eq17_scalar_and_grid_q_are_the_same_expression(family, scalar, array):
 
 
 def test_composition_with_closed_form():
+    # the cosine equation's general solution is the Floquet pair at the reduction's
+    # (h, theta), not the closed form (which solves the e^{i omega t} split equation)
     params = DampedParams(1.0, 0.0, 1.0, 1.0, 2.0)
     result = damped_to_general(params)
     assert result.gp.h == pytest.approx(1.0)
     assert result.gp.theta == pytest.approx(-0.5)
-    spec = undamped_general_solution(result.gp)
-    assert spec.decay_rate == 0.0
-    assert spec.admissible_nu == 1
+    u = solve(result.gp)
+    z = np.linspace(0.0, 4.0 * math.pi, 201)
+    for member in (u, second_solution(u)):
+        pulled = pullback(result, eval_floquet_grid(member, z))
+        assert residual(homogeneous_ode(params), pulled).verdict

@@ -34,8 +34,6 @@ from .closed_form import (
 from .errors import (
     AdmissibilityError,
     ConvergenceError,
-    DegeneracyError,
-    DegenerateParametersError,
     InvalidParameterError,
     MapDomainError,
     MathieuKitError,

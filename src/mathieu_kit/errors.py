@@ -12,11 +12,13 @@ class InvalidParameterError(MathieuKitError, ValueError):
 
 
 class RangeLimitError(MathieuKitError):
-    """Order or argument outside the supported numerical range."""
+    """Order or argument outside the supported numerical range, or a value that
+    leaves double precision."""
 
 
 class SingularityError(MathieuKitError):
-    """Evaluation requested at a genuine singularity of the formula."""
+    """Evaluation requested at a genuine singularity of the formula, or a
+    solution pair too dependent to be a general solution."""
 
 
 class AdmissibilityError(MathieuKitError):
@@ -40,14 +42,6 @@ class ConvergenceError(MathieuKitError):
     """Iterative search failed to converge; message carries diagnostics."""
 
 
-class DegenerateParametersError(MathieuKitError):
-    """Coefficient recursion degenerates in both directions."""
-
-
-class DegeneracyError(MathieuKitError):
-    """Fundamental pair not guaranteed (characteristic exponent in i*Z)."""
-
-
 class ResonanceError(MathieuKitError):
     """Undamped drive exactly at a natural frequency; steady state undefined."""
 
@@ -64,4 +58,4 @@ class StiffnessError(MathieuKitError):
 
 
 class SpanError(MathieuKitError):
-    """Time series too short for the requested analysis."""
+    """Time series too short for the requested analysis (flux's demodulation)."""

@@ -41,12 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DegeneracyError,
-    DegenerateParametersError,
-    InvalidParameterError,
-)
+from .errors import ConvergenceError, InvalidParameterError, RangeLimitError, SingularityError
 from .exponent_class import class_distance, normalize_exponent
 from .oracle import LinearODE, equation
 from .oracle import monodromy_exponent  # noqa: F401  (not called; perfbench's trace wraps it here)
@@ -56,11 +51,13 @@ from .samples import SolutionSample, TimeSeries, admit_fields, as_grid, complex_
 # peak; a series ends where |c_n| falls below SERIES_TAIL of it
 CONVERGED_TAIL = 1e-34
 SERIES_TAIL = 1e-19
+# a series and its reflection are a general solution where their Wronskian at
+# t = 0 is at least this fraction of the product of their states' norms
+_PAIR_BOUND = 4e-6
 MAX_DEPTH = 4096
 # the largest truncation N of Hill's formula (2N + 1 rows, 3N more in its tail)
 MAX_HILL_TRUNCATION = 65536
 HILL_DETERMINANT_TRUNCATION = 25
-_DEGENERACY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -363,8 +360,8 @@ def fourier_series(gp: GeneralParams, mu: complex, ev: tuple | None = None,
     then moved once, at that depth, by a secant search on the centre-row
     defect that stops at the defect's rounding floor, and is not started when
     the defect is already there.  The series is cut where |c_n| falls below
-    SERIES_TAIL of its peak.  A non-finite series raises
-    DegenerateParametersError; one still above CONVERGED_TAIL past MAX_DEPTH,
+    SERIES_TAIL of its peak.  A series whose terms leave double precision
+    raises RangeLimitError; one still above CONVERGED_TAIL past MAX_DEPTH,
     or whose first depth is already above it, raises ConvergenceError.
 
     Each pass reads these tests from the moduli of the running products of
@@ -382,7 +379,7 @@ def fourier_series(gp: GeneralParams, mu: complex, ev: tuple | None = None,
         # a product that leaves the finite numbers never returns, so the last
         # term on each side shows whether any did
         if not (math.isfinite(ups[-1]) and math.isfinite(downs[-1])):
-            raise DegenerateParametersError(
+            raise RangeLimitError(
                 f"coefficient recursion degenerated for h={gp.h!r}, theta={gp.theta!r}, mu={mu!r}"
             )
         peak = max(1.0, max(ups), max(downs))
@@ -523,18 +520,24 @@ def eval_floquet(sol: FloquetSolution, t: float) -> SolutionSample:
 def second_solution(sol: FloquetSolution) -> FloquetSolution:
     """The reflected solution exp(-mu t) P(-t): exponent -mu, coefficients reversed.
 
-    It solves general_mathieu_ode(gp) where sol does.  DegeneracyError marks
-    i*mu an integer (a self-paired class, so not independent), except for a
-    one-term series (theta = 0) with mu != 0, whose e^{+-mu t} are independent.
+    It solves general_mathieu_ode(gp) where sol does, and the two are a general
+    solution: their Wronskian at t = 0, W = -2 u(0) u'(0), is at least
+    _PAIR_BOUND of the product of the two states' norms, u' measured in units
+    of max(1, |mu|).  A pair below the bound (a tongue edge, where Ince's
+    theorem leaves one periodic solution, or theta = 0 with |mu| below about
+    2e-6) is dependent and raises SingularityError.
     """
-    mu = sol.mu
-    # the exponent in iZ the reflection may pair mu with: only 0 for one term
-    pair = round(mu.imag) if len(sol.coeffs) > 1 else 0
-    if abs(mu.real) <= _DEGENERACY_TOL and abs(mu.imag - pair) <= _DEGENERACY_TOL:
-        raise DegeneracyError(
-            f"i*mu = {1j * mu:.6g} is an integer: the reflected solution is not independent"
+    u, du = (abs(v) for v in exponential_sum(sol.coeffs, sol.mu, 2j, np.zeros(1))[:2, 0].tolist())
+    du /= max(1.0, float(abs(sol.mu)))
+    # |W| / norm^2 = 2 |u| |u'| / (|u|^2 + |u'|^2), as a ratio r of the two so nothing overflows
+    r = min(u, du) / max(u, du) if u + du > 0.0 else 0.0
+    figure = 2.0 * r / (1.0 + r * r)
+    if not figure >= _PAIR_BOUND:
+        raise SingularityError(
+            f"u(t) and u(-t) are dependent at mu = {sol.mu!r}: their Wronskian at t = 0 is "
+            f"{figure:.3g} of the product of their norms (bound {_PAIR_BOUND:g})"
         )
-    return FloquetSolution(mu=-mu, coeffs=sol.coeffs[::-1].copy())
+    return FloquetSolution(mu=-sol.mu, coeffs=sol.coeffs[::-1].copy())
 
 
 def classify_stability(mu: complex) -> str:

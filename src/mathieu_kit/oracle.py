@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, RangeLimitError, SpanError, StiffnessError
+from .errors import InvalidParameterError, RangeLimitError, StiffnessError
 from .exponent_class import normalize_exponent
 from .samples import SolutionSample, TimeSeries, as_grid, complex_number, real_number
 
@@ -336,7 +336,7 @@ def integrate(
     y0, dy0 = complex_number("y0", y0), complex_number("dy0", dy0)
     t0, t1 = real_number("span start", span[0]), real_number("span end", span[1])
     if t1 <= t0:
-        raise SpanError(f"span must be a finite increasing pair, got {span!r}")
+        raise InvalidParameterError(f"span must be a finite increasing pair, got {span!r}")
     tq = None
     if t_eval is not None:
         grid = as_grid(t_eval, "t_eval")
@@ -369,7 +369,7 @@ def monodromy_exponent(ode: LinearODE, period: float, tol: float) -> MonodromyRe
         raise InvalidParameterError("monodromy requires a homogeneous equation")
     period = real_number("period", period)
     if period <= 0.0:
-        raise SpanError(f"period must be finite and positive, got {period!r}")
+        raise InvalidParameterError(f"period must be finite and positive, got {period!r}")
     columns = []
     for name, u0 in (("(1, 0)", (1.0, 0.0)), ("(0, 1)", (0.0, 1.0))):
         try:
@@ -417,10 +417,11 @@ def residual(
 
     The candidate is a TimeSeries, checked on its own grid, or a callable
     t -> SolutionSample, sampled on grid first; either way one array
-    expression gives the defect.  The normalization max(1, |y''|, |p y'|,
-    |q y|, |f|) (each maximized over the grid) keeps the report meaningful
-    when the solution itself is huge or tiny.  verdict is the one pass rule,
-    linf < PASS_TOL; a non-finite defect fails it.
+    expression gives the defect.  The normalization max(|y''|, |p y'|, |q y|,
+    |f|) (each maximized over the grid) is the candidate's own largest term,
+    so the report is the same for any multiple of a homogeneous candidate, huge
+    or tiny; a candidate whose terms are all 0 reads 0.  verdict is the one
+    pass rule, linf < PASS_TOL; a non-finite defect fails it.
     """
     series = isinstance(candidate, TimeSeries)
     if series and grid is not None:
@@ -435,10 +436,12 @@ def residual(
     p_dy = pv * dy
     q_y = qv * y
     defect = d2y + p_dy + q_y - fv
-    biggest = max(1.0, *(float(np.max(np.abs(v))) for v in (d2y, p_dy, q_y, fv)))
-    linf = float(np.max(np.abs(defect))) / biggest
+    biggest = max(float(np.max(np.abs(v))) for v in (d2y, p_dy, q_y, fv))
+    # all terms 0 leave a defect of 0, divided by 1
+    scale = biggest or 1.0
+    linf = float(np.max(np.abs(defect))) / scale
     # scaled before squaring, so a defect near the overflow edge does not overflow
-    l2 = float(np.sqrt(np.mean(np.abs(defect / biggest) ** 2)))
+    l2 = float(np.sqrt(np.mean(np.abs(defect / scale) ** 2)))
     return ResidualReport(linf, l2, biggest, linf < PASS_TOL, defect)
 
 

@@ -214,6 +214,18 @@ def test_solve_literal_variant_fails_numerically(tmp_path):
     assert sidecar["variant"] == "paper-literal"
 
 
+@pytest.mark.parametrize("c1", ["1e-9", "1e-300"])
+def test_the_literal_verdict_does_not_depend_on_the_constants_scale(tmp_path, c1):
+    # test_solve_literal_variant_fails_numerically at smaller constants: the residual
+    # is scaled by the candidate's own largest term, so shrinking it does not pass it
+    out = tmp_path / "literal.csv"
+    code = main(["solve", "--m", "1", "--eta", "0", "--k0", "1", "--k", "4",
+                 "--omega", "2", "--variant", "paper-literal", "--c1", c1, "--c2", "0",
+                 "--t0", "0", "--t1", "10", "--dt", "0.1", "--out", str(out)])
+    assert code == 1
+    assert json.loads((tmp_path / "literal.json").read_text())["residual_linf"] > 0.5
+
+
 def test_solve_that_overflows_writes_no_artifacts(tmp_path, capsys):
     # constants near the largest double: y'' overflows, and no NaN reaches a sidecar
     out = tmp_path / "big.csv"

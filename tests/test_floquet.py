@@ -9,9 +9,9 @@ import pytest
 from mathieu_kit import floquet, oracle
 from mathieu_kit.errors import (
     ConvergenceError,
-    DegeneracyError,
-    DegenerateParametersError,
     InvalidParameterError,
+    RangeLimitError,
+    SingularityError,
 )
 from mathieu_kit.exponent_class import class_distance, normalize_exponent
 from mathieu_kit.floquet import (
@@ -183,14 +183,51 @@ def test_second_solution_structure_and_residual():
 
 def test_second_solution_degenerate_cases():
     # h = theta = 0: the one solution e^{0 t} is its own reflection
-    with pytest.raises(DegeneracyError):
+    with pytest.raises(SingularityError, match="dependent"):
         second_solution(solve(GeneralParams(0.0, 0.0)))
     # a tongue edge with theta != 0: mu = 2i, and Ince's theorem leaves one periodic solution
     special = pytest.importorskip("scipy.special")
     sol = solve(GeneralParams(float(special.mathieu_a(2, 1.0)), 1.0))
     assert abs(sol.mu - 2j) <= 1e-9 and sol.truncation > 0
-    with pytest.raises(DegeneracyError):
+    with pytest.raises(SingularityError, match="dependent"):
         second_solution(sol)
+
+
+# scipy's characteristic values a_0..a_3 and b_1..b_3 at q = 0.5, 1, 2: the 21 tongue edges
+TONGUE_EDGES = [(kind, r, q) for q in (0.5, 1.0, 2.0)
+                for kind, orders in (("a", range(4)), ("b", range(1, 4))) for r in orders]
+
+
+@pytest.mark.parametrize("d", [0.0, 1e-10, -1e-10, 1e-6, -1e-6])
+@pytest.mark.parametrize("kind, r, q", TONGUE_EDGES, ids=[f"{k}{r}({q})" for k, r, q in TONGUE_EDGES])
+def test_second_solution_refuses_exactly_the_tongue_edges(kind, r, q, d):
+    # at an edge (theta != 0) Ince's theorem leaves one periodic solution, so
+    # u(t) and u(-t) are dependent; a distance d off it they are a general solution
+    special = pytest.importorskip("scipy.special")
+    gp = GeneralParams(float(getattr(special, f"mathieu_{kind}")(r, q)) + d, q)
+    sol = solve(gp)
+    if d == 0.0:
+        with pytest.raises(SingularityError, match=r"dependent .* \(bound 4e-06\)"):
+            second_solution(sol)
+        return
+    grid = np.linspace(0.0, 2.0 * math.pi, 81)
+    rep = residual(general_mathieu_ode(gp), eval_floquet_grid(second_solution(sol), grid))
+    assert rep.verdict, rep.linf
+
+
+# h = 0 is in test_second_solution_degenerate_cases, h = 1 and 4 in the test below
+@pytest.mark.parametrize("h, independent", [(1e-14, False), (1e-8, True), (1e4, True), (1e8, True)])
+def test_second_solution_at_theta_zero_refuses_only_a_vanishing_exponent(h, independent):
+    # e^{+-i sqrt(h) t}: in units of max(1, |mu|) their Wronskian is 2 sqrt(h)/(1 + h)
+    # of the norms' product below h = 1 (2e-7 at h = 1e-14, under the bound) and 1 above
+    gp = GeneralParams(h, 0.0)
+    sol = solve(gp)
+    if not independent:
+        with pytest.raises(SingularityError, match="dependent"):
+            second_solution(sol)
+        return
+    grid = np.linspace(0.0, 2.0 * math.pi, 41)
+    assert residual(general_mathieu_ode(gp), eval_floquet_grid(second_solution(sol), grid)).verdict
 
 
 @pytest.mark.parametrize("h", [1.0, 4.0])
@@ -307,11 +344,11 @@ def test_series_ends_at_the_tail_constant(h, theta):
 def test_fourier_series_refuses_a_non_finite_or_unconverged_series():
     # at mu = 0 the sweep's last row, n = 100, has a zero diagonal: its ratio is theta/1e-300 = inf
     gp = GeneralParams(4.0 * 100 ** 2, 2e8)
-    with pytest.raises(DegenerateParametersError, match="degenerated"):
+    with pytest.raises(RangeLimitError, match="degenerated"):
         floquet.fourier_series(gp, 0.0, floquet._center_row(gp, 0.0, 100))
     # finite coefficients whose modulus overflows midway: c_2 = 1.5e308 (1 + i), c_3 = 1.5e8 (1 + i)
     ev = (0j, 0.0, [1.5e300 + 0j, 1e8 + 1e8j, 1e-300 + 0j], [0.5 + 0j] * 3)
-    with pytest.raises(DegenerateParametersError, match="degenerated"):
+    with pytest.raises(RangeLimitError, match="degenerated"):
         floquet.fourier_series(GeneralParams(1.0, 1.0), 0.0, ev)
     ev = (0j, 0.0, [1.0 + 0j] * floquet.MAX_DEPTH, [0.5 + 0j] * floquet.MAX_DEPTH)
     with pytest.raises(ConvergenceError, match="above 1e-34 at N=4096"):

@@ -454,6 +454,23 @@ def test_a_dependent_floquet_pair_is_singular():
         closed_form_motion(fp, 0.0, np.linspace(0.0, 10.0, 101))
 
 
+@pytest.mark.parametrize("r, q", [(0, 2.0), (1, 1.0)])
+def test_an_even_tongue_edge_from_rest_stays_in_closed_form(r, q):
+    # eta = 0 at (h, theta) = (a_r(q), q): u(z) and u(-z) are one even solution, so
+    # second_solution refuses them, yet the even steady state's rest state lies in
+    # their span and flux's own gate fits it
+    special = pytest.importorskip("scipy.special")
+    fp = make_fp(eta=0.0, k0=float(special.mathieu_a(r, q)), k=-2.0 * q, omega=2.0, Omega=0.7)
+    with pytest.raises(SingularityError, match="dependent"):
+        floquet.second_solution(floquet.solve(floquet.GeneralParams(fp.base.k0, q)))
+    grid = np.linspace(0.0, 20.0, 401)
+    motion, path = motion_from_rest(fp, 0.0, grid, 1e-8)
+    assert path == "closed form"
+    ref = simulate_full(fp, (0.0, 20.0), 1e-13, t_eval=grid)
+    for got, want in ((motion.y, ref.y), (motion.dy, ref.dy)):
+        assert np.max(np.abs(got - want.real)) <= 1e-10 * np.max(np.abs(want))
+
+
 def test_an_exact_resonance_has_no_steady_state():
     fp = make_fp(eta=0.0, k0=1.44, k=0.0, Omega=1.2, m=1.0)
     with pytest.raises(ResonanceError):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from mathieu_kit import closed_form, flux, oracle, reductions
 from mathieu_kit.closed_form import DampedParams, evaluate_grid, general_solution
-from mathieu_kit.errors import InvalidParameterError, RangeLimitError, SpanError, StiffnessError
+from mathieu_kit.errors import InvalidParameterError, RangeLimitError, StiffnessError
 from mathieu_kit.floquet import GeneralParams, classify_stability, general_mathieu_ode
 from mathieu_kit.oracle import (
     PASS_TOL,
@@ -91,9 +91,9 @@ def test_integrate_metadata_and_grid():
 
 
 def test_integrate_span_and_teval_validation():
-    with pytest.raises(SpanError):
+    with pytest.raises(InvalidParameterError, match="finite increasing pair"):
         integrate(HARMONIC, 1.0, 0.0, (1.0, 1.0), 1e-9)
-    with pytest.raises(SpanError):
+    with pytest.raises(InvalidParameterError, match="finite increasing pair"):
         integrate(HARMONIC, 1.0, 0.0, (2.0, 1.0), 1e-9)
     with pytest.raises(InvalidParameterError):
         integrate(HARMONIC, 1.0, 0.0, (0.0, 1.0), 1e-9, t_eval=[0.5, 0.25])
@@ -391,17 +391,33 @@ def test_residual_exact_solution():
     assert rep.linf < 1e-12
     assert rep.l2 <= rep.linf
     assert rep.verdict is True
-    assert rep.normalization >= 1.0
+    assert rep.normalization == 1.0  # |y''| and |q y| at t = 0
     assert len(rep.pointwise) == len(grid)
 
 
 @pytest.mark.parametrize("force, passes", [(0.5 * PASS_TOL, True), (PASS_TOL, False),
                                            (math.nan, False)])
 def test_verdict_is_the_one_pass_rule(force, passes):
-    # y = 0 against y'' = f: the defect is -f, scaled by max(1, |f|) = 1
-    rep = residual(LinearODE(p=None, q=None, f=lambda t: force), _series_on([0.0, 1.0]))
+    # y'' = (0, 1) against y'' = f = (force, 1): the defect is (-force, 0), scaled
+    # by the largest term, 1
+    zeros = np.zeros(2, dtype=complex)
+    candidate = TimeSeries(grid=np.array([0.0, 1.0]), y=zeros, dy=zeros, d2y=np.array([0.0, 1.0]))
+    rep = residual(LinearODE(p=None, q=None, f=lambda t: 1.0 if t else force), candidate)
     assert rep.linf == force or math.isnan(force)
     assert rep.verdict is passes
+
+
+@pytest.mark.parametrize("size", [1e-300, 1e-9, 1.0, 1e9, 1e300])
+def test_residual_does_not_depend_on_the_candidate_s_size(size):
+    # a multiple of a wrong homogeneous candidate is as wrong, however small
+    grid = np.linspace(0.0, 3.0, 31)
+    y = size * np.cos(1.1 * grid)
+    wrong = TimeSeries(grid=grid, y=y, dy=-1.1 * size * np.sin(1.1 * grid), d2y=-1.21 * y)
+    assert residual(HARMONIC, wrong).linf == pytest.approx(0.21 / 1.21, rel=1e-12)
+    # y = 0 solves every homogeneous equation, and its terms are all 0
+    assert residual(HARMONIC, _series_on(grid)).linf == 0.0
+    # but no forced one
+    assert residual(LinearODE(p=None, q=None, f=lambda t: size), _series_on(grid)).linf == 1.0
 
 
 def test_residual_detects_wrong_candidate():
@@ -445,7 +461,7 @@ def test_monodromy_rejects_forced_equation():
     ode = LinearODE(p=None, q=lambda t: 1.0, f=lambda t: 1.0)
     with pytest.raises(InvalidParameterError):
         monodromy_exponent(ode, math.pi, 1e-12)
-    with pytest.raises(SpanError):
+    with pytest.raises(InvalidParameterError, match="finite and positive"):
         monodromy_exponent(HARMONIC, -1.0, 1e-12)
 
 

@@ -26,8 +26,8 @@ README_COMMANDS = [
 # a change to the public API shows up as a change to this list
 PUBLIC_NAMES = [
     "ADMISSIBILITY_TOL", "AdjudicationReport", "AdmissibilityError", "BesselValue",
-    "ClosedFormSpec", "ConvergenceError", "DampedParams", "DegeneracyError",
-    "DegenerateParametersError", "FloquetSolution", "FluxParams", "GeneralParams",
+    "ClosedFormSpec", "ConvergenceError", "DampedParams",
+    "FloquetSolution", "FluxParams", "GeneralParams",
     "InducedFieldModel", "InvalidParameterError", "LinearODE", "MapDomainError",
     "MathieuKitError", "ModulationResult", "MonodromyResult",
     "RangeLimitError", "ReductionInput", "ReductionResult", "ResidualReport",
@@ -95,3 +95,18 @@ def test_no_module_imports_a_name_it_never_reads():
              for path in sorted((ROOT / folder).rglob("*.py")) if path.name != "__init__.py"]
     assert len(paths) > 20
     assert [name for path in paths for name in _unread_imports(path)] == []
+
+
+def test_every_error_class_has_a_raiser():
+    # each MathieuKitError subclass is constructed somewhere in src/ outside errors.py
+    package = ROOT / "src" / "mathieu_kit"
+    tree = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    subclasses = {name for name in classes
+                  if issubclass(getattr(mathieu_kit.errors, name), mathieu_kit.errors.MathieuKitError)
+                  and name != "MathieuKitError"}
+    constructed = {node.func.id for path in sorted(package.glob("*.py")) if path.name != "errors.py"
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "SpanError" in subclasses and "MathieuKitError" in classes
+    assert sorted(subclasses - constructed) == []

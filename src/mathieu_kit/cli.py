@@ -164,9 +164,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "steady state plus the Floquet transient.  The motion is checked against "
                     "its equation on the grid (relative residual at most 1e-9, typically "
                     "1e-12).  Jobs the closed form cannot represent (large |theta| = "
-                    "2|k|/(m omega^2) with h below about 2|theta|, an exact resonance) are "
-                    "integrated by the oracle instead, and only for those does MATHIEU_KIT_TOL "
-                    "set the accuracy; the sidecar's validity_flags.motion names the path.")
+                    "2|k|/(m omega^2) with h below about 2|theta|; a tongue edge, where the "
+                    f"transient's parts exceed the motion over {fx.CANCELLATION_BOUND:g}-fold and "
+                    "cancel; an exact resonance) are integrated by the oracle instead, and only "
+                    "for those does MATHIEU_KIT_TOL set the accuracy; the sidecar's "
+                    "validity_flags.motion names the path.")
     damped_flags(p)
     p.add_argument("--B", type=_real_flag, required=True)
     p.add_argument("--J0", type=_real_flag, required=True)

@@ -129,6 +129,10 @@ class ClosedFormSpec:
     argument_scale: complex
     exponent_rate: complex
 
+    def __post_init__(self):
+        admit_fields(self, complex_number, "nu", "c1", "c2", "argument_scale", "exponent_rate")
+        admit_fields(self, real_number, "decay_rate")
+
     @property
     def admissible_nu(self) -> Optional[int]:
         return _integer_index(self.nu)
@@ -167,19 +171,13 @@ def general_solution(params: DampedParams, variant=Variant.CORRECTED,
     only at k = 0; the paper-literal variant misses split_ode (see adjudicate).
     """
     variant = _coerce_variant(variant)
-    c1, c2 = complex_number("c1", c1), complex_number("c2", c2)
-    nu = index(params, variant)
-    if _integer_index(nu) is None and not allow_inadmissible:
-        raise AdmissibilityError(nu, int(round(nu.real)), ADMISSIBILITY_TOL)
-    return ClosedFormSpec(
-        variant=variant,
-        nu=nu,
-        c1=c1,
-        c2=c2,
-        decay_rate=params.eta / (2.0 * params.m),
-        argument_scale=argument_scale(params, variant),
-        exponent_rate=0.5j * params.omega,
-    )
+    spec = ClosedFormSpec(variant=variant, nu=index(params, variant), c1=c1, c2=c2,
+                          decay_rate=params.eta / (2.0 * params.m),
+                          argument_scale=argument_scale(params, variant),
+                          exponent_rate=0.5j * params.omega)
+    if spec.admissible_nu is None and not allow_inadmissible:
+        raise AdmissibilityError(spec.nu, spec.order(), ADMISSIBILITY_TOL)
+    return spec
 
 
 def fundamental_pair(params: DampedParams, variant=Variant.CORRECTED,
@@ -206,13 +204,8 @@ def mirror(spec: ClosedFormSpec) -> ClosedFormSpec:
     if spec.admissible_nu is None:
         raise AdmissibilityError(spec.nu, spec.order(), ADMISSIBILITY_TOL)
     sign = -1.0 if spec.order() % 2 else 1.0
-    return replace(
-        spec,
-        c1=sign * spec.c1,
-        c2=sign * spec.c2,
-        argument_scale=-spec.argument_scale,
-        exponent_rate=-spec.exponent_rate,
-    )
+    return replace(spec, c1=sign * spec.c1, c2=sign * spec.c2,
+                   argument_scale=-spec.argument_scale, exponent_rate=-spec.exponent_rate)
 
 
 def evaluate_grid(spec: ClosedFormSpec, grid) -> TimeSeries:

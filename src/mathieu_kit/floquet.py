@@ -78,6 +78,12 @@ class FloquetSolution:
     mu: complex
     coeffs: np.ndarray
 
+    def __post_init__(self):
+        admit_fields(self, complex_number, "mu")
+        object.__setattr__(self, "coeffs", as_grid(self.coeffs, "coeffs", complex))
+        if len(self.coeffs) % 2 == 0:
+            raise InvalidParameterError(f"coeffs must have odd length, got {len(self.coeffs)}")
+
     @property
     def truncation(self) -> int:
         """N, fixed by the coefficients."""

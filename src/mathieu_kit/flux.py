@@ -19,18 +19,19 @@ It also carries two independent solutions of the full equation from rest:
 
 - closed_form_motion, with no stepper: the sideband steady state (floquet's
   recurrence at the drive exponent, with the source on its centre row) plus
-  the Floquet transient from floquet.solve.  It checks its own residual on
-  the grid and refuses (a typed error) above RESIDUAL_BOUND, so its accuracy
-  does not depend on a tolerance; on the flux regime it meets the equation
-  to about 1e-12;
+  the Floquet transient from floquet.solve.  It refuses (a typed error) a
+  transient whose parts exceed the motion by more than CANCELLATION_BOUND,
+  whose fit to rest would cancel the digits it needs, and a motion whose
+  residual on the grid exceeds RESIDUAL_BOUND, so its accuracy does not depend
+  on a tolerance; on the flux regime it meets the equation to about 1e-12;
 - simulate_full, the verification oracle's DOPRI5 integration, kept as the
   reference the closed form is tested against.
 
 motion_from_rest, the path `mathieu-kit flux` takes, uses the closed form and
-turns to simulate_full only for the jobs the closed form refuses because it
-cannot represent them: a Floquet series floquet.solve cannot build or that
-misses the equation (large |theta| = 2|k|/(m omega^2) with h below about
-2|theta|), a dependent Floquet pair, or an exact sideband resonance.
+turns to simulate_full only for the jobs the closed form refuses: a Floquet
+series floquet.solve cannot build or that misses the equation (large |theta|
+= 2|k|/(m omega^2) with h below about 2|theta|), a Floquet pair too dependent
+to fit rest (a tongue edge), or an exact sideband resonance.
 
 Convention: the induced field is taken as E(t) = -(B/c) dy/dt, the choice that
 reproduces the model prefactor B^2 J0 Omega / (|k0| c^2) in the stated regime.
@@ -38,6 +39,7 @@ reproduces the model prefactor B^2 J0 Omega / (|k0| c^2) in the stated regime.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -46,14 +48,8 @@ import numpy as np
 
 from . import floquet
 from .closed_form import DampedParams
-from .errors import (
-    ConvergenceError,
-    InvalidParameterError,
-    RangeLimitError,
-    ResonanceError,
-    SingularityError,
-    SpanError,
-)
+from .errors import (ConvergenceError, InvalidParameterError, RangeLimitError, ResonanceError,
+                     SingularityError, SpanError)
 from .oracle import LinearODE, equation, integrate
 from .reductions import damped_to_general
 from .samples import TimeSeries, admit_fields, as_grid, real_number, require_finite
@@ -67,6 +63,12 @@ ENVELOPE_POINTS = 256
 # closed_form_motion refuses a motion whose residual, relative to the sum of
 # the magnitudes of the equation's terms at some grid point, exceeds this
 RESIDUAL_BOUND = 1e-9
+# closed_form_motion refuses a transient whose larger part, max|c_i u_i| on the
+# grid, exceeds this multiple of the motion's scale: the sum cancels the digits
+# the answer needs.  With eta = 0 at scipy's 21 tongue edges (q = 0.5, 1, 2) it
+# reads at most 1.2e4 1e-10 off an edge (errors at most 5.1e-11), and at an exact
+# edge 0.07-0.28 where rest lies in the pair's span, else 5.7e4-4e14 (errors to 0.6)
+CANCELLATION_BOUND = 5e4
 
 
 @dataclass(frozen=True)
@@ -140,27 +142,25 @@ def _wrap_phase(phase: float) -> float:
     return wrapped
 
 
-def _driven_response(m: float, eta: float, k0: float,
-                     force: float, freq: float, force_phase: float) -> SinusoidalResponse:
-    """Steady state of m x'' + eta x' + k0 x = force * cos(freq t - force_phase)."""
-    re = k0 - m * freq * freq
-    im = eta * freq
-    if re == 0.0 and im == 0.0:
-        raise ResonanceError(
-            f"undamped resonance at frequency {freq!r}: no bounded steady state"
-        )
-    denom = math.hypot(re, im)
-    amp = abs(force) / denom
-    phase = force_phase + math.atan2(im, re)
-    if force < 0:
-        phase += math.pi
-    return SinusoidalResponse(amplitude=amp, frequency=freq, phase=_wrap_phase(phase))
+def _stiffness(b: DampedParams, freq: float) -> complex:
+    """D(f) = k0 - m f^2 + i eta f: the oscillator's response to e^{i f t} is 1/D(f)."""
+    return complex(b.k0 - b.m * freq * freq, b.eta * freq)
+
+
+def _driven_response(b: DampedParams, force: complex, freq: float) -> SinusoidalResponse:
+    """Steady state Re x e^{i freq t} of m x'' + eta x' + k0 x = Re force e^{i freq t}."""
+    d = _stiffness(b, freq)
+    if d == 0:
+        raise ResonanceError(f"undamped resonance at frequency {freq!r}: no bounded steady state")
+    x = force / d
+    # a zero response has phase 0, whatever the signs of its zeros
+    phase = _wrap_phase(-cmath.phase(x)) if x else 0.0
+    return SinusoidalResponse(amplitude=abs(x), frequency=freq, phase=phase)
 
 
 def particular_k0(fp: FluxParams) -> SinusoidalResponse:
     """Steady state of m x'' + eta x' + k0 x = (B J0 / c) cos(Omega t): full_ode at k = 0."""
-    b = fp.base
-    return _driven_response(b.m, b.eta, b.k0, fp.drive_amplitude, fp.Omega, 0.0)
+    return _driven_response(fp.base, fp.drive_amplitude, fp.Omega)
 
 
 def linearized_delta(fp: FluxParams) -> tuple[SinusoidalResponse, SinusoidalResponse]:
@@ -171,13 +171,9 @@ def linearized_delta(fp: FluxParams) -> tuple[SinusoidalResponse, SinusoidalResp
     a solution of m d'' + eta d' + k0 d = -k cos(omega t) y0(t), y0 =
     particular_k0(fp).  Returned in (upper sideband, lower sideband) order.
     """
-    b = fp.base
-    y0 = particular_k0(fp)
-    force = -b.k * y0.amplitude / 2.0
-    out = []
-    for freq in (fp.Omega + b.omega, fp.Omega - b.omega):
-        out.append(_driven_response(b.m, b.eta, b.k0, force, freq, y0.phase))
-    return (out[0], out[1])
+    b, y0 = fp.base, particular_k0(fp)
+    force = -b.k * y0.amplitude / 2.0 * cmath.exp(-1j * y0.phase)
+    return tuple(_driven_response(b, force, f) for f in (fp.Omega + b.omega, fp.Omega - b.omega))
 
 
 def _validity(fp: FluxParams) -> str:
@@ -269,7 +265,7 @@ def sideband_amplitudes(fp: FluxParams) -> np.ndarray:
     b = fp.base
     red = damped_to_general(b)
     mu_d = complex(red.prefactor_rate, fp.Omega) * red.time_scale
-    d0 = complex(b.k0 - b.m * fp.Omega * fp.Omega, b.eta * fp.Omega)
+    d0 = _stiffness(b, fp.Omega)
     _, c = floquet.fourier_series(red.gp, mu_d)
     n = len(c) // 2
     pivot = d0 + (b.k / 2.0) * complex(c[n + 1] + c[n - 1]) if n else d0
@@ -319,11 +315,15 @@ def closed_form_motion(fp: FluxParams, start: float, grid) -> TimeSeries:
     c1, c2 cancel y_p and y_p' at start.  Each part is summed by
     floquet.exponential_sum in e^{i omega t}.
 
-    The result solves full_ode(fp) and checks itself: the defect y'' + (eta/m) y'
-    + q y - f, relative to |y''| + |(eta/m) y'| + |q y| + |f| at each grid point,
-    must stay within RESIDUAL_BOUND, or ConvergenceError names it.  A non-finite
-    motion raises RangeLimitError; a pair u(z), u(-z) too dependent to fit start
-    to that bound raises SingularityError; an exact resonance raises ResonanceError.
+    The result solves full_ode(fp) and checks itself.  The fit's cancellation,
+    the larger transient part's max|c_i u_i| on the grid over the motion's
+    scale (max|y| there, or sum |a_n| if larger), must stay within
+    CANCELLATION_BOUND (u(z) and u(-z) near dependent, at a tongue edge, fit
+    rest only by cancelling), or SingularityError names it, as it does a zero
+    determinant.  The defect y'' + (eta/m) y' + q y - f, relative to |y''| +
+    |(eta/m) y'| + |q y| + |f| at each grid point, must stay within
+    RESIDUAL_BOUND, or ConvergenceError names it.  A non-finite motion raises
+    RangeLimitError; an exact resonance raises ResonanceError.
     """
     grid = as_grid(grid)
     start = real_number("start", start)
@@ -341,25 +341,34 @@ def closed_form_motion(fp: FluxParams, start: float, grid) -> TimeSeries:
     pair = ((sol.coeffs, rate - decay), (sol.coeffs[::-1], -rate - decay))
     (u, du), (v, dv) = (floquet.exponential_sum(c, r, step, here)[:2, 0] for c, r in pair)
     det = u * dv - du * v
-    # the fitted c1, c2 carry a relative error of about 2.2e-16 size / |det|
-    size = abs(u * dv) + abs(du * v)
-    if not abs(det) * RESIDUAL_BOUND > 2.2e-16 * size:
+    if det == 0:
         raise SingularityError(
-            f"u(z) and u(-z) are dependent at mu = {sol.mu!r}: |det| = {abs(det):.3g} "
-            f"of {size:.3g}, so no transient fits rest at t = {start:g}")
+            f"u(z) and u(-z) are dependent at mu = {sol.mu!r}: |det| = 0 of "
+            f"{abs(u * dv) + abs(du * v):.3g}, so no transient fits rest at t = {start:g}")
     c1 = (want[0] * dv - want[1] * v) / det
     c2 = (u * want[1] - du * want[0]) / det
     # a decaying part is summed only while its bound |c| sum|c_n rate_n^k| e^{Re rate t}
     # exceeds floquet.SERIES_TAIL of the steady state's (the same cut as the sidebands')
     floor = floquet.SERIES_TAIL * _bound(a, 1j * fp.Omega, step)
+    part_top = 0.0
     for c, (coeffs, r) in zip((c1, c2), pair):
         bound = abs(c) * _bound(coeffs, r, step)
         end = len(grid)
         if r.real < 0 and floor > 0 and bound < math.inf:
             end = np.searchsorted(grid, math.log(floor / bound) / r.real) if bound else 0
         with np.errstate(over="ignore", invalid="ignore"):
-            motion[:, :end] += c * floquet.exponential_sum(coeffs, r, step, grid[:end])
+            part = c * floquet.exponential_sum(coeffs, r, step, grid[:end])
+            motion[:, :end] += part
+        part_top = max(part_top, float(np.max(np.abs(part[0]), initial=0.0)))
     y, dy, d2y = motion.real
+    # the motion's scale: sum |a_n| bounds |y_p|, so a grid at rest still has one
+    top = max(float(np.max(np.abs(y))), float(np.abs(a).sum()))
+    # a NaN figure (an overflowing part) is left to _check_motion's RangeLimitError
+    figure = part_top / top if top else 0.0
+    if figure > CANCELLATION_BOUND:
+        raise SingularityError(
+            f"u(z) and u(-z) are dependent at mu = {sol.mu!r}: fitting rest at t = {start:g} "
+            f"takes transient parts {figure:.3g} times the motion (bound {CANCELLATION_BOUND:g})")
     _check_motion(fp, grid, y, dy, d2y)
     return TimeSeries(grid=grid, y=y, dy=dy, d2y=d2y)
 
@@ -368,10 +377,10 @@ def motion_from_rest(fp: FluxParams, start: float, grid, tol: float) -> tuple[Ti
     """The motion from rest at start on a grid, and how it was found.
 
     closed_form_motion where it answers ("closed form"); simulate_full at tol
-    where it refuses with ConvergenceError, SingularityError or ResonanceError,
-    the inputs its series cannot represent but a stepper can ("stepper: " and
-    the refusal).  A motion that overflows raises RangeLimitError: the stepper
-    cannot finish it either.
+    where it refuses with ConvergenceError, SingularityError (a cancellation
+    above CANCELLATION_BOUND) or ResonanceError, the inputs its series cannot
+    represent but a stepper can ("stepper: " and the refusal).  A motion that
+    overflows raises RangeLimitError: the stepper cannot finish it either.
     """
     try:
         return closed_form_motion(fp, start, grid), "closed form"
@@ -415,19 +424,12 @@ def field_from_motion(fp: FluxParams, series: TimeSeries) -> TimeSeries:
     b = fp.base
     scale = -fp.B / fp.c_light
     grid = np.asarray(series.grid, dtype=float)
-    y = np.asarray(series.y)
-    dy = np.asarray(series.dy)
-    d2y = np.asarray(series.d2y)
+    y, dy, d2y = (np.asarray(v) for v in (series.y, series.dy, series.d2y))
     q = (b.k0 + b.k * np.cos(b.omega * grid)) / b.m
     dq = -b.k * b.omega * np.sin(b.omega * grid) / b.m
     df = -fp.drive_amplitude * fp.Omega * np.sin(fp.Omega * grid) / b.m
     d3y = df - (b.eta / b.m) * d2y - dq * y - q * dy
-    return TimeSeries(
-        grid=grid,
-        y=scale * dy,
-        dy=scale * d2y,
-        d2y=scale * d3y,
-    )
+    return TimeSeries(grid=grid, y=scale * dy, dy=scale * d2y, d2y=scale * d3y)
 
 
 def _uniform_samples(series: TimeSeries) -> tuple[np.ndarray, np.ndarray, float]:

@@ -100,6 +100,9 @@ class ReductionResult:
     prefactor_rate: float = 0.0
     time_scale: float = 1.0
 
+    def __post_init__(self):
+        admit_fields(self, real_number, "prefactor_rate", "time_scale")
+
     def to_source_time(self, z):
         """Forward map: reduced variable z (a real number or a 1-d array) -> source variable."""
         z = real_number("z", z) if np.ndim(z) == 0 else as_grid(z, "z")
@@ -129,15 +132,10 @@ def reduce(inp: ReductionInput) -> ReductionResult:
     if inp.family == "damped":
         return damped_to_general(inp.params)
     if inp.family == "eq11":
-        return ReductionResult(
-            gp=GeneralParams(h=a + b, theta=-a / 2.0),
-            variable_map=MAP_COS,
-        )
+        return ReductionResult(gp=GeneralParams(h=a + b, theta=-a / 2.0), variable_map=MAP_COS)
     if inp.family == "eq13":
-        return ReductionResult(
-            gp=GeneralParams(h=-(a + 2.0 * b), theta=a / 2.0),
-            variable_map=MAP_COS_SQ,
-        )
+        return ReductionResult(gp=GeneralParams(h=-(a + 2.0 * b), theta=a / 2.0),
+                               variable_map=MAP_COS_SQ)
     if inp.family == "eq15":
         lam = inp.lam
         return ReductionResult(
@@ -147,11 +145,7 @@ def reduce(inp: ReductionInput) -> ReductionResult:
         )
     # eq17: cos 2t enters with opposite signs for the two squared carriers
     theta = a / 4.0 if inp.family == "eq17-sin" else -a / 4.0
-    return ReductionResult(
-        gp=GeneralParams(h=b + a / 2.0, theta=theta),
-        variable_map=MAP_RESCALE,
-        time_scale=1.0,
-    )
+    return ReductionResult(gp=GeneralParams(h=b + a / 2.0, theta=theta), variable_map=MAP_RESCALE)
 
 
 def source_ode(inp: ReductionInput) -> LinearODE:

@@ -50,18 +50,20 @@ def admit_fields(instance, admit, *names: str) -> None:
         object.__setattr__(instance, name, admit(name, getattr(instance, name)))
 
 
-def as_grid(points, name: str = "grid") -> np.ndarray:
-    """points as a float array, checked to be real numbers, 1-d, non-empty and finite."""
+def as_grid(points, name: str = "grid", kind: type = float) -> np.ndarray:
+    """points as a float array, checked to be real numbers, 1-d, non-empty and finite
+    (with kind=complex, a complex array of numbers, such as a series' coefficients)."""
     try:
         grid = np.asarray(points)
     except ValueError:  # nested sequences of unequal lengths
         raise InvalidParameterError(f"{name} must be a non-empty 1-d sequence") from None
-    if grid.dtype.kind not in "biuf":  # complex, text, objects such as None
-        raise InvalidParameterError(f"{name} must be real numbers, got {grid.dtype} values")
-    grid = grid.astype(float, copy=False)
+    what = "real numbers" if kind is float else "numbers"
+    if grid.dtype.kind not in ("biuf" if kind is float else "biufc"):  # text, None, complex if real
+        raise InvalidParameterError(f"{name} must be {what}, got {grid.dtype} values")
+    grid = grid.astype(kind, copy=False)
     if grid.ndim != 1 or len(grid) == 0:
         raise InvalidParameterError(f"{name} must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(grid)):
+    if not np.isfinite(grid).all():
         raise InvalidParameterError(f"{name} must be finite")
     return grid
 

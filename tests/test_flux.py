@@ -458,7 +458,8 @@ def test_a_dependent_floquet_pair_is_singular():
 def test_an_even_tongue_edge_from_rest_stays_in_closed_form(r, q):
     # eta = 0 at (h, theta) = (a_r(q), q): u(z) and u(-z) are one even solution, so
     # second_solution refuses them, yet the even steady state's rest state lies in
-    # their span and flux's own gate fits it
+    # their span, and the fit's cancellation figure (about 0.2 here) stays far
+    # below flux.CANCELLATION_BOUND
     special = pytest.importorskip("scipy.special")
     fp = make_fp(eta=0.0, k0=float(special.mathieu_a(r, q)), k=-2.0 * q, omega=2.0, Omega=0.7)
     with pytest.raises(SingularityError, match="dependent"):
@@ -469,6 +470,38 @@ def test_an_even_tongue_edge_from_rest_stays_in_closed_form(r, q):
     ref = simulate_full(fp, (0.0, 20.0), 1e-13, t_eval=grid)
     for got, want in ((motion.y, ref.y), (motion.dy, ref.dy)):
         assert np.max(np.abs(got - want.real)) <= 1e-10 * np.max(np.abs(want))
+
+
+# scipy's tongue edges a_0..a_3 and b_1..b_3 at q = 0.5, 1, 2
+TONGUE_EDGES = [(kind, r, q) for q in (0.5, 1.0, 2.0)
+                for kind, orders in (("a", range(4)), ("b", range(1, 4))) for r in orders]
+EDGE_IDS = [f"{kind}{r}({q:g})" for kind, r, q in TONGUE_EDGES]
+
+
+@pytest.mark.parametrize("start", [0.0, -1.3])
+@pytest.mark.parametrize("offset", [0.0, 1e-10])
+@pytest.mark.parametrize("kind, r, q", TONGUE_EDGES, ids=EDGE_IDS)
+def test_a_tongue_edge_from_rest_is_fitted_or_refused_as_singular(kind, r, q, offset, start):
+    # eta = 0 at (h, theta) = (edge + offset, q).  At an exact edge u(z) and u(-z)
+    # are one solution, and a transient fitted to rest cancels: every motion the
+    # closed form returns is right, and only an exact edge is refused, as singular
+    special = pytest.importorskip("scipy.special")
+    edge = special.mathieu_a(r, q) if kind == "a" else special.mathieu_b(r, q)
+    fp = make_fp(eta=0.0, k0=float(edge) + offset, k=-2.0 * q, omega=2.0, Omega=0.7)
+    grid = start + 0.05 * np.arange(301)
+    exact_odd_from_0 = offset == 0.0 and kind == "b" and start == 0.0
+    if exact_odd_from_0 or (kind, r, q, offset, start) == ("b", 3, 1.0, 0.0, -1.3):
+        with pytest.raises(SingularityError, match="dependent"):
+            closed_form_motion(fp, start, grid)
+        return
+    try:
+        motion = closed_form_motion(fp, start, grid)
+    except SingularityError as exc:
+        assert offset == 0.0 and "dependent" in str(exc)
+        return
+    ref = simulate_full(fp, (start, float(grid[-1])), 1e-13, t_eval=grid)
+    for got, want in ((motion.y, ref.y), (motion.dy, ref.dy)):
+        assert np.max(np.abs(got - want.real)) <= 1e-9 * np.max(np.abs(want))
 
 
 def test_an_exact_resonance_has_no_steady_state():

@@ -5,7 +5,10 @@ flag and the numbers the public entry points take (an initial value, an
 exponent, a start time, a frequency, a span, a period) all admit a finite
 Python or numpy int, float or complex (a real field a real one only), and
 refuse anything else with InvalidParameterError.  A modulus or a span must be
-positive too, and a point count is an int from 1 to MAX_GRID_POINTS.
+positive too, and a point count is an int from 1 to MAX_GRID_POINTS.  The public
+result types (FloquetSolution, ClosedFormSpec, ReductionResult) admit their own
+numbers by the same rule, and a Floquet series' coefficients c_{-N..N} are a
+finite 1-d array of numbers of odd length.
 """
 
 from __future__ import annotations
@@ -22,11 +25,13 @@ from mathieu_kit.closed_form import DampedParams, general_solution
 from mathieu_kit.errors import InvalidParameterError
 from mathieu_kit.exponent_class import class_distance, normalize_exponent
 from mathieu_kit.floquet import (
+    FloquetSolution,
     GeneralParams,
     classify_stability,
     coefficients,
     general_mathieu_ode,
     hill_determinant,
+    solve,
 )
 from mathieu_kit.flux import (
     FluxParams,
@@ -46,6 +51,9 @@ GENERAL = GeneralParams(3.0, 1.5)
 RESPONSE = SinusoidalResponse(amplitude=1.0, frequency=2.0, phase=0.5)
 _T = np.linspace(0.0, 100.0, 2001)
 REDUCED = reduce(REDUCTION)
+# an admissible spec (nu = 1) and a Floquet solution, for the result types' own fields
+SPEC = general_solution(DampedParams(m=1.0, eta=0.0, k0=1.0, k=1.0, omega=2.0), c2=1.0)
+FLOQUET = solve(GENERAL)
 SIGNAL = TimeSeries(grid=_T, y=np.cos(2.0 * _T), dy=-2.0 * np.sin(2.0 * _T),
                     d2y=-4.0 * np.cos(2.0 * _T))
 
@@ -72,6 +80,8 @@ REAL_SITES = [
     ("integrate.span end",
      lambda v: integrate(general_mathieu_ode(GENERAL), 1.0, 0.0, (0.0, v), 1e-8)),
     ("monodromy_exponent.period", lambda v: monodromy_exponent(general_mathieu_ode(GENERAL), v, 1e-8)),
+    *_field_sites(SPEC, ("decay_rate",)),
+    *_field_sites(REDUCED, ("prefactor_rate", "time_scale")),
 ]
 # real fields that must be positive as well
 POSITIVE_SITES = [
@@ -96,8 +106,12 @@ COMPLEX_SITES = [
     ("class_distance.mu_a", lambda v: class_distance(v, 0.5j)),
     ("class_distance.mu_b", lambda v: class_distance(0.5j, v)),
     ("wronskian_abel.w0", lambda v: wronskian_abel(lambda t: 0.5, v, [0.0, 1.0])),
+    *_field_sites(SPEC, ("nu", "c1", "c2", "argument_scale", "exponent_rate")),
+    *_field_sites(FLOQUET, ("mu",)),
 ]
-ALL_SITES = REAL_SITES + POSITIVE_SITES + COUNT_SITES + COMPLEX_SITES
+# a series' coefficients c_{-N..N}
+SERIES_SITES = _field_sites(FLOQUET, ("coeffs",))
+ALL_SITES = REAL_SITES + POSITIVE_SITES + COUNT_SITES + COMPLEX_SITES + SERIES_SITES
 
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 # what no site admits: a non-finite real or complex value (Python's or numpy's),
@@ -126,13 +140,25 @@ REFUSED_WHERE_POSITIVE = st.one_of(REFUSED_WHERE_REAL, st.floats(max_value=0.0),
 # a count refuses every float, even an integral one
 REFUSED_AS_COUNT = st.one_of(REFUSED_WHERE_REAL, st.floats(), st.integers(max_value=0),
                              st.integers(MAX_GRID_POINTS + 1, 2**63 - 1).map(np.int64))
+_FINITE = st.complex_numbers(allow_nan=False, allow_infinity=False)
+# what a series refuses: a single number, None, text, an even count, a non-finite
+# entry, entries that are not numbers, nested or ragged sequences
+REFUSED_AS_SERIES = st.one_of(
+    _NON_FINITE, _FINITE, st.none(), st.text(), st.binary(),
+    st.lists(_FINITE, max_size=3).map(lambda c: np.array(c + c)),
+    st.tuples(st.lists(_FINITE, max_size=2), _NON_FINITE).map(lambda p: p[0] + [p[1]] + p[0]),
+    st.lists(st.text(), min_size=1, max_size=3).filter(lambda c: len(c) % 2),
+    st.just([[1.0], [1.0, 2.0], [3.0]]),
+    st.just(np.ones((3, 3))),
+)
 
 
 @pytest.mark.parametrize("site, call, refused",
                          [(name, call, REFUSED_WHERE_REAL) for name, call in REAL_SITES]
                          + [(name, call, REFUSED_WHERE_POSITIVE) for name, call in POSITIVE_SITES]
                          + [(name, call, REFUSED_AS_COUNT) for name, call in COUNT_SITES]
-                         + [(name, call, REFUSED_EVERYWHERE) for name, call in COMPLEX_SITES],
+                         + [(name, call, REFUSED_EVERYWHERE) for name, call in COMPLEX_SITES]
+                         + [(name, call, REFUSED_AS_SERIES) for name, call in SERIES_SITES],
                          ids=[name for name, _ in ALL_SITES])
 @given(data=st.data())
 def test_every_site_refuses_what_is_not_an_admissible_number(site, call, refused, data):
@@ -160,6 +186,9 @@ def test_a_complex_site_admits_numpy_complex_values():
     # and computes on the Python complex it admits
     det = hill_determinant(GENERAL, np.complex128(0.3 + 0.2j))
     assert type(det) is complex and det == hill_determinant(GENERAL, 0.3 + 0.2j)
+    # a series admits real or complex coefficients and holds them as a complex array
+    coeffs = FloquetSolution(np.complex128(1j), [0.5, 1, np.float32(0.5)]).coeffs
+    assert coeffs.dtype == complex and coeffs.tolist() == [0.5, 1, 0.5]
 
 
 # before the shared rule, these lost their imaginary parts with at most a ComplexWarning
@@ -209,3 +238,13 @@ def test_refusals_name_the_field_and_the_value():
         normalize_exponent(0.5j, 0)
     with pytest.raises(InvalidParameterError, match=r"^n must be an int from 1 to 10,000,000, got -1$"):
         interior_grid(REDUCED, n=-1)
+    with pytest.raises(InvalidParameterError, match=r"^mu must be finite, got \(nan\+0j\)$"):
+        FloquetSolution(math.nan, np.ones(1))
+    with pytest.raises(InvalidParameterError, match=r"^coeffs must have odd length, got 2$"):
+        FloquetSolution(1j, np.ones(2))
+    with pytest.raises(InvalidParameterError, match=r"^coeffs must be finite$"):
+        FloquetSolution(1j, np.array([1.0, math.nan, 1.0]))
+    with pytest.raises(InvalidParameterError, match=r"^nu must be finite, got \(nan\+0j\)$"):
+        replace(SPEC, nu=math.nan)
+    with pytest.raises(InvalidParameterError, match=r"^time_scale must be finite, got nan$"):
+        replace(REDUCED, time_scale=math.nan)

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from mathieu_kit import bessel
 from mathieu_kit.bessel import MAX_ARGUMENT, MAX_ORDER, BesselValue, bessel_j, bessel_y
-from mathieu_kit.errors import InvalidParameterError, RangeLimitError, SingularityError
+from mathieu_kit.errors import (
+    ConvergenceError, InvalidParameterError, RangeLimitError, SingularityError,
+)
 
 from reference_series import ref_j, ref_j_derivative, ref_y, ref_y_derivative
 
@@ -141,6 +143,9 @@ def test_y_singular_at_origin():
 def test_validation_errors():
     with pytest.raises(InvalidParameterError):
         bessel_j(2.5, 1.0)
+    for z in ("abc", None, [1.0, "a"], [1.0, None], [1.0, [2.0, 3.0]], np.ones((2, 2))):
+        with pytest.raises(InvalidParameterError):
+            bessel_j(3, z)
     with pytest.raises(RangeLimitError):
         bessel_j(MAX_ORDER + 1, 1.0)
     with pytest.raises(RangeLimitError):
@@ -170,16 +175,11 @@ def _circle(radius: float, count: int = 64) -> np.ndarray:
     return radius * np.exp(2j * np.pi * np.arange(count) / count)
 
 
-def _in_y_corner(n: int, radius: float) -> bool:
-    # the documented corner where Y loses digits: order within 0.7..1.25 |z|, |z| >~ 15
-    return radius >= 15.0 and 0.7 * radius <= n <= 1.25 * radius
-
-
 def _worst_rel(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.max(np.abs(got - want) / np.abs(want)))
 
 
-@pytest.mark.parametrize("radius", [0.5, 6.0, 7.0, 20.0, 40.0])
+@pytest.mark.parametrize("radius", [0.5, 6.0, 7.0, 8.565, 20.0, 40.0])
 def test_array_matches_scipy_on_circles(radius):
     special = pytest.importorskip("scipy.special")
     z = _circle(radius)
@@ -187,11 +187,61 @@ def test_array_matches_scipy_on_circles(radius):
         j = bessel_j(n, z)
         assert _worst_rel(j.value, special.jv(n, z)) <= 1e-12, n
         assert _worst_rel(j.derivative, special.jvp(n, z)) <= 1e-12, n
-        if _in_y_corner(n, radius):
-            continue
         y = bessel_y(n, z)
         assert _worst_rel(y.value, special.yv(n, z)) <= 1e-12, n
         assert _worst_rel(y.derivative, special.yvp(n, z)) <= 1e-12, n
+
+
+@pytest.mark.parametrize("radius", [60.0, 100.0, 200.0])
+def test_jy_to_order_200_matches_scipy_on_wide_circles(radius):
+    # each error is relative to max(|J_n|, |Y_n|), the scale near a real zero
+    # of either: there, a relative error measures the zero, not the value, and
+    # scipy.special.yv is itself 1.2e-12 off a 40-digit Y_88(100)
+    special = pytest.importorskip("scipy.special")
+    z = _circle(radius)
+    for n in range(0, MAX_ORDER + 1, 8):
+        j, y = bessel.bessel_jy(n, z)
+        for got, want, other in ((j.value, special.jv(n, z), special.yv(n, z)),
+                                 (j.derivative, special.jvp(n, z), special.yvp(n, z)),
+                                 (y.value, special.yv(n, z), special.jv(n, z)),
+                                 (y.derivative, special.yvp(n, z), special.jvp(n, z))):
+            scale = np.maximum(np.abs(want), np.abs(other))
+            assert np.max(np.abs(got - want) / scale) <= 1e-12, n
+
+
+@pytest.mark.parametrize("n, z", [
+    (64, 80.0 * cmath.exp(1j * math.pi / 4)),
+    (96, 120.0 * cmath.exp(1j * math.pi / 4)),
+    (180, 200.0 * cmath.exp(1j * math.pi / 3)),
+    (40, 40.0),
+])
+def test_y_near_its_turning_point_matches_mpmath(n, z):
+    # order near |z|, where Y_n turns from oscillating to growing
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        value, derivative = complex(mpmath.bessely(n, z)), complex(mpmath.bessely(n, z, 1))
+    got = bessel_y(n, z)
+    assert abs(got.value - value) <= 1e-12 * abs(value)
+    assert abs(got.derivative - derivative) <= 1e-12 * abs(derivative)
+
+
+@pytest.mark.parametrize("n, value, derivative", [
+    (0, 0.12593641705826092 + 0.01473378116847458j, -0.005793505821549633 + 0.25207663607517j),
+    (3, 0.006829103413384208 + 0.2522896310116416j, -0.1257139095933346 + 0.016791772961157043j),
+])
+def test_on_the_negative_real_axis_either_signed_zero_gives_the_upper_side(n, value, derivative):
+    # Y_n(-x + i0) = (-1)^n (Y_n(x) + 2i J_n(x)), as scipy.special.yv gives it
+    # for both zeros; the anchors are frozen from the extended-precision Neumann path
+    for z in (complex(-40.0, 0.0), complex(-40.0, -0.0)):
+        got = bessel_y(n, z)
+        assert abs(got.value - value) <= 1e-14 * abs(value)
+        assert abs(got.derivative - derivative) <= 1e-14 * abs(derivative)
+
+
+def test_a_continued_fraction_that_does_not_converge_names_its_point(monkeypatch):
+    monkeypatch.setattr(bessel, "_CF2_MAX_STEPS", 3)
+    with pytest.raises(ConvergenceError, match=r"H_0\(\(7-3j\)\)"):
+        bessel_y(2, np.array([2.0, 7.0 - 3.0j, 9.0 + 1.0j]))
 
 
 def test_miller_rescales_only_the_columns_that_need_it():
@@ -206,12 +256,12 @@ def test_miller_rescales_only_the_columns_that_need_it():
 
 
 @pytest.mark.parametrize("n, z", [
-    (3, 2.0 + 1.0j),      # J series, Y direct series
+    (3, 2.0 + 1.0j),      # series
     (0, -4.5 + 0.2j),
-    (5, 40.0 + 1.0j),     # J Miller, Y upward path
-    (-7, 12.0 - 3.0j),
-    (2, 20.0j),           # Y direct inside the wedge
-    (30, 25.0),           # Y direct by order
+    (5, 40.0 + 1.0j),     # J Miller, Y from H^(1) against it
+    (-7, 12.0 - 3.0j),    # below the real axis
+    (2, 20.0j),           # on the imaginary axis
+    (30, 25.0),           # order above |z|
 ])
 def test_scalar_call_is_the_first_element_of_a_one_point_array(n, z):
     for fn in (bessel_j, bessel_y):
@@ -224,12 +274,14 @@ def test_scalar_call_is_the_first_element_of_a_one_point_array(n, z):
 
 def test_one_grid_straddles_every_mask_edge():
     special = pytest.importorskip("scipy.special")
+    # |z| = 6 is the mask edge; the other pairs, a hair apart where |z| - |Im z|
+    # or |n| - |z| crosses a round number, must agree with their scalar calls too
     n, d = 12, 1e-9
     y_wedge = 6.0  # |z| = 15 with |Im z| = 6 +- d puts |z| - |Im z| at 9 -+ d
     z = np.array([
         (6.0 - d) * cmath.exp(1.0j), (6.0 + d) * cmath.exp(1.0j),        # |z| = 6
-        complex(math.sqrt(225.0 - (y_wedge + d) ** 2), y_wedge + d),      # inside the wedge
-        complex(math.sqrt(225.0 - (y_wedge - d) ** 2), y_wedge - d),      # outside it
+        complex(math.sqrt(225.0 - (y_wedge + d) ** 2), y_wedge + d),      # |z| - |Im z| = 9 - d
+        complex(math.sqrt(225.0 - (y_wedge - d) ** 2), y_wedge - d),      # and 9 + d
         complex(12.0 - d, 0.0), complex(12.0 + d, 0.0),                    # |n| = |z|
     ])
     r = np.hypot(z.real, z.imag)
@@ -257,8 +309,8 @@ def test_jy_is_bessel_j_and_bessel_y_bit_for_bit_on_circles(radius):
 
 
 def test_jy_agrees_with_its_parts_across_the_mask_edges():
-    # the points of test_one_grid_straddles_every_mask_edge: J's series points
-    # share Y's pass with larger |z| here, so only the last bits may differ
+    # the points of test_one_grid_straddles_every_mask_edge: Y's series pass
+    # holds exactly J's series points, so J is bessel_j's J bit for bit
     d, y_wedge = 1e-9, 6.0
     z = np.array([
         (6.0 - d) * cmath.exp(1.0j), (6.0 + d) * cmath.exp(1.0j),
@@ -269,8 +321,8 @@ def test_jy_agrees_with_its_parts_across_the_mask_edges():
     for n in (0, 1, 12, -7):
         j, y = bessel.bessel_jy(n, z)
         for got, want in ((j, bessel_j(n, z)), (y, bessel_y(n, z))):
-            assert np.all(np.abs(got.value - want.value) <= 1e-14 * np.abs(want.value))
-            assert np.all(np.abs(got.derivative - want.derivative) <= 1e-14 * np.abs(want.derivative))
+            assert np.array_equal(got.value, want.value)
+            assert np.array_equal(got.derivative, want.derivative)
     scalar_j, scalar_y = bessel.bessel_jy(3, 2.0 + 1.0j)
     assert type(scalar_j.value) is complex and type(scalar_y.derivative) is complex
 
@@ -301,8 +353,8 @@ def test_series_table_ends_where_its_tail_is_below_2_to_the_minus_60(n, r):
 
 @pytest.mark.parametrize("z", [690j, 5.0 + 600j, -3.0 + 520j])
 def test_far_up_the_imaginary_axis_the_series_stays_in_range(z):
-    # Y sums its series here at |z| in the hundreds: a Horner scale above |z|
-    # would overflow its coefficients, one at or below |z| keeps them in range
+    # Y = i(J - H^(1)) here, J from Miller's sweep normalized by e^{-iz} ~ e^{|Im z|}
+    # and H^(1) ~ e^{-|Im z|} from the Wronskian: both stay within double precision
     special = pytest.importorskip("scipy.special")
     for fn, ref, dref in ((bessel_j, special.jv, special.jvp), (bessel_y, special.yv, special.yvp)):
         got = fn(3, z)
@@ -319,6 +371,9 @@ def test_far_up_the_imaginary_axis_the_series_stays_in_range(z):
     (bessel_j, 3, 2.0 * MAX_ARGUMENT, RangeLimitError),
     (bessel_y, 3, 0.0, SingularityError),
     (bessel_y, 200, 0.5, RangeLimitError),  # Y_200(0.5) overflows
+    (bessel_j, 3, "abc", InvalidParameterError),
+    (bessel_y, 3, None, InvalidParameterError),
+    (bessel_j, 3, "1+2j", InvalidParameterError),  # text even where complex() would parse it
 ])
 def test_one_bad_element_raises_what_its_scalar_call_raises(fn, n, bad, error):
     with pytest.raises(error) as scalar:

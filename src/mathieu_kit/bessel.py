@@ -17,9 +17,9 @@ array gives value and derivative arrays, and a scalar is the [0] element of a
 one-point array.  The method choice is one boolean mask, |z| <= 6, over the
 points.  bessel_jy gives both from one validation and one pass per path, so
 its J is bessel_j's bit for bit; bessel_y is bessel_jy's Y.
-A series is one Horner pass over all its points in w = -(z/S)^2, S the power
-of two at or below the largest |z|, through a per-call table of coefficients
-that ends where the terms left at that |z| sum to below 2^-60 of the largest.
+A series is one Horner pass over all its points in w = -(z/2)^2 through one
+20-term coefficient table built at import, so a point's value does not hang
+on the other points of its grid.
 The Miller sweep starts every point at the index the largest |z| needs (on
 the closed form's circular path |z| is constant) and is streamed: it carries
 the last rows of the recurrence, multiplies by a per-point 2/z, adds each new
@@ -122,57 +122,36 @@ def _value_and_derivative(rows: np.ndarray, na: int):
     return rows[1], (rows[0] - rows[2]) / 2.0
 
 
-def _series_cap(r: float) -> int:
-    # terms decay once k(n+k) outgrows |z/2|^2, so k ~ 0.6|z| plus tail
-    return max(200, int(0.6 * r) + 80)
+def _series_coefficients() -> np.ndarray:
+    """The ascending series' Horner coefficients in w = -(z/2)^2, [k][J or psi][order o].
 
-
-def _series_table(orders: np.ndarray, r: float, scale: float) -> np.ndarray:
-    """Horner coefficients b_k = (scale/2)^{2k} / (k! (o+1)_k), one column per order o.
-
-    The table ends at the first k after which, for every order, the true
-    terms at |z| = r, (r/2)^{2k} / (k! (o+1)_k), sum to below 2^-60 of their
-    largest, and at _series_cap(r) at the latest.
+    For k < 20 and o <= MAX_ORDER + 1: b_k = 1/(k! (o+1)_k), and for Y's
+    psi series b_k (H_k + H_{o+k} - 2 gamma).  At |z| = 6 the terms from
+    k = 20 on sum to below 2^-60 of the largest for every order (from k = 19
+    they do not at order 0); at smaller |z| they fall faster.
     """
-    ks = np.arange(1, _series_cap(r))[:, None]
-    den = ks * (orders + ks)
-    end = 1
-    if r > 0.0:
-        log_t = np.cumsum(2.0 * math.log2(r / 2.0) - np.log2(den), axis=0)
-        log_t = np.vstack((np.zeros(len(orders)), log_t))
-        tail = np.cumsum(np.exp2(log_t - log_t.max(axis=0))[::-1], axis=0)[::-1]
-        done = (tail[1:] < 2.0 ** -60).all(axis=1)
-        end = int(done.argmax()) if done.any() else len(den)
-    # (scale/2)^2 is a power of four, so scaling scale by a power of two
-    # scales every b_k by an exact power of four
-    return np.cumprod(np.vstack((np.ones(len(orders)), (scale * scale / 4.0) / den[:end])), axis=0)
+    k, o = np.arange(20)[:, None], np.arange(MAX_ORDER + 2)
+    b = np.cumprod(np.vstack((np.ones(len(o)), 1.0 / (k[1:] * (o + k[1:])))), axis=0)
+    harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, MAX_ORDER + len(k) + 1))))
+    return np.stack((b, b * (harmonic[k] + harmonic[k + o] - 2.0 * EULER_GAMMA)), axis=1)
 
 
-def _ascending(orders: np.ndarray, z: np.ndarray, with_psi: bool = False) -> np.ndarray:
-    """Ascending series of J_o(z): one row per order o, one column per point.
+_SERIES = _series_coefficients()
 
-    J_o(z) = (z/2)^o / o! * sum_k b_k w^k with w = -(z/S)^2, summed in one
-    Horner pass; S is the power of two at or below the largest |z|, so no
-    b_k exceeds the largest term and, the scaling being exact, a point's
-    value does not hang on S (the table's length still follows the largest
-    |z|).  With with_psi the rows are followed by the
-    psi series sum_k (H_k + H_{o+k} - 2 gamma) t_k of Y's integer-order limit
-    form, from the same pass.
+
+def _ascending(orders: np.ndarray, z: np.ndarray, functions: int) -> np.ndarray:
+    """Ascending series of J_o(z), [function][row per order o][point].
+
+    J_o(z) = (z/2)^o / o! * sum_k b_k w^k with w = -(z/2)^2 and the module
+    table's b_k, summed in one Horner pass; with functions=2 the rows are
+    followed by the psi series sum_k (H_k + H_{o+k} - 2 gamma) t_k of Y's
+    integer-order limit form, from the same pass.  Every operation is per
+    point, so a point's value does not hang on the grid it is summed in.
     """
-    r = float(_modulus(z).max())
-    scale = math.ldexp(1.0, math.frexp(r)[1] - 1)
-    table = _series_table(orders, r, scale)
-    if with_psi:
-        ks = np.arange(len(table))
-        top = int(orders[-1]) + len(ks)
-        harmonic = np.concatenate(([0.0], np.cumsum(1.0 / np.arange(1, top + 1))))
-        psi = harmonic[ks][:, None] + harmonic[orders + ks[:, None]] - 2.0 * EULER_GAMMA
-        table = np.hstack((table, table * psi))
-    table = table.astype(complex)[:, :, None]
-    zs = z / scale
-    w = -(zs * zs)
-    acc = np.empty((table.shape[1], len(z)), dtype=complex)
-    acc[:] = table[-1]
+    table = _SERIES[:, :functions, orders, None]
+    half = z / 2.0
+    w = -(half * half)
+    acc = table[-1] * np.ones_like(z)
     for b in table[-2::-1]:
         acc *= w
         acc += b
@@ -180,18 +159,17 @@ def _ascending(orders: np.ndarray, z: np.ndarray, with_psi: bool = False) -> np.
     # consecutive orders continue the same product.  Products of one-point
     # arrays are written out of place: numpy's in-place complex multiply on a
     # single element rounds differently from its vector loop.
-    half = z / 2.0
     term = np.empty((len(orders), len(z)), dtype=complex)
     term[0] = 1.0
     for j in range(1, int(orders[0]) + 1):
         term[0] = term[0] * (half / j)
     for row in range(1, len(orders)):
         term[row] = term[row - 1] * (half / int(orders[row]))
-    return acc.reshape(-1, *term.shape) * term if with_psi else acc * term
+    return acc * term
 
 
-def _j_series(na: int, z: np.ndarray) -> tuple[np.ndarray]:
-    return (_ascending(_orders(na), z),)
+def _j_series(na: int, z: np.ndarray) -> np.ndarray:
+    return _ascending(_orders(na), z, 1)
 
 
 def _jy_series(na: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +179,7 @@ def _jy_series(na: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     series.  The J rows are what _j_series returns for the same points.
     """
     orders = _orders(na)
-    jn, psi = _ascending(orders, z, with_psi=True)
+    jn, psi = _ascending(orders, z, 2)
     half = z / 2.0
     log_term = (2.0 / math.pi) * np.log(half) * jn
     # finite part sum_{k<o} (o-k-1)!/k! (z/2)^(2k-o); each row's k=0 term

@@ -45,7 +45,7 @@ from . import bessel
 from .bessel import bessel_j, bessel_y  # noqa: F401  (not called; perfbench's trace wraps them here)
 from .errors import AdmissibilityError, InvalidParameterError, SingularityError
 from .oracle import LinearODE, ResidualReport, equation, residual
-from .samples import SolutionSample, TimeSeries, as_grid, decayed, require_finite
+from .samples import SolutionSample, TimeSeries, as_grid, decayed
 from .samples import admit_fields, complex_number, real_number
 
 ADMISSIBILITY_TOL = 1e-9
@@ -224,7 +224,6 @@ def evaluate_grid(spec: ClosedFormSpec, grid) -> TimeSeries:
     grid = as_grid(grid)
     with np.errstate(over="ignore", invalid="ignore"):
         y, dy, d2y = _rows(spec, grid)
-    require_finite("the closed form", grid, y, dy, d2y)
     return TimeSeries(grid=grid, y=y, dy=dy, d2y=d2y)
 
 

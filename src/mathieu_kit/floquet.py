@@ -112,7 +112,8 @@ def hill_determinant(gp: GeneralParams, mu: complex) -> complex:
     """Truncated Hill determinant with rows scaled by w_n = 4n^2 + |h| + 1.
 
     The scaling is independent of mu, so roots are preserved while the
-    determinant stays bounded as the truncation grows.
+    determinant stays bounded as the truncation grows.  One that overflows
+    (|mu| or |theta| far beyond that reach) raises RangeLimitError.
     """
     mu = complex_number("mu", mu)
     trunc = HILL_DETERMINANT_TRUNCATION
@@ -123,6 +124,8 @@ def hill_determinant(gp: GeneralParams, mu: complex) -> complex:
     for n in range(-trunc + 1, trunc + 1):
         cur = (_diagonal(gp, mu, n) / w(n)) * d_prev - (th * th / (w(n) * w(n - 1))) * d_prev2
         d_prev2, d_prev = d_prev, cur
+    if not cmath.isfinite(d_prev):
+        raise RangeLimitError(f"Hill determinant at mu = {mu!r} overflows double precision")
     return d_prev
 
 

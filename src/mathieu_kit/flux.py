@@ -52,7 +52,7 @@ from .errors import (ConvergenceError, InvalidParameterError, RangeLimitError, R
                      SingularityError, SpanError)
 from .oracle import LinearODE, equation, integrate
 from .reductions import damped_to_general
-from .samples import TimeSeries, admit_fields, as_grid, real_number, require_finite
+from .samples import TimeSeries, admit_fields, as_grid, real_number
 
 REGIME_RATIO = 0.02
 LOWPASS_CARRIER_PERIODS = 8
@@ -111,10 +111,11 @@ class SinusoidalResponse:
     def evaluate(self, grid) -> TimeSeries:
         """x and its first two derivatives on a grid (see particular_k0, linearized_delta)."""
         grid = as_grid(grid)
-        arg = self.frequency * grid - self.phase
         a, f = self.amplitude, self.frequency
-        return TimeSeries(grid=grid, y=a * np.cos(arg), dy=-a * f * np.sin(arg),
-                          d2y=-a * f * f * np.cos(arg))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by TimeSeries
+            arg = f * grid - self.phase
+            y, dy, d2y = a * np.cos(arg), -a * f * np.sin(arg), -a * f * f * np.cos(arg)
+        return TimeSeries(grid=grid, y=y, dy=dy, d2y=d2y)
 
 
 @dataclass(frozen=True)
@@ -197,11 +198,18 @@ def induced_field_model(fp: FluxParams) -> InducedFieldModel:
     b = fp.base
     if b.k0 == 0:
         raise InvalidParameterError("k0 must be nonzero for the induced-field model")
+    try:
+        prefactor = fp.B ** 2 * fp.J0 * fp.Omega / (abs(b.k0) * fp.c_light ** 2)
+    except (OverflowError, ZeroDivisionError):  # B^2 or c^2 leaves double precision
+        prefactor = math.inf
+    if not math.isfinite(prefactor):
+        raise RangeLimitError("the induced-field prefactor B^2 J0 Omega / (|k0| c^2) "
+                              "overflows double precision")
     return InducedFieldModel(
         epsilon=b.k / b.k0,
         phi=math.atan2(2.0 * b.eta * b.omega, b.k0),
         alpha=math.atan2(b.eta * fp.Omega, b.k0),
-        prefactor=fp.B ** 2 * fp.J0 * fp.Omega / (abs(b.k0) * fp.c_light ** 2),
+        prefactor=prefactor,
         validity=_validity(fp),
     )
 
@@ -229,8 +237,9 @@ def symmetric_case_solution(fp: FluxParams, y_at_0: float, grid) -> TimeSeries:
     scale = fp.drive_amplitude / (2.0 * b.eta)
     grid = as_grid(grid)
     sin, cos = np.sin(fp.Omega * grid), np.cos(fp.Omega * grid)
-    return TimeSeries(grid=grid, y=y_at_0 + scale * sin / fp.Omega, dy=scale * cos,
-                      d2y=-scale * fp.Omega * sin)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by TimeSeries
+        y, dy, d2y = y_at_0 + scale * sin / fp.Omega, scale * cos, -scale * fp.Omega * sin
+    return TimeSeries(grid=grid, y=y, dy=dy, d2y=d2y)
 
 
 def full_ode(fp: FluxParams) -> LinearODE:
@@ -363,14 +372,15 @@ def closed_form_motion(fp: FluxParams, start: float, grid) -> TimeSeries:
     y, dy, d2y = motion.real
     # the motion's scale: sum |a_n| bounds |y_p|, so a grid at rest still has one
     top = max(float(np.max(np.abs(y))), float(np.abs(a).sum()))
-    # a NaN figure (an overflowing part) is left to _check_motion's RangeLimitError
+    # a NaN figure (an overflowing part) is left to TimeSeries' RangeLimitError
     figure = part_top / top if top else 0.0
     if figure > CANCELLATION_BOUND:
         raise SingularityError(
             f"u(z) and u(-z) are dependent at mu = {sol.mu!r}: fitting rest at t = {start:g} "
             f"takes transient parts {figure:.3g} times the motion (bound {CANCELLATION_BOUND:g})")
+    series = TimeSeries(grid=grid, y=y, dy=dy, d2y=d2y)
     _check_motion(fp, grid, y, dy, d2y)
-    return TimeSeries(grid=grid, y=y, dy=dy, d2y=d2y)
+    return series
 
 
 def motion_from_rest(fp: FluxParams, start: float, grid, tol: float) -> tuple[TimeSeries, str]:
@@ -400,8 +410,7 @@ def _bound(coeffs: np.ndarray, rate: complex, step: complex) -> float:
 
 
 def _check_motion(fp: FluxParams, grid: np.ndarray, y, dy, d2y) -> None:
-    """Refuse a non-finite motion, or one whose relative residual exceeds RESIDUAL_BOUND."""
-    require_finite("the closed-form motion", grid, y, dy, d2y)
+    """Refuse a finite motion whose relative residual exceeds RESIDUAL_BOUND."""
     # the equation is real: its coefficients' real parts keep the sums on floats
     p, q, f = (v.real for v in full_ode(fp).coefficients_on(grid))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -428,8 +437,10 @@ def field_from_motion(fp: FluxParams, series: TimeSeries) -> TimeSeries:
     q = (b.k0 + b.k * np.cos(b.omega * grid)) / b.m
     dq = -b.k * b.omega * np.sin(b.omega * grid) / b.m
     df = -fp.drive_amplitude * fp.Omega * np.sin(fp.Omega * grid) / b.m
-    d3y = df - (b.eta / b.m) * d2y - dq * y - q * dy
-    return TimeSeries(grid=grid, y=scale * dy, dy=scale * d2y, d2y=scale * d3y)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by TimeSeries
+        d3y = df - (b.eta / b.m) * d2y - dq * y - q * dy
+        y, dy, d2y = scale * dy, scale * d2y, scale * d3y
+    return TimeSeries(grid=grid, y=y, dy=dy, d2y=d2y)
 
 
 def _uniform_samples(series: TimeSeries) -> tuple[np.ndarray, np.ndarray, float]:

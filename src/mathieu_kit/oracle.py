@@ -350,7 +350,8 @@ def integrate(
     grid = np.array(times) if tq is None else grid
     ys, dys = samples.T
     pv, qv, fv = ode.coefficients_on(grid)
-    d2ys = fv - pv * dys - qv * ys
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by TimeSeries
+        d2ys = fv - pv * dys - qv * ys
     return TimeSeries(grid=grid, y=ys, dy=dys, d2y=d2ys, meta=stats)
 
 
@@ -449,7 +450,7 @@ def wronskian_abel(p: Coefficient | None, w0: complex, grid: Sequence[float]) ->
     """Abel/Liouville reference W(t) = W(t0) exp(-int p) on an ascending grid.
 
     The integral is a running sum of 10-point Gauss-Legendre quadratures,
-    one per grid interval.
+    one per grid interval.  A W beyond double precision raises RangeLimitError.
     """
     w0, grid = complex_number("w0", w0), as_grid(grid)
     if np.any(np.diff(grid) <= 0.0):
@@ -460,4 +461,9 @@ def wronskian_abel(p: Coefficient | None, w0: complex, grid: Sequence[float]) ->
     mid = 0.5 * (grid[1:] + grid[:-1])
     rad = 0.5 * np.diff(grid)
     acc = np.cumsum(rad * (_sample(p, mid[:, None] + rad[:, None] * nodes) @ weights))
-    return w0 * np.exp(-np.concatenate(([0.0], acc)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = w0 * np.exp(-np.concatenate(([0.0], acc)))
+    finite = np.isfinite(w)
+    if not finite.all():
+        raise RangeLimitError(f"Abel's Wronskian overflows at t = {grid[np.argmin(finite)]:.6g}")
+    return w

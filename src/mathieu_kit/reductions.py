@@ -213,9 +213,10 @@ def pullback(result: ReductionResult, z_solution: TimeSeries) -> TimeSeries:
         if np.any((t <= lo) | (t >= hi)):
             raise MapDomainError(f"{result.variable_map} samples must satisfy {lo:g} < t < {hi:g}")
     # t = f(z): y_t = w_z / f',  y_tt = w_zz / f'^2 - w_z f'' / f'^3
-    yt = wz / dtdz
-    ytt = wzz / dtdz ** 2 - wz * d2tdz2 / dtdz ** 3
-    y, yt, ytt = decayed(result.prefactor_rate, t, w, yt, ytt)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by TimeSeries
+        yt = wz / dtdz
+        ytt = wzz / dtdz ** 2 - wz * d2tdz2 / dtdz ** 3
+        y, yt, ytt = decayed(result.prefactor_rate, t, w, yt, ytt)
 
     order = np.argsort(t)
     return TimeSeries(

@@ -68,13 +68,6 @@ def as_grid(points, name: str = "grid", kind: type = float) -> np.ndarray:
     return grid
 
 
-def require_finite(what: str, grid: np.ndarray, y, dy, d2y) -> None:
-    """Raise RangeLimitError naming the first grid point where y, y' or y'' is not finite."""
-    finite = np.isfinite(y) & np.isfinite(dy) & np.isfinite(d2y)
-    if not finite.all():
-        raise RangeLimitError(f"{what} overflows at t = {grid[np.argmin(finite)]:.6g}")
-
-
 def decayed(r: float, t, y, dy, d2y) -> tuple:
     """e^{-r t} y with its first two derivatives, from y, y' and y'' at t."""
     pref = np.exp(-r * t)
@@ -93,7 +86,7 @@ class SolutionSample:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Solution sampled on a finite, strictly increasing grid (struct-of-arrays)."""
+    """Solution sampled on a finite, strictly increasing grid (struct-of-arrays), every sample finite."""
 
     grid: np.ndarray
     y: np.ndarray
@@ -109,6 +102,10 @@ class TimeSeries:
             raise InvalidParameterError("grid must be finite")
         if n > 1 and not np.all(np.diff(self.grid) > 0):
             raise InvalidParameterError("grid must be strictly increasing")
+        finite = np.isfinite(self.y) & np.isfinite(self.dy) & np.isfinite(self.d2y)
+        if not finite.all():
+            raise RangeLimitError(
+                f"the sampled solution overflows at t = {self.grid[np.argmin(finite)]:.6g}")
 
     def __getitem__(self, i: int) -> SolutionSample:
         return SolutionSample(

@@ -334,21 +334,55 @@ def test_jy_raises_what_bessel_y_raises():
         bessel.bessel_jy(200, 0.5)
 
 
-@pytest.mark.parametrize("n", [0, 3, 12, 40, 200])
-@pytest.mark.parametrize("r", [1e-3, 0.5, 3.7, 6.0, 15.0, 40.0, 200.0, 600.0, 709.0])
-def test_series_table_ends_where_its_tail_is_below_2_to_the_minus_60(n, r):
-    # true terms (r/2)^{2k} / (k! (o+1)_k) out to the cap, in logs
-    orders = bessel._orders(n)
-    cap = bessel._series_cap(r)
+def _relative_terms(orders, r: float) -> np.ndarray:
+    # true terms (r/2)^{2k} / (k! (o+1)_k) for k < 200, over the largest, via logs
     log_t = np.array([[2 * kk * math.log(r / 2.0) - math.lgamma(kk + 1)
                        - math.lgamma(o + kk + 1) + math.lgamma(o + 1) for o in orders]
-                      for kk in range(cap)])
-    rel = np.exp(log_t - log_t.max(axis=0))
-    end = len(bessel._series_table(orders, r, 1.0))
-    assert end < cap
-    assert np.all(rel[end:].sum(axis=0) < 2.0 ** -60)
-    # and the table stops at the first such k
-    assert np.any(rel[end - 1:].sum(axis=0) >= 2.0 ** -60)
+                      for kk in range(200)])
+    return np.exp(log_t - log_t.max(axis=0))
+
+
+@pytest.mark.parametrize("n", [0, 3, 12, 40, 200])
+@pytest.mark.parametrize("r", [1e-3, 0.5, 3.7, 6.0, 1.0, 2.0, 4.5, 5.5, 5.999,
+                               15.0, 40.0, 200.0, 600.0, 709.0])
+def test_series_table_ends_where_its_tail_is_below_2_to_the_minus_60(n, r, monkeypatch):
+    orders = bessel._orders(n)
+    if r <= bessel.SERIES_RADIUS:
+        # the terms past the module table's rows sum to below 2^-60 of the largest
+        rel = _relative_terms(orders, r)
+        assert np.all(rel[len(bessel._SERIES):].sum(axis=0) < 2.0 ** -60)
+        return
+    # beyond the series radius the table is never read: a table of NaNs changes nothing
+    z = r * np.exp(1j * np.linspace(-1.0, 1.0, 8))
+    z = np.concatenate((z, -z))  # |Im z| <= 0.85 r stays inside the range at 709
+    want = bessel.bessel_jy(n, z)
+    monkeypatch.setattr(bessel, "_SERIES", np.full_like(bessel._SERIES, np.nan))
+    for got, ref in zip(bessel.bessel_jy(n, z), want):
+        assert np.array_equal(got.value, ref.value)
+        assert np.array_equal(got.derivative, ref.derivative)
+
+
+def test_one_row_fewer_would_break_the_tail_rule_at_the_series_radius():
+    rel = _relative_terms([0], bessel.SERIES_RADIUS)
+    assert rel[len(bessel._SERIES) - 1:].sum() >= 2.0 ** -60
+    assert bessel._SERIES.shape[2] == MAX_ORDER + 2  # every order _orders reads
+
+
+@pytest.mark.parametrize("n", [0, 3, 12, -7])
+def test_a_series_point_is_its_scalar_call_in_any_grid(n):
+    # the series is summed per point, so neither a larger |z| nor a far point
+    # sharing the grid moves a point's last bits
+    rng = np.random.default_rng(20)
+    z = 5.99 * np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+    for companions in ([], [5.99], [5.99j, 40.0 + 1.0j]):
+        grid = np.concatenate((z, companions))
+        j, y = bessel.bessel_jy(n, grid)
+        j_only = bessel_j(n, grid)
+        for i, zi in enumerate(z.tolist()):
+            one_j, one_y = bessel.bessel_jy(n, zi)
+            assert (j.value[i], j.derivative[i]) == (one_j.value, one_j.derivative)
+            assert (y.value[i], y.derivative[i]) == (one_y.value, one_y.derivative)
+            assert (j_only.value[i], j_only.derivative[i]) == (one_j.value, one_j.derivative)
 
 
 @pytest.mark.parametrize("z", [690j, 5.0 + 600j, -3.0 + 520j])

@@ -18,7 +18,7 @@ from mathieu_kit import floquet
 from mathieu_kit import cli
 from mathieu_kit import flux, oracle, reductions
 from mathieu_kit.cli import JobSpec, execute, main, parse
-from mathieu_kit.errors import ConvergenceError
+from mathieu_kit.errors import ConvergenceError, RangeLimitError
 
 SIDECAR_KEYS = {
     "command", "params", "variant", "nu", "mu",
@@ -235,7 +235,7 @@ def test_solve_that_overflows_writes_no_artifacts(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert not out.exists() and not (tmp_path / "big.json").exists()
-    assert captured.err == "error: the closed form overflows at t = 0\n"
+    assert captured.err == "error: the sampled solution overflows at t = 0\n"
 
 
 def test_solve_near_the_overflow_edge_reports_finite_residuals(tmp_path):
@@ -676,6 +676,43 @@ def test_flux_that_overflows_writes_no_non_finite_field(tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "flux.json").exists()
     assert "overflows" in captured.err
     assert captured.out == ""
+
+
+# each leaves double precision; under CI's flags (a numpy RuntimeWarning is an
+# error) each must still end in RangeLimitError, and a CLI job in exit 1 with
+# no artifact, not in NaN, inf or a traceback
+_FLUX_JOB = ["flux", "--m", "1", "--eta", "2", "--k0", "100", "--k", "1", "--omega", "0.01",
+             "--B", "1e155", "--J0", "1e-160", "--Omega", "1", "--t1", "5", "--dt", "0.1"]
+_HUGE_FIELD = flux.FluxParams(base=flux.DampedParams(1.0, 0.5, 2.0, 1.0, 2.0), B=1e300,
+                              J0=1e-300, Omega=1.0, c_light=1e-100)
+OVERFLOWS = [
+    ("floquet-job-re-mu-59", ["floquet", "--h", "1", "--theta", "12000"]),
+    ("flux-job-B-squared-1e310", _FLUX_JOB),
+    ("eval_floquet_grid", lambda: floquet.eval_floquet_grid(
+        floquet.solve(floquet.GeneralParams(1.0, 12000.0)), np.linspace(0.0, 20.0, 401))),
+    ("SinusoidalResponse", lambda: flux.SinusoidalResponse(1.0, 1e200, 0.1).evaluate([0.0, 1.0])),
+    ("field_from_motion-scale-1e400", lambda: flux.field_from_motion(
+        _HUGE_FIELD, flux.SinusoidalResponse(1.0, 1.0, 0.1).evaluate([0.0, 1.0]))),
+    ("hill_determinant-mu-3e7",
+     lambda: floquet.hill_determinant(floquet.GeneralParams(1.0, 0.5), 3e7)),
+    ("hill_determinant-theta-1e200",
+     lambda: floquet.hill_determinant(floquet.GeneralParams(1.0, 1e200), 0.1)),
+    ("wronskian_abel", lambda: oracle.wronskian_abel(lambda t: -1.0, 3e7, [0.0, 1000.0])),
+]
+
+
+@pytest.mark.parametrize("case", [case for _, case in OVERFLOWS], ids=[i for i, _ in OVERFLOWS])
+def test_an_overflow_is_a_range_limit_error(case, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        if callable(case):
+            with pytest.raises(RangeLimitError):
+                case()
+            return
+        out = tmp_path / "job.csv"
+        assert main(case + ["--out", str(out)]) == 1
+    assert not out.exists() and not (tmp_path / "job.json").exists()
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_floquet_at_the_reduction_of_a_flux_job(tmp_path):

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import bessel
 from .bessel import bessel_j, bessel_y  # noqa: F401  (not called; perfbench's trace wraps them here)
-from .errors import AdmissibilityError, InvalidParameterError, SingularityError
+from .errors import AdmissibilityError, InvalidParameterError, RangeLimitError, SingularityError
 from .oracle import LinearODE, ResidualReport, equation, residual
 from .samples import SolutionSample, TimeSeries, as_grid, decayed
 from .samples import admit_fields, complex_number, real_number
@@ -141,19 +141,31 @@ class ClosedFormSpec:
         return int(round(self.nu.real))
 
 
+def _finite(name: str, value: complex) -> complex:
+    if not cmath.isfinite(value):
+        raise RangeLimitError(f"{name} = {value!r} leaves double precision")
+    return value
+
+
 def index(params: DampedParams, variant=Variant.CORRECTED) -> complex:
-    """Cylinder-function index nu for the given placement (principal branch)."""
+    """Cylinder-function index nu for the given placement (principal branch).
+
+    An index beyond double precision raises RangeLimitError.
+    """
     variant = _coerce_variant(variant)
     a = params.damping_rate
     ratio = params.stiffness_ratio if variant is Variant.CORRECTED else params.modulation_ratio
-    return cmath.sqrt(complex(a * a - 4.0 * ratio)) / (1j * params.omega)
+    return _finite("the index nu", cmath.sqrt(complex(a * a - 4.0 * ratio)) / (1j * params.omega))
 
 
 def argument_scale(params: DampedParams, variant=Variant.CORRECTED) -> complex:
-    """Scale of the Bessel argument z(t) = scale * exp(i omega t / 2)."""
+    """Scale of the Bessel argument z(t) = scale * exp(i omega t / 2).
+
+    A scale beyond double precision raises RangeLimitError.
+    """
     variant = _coerce_variant(variant)
     ratio = params.modulation_ratio if variant is Variant.CORRECTED else params.stiffness_ratio
-    return 2.0 * cmath.sqrt(complex(ratio)) / (1j * params.omega)
+    return _finite("the argument scale", 2.0 * cmath.sqrt(complex(ratio)) / (1j * params.omega))
 
 
 def is_admissible(params: DampedParams, variant=Variant.CORRECTED) -> Optional[int]:

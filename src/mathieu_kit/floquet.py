@@ -461,9 +461,9 @@ def solve(gp: GeneralParams) -> FloquetSolution:
     runs out of double-precision digits (Re mu is 24-48 at (1, 2000)-(1, 8000),
     so |y| spans tens of decades over one period), and no error says so.
     Measured on 41 points of [0, pi], the residual of the returned series is
-    2.6e-11 at (h, theta) = (1, 1000), 4.3e-9 at (1, 2000), 1.6e-6 at
-    (1, 3000), 1.1e-5 at (1, 4000) and 1.3 at (1, 8000).  Check a series in
-    that region with
+    8.3e-14 at (h, theta) = (1, 100), 9.8e-10 at (1, 500), 2.0e-6 at
+    (1, 1000), 0.50 at (1, 2000), 0.40 at (1, 3000), 0.74 at (1, 4000) and 1
+    at (1, 8000).  Check a series in that region with
     oracle.residual(general_mathieu_ode(gp), eval_floquet_grid(sol, grid)).
     """
     seed = _hill_seed(gp)

@@ -22,8 +22,8 @@ It also carries two independent solutions of the full equation from rest:
   the Floquet transient from floquet.solve.  It refuses (a typed error) a
   transient whose parts exceed the motion by more than CANCELLATION_BOUND,
   whose fit to rest would cancel the digits it needs, and a motion whose
-  residual on the grid exceeds RESIDUAL_BOUND, so its accuracy does not depend
-  on a tolerance; on the flux regime it meets the equation to about 1e-12;
+  oracle.residual on the grid exceeds RESIDUAL_BOUND, so its accuracy does not
+  depend on a tolerance; on the flux regime its residual reads about 2e-16;
 - simulate_full, the verification oracle's DOPRI5 integration, kept as the
   reference the closed form is tested against.
 
@@ -50,7 +50,7 @@ from . import floquet
 from .closed_form import DampedParams
 from .errors import (ConvergenceError, InvalidParameterError, RangeLimitError, ResonanceError,
                      SingularityError, SpanError)
-from .oracle import LinearODE, equation, integrate
+from .oracle import LinearODE, equation, integrate, residual
 from .reductions import damped_to_general
 from .samples import TimeSeries, admit_fields, as_grid, real_number
 
@@ -60,8 +60,7 @@ LOWPASS_CARRIER_PERIODS = 8
 # envelope; its j-th harmonic is about (k/2k0)^j of its mean, so aliasing
 # stays far below rounding unless k approaches k0
 ENVELOPE_POINTS = 256
-# closed_form_motion refuses a motion whose residual, relative to the sum of
-# the magnitudes of the equation's terms at some grid point, exceeds this
+# closed_form_motion refuses a motion whose oracle.residual linf exceeds this
 RESIDUAL_BOUND = 1e-9
 # closed_form_motion refuses a transient whose larger part, max|c_i u_i| on the
 # grid, exceeds this multiple of the motion's scale: the sum cancels the digits
@@ -281,7 +280,8 @@ def sideband_amplitudes(fp: FluxParams) -> np.ndarray:
     if pivot == 0:
         raise ResonanceError(
             f"drive frequency {fp.Omega!r} is at an exact resonance: no bounded steady state")
-    a = (fp.drive_amplitude / pivot) * c
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        a = (fp.drive_amplitude / pivot) * c
     if not np.all(np.isfinite(a.view(float))):
         raise RangeLimitError("steady-state sideband amplitudes overflow")
     return a
@@ -297,16 +297,20 @@ def steady_state_modulation(fp: FluxParams) -> ModulationResult:
     (per |omega| t) gives the depth |h1|/A and the phase psi of the envelope
     model A (1 - d cos(|omega| t - psi)), the model modulation_analysis fits.
     No grid, span or floquet.solve is involved; an exact resonance raises
-    ResonanceError.
+    ResonanceError, and amplitudes or a field beyond double precision raise
+    RangeLimitError.
     """
     b = fp.base
     a = sideband_amplitudes(fp)
     n = (len(a) - 1) // 2
-    side = (-fp.B / fp.c_light) * 1j * (fp.Omega + b.omega * np.arange(-n, n + 1)) * a
     phase = 2.0 * math.pi * np.arange(ENVELOPE_POINTS) / ENVELOPE_POINTS
-    # Z at |omega| t = phase: e^{i n omega t} = e^{i n sign(omega) phase}
-    env = np.abs(floquet.exponential_sum(side, 0.0, math.copysign(1.0, b.omega) * 1j, phase)[0])
-    carrier = float(np.mean(env))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        side = (-fp.B / fp.c_light) * 1j * (fp.Omega + b.omega * np.arange(-n, n + 1)) * a
+        # Z at |omega| t = phase: e^{i n omega t} = e^{i n sign(omega) phase}
+        env = np.abs(floquet.exponential_sum(side, 0.0, math.copysign(1.0, b.omega) * 1j, phase)[0])
+        carrier = float(np.mean(env))
+    if not math.isfinite(carrier):
+        raise RangeLimitError("the steady field's envelope overflows")
     if carrier == 0.0:
         return ModulationResult(carrier_amplitude=0.0, modulation_depth=0.0, modulation_phase=0.0)
     h1 = 2.0 * np.mean(env * np.exp(-1j * phase))
@@ -329,10 +333,10 @@ def closed_form_motion(fp: FluxParams, start: float, grid) -> TimeSeries:
     scale (max|y| there, or sum |a_n| if larger), must stay within
     CANCELLATION_BOUND (u(z) and u(-z) near dependent, at a tongue edge, fit
     rest only by cancelling), or SingularityError names it, as it does a zero
-    determinant.  The defect y'' + (eta/m) y' + q y - f, relative to |y''| +
-    |(eta/m) y'| + |q y| + |f| at each grid point, must stay within
-    RESIDUAL_BOUND, or ConvergenceError names it.  A non-finite motion raises
-    RangeLimitError; an exact resonance raises ResonanceError.
+    determinant.  oracle.residual against full_ode(fp) on the grid must stay
+    within RESIDUAL_BOUND, or ConvergenceError names it and its worst t.  A
+    non-finite motion raises RangeLimitError; an exact resonance raises
+    ResonanceError.
     """
     grid = as_grid(grid)
     start = real_number("start", start)
@@ -379,7 +383,11 @@ def closed_form_motion(fp: FluxParams, start: float, grid) -> TimeSeries:
             f"u(z) and u(-z) are dependent at mu = {sol.mu!r}: fitting rest at t = {start:g} "
             f"takes transient parts {figure:.3g} times the motion (bound {CANCELLATION_BOUND:g})")
     series = TimeSeries(grid=grid, y=y, dy=dy, d2y=d2y)
-    _check_motion(fp, grid, y, dy, d2y)
+    rep = residual(full_ode(fp), series)
+    if not rep.linf <= RESIDUAL_BOUND:
+        raise ConvergenceError(
+            f"closed-form motion misses its equation by {rep.linf:.3g} relative at "
+            f"t = {grid[np.argmax(rep.pointwise)]:.6g} (bound {RESIDUAL_BOUND:g})")
     return series
 
 
@@ -407,21 +415,6 @@ def _bound(coeffs: np.ndarray, rate: complex, step: complex) -> float:
     mags = np.abs(rate + step * np.arange(-n, n + 1))
     weights = np.abs(coeffs)
     return float(max(weights.sum(), weights @ mags, weights @ (mags * mags)))
-
-
-def _check_motion(fp: FluxParams, grid: np.ndarray, y, dy, d2y) -> None:
-    """Refuse a finite motion whose relative residual exceeds RESIDUAL_BOUND."""
-    # the equation is real: its coefficients' real parts keep the sums on floats
-    p, q, f = (v.real for v in full_ode(fp).coefficients_on(grid))
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = (d2y, p * dy, q * y, -f)
-        size = np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2]) + np.abs(terms[3])
-        rel = np.abs(terms[0] + terms[1] + terms[2] + terms[3]) / np.maximum(size, 1e-300)
-    worst = int(np.argmax(rel))
-    if not rel[worst] <= RESIDUAL_BOUND:
-        raise ConvergenceError(
-            f"closed-form motion misses its equation by {rel[worst]:.3g} relative at "
-            f"t = {grid[worst]:.6g} (bound {RESIDUAL_BOUND:g})")
 
 
 def field_from_motion(fp: FluxParams, series: TimeSeries) -> TimeSeries:

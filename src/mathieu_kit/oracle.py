@@ -4,8 +4,8 @@ Everything here checks other results rather than producing them: one
 Dormand-Prince 5(4) stepper for y'' + p y' + q y = f (PI step controller) that
 advances one solution and streams each step's classical quartic interpolant to
 the requested times, keeping nothing per step (integrate is one sweep, the
-monodromy period map two, one per column); pointwise defect residuals with a
-scale-aware normalization; and the Abel/Liouville Wronskian reference.
+monodromy period map two, one per column); the one residual, each point's
+defect over its own scale; and the Abel/Liouville Wronskian reference.
 
 The stepper's tableau is unrolled on Python scalars, because a state of two
 numbers is too small for numpy to pay off: y, y' and y'' are local variables,
@@ -46,7 +46,7 @@ Coefficient = Callable[[float], float | complex]
 
 TOL_MIN = 1.0e-14
 TOL_MAX = 1.0e-3
-# a residual passes when its scaled defect linf is below this
+# a residual passes when its largest per-point figure, linf, is below this
 PASS_TOL = 1.0e-8
 
 _MAX_STEPS = 1_000_000
@@ -145,11 +145,10 @@ class MonodromyResult:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Scaled defect of a candidate solution on a grid."""
+    """A candidate's per-point defect figures (see residual): linf their max, l2 their RMS."""
 
     linf: float
     l2: float
-    normalization: float
     verdict: bool  # linf < PASS_TOL
     pointwise: np.ndarray = field(repr=False, compare=False)
 
@@ -414,15 +413,18 @@ def residual(
     candidate: TimeSeries | Callable[[float], SolutionSample],
     grid: Sequence[float] | None = None,
 ) -> ResidualReport:
-    """Pointwise defect of a candidate solution, scaled by the largest term.
+    """Defect of a candidate solution, each point relative to its own scale.
 
     The candidate is a TimeSeries, checked on its own grid, or a callable
     t -> SolutionSample, sampled on grid first; either way one array
-    expression gives the defect.  The normalization max(|y''|, |p y'|, |q y|,
-    |f|) (each maximized over the grid) is the candidate's own largest term,
-    so the report is the same for any multiple of a homogeneous candidate, huge
-    or tiny; a candidate whose terms are all 0 reads 0.  verdict is the one
-    pass rule, linf < PASS_TOL; a non-finite defect fails it.
+    expression gives the defect d = y'' + p y' + q y - f.  Each point's |d| is
+    divided by that point's scale |y''| + (P + sqrt Q)|y'| + Q|y| + F, where
+    P, Q and F are the grid maxima of |p|, |q| and |f|: sqrt Q is the
+    equation's own frequency, so at a zero of y, where y' is near its
+    largest, the figure still sees the solution's size.  The figure is at
+    most 1, reads the same for any multiple of a homogeneous candidate, huge
+    or tiny, and reads 0 where every term is 0.  verdict is the one pass rule,
+    linf < PASS_TOL; a non-finite defect fails it.
     """
     series = isinstance(candidate, TimeSeries)
     if series and grid is not None:
@@ -434,16 +436,19 @@ def residual(
         samples = [candidate(t) for t in grid.tolist()]
         y, dy, d2y = np.array([(s.y, s.dy, s.d2y) for s in samples], dtype=complex).T
     pv, qv, fv = ode.coefficients_on(grid)
-    p_dy = pv * dy
-    q_y = qv * y
-    defect = d2y + p_dy + q_y - fv
-    biggest = max(float(np.max(np.abs(v))) for v in (d2y, p_dy, q_y, fv))
-    # all terms 0 leave a defect of 0, divided by 1
-    scale = biggest or 1.0
-    linf = float(np.max(np.abs(defect))) / scale
-    # scaled before squaring, so a defect near the overflow edge does not overflow
-    l2 = float(np.sqrt(np.mean(np.abs(defect / scale) ** 2)))
-    return ResidualReport(linf, l2, biggest, linf < PASS_TOL, defect)
+    big_p, big_q, big_f = (np.max(np.abs(v)) for v in (pv, qv, fv))
+    # every magnitude over the largest keeps the scale's sum below the overflow
+    # edge; that is 0 when every term is, and NaN for a NaN coefficient, which
+    # the defect carries to the figure by itself
+    mags = [np.abs(v) for v in (y, dy, d2y, d2y + pv * dy + qv * y - fv)]
+    size = np.max([big_f, *(np.max(v) for v in mags[:3])])
+    unit = size if size > 0.0 else 1.0
+    y_mag, dy_mag, d2y_mag, defect = (v / unit for v in mags)
+    scale = d2y_mag + (big_p + np.sqrt(big_q)) * dy_mag + big_q * y_mag + big_f / unit
+    # a point whose every term is 0 has a defect of 0, divided by 1
+    figure = defect / np.where(scale > 0.0, scale, 1.0)
+    linf = float(np.max(figure))
+    return ResidualReport(linf, float(np.sqrt(np.mean(figure * figure))), linf < PASS_TOL, figure)
 
 
 def wronskian_abel(p: Coefficient | None, w0: complex, grid: Sequence[float]) -> np.ndarray:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -16,7 +17,7 @@ import pytest
 
 from mathieu_kit import floquet
 from mathieu_kit import cli
-from mathieu_kit import flux, oracle, reductions
+from mathieu_kit import closed_form, flux, oracle, reductions
 from mathieu_kit.cli import JobSpec, execute, main, parse
 from mathieu_kit.errors import ConvergenceError, RangeLimitError
 
@@ -216,14 +217,17 @@ def test_solve_literal_variant_fails_numerically(tmp_path):
 
 @pytest.mark.parametrize("c1", ["1e-9", "1e-300"])
 def test_the_literal_verdict_does_not_depend_on_the_constants_scale(tmp_path, c1):
-    # test_solve_literal_variant_fails_numerically at smaller constants: the residual
-    # is scaled by the candidate's own largest term, so shrinking it does not pass it
-    out = tmp_path / "literal.csv"
-    code = main(["solve", "--m", "1", "--eta", "0", "--k0", "1", "--k", "4",
-                 "--omega", "2", "--variant", "paper-literal", "--c1", c1, "--c2", "0",
-                 "--t0", "0", "--t1", "10", "--dt", "0.1", "--out", str(out)])
-    assert code == 1
-    assert json.loads((tmp_path / "literal.json").read_text())["residual_linf"] > 0.5
+    # test_solve_literal_variant_fails_numerically at smaller constants: each point's
+    # defect is relative to the candidate's own terms, so shrinking it does not pass it
+    figures = []
+    for scale in ("1", c1):
+        out = tmp_path / f"literal-{scale}.csv"
+        code = main(["solve", "--m", "1", "--eta", "0", "--k0", "1", "--k", "4",
+                     "--omega", "2", "--variant", "paper-literal", "--c1", scale, "--c2", "0",
+                     "--t0", "0", "--t1", "10", "--dt", "0.1", "--out", str(out)])
+        assert code == 1
+        figures.append(json.loads(out.with_suffix(".json").read_text())["residual_linf"])
+    assert figures[1] == pytest.approx(figures[0], rel=1e-12)
 
 
 def test_solve_that_overflows_writes_no_artifacts(tmp_path, capsys):
@@ -713,6 +717,44 @@ def test_an_overflow_is_a_range_limit_error(case, tmp_path, capsys):
         assert main(case + ["--out", str(out)]) == 1
     assert not out.exists() and not (tmp_path / "job.json").exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# a derived quantity that leaves double precision names itself in a
+# RangeLimitError (a regex on its message), under CI's warning flags too, and a
+# CLI job prints it after "error: ", not a traceback
+_MASS_1E_300 = ["flux", "--m", "1e-300", "--eta", "1", "--k0", "1", "--k", "1", "--omega", "1",
+                "--B", "1", "--J0", "1", "--Omega", "1"]
+NAMED_OVERFLOWS = [
+    ("reduce-eq15-lambda-1e200", r"^lambda\^2 = ", lambda: reductions.reduce(
+        reductions.ReductionInput("eq15", a=1e200, b=1e200, lam=1e200))),
+    ("reduce-damped-omega-1e-200", r"^h = ", lambda: reductions.reduce(reductions.ReductionInput(
+        "damped", params=flux.DampedParams(1.0, 1.0, 1.0, 1.0, 1e-200)))),
+    ("index-k0-1e308", r"^the index nu = ",
+     lambda: closed_form.index(flux.DampedParams(1.0, 0.5, 1e308, 1.0, 2.0))),
+    ("argument-scale-k-over-m-1e600", r"^the argument scale = ",
+     lambda: closed_form.argument_scale(flux.DampedParams(1e-300, 0.5, 1.0, 1e300, 2.0))),
+    ("steady-state-drive-1e610", "overflow", lambda: flux.steady_state_modulation(flux.FluxParams(
+        flux.DampedParams(1.0, 2.0, 100.0, 1.0, 0.01), B=1e300, J0=1e300, Omega=1.0,
+        c_light=1e-10))),
+    ("transform-job-eq15", r"^lambda\^2 = ",
+     ["transform", "--family", "eq15", "--a", "1e200", "--b", "1e200", "--lam", "1e200"]),
+    ("flux-job-m-1e-300", r"^h = ", _MASS_1E_300),
+]
+
+
+@pytest.mark.parametrize("name, case", [case[1:] for case in NAMED_OVERFLOWS],
+                         ids=[case[0] for case in NAMED_OVERFLOWS])
+def test_a_derived_quantity_out_of_range_is_named(name, case, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        if callable(case):
+            with pytest.raises(RangeLimitError, match=name):
+                case()
+            return
+        assert main(case) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(name, err.removeprefix("error: "))
 
 
 def test_floquet_at_the_reduction_of_a_flux_job(tmp_path):

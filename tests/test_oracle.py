@@ -391,7 +391,6 @@ def test_residual_exact_solution():
     assert rep.linf < 1e-12
     assert rep.l2 <= rep.linf
     assert rep.verdict is True
-    assert rep.normalization == 1.0  # |y''| and |q y| at t = 0
     assert len(rep.pointwise) == len(grid)
 
 
@@ -413,7 +412,8 @@ def test_residual_does_not_depend_on_the_candidate_s_size(size):
     grid = np.linspace(0.0, 3.0, 31)
     y = size * np.cos(1.1 * grid)
     wrong = TimeSeries(grid=grid, y=y, dy=-1.1 * size * np.sin(1.1 * grid), d2y=-1.21 * y)
-    assert residual(HARMONIC, wrong).linf == pytest.approx(0.21 / 1.21, rel=1e-12)
+    # worst at t = 0, where y' = 0: |y'' + y| / (|y''| + |y|)
+    assert residual(HARMONIC, wrong).linf == pytest.approx(0.21 / 2.21, rel=1e-12)
     # y = 0 solves every homogeneous equation, and its terms are all 0
     assert residual(HARMONIC, _series_on(grid)).linf == 0.0
     # but no forced one
@@ -535,7 +535,7 @@ def test_residual_of_series_equals_callable_on_its_grid():
     table = {float(t): series[i] for i, t in enumerate(series.grid)}
     a = residual(DRIVEN, series)
     b = residual(DRIVEN, table.__getitem__, series.grid)
-    assert (a.linf, a.l2, a.normalization, a.verdict) == (b.linf, b.l2, b.normalization, b.verdict)
+    assert (a.linf, a.l2, a.verdict) == (b.linf, b.l2, b.verdict)
     assert np.array_equal(a.pointwise, b.pointwise)
     assert a.linf < 1e-12
 

@@ -7,7 +7,8 @@ that equation, or, where a residual would be vacuous (integrate and
 simulate_full take y'' from the equation itself), the distance from a known
 solution.  A completeness check requires a row for every callable in
 mathieu_kit.__all__ whose return annotation names a solution type, so a new
-public solution with no row fails here.
+public solution with no row fails here.  A last test holds the residual
+itself to a tight stepper started from each solution's own state.
 """
 
 from __future__ import annotations
@@ -360,3 +361,77 @@ def test_public_solution_meets_its_equation(row):
     figures = [check(series) for _ in range(row.draws) for series, check in row.draw(rng)]
     assert len(figures) >= row.draws
     assert max(figures) <= row.bound
+
+
+# ------------------------------------------------- the residual against a stepper
+
+STEPPER_TOL = 1e-13
+
+
+def reversed_ode(ode: LinearODE) -> LinearODE:
+    """The equation in s = -t: Y(s) = y(-s) solves Y'' - p(-s) Y' + q(-s) Y = f(-s)."""
+    def flipped(c, sign):
+        return None if c is None else (lambda s: sign * c(-s))
+    return LinearODE(flipped(ode.p, -1.0), flipped(ode.q, 1.0), flipped(ode.f, 1.0))
+
+
+def stepper_disagreement(ode: LinearODE, series: TimeSeries) -> float:
+    """Worst distance of a tol-1e-13 stepper from the series, relative to the local size.
+
+    Over each grid interval the stepper starts from the series' own state at
+    the end where the series is smaller and runs to the other end, so it
+    follows the solution that grows there and its own error stays small.  The
+    local size is the residual's scale less |y''|, over Q: |y| + (P + sqrt Q)
+    |y'| / Q + F / Q, with P, Q and F the grid maxima of |p|, |q| and |f|.
+    """
+    grid, y, dy = series.grid, series.y, series.dy
+    big_p, big_q, big_f = (float(np.max(np.abs(c))) for c in ode.coefficients_on(grid))
+    rate = (big_p + math.sqrt(big_q)) / big_q
+    size = np.abs(y) + rate * np.abs(dy) + big_f / big_q
+    backward, worst = reversed_ode(ode), 0.0
+    for i in range(len(grid) - 1):
+        # (the equation, its span, sign of t, start index, end index)
+        ahead = size[i] <= size[i + 1]
+        eq, span, sign, a, b = ((ode, (grid[i], grid[i + 1]), 1.0, i, i + 1) if ahead else
+                                (backward, (-grid[i + 1], -grid[i]), -1.0, i + 1, i))
+        # a state below the stepper's absolute tolerance is rest to it (started
+        # from rounding noise under a drive, its first step underflows)
+        at_rest = abs(y[a]) + abs(dy[a]) <= STEPPER_TOL
+        start = (0.0, 0.0) if at_rest else (y[a], sign * dy[a])
+        end = integrate(eq, *start, span, STEPPER_TOL)
+        miss = abs(end.y[-1] - y[b]) + rate * abs(sign * end.dy[-1] - dy[b])
+        worst = max(worst, miss / size[b])
+    return worst
+
+
+def _far_off_the_chart(rng):
+    # the Floquet scan box: theta log-uniform in [100, 1e4], h uniform in [-2 theta, 4 theta]
+    theta = math.exp(rng.uniform(math.log(100.0), math.log(1e4)))
+    gp = GeneralParams(rng.uniform(-2.0 * theta, 4.0 * theta), theta)
+    return general_mathieu_ode(gp), eval_floquet_grid(solve(gp), np.linspace(0.0, math.pi, 41))
+
+
+def _closed_form_box(rng):
+    p = damped(rng)
+    spec = general_solution(p, Variant.CORRECTED, constant(rng), constant(rng))
+    return split_ode(p), evaluate_grid(spec, CLOSED_FORM_GRID)
+
+
+def _flux_box(rng):
+    fp = flux_params(rng)
+    return full_ode(fp), closed_form_motion(fp, 0.0, FLUX_GRID)
+
+
+@pytest.mark.parametrize("draw, draws", [(_far_off_the_chart, 8), (_closed_form_box, 2),
+                                         (_flux_box, 2)], ids=["floquet", "closed form", "flux"])
+def test_no_solution_passes_the_residual_while_a_tight_stepper_disagrees(draw, draws):
+    # the floquet box's draws 4 and 5 (of 0-7) miss their equation where |y| is
+    # small, and are refused; a residual scaled by the grid's largest term passed them
+    rng = np.random.default_rng(1)
+    passed = 0
+    for _ in range(draws):
+        ode, series = draw(rng)
+        if residual(ode, series).verdict:
+            passed += 1
+            assert stepper_disagreement(ode, series) <= 1e-6
+    assert passed

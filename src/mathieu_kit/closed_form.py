@@ -43,10 +43,10 @@ import numpy as np
 
 from . import bessel
 from .bessel import bessel_j, bessel_y  # noqa: F401  (not called; perfbench's trace wraps them here)
-from .errors import AdmissibilityError, InvalidParameterError, RangeLimitError, SingularityError
+from .errors import AdmissibilityError, InvalidParameterError, SingularityError
 from .oracle import LinearODE, ResidualReport, equation, residual
 from .samples import SolutionSample, TimeSeries, as_grid, decayed
-from .samples import admit_fields, complex_number, real_number
+from .samples import admit_fields, complex_number, real_number, representable
 
 ADMISSIBILITY_TOL = 1e-9
 
@@ -141,12 +141,6 @@ class ClosedFormSpec:
         return int(round(self.nu.real))
 
 
-def _finite(name: str, value: complex) -> complex:
-    if not cmath.isfinite(value):
-        raise RangeLimitError(f"{name} = {value!r} leaves double precision")
-    return value
-
-
 def index(params: DampedParams, variant=Variant.CORRECTED) -> complex:
     """Cylinder-function index nu for the given placement (principal branch).
 
@@ -155,7 +149,8 @@ def index(params: DampedParams, variant=Variant.CORRECTED) -> complex:
     variant = _coerce_variant(variant)
     a = params.damping_rate
     ratio = params.stiffness_ratio if variant is Variant.CORRECTED else params.modulation_ratio
-    return _finite("the index nu", cmath.sqrt(complex(a * a - 4.0 * ratio)) / (1j * params.omega))
+    return representable("the index nu = sqrt(a^2 - 4 ratio)/(i omega)",
+                         lambda: cmath.sqrt(complex(a * a - 4.0 * ratio)) / (1j * params.omega))
 
 
 def argument_scale(params: DampedParams, variant=Variant.CORRECTED) -> complex:
@@ -165,7 +160,8 @@ def argument_scale(params: DampedParams, variant=Variant.CORRECTED) -> complex:
     """
     variant = _coerce_variant(variant)
     ratio = params.modulation_ratio if variant is Variant.CORRECTED else params.stiffness_ratio
-    return _finite("the argument scale", 2.0 * cmath.sqrt(complex(ratio)) / (1j * params.omega))
+    return representable("the argument scale = 2 sqrt(ratio)/(i omega)",
+                         lambda: 2.0 * cmath.sqrt(complex(ratio)) / (1j * params.omega))
 
 
 def is_admissible(params: DampedParams, variant=Variant.CORRECTED) -> Optional[int]:
@@ -231,7 +227,8 @@ def evaluate_grid(spec: ClosedFormSpec, grid) -> TimeSeries:
     bessel_jy when the second kind is present and bessel_j otherwise
     (bessel's array path); the rest is array arithmetic.  A value or
     derivative that overflows double precision (say, from constants near
-    1e308) raises RangeLimitError at its first t.
+    1e308) raises RangeLimitError at its first t; an exponent rate whose
+    square leaves it (|omega| above about 2.7e154) raises one naming that.
     """
     grid = as_grid(grid)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -266,7 +263,7 @@ def _rows(spec: ClosedFormSpec, grid: np.ndarray) -> tuple:
     d2b = -db / z + (n * n / (z * z) - 1.0) * b
 
     dz = spec.exponent_rate * z
-    d2z = spec.exponent_rate ** 2 * z
+    d2z = representable("the exponent rate squared", lambda: spec.exponent_rate ** 2) * z
     return decayed(r, grid, b, db * dz, d2b * dz * dz + db * d2z)
 
 

@@ -45,7 +45,7 @@ from .errors import ConvergenceError, InvalidParameterError, RangeLimitError, Si
 from .exponent_class import class_distance, normalize_exponent
 from .oracle import LinearODE, equation
 from .oracle import monodromy_exponent  # noqa: F401  (not called; perfbench's trace wraps it here)
-from .samples import SolutionSample, TimeSeries, admit_fields, as_grid, complex_number
+from .samples import SolutionSample, TimeSeries, admit_fields, as_grid, complex_number, representable
 
 # a sweep is deep enough once its last terms are below CONVERGED_TAIL of the
 # peak; a series ends where |c_n| falls below SERIES_TAIL of it
@@ -124,9 +124,7 @@ def hill_determinant(gp: GeneralParams, mu: complex) -> complex:
     for n in range(-trunc + 1, trunc + 1):
         cur = (_diagonal(gp, mu, n) / w(n)) * d_prev - (th * th / (w(n) * w(n - 1))) * d_prev2
         d_prev2, d_prev = d_prev, cur
-    if not cmath.isfinite(d_prev):
-        raise RangeLimitError(f"Hill determinant at mu = {mu!r} overflows double precision")
-    return d_prev
+    return representable(f"the Hill determinant at mu = {mu!r}", lambda: d_prev)
 
 
 def _hill_seed(gp: GeneralParams) -> complex:

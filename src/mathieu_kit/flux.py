@@ -48,11 +48,11 @@ import numpy as np
 
 from . import floquet
 from .closed_form import DampedParams
-from .errors import (ConvergenceError, InvalidParameterError, RangeLimitError, ResonanceError,
-                     SingularityError, SpanError)
+from .errors import (ConvergenceError, InvalidParameterError, ResonanceError, SingularityError,
+                     SpanError)
 from .oracle import LinearODE, equation, integrate, residual
 from .reductions import damped_to_general
-from .samples import TimeSeries, admit_fields, as_grid, real_number
+from .samples import TimeSeries, admit_fields, as_grid, real_number, representable
 
 REGIME_RATIO = 0.02
 LOWPASS_CARRIER_PERIODS = 8
@@ -197,13 +197,8 @@ def induced_field_model(fp: FluxParams) -> InducedFieldModel:
     b = fp.base
     if b.k0 == 0:
         raise InvalidParameterError("k0 must be nonzero for the induced-field model")
-    try:
-        prefactor = fp.B ** 2 * fp.J0 * fp.Omega / (abs(b.k0) * fp.c_light ** 2)
-    except (OverflowError, ZeroDivisionError):  # B^2 or c^2 leaves double precision
-        prefactor = math.inf
-    if not math.isfinite(prefactor):
-        raise RangeLimitError("the induced-field prefactor B^2 J0 Omega / (|k0| c^2) "
-                              "overflows double precision")
+    prefactor = representable("the induced-field prefactor B^2 J0 Omega / (|k0| c^2)",
+                              lambda: fp.B ** 2 * fp.J0 * fp.Omega / (abs(b.k0) * fp.c_light ** 2))
     return InducedFieldModel(
         epsilon=b.k / b.k0,
         phi=math.atan2(2.0 * b.eta * b.omega, b.k0),
@@ -268,7 +263,8 @@ def sideband_amplitudes(fp: FluxParams) -> np.ndarray:
     s_n = a_{-n}/a_{-(n-1)}, and a_0 = F / (D_0 + (k/2)(r_1 + s_1)).
     floquet.fourier_series decides where the sum ends, as it does for every
     Floquet series.  A zero pivot is an exact resonance (with k = 0: D_0 = 0
-    at eta = 0) and raises ResonanceError.
+    at eta = 0) and raises ResonanceError; amplitudes beyond double precision
+    raise RangeLimitError.
     """
     b = fp.base
     red = damped_to_general(b)
@@ -280,11 +276,8 @@ def sideband_amplitudes(fp: FluxParams) -> np.ndarray:
     if pivot == 0:
         raise ResonanceError(
             f"drive frequency {fp.Omega!r} is at an exact resonance: no bounded steady state")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        a = (fp.drive_amplitude / pivot) * c
-    if not np.all(np.isfinite(a.view(float))):
-        raise RangeLimitError("steady-state sideband amplitudes overflow")
-    return a
+    return representable("the steady-state sideband amplitudes a_n = (F/pivot) c_n",
+                         lambda: (fp.drive_amplitude / pivot) * c)
 
 
 def steady_state_modulation(fp: FluxParams) -> ModulationResult:
@@ -304,13 +297,14 @@ def steady_state_modulation(fp: FluxParams) -> ModulationResult:
     a = sideband_amplitudes(fp)
     n = (len(a) - 1) // 2
     phase = 2.0 * math.pi * np.arange(ENVELOPE_POINTS) / ENVELOPE_POINTS
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+
+    def envelope():
         side = (-fp.B / fp.c_light) * 1j * (fp.Omega + b.omega * np.arange(-n, n + 1)) * a
         # Z at |omega| t = phase: e^{i n omega t} = e^{i n sign(omega) phase}
         env = np.abs(floquet.exponential_sum(side, 0.0, math.copysign(1.0, b.omega) * 1j, phase)[0])
-        carrier = float(np.mean(env))
-    if not math.isfinite(carrier):
-        raise RangeLimitError("the steady field's envelope overflows")
+        return env, float(np.mean(env))
+
+    env, carrier = representable("the steady field's envelope |Z|", envelope)
     if carrier == 0.0:
         return ModulationResult(carrier_amplitude=0.0, modulation_depth=0.0, modulation_phase=0.0)
     h1 = 2.0 * np.mean(env * np.exp(-1j * phase))

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, RangeLimitError, StiffnessError
 from .exponent_class import normalize_exponent
-from .samples import SolutionSample, TimeSeries, as_grid, complex_number, real_number
+from .samples import SolutionSample, TimeSeries, as_grid, complex_number, real_number, representable
 
 Coefficient = Callable[[float], float | complex]
 
@@ -76,7 +76,7 @@ _BETA = 0.04
 _ALPHA = 0.2 - 0.75 * _BETA
 _FAC_MIN = 0.2
 _FAC_MAX = 10.0
-# a step of at most 16 roundoff units of max(|t|, 1) counts as underflow
+# a step of at most 16 roundoff units of |t| is an underflow (Hairer's rule: none at t = 0)
 _H_UNDERFLOW = 16.0 * float(np.finfo(float).eps)
 
 
@@ -104,10 +104,10 @@ class LinearODE:
     on_grid: Callable[[np.ndarray], tuple] | None = None
 
     def coefficients_on(self, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """p, q and f on a grid as complex arrays (zeros for None)."""
+        """p, q and f on a grid (zeros for None): on_grid's in their own dtypes, sampled complex."""
         if self.on_grid is None:
             return _sample(self.p, grid), _sample(self.q, grid), _sample(self.f, grid)
-        return tuple(np.full(np.shape(grid), v, dtype=complex) for v in self.on_grid(grid))
+        return tuple(np.full(np.shape(grid), v) for v in self.on_grid(grid))
 
 
 def equation(p=None, q=None, f=None) -> LinearODE:
@@ -251,7 +251,7 @@ def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: Sequence[complex], 
         if n_accept + n_reject > _MAX_STEPS:
             raise _stiff("step budget exhausted at", t, y, v)
         h = min(h, t1 - t)
-        if h <= _H_UNDERFLOW * max(abs(t), 1.0):
+        if h <= _H_UNDERFLOW * abs(t):
             raise _stiff("step size underflow at", t, y, v)
         t2, t3, t4, t5, t6 = t + _C2 * h, t + _C3 * h, t + _C4 * h, t + _C5 * h, t + h
         # one coefficient evaluation per stage time: stages 6 and 7 both sit
@@ -378,14 +378,10 @@ def monodromy_exponent(ode: LinearODE, period: float, tol: float) -> MonodromyRe
             exc.args = (f"period map column {name}: {exc}",)
             raise
     (y1, dy1), (y2, dy2) = columns
-    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        trace = y1 + dy2
-        det_m = y1 * dy2 - y2 * dy1
-        # trace^2 - 4 det without its cancellation where the map is +-I (a double multiplier)
-        disc_sq = (y1 - dy2) * (y1 - dy2) + 4.0 * y2 * dy1
-    if not (cmath.isfinite(det_m) and cmath.isfinite(disc_sq)):
-        raise RangeLimitError(f"period map over {period:g} overflows double precision: "
-                              f"det = {complex(det_m)!r}")
+    # trace^2 - 4 det without its cancellation where the map is +-I (a double multiplier)
+    trace, det_m, disc_sq = representable(
+        f"the period map over {period:g} (its trace, determinant and discriminant)",
+        lambda: (y1 + dy2, y1 * dy2 - y2 * dy1, (y1 - dy2) * (y1 - dy2) + 4.0 * y2 * dy1))
     disc = cmath.sqrt(disc_sq)
     # add the root branch that avoids cancellation, recover the other via the product
     if (trace.conjugate() * disc).real >= 0.0:
@@ -424,7 +420,8 @@ def residual(
     largest, the figure still sees the solution's size.  The figure is at
     most 1, reads the same for any multiple of a homogeneous candidate, huge
     or tiny, and reads 0 where every term is 0.  verdict is the one pass rule,
-    linf < PASS_TOL; a non-finite defect fails it.
+    linf < PASS_TOL; a NaN coefficient fails it, and a defect of finite terms
+    beyond double precision (say, q y) raises RangeLimitError naming it.
     """
     series = isinstance(candidate, TimeSeries)
     if series and grid is not None:
@@ -437,13 +434,15 @@ def residual(
         y, dy, d2y = np.array([(s.y, s.dy, s.d2y) for s in samples], dtype=complex).T
     pv, qv, fv = ode.coefficients_on(grid)
     big_p, big_q, big_f = (np.max(np.abs(v)) for v in (pv, qv, fv))
-    # every magnitude over the largest keeps the scale's sum below the overflow
-    # edge; that is 0 when every term is, and NaN for a NaN coefficient, which
-    # the defect carries to the figure by itself
-    mags = [np.abs(v) for v in (y, dy, d2y, d2y + pv * dy + qv * y - fv)]
-    size = np.max([big_f, *(np.max(v) for v in mags[:3])])
+    mags = [np.abs(v) for v in (y, dy, d2y)]
+    size = np.max([big_f, *(np.max(v) for v in mags)])
+    # finite terms must give a finite defect; a NaN term (a NaN coefficient) fails the verdict
+    formula = lambda: d2y + pv * dy + qv * y - fv
+    defect = (representable("the defect y'' + p y' + q y - f", formula)
+              if np.isfinite(big_p + big_q + size) else formula())
+    # magnitudes over the largest keep the scale's sum below the overflow edge
     unit = size if size > 0.0 else 1.0
-    y_mag, dy_mag, d2y_mag, defect = (v / unit for v in mags)
+    y_mag, dy_mag, d2y_mag, defect = (v / unit for v in (*mags, np.abs(defect)))
     scale = d2y_mag + (big_p + np.sqrt(big_q)) * dy_mag + big_q * y_mag + big_f / unit
     # a point whose every term is 0 has a defect of 0, divided by 1
     figure = defect / np.where(scale > 0.0, scale, 1.0)

@@ -30,15 +30,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .closed_form import DampedParams, homogeneous_ode
-from .errors import InvalidParameterError, MapDomainError, RangeLimitError
+from .errors import InvalidParameterError, MapDomainError
 from .floquet import GeneralParams
 from .oracle import LinearODE, equation
 from .samples import MAX_GRID_POINTS, TimeSeries, admit_fields, as_grid, decayed, real_number
+from .samples import representable
 
 FAMILIES = ("eq11", "eq13", "eq15", "eq17-sin", "eq17-cos", "damped")
 
@@ -109,18 +110,6 @@ class ReductionResult:
         return _source_time(self, z)[0]
 
 
-def _representable(name: str, formula: Callable[[], float]) -> float:
-    """formula(), or RangeLimitError naming it when it leaves double precision: an
-    overflowing power or product, or a divisor that underflowed to 0."""
-    try:
-        value = formula()
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not math.isfinite(value):
-        raise RangeLimitError(f"{name} leaves double precision")
-    return value
-
-
 def damped_to_general(params: DampedParams) -> ReductionResult:
     """Peel off exp(-eta t / 2m) and rescale time to tau = omega t / 2.
 
@@ -129,9 +118,9 @@ def damped_to_general(params: DampedParams) -> ReductionResult:
     beyond double precision raises RangeLimitError.
     """
     m, eta, omega = params.m, params.eta, params.omega
-    h = _representable("h = (4/omega^2)(k0/m - eta^2/(4 m^2))",
-                       lambda: (4.0 / omega ** 2) * (params.k0 / m - eta ** 2 / (4.0 * m ** 2)))
-    theta = _representable("theta = -2k/(m omega^2)", lambda: -2.0 * params.k / (m * omega ** 2))
+    h = representable("h = (4/omega^2)(k0/m - eta^2/(4 m^2))",
+                      lambda: (4.0 / omega ** 2) * (params.k0 / m - eta ** 2 / (4.0 * m ** 2)))
+    theta = representable("theta = -2k/(m omega^2)", lambda: -2.0 * params.k / (m * omega ** 2))
     return ReductionResult(
         gp=GeneralParams(h=h, theta=theta),
         variable_map=MAP_RESCALE,
@@ -157,9 +146,9 @@ def reduce(inp: ReductionInput) -> ReductionResult:
     if inp.family == "eq15":
         lam = inp.lam
         # lam is nonzero, so a square of 0 has underflowed
-        lam_sq = _representable(f"lambda^2 = ({lam:g})^2", lambda: lam ** 2 or math.inf)
-        h = _representable("h = 4b/lambda^2", lambda: 4.0 * b / lam_sq)
-        theta = _representable("theta = -2a/lambda^2", lambda: -2.0 * a / lam_sq)
+        lam_sq = representable(f"lambda^2 = ({lam:g})^2", lambda: lam ** 2 or math.inf)
+        h = representable("h = 4b/lambda^2", lambda: 4.0 * b / lam_sq)
+        theta = representable("theta = -2a/lambda^2", lambda: -2.0 * a / lam_sq)
         return ReductionResult(gp=GeneralParams(h=h, theta=theta), variable_map=MAP_LINEAR,
                                time_scale=2.0 / lam)
     # eq17: cos 2t enters with opposite signs for the two squared carriers

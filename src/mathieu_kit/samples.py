@@ -1,7 +1,8 @@
 """Shared sample containers for solutions of second-order linear ODEs, the chain rule
-of an e^{-rt} prefactor (decayed), and the rule that admits a number from outside: a
-finite Python or numpy int, float or complex (a real field refuses a complex value,
-even one with a zero imaginary part)."""
+of an e^{-rt} prefactor (decayed), and the two rules for numbers.  One admits a number
+from outside: a finite Python or numpy int, float or complex (a real field refuses a
+complex value, even one with a zero imaginary part).  representable refuses a derived
+number that leaves double precision, with a RangeLimitError naming it."""
 
 from __future__ import annotations
 
@@ -42,6 +43,21 @@ def _admit(name: str, value, types: tuple, what: str, kind: type):
     if not cmath.isfinite(number):
         raise InvalidParameterError(f"{name} must be finite, got {number!r}")
     return number
+
+
+def representable(name: str, formula):
+    """formula(), or RangeLimitError naming it when it leaves double precision: an
+    overflow, a divisor that underflowed to 0, or any inf or NaN in what it returns
+    (a scalar, a tuple or an array)."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            value = formula()
+        except (OverflowError, ZeroDivisionError):
+            value = math.inf
+    for part in value if isinstance(value, tuple) else (value,):
+        if not (np.isfinite(part).all() if isinstance(part, np.ndarray) else cmath.isfinite(part)):
+            raise RangeLimitError(f"{name} leaves double precision")
+    return value
 
 
 def admit_fields(instance, admit, *names: str) -> None:

@@ -724,6 +724,8 @@ def test_an_overflow_is_a_range_limit_error(case, tmp_path, capsys):
 # CLI job prints it after "error: ", not a traceback
 _MASS_1E_300 = ["flux", "--m", "1e-300", "--eta", "1", "--k0", "1", "--k", "1", "--omega", "1",
                 "--B", "1", "--J0", "1", "--Omega", "1"]
+_FAST_MODULATION = flux.DampedParams(1.0, 0.0, 0.0, 1.0, -1e300)
+_HUGE_STIFFNESS = flux.DampedParams(1.0, 1.0, 1e300, 2.0, 1e154)
 NAMED_OVERFLOWS = [
     ("reduce-eq15-lambda-1e200", r"^lambda\^2 = ", lambda: reductions.reduce(
         reductions.ReductionInput("eq15", a=1e200, b=1e200, lam=1e200))),
@@ -733,12 +735,26 @@ NAMED_OVERFLOWS = [
      lambda: closed_form.index(flux.DampedParams(1.0, 0.5, 1e308, 1.0, 2.0))),
     ("argument-scale-k-over-m-1e600", r"^the argument scale = ",
      lambda: closed_form.argument_scale(flux.DampedParams(1e-300, 0.5, 1.0, 1e300, 2.0))),
-    ("steady-state-drive-1e610", "overflow", lambda: flux.steady_state_modulation(flux.FluxParams(
+    ("steady-state-drive-1e610", r"^the steady-state sideband amplitudes ", lambda: flux.steady_state_modulation(flux.FluxParams(
         flux.DampedParams(1.0, 2.0, 100.0, 1.0, 0.01), B=1e300, J0=1e300, Omega=1.0,
         c_light=1e-10))),
     ("transform-job-eq15", r"^lambda\^2 = ",
      ["transform", "--family", "eq15", "--a", "1e200", "--b", "1e200", "--lam", "1e200"]),
     ("flux-job-m-1e-300", r"^h = ", _MASS_1E_300),
+    # the exponent rate i omega/2 is finite, its square is not
+    ("evaluate-grid-omega-1e300", r"^the exponent rate squared ",
+     lambda: closed_form.evaluate_grid(closed_form.general_solution(
+         _FAST_MODULATION, c2=1.0, allow_inadmissible=True), [0.0, 0.5, 1.0])),
+    ("solve-job-omega-1e300", r"^the exponent rate squared ",
+     ["solve", "--m", "1", "--eta", "0", "--k0", "0", "--k", "1", "--omega=-1e300", "--c2", "1",
+      "--allow-inadmissible", "--t1", "1", "--dt", "0.5"]),
+    # the samples and the coefficients are finite, q y is not
+    ("residual-k0-1e300", r"^the defect y'' \+ p y' \+ q y - f ", lambda: oracle.residual(
+        closed_form.split_ode(_HUGE_STIFFNESS), closed_form.evaluate_grid(closed_form.general_solution(
+            _HUGE_STIFFNESS, c2=1.0, allow_inadmissible=True), np.linspace(0.0, 10.0, 501)))),
+    ("residual-job-k0-1e300", r"^the defect y'' \+ p y' \+ q y - f ",
+     ["residual", "--m", "1", "--eta", "1", "--k0", "1e300", "--k", "2", "--omega", "1e154",
+      "--allow-inadmissible"]),
 ]
 
 

@@ -394,11 +394,7 @@ def stepper_disagreement(ode: LinearODE, series: TimeSeries) -> float:
         ahead = size[i] <= size[i + 1]
         eq, span, sign, a, b = ((ode, (grid[i], grid[i + 1]), 1.0, i, i + 1) if ahead else
                                 (backward, (-grid[i + 1], -grid[i]), -1.0, i + 1, i))
-        # a state below the stepper's absolute tolerance is rest to it (started
-        # from rounding noise under a drive, its first step underflows)
-        at_rest = abs(y[a]) + abs(dy[a]) <= STEPPER_TOL
-        start = (0.0, 0.0) if at_rest else (y[a], sign * dy[a])
-        end = integrate(eq, *start, span, STEPPER_TOL)
+        end = integrate(eq, y[a], sign * dy[a], span, STEPPER_TOL)
         miss = abs(end.y[-1] - y[b]) + rate * abs(sign * end.dy[-1] - dy[b])
         worst = max(worst, miss / size[b])
     return worst

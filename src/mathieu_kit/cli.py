@@ -12,7 +12,8 @@ is UTF-8 either way, whatever the locale.
 parse() builds each job's typed inputs once.  Each runner returns its table as
 a header plus the columns it already holds, and one writer, _write_csv,
 streams every table in blocks of rows: numbers as '%.17g', labels as they are,
-CRLF line ends.
+CRLF line ends; numpy lays out the bytes '%.17g' prints from each number's exactly
+rounded digits, and leaves NaN, ±inf, exponent notation and short blocks to '%'.
 
 Exit codes: 0 success, 1 numerical failure (artifacts are still emitted when
 they exist), 2 usage error.  MATHIEU_KIT_TOL overrides the oracle tolerance
@@ -45,8 +46,9 @@ from .oracle import PASS_TOL, TOL_MAX, TOL_MIN, integrate, residual, validate_to
 from .samples import MAX_GRID_POINTS, complex_number, real_number
 
 DEFAULT_TOL = 1e-10
-# rows _write_csv formats per '%': enough to amortise the call, few enough that
-# only one block's cells are ever held as Python objects
+# rows _write_csv formats at a time: enough to amortise a block's numpy calls, few
+# enough that one block's byte frames are held; a block under an eighth of this
+# costs those calls more than they save, and goes through '%' alone
 CSV_BLOCK_ROWS = 2048
 
 
@@ -270,25 +272,126 @@ def _sidecar_base(job: JobSpec) -> dict:
     }
 
 
+@functools.cache
+def _csv_tables() -> tuple:
+    """_csv_cells' constants, built on the first CSV write."""
+    # each 4-digit group as 4 ASCII bytes in one word, and its trailing zeros (4 for 0);
+    # small dtypes, as 320 KiB temporaries raised a flux process's peak RSS by 0.5 MiB
+    groups = np.arange(10000, dtype=np.int16)[:, None]
+    digits4 = (48 + groups // np.int16([1000, 100, 10, 1]) % 10).astype(np.uint8)
+    digits4 = digits4.view("<u4").ravel()
+    zeros4 = (groups % np.int16([10, 100, 1000, 10000]) == 0).sum(axis=1)
+    # 10^s exactly for s <= 21, with its Veltkamp split into two 26-bit halves
+    pow10 = np.array([float(10 ** s) for s in range(22)])
+    high = 134217729.0 * pow10 - (134217729.0 * pow10 - pow10)
+    # masks of a 32-byte cell (little-endian words, byte b for column b - 3) by the point's
+    # column (exponent + 5) and trailing zeros t: integer part, point, fraction to 21 - t
+    col = np.arange(32) - 3
+    point = np.arange(22)[:, None, None]
+    last = 21 - np.arange(17)[:, None]
+    masks = np.stack(np.broadcast_arrays(
+        ((col >= np.minimum(4, point - 1)) & (col < point)) * np.uint8(255),
+        ((col > point) & (col <= last)) * np.uint8(255),
+        ((col == point) & (last > point)) * np.uint8(ord("."))))
+    return digits4, zeros4, np.stack([pow10, high, pow10 - high]), \
+        masks.view(np.uint64).reshape(3, -1, 4)
+
+
+def _digits17(a: np.ndarray, k: np.ndarray, pow10: np.ndarray) -> np.ndarray:
+    """round(a 10^(16 - k)) exactly, rounding half to even, for a > 0 about 10^k."""
+    b, b_high, b_low = np.take(pow10, 16 - k, axis=1)
+    p = a * b
+    split = 134217729.0 * a
+    high = split - (split - a)
+    low = a - high
+    # Dekker's two-product: a b = p + e exactly
+    e = ((high * b_high - p) + high * b_low + low * b_high) + low * b_low
+    # p is then an even integer (p >= 1e16 > 2^53), so p + rint(e) rounds a b half to even
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _csv_cells(x: np.ndarray) -> np.ndarray:
+    """'%.17g' % v for each float v of x, as rows of 25 bytes padded with NULs.
+
+    A number that prints in fixed notation (0, or a decimal exponent from -4 to
+    16 after rounding) is laid out from its 17 correctly rounded digits; NaN,
+    ±inf and exponent notation go through Python's '%', one for them all.
+    """
+    digits4, zeros4, pow10, masks = _csv_tables()
+    a = np.abs(x)
+    fixed = (a >= 1e-5) & (a < 1e17)
+    a = np.where(fixed, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64).clip(-5, 16)
+    d = _digits17(a, k, pow10)
+    # log10 can miss k by one, and rounding can carry into the next decade: one fix for both
+    off = np.flatnonzero((d < 10 ** 16) | (d >= 10 ** 17))
+    k[off] += np.where(d[off] < 10 ** 16, -1, 1)
+    d[off] = _digits17(a[off], k[off], pow10)
+    zero = x == 0
+    fixed = fixed & (k >= -4) | zero
+    d[zero] = 0
+    # the words '0000', '000' and the first digit, four groups of four, '0000' twice
+    g = np.zeros((len(x), 8), np.int64)
+    for j in range(5, 0, -1):
+        q = d // 10000
+        g[:, j] = d - 10000 * q
+        d = q
+    trailing = zeros4[g[:, 2]]
+    for j in (3, 4, 5):
+        trailing = zeros4[g[:, j]] + (g[:, j] == 0) * trailing
+    digits = digits4[g].view(np.uint64).ravel()
+    del g
+    # the same bytes one column on, for the columns after the point
+    shifted = digits << np.uint64(8)
+    shifted[1:] |= digits[:-1] >> np.uint64(56)
+    # the integer part, the fraction and the point, masked in place to hold few frames at once
+    row = (k + 5) * 17 + trailing
+    cells = masks[0].take(row, axis=0).ravel()
+    cells &= digits
+    shifted &= masks[1].take(row, axis=0).ravel()
+    cells |= shifted
+    cells |= masks[2].take(row, axis=0).ravel()
+    cells[::4] |= np.uint64(ord("-")) * np.signbit(x)
+    cells = cells.view(np.uint8).reshape(len(x), 32)
+    # '%' pads these to 32 with spaces, which '%.17g' never prints
+    rest = np.flatnonzero(~fixed)
+    text = np.frombuffer(("%-32.17g" * len(rest) % tuple(x[rest].tolist())).encode(), np.uint8)
+    cells[rest] = np.where(text == ord(" "), 0, text).reshape(-1, 32)
+    return cells[:, :25]
+
+
 def _write_csv(fh, header: list[str], columns: list) -> None:
     """Stream a table, given as its columns, to fh as CSV with CRLF line ends.
 
     Numbers print as '%.17g' (enough digits to round-trip), labels as they are:
     none holds a comma, a quote or a line break, so no cell needs quoting.
-    Rows are formatted CSV_BLOCK_ROWS at a time, one '%' per block.
+    Rows go CSV_BLOCK_ROWS at a time, as one string: numbers laid out by
+    _csv_cells, byte for byte as '%' would, or under CSV_BLOCK_ROWS // 8 rows by one '%'.
     """
     arrays = [np.asarray(c) for c in columns]
-    row = ",".join("%s" if a.dtype.kind == "U" else "%.17g" for a in arrays) + "\r\n"
+    is_label = [a.dtype.kind == "U" for a in arrays]
+    row = ",".join("%s" if label else "%.17g" for label in is_label) + "\r\n"
     fh.write(",".join(header) + "\r\n")
-    n, width = len(arrays[0]), len(arrays)
-    for start in range(0, n, CSV_BLOCK_ROWS):
-        stop = min(start + CSV_BLOCK_ROWS, n)
-        # the block's cells row by row; Python floats format faster than numpy
-        # scalars, and print the same digits
-        cells = [None] * ((stop - start) * width)
-        for j, a in enumerate(arrays):
-            cells[j::width] = a[start:stop].tolist()
-        fh.write((row * (stop - start)) % tuple(cells))
+    for start in range(0, len(arrays[0]), CSV_BLOCK_ROWS):
+        block = [a[start:start + CSV_BLOCK_ROWS] for a in arrays]
+        n = len(block[0])
+        if n < CSV_BLOCK_ROWS // 8:
+            # the block's cells row by row; Python floats format faster than
+            # numpy scalars, and print the same digits
+            cells = [None] * (n * len(block))
+            for j, a in enumerate(block):
+                cells[j::len(block)] = a.tolist()
+            fh.write((row * n) % tuple(cells))
+            continue
+        numbers = np.stack([a for a, label in zip(block, is_label) if not label], axis=1)
+        cells = iter(_csv_cells(numbers.ravel().astype(float)).reshape(n, -1, 25).swapaxes(0, 1))
+        comma = np.full((n, 1), ord(","), np.uint8)
+        pieces = []
+        for a, label in zip(block, is_label):
+            pieces += [np.array([s.encode() for s in a.tolist()]).view(np.uint8).reshape(n, -1)
+                       if label else next(cells), comma]
+        pieces[-1] = np.broadcast_to(np.frombuffer(b"\r\n", np.uint8), (n, 2))
+        fh.write(np.concatenate(pieces, axis=1).tobytes().translate(None, b"\0").decode("utf-8"))
 
 
 def _series_table(ts) -> tuple:

@@ -420,8 +420,9 @@ def residual(
     largest, the figure still sees the solution's size.  The figure is at
     most 1, reads the same for any multiple of a homogeneous candidate, huge
     or tiny, and reads 0 where every term is 0.  verdict is the one pass rule,
-    linf < PASS_TOL; a NaN coefficient fails it, and a defect of finite terms
-    beyond double precision (say, q y) raises RangeLimitError naming it.
+    linf < PASS_TOL.  A coefficient not finite on the grid (NaN, or inf at a singular
+    point) fails it with NaN figures and no numpy warning; a defect of finite
+    terms beyond double precision (say, q y) raises RangeLimitError naming it.
     """
     series = isinstance(candidate, TimeSeries)
     if series and grid is not None:
@@ -432,14 +433,17 @@ def residual(
     else:
         samples = [candidate(t) for t in grid.tolist()]
         y, dy, d2y = np.array([(s.y, s.dy, s.d2y) for s in samples], dtype=complex).T
-    pv, qv, fv = ode.coefficients_on(grid)
+    with np.errstate(all="ignore"):
+        pv, qv, fv = ode.coefficients_on(grid)
     big_p, big_q, big_f = (np.max(np.abs(v)) for v in (pv, qv, fv))
+    if not np.isfinite([big_p, big_q, big_f]).all():
+        return ResidualReport(math.nan, math.nan, False, np.full(len(grid), math.nan))
     mags = [np.abs(v) for v in (y, dy, d2y)]
     size = np.max([big_f, *(np.max(v) for v in mags)])
-    # finite terms must give a finite defect; a NaN term (a NaN coefficient) fails the verdict
+    # finite terms must give a finite defect
     formula = lambda: d2y + pv * dy + qv * y - fv
     defect = (representable("the defect y'' + p y' + q y - f", formula)
-              if np.isfinite(big_p + big_q + size) else formula())
+              if np.isfinite(size) else formula())
     # magnitudes over the largest keep the scale's sum below the overflow edge
     unit = size if size > 0.0 else 1.0
     y_mag, dy_mag, d2y_mag, defect = (v / unit for v in (*mags, np.abs(defect)))

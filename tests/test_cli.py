@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mathieu_kit import floquet
 from mathieu_kit import cli
@@ -499,6 +501,111 @@ def test_csv_writer_blocks_match_the_row_by_row_rendering():
         "%.17g,%.17g,%.17g,%s\r\n" % (int(i), float(a), float(b), label)
         for i, a, b, label in zip(ints, x, y, labels))
     assert buf.getvalue().encode("utf-8") == expected.encode("utf-8")
+
+
+def _row_by_row(header, columns) -> bytes:
+    rows = [",".join(header)] + [
+        ",".join("%s" % c if isinstance(c, str) else "%.17g" % c for c in row)
+        for row in zip(*(np.asarray(col).tolist() for col in columns))]
+    return "".join(row + "\r\n" for row in rows).encode("utf-8")
+
+
+def _written(header, columns, block_rows) -> bytes:
+    # at 8 rows a block every block of a row or more goes through the numpy
+    # kernel; at the default a table under an eighth of a block goes through '%'
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+        buf = io.StringIO()
+        cli._write_csv(buf, header, columns)
+    return buf.getvalue().encode("utf-8")
+
+
+def _near(v: float) -> list:
+    return [np.nextafter(v, 0.0), v, np.nextafter(v, math.inf)]
+
+
+# the ends of fixed notation, where '%.17g' switches to an exponent; 17th
+# digits that are exact ties (N / 2^j with 18 significant digits ending in 5),
+# which round half to even; a value whose log10 rounds up to the next decade
+CSV_BOUNDARY_CELLS = [
+    *_near(1e-4), 9.9999999999999995e-5, *_near(1e-5), *_near(1e16), *_near(1e17),
+    99999999999999999.0, 99999999999999984.0, 1234567890123456.25, 1234567890123456.75,
+    123456789012345.125, 1 + 2.0 ** -17, 1 + 3 * 2.0 ** -17, 211 / 2.0 ** 21, 0.5, 1.0, 10.0,
+    0.1, 0.3, 2.0 / 3.0, 0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    math.nan, math.inf, -math.inf, 123.0, 1e15 + 0.5,
+]
+
+
+@pytest.mark.parametrize("block_rows", [8, cli.CSV_BLOCK_ROWS])
+def test_csv_writer_prints_boundary_cells_as_percent_g_does(block_rows):
+    x = np.array(CSV_BOUNDARY_CELLS)
+    header = ["n", "x", "minus_x", "label"]
+    columns = [np.arange(len(x)) - 20, x, -x, ["stable", "t = cos²z", "failed"] * (len(x) // 3)]
+    columns[-1] += ["boundary"] * (len(x) - len(columns[-1]))
+    assert _written(header, columns, block_rows) == _row_by_row(header, columns)
+    # a table with no rows is its header
+    assert _written(["n", "x"], [np.arange(0), np.zeros(0)], block_rows) == b"n,x\r\n"
+    # floquet's column n is int64, printed as '%.17g' prints a Python int
+    n = np.array([-(2 ** 62), -7, 0, 2 ** 53 + 1, 2 ** 63 - 1])
+    assert _written(["n"], [n], block_rows) == _row_by_row(["n"], [n])
+
+
+_cell = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(min_value=1e-6, max_value=2e17).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.integers(-10 ** 18, 10 ** 18).map(float),
+    st.integers(-20, 20).map(lambda e: 10.0 ** e).flatmap(lambda v: st.sampled_from(_near(v))),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(0, 16).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(_cell, min_size=n, max_size=n), min_size=1, max_size=3),
+    st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=n, max_size=n),
+    st.lists(st.sampled_from(["stable", "unstable", "t = cos²z", "x"]), min_size=n, max_size=n),
+    st.sampled_from([8, 2048]))))
+def test_csv_writer_bytes_equal_the_row_by_row_rendering(table):
+    floats, ints, labels, block_rows = table
+    columns = [np.array(ints, dtype=np.int64), *(np.array(c, dtype=float) for c in floats), labels]
+    header = ["n", *(f"x{j}" for j in range(len(floats))), "label"]
+    assert _written(header, columns, block_rows) == _row_by_row(header, columns)
+
+
+def _seed_write_csv(fh, header, columns):
+    # the writer before the numpy kernel: one '%.17g' per number, a block at a time
+    arrays = [np.asarray(c) for c in columns]
+    row = ",".join("%s" if a.dtype.kind == "U" else "%.17g" for a in arrays) + "\r\n"
+    fh.write(",".join(header) + "\r\n")
+    n, width = len(arrays[0]), len(arrays)
+    for start in range(0, n, 2048):
+        stop = min(start + 2048, n)
+        cells = [None] * ((stop - start) * width)
+        for j, a in enumerate(arrays):
+            cells[j::width] = a[start:stop].tolist()
+        fh.write((row * (stop - start)) % tuple(cells))
+
+
+@pytest.mark.parametrize("block_rows", [8, cli.CSV_BLOCK_ROWS])
+@pytest.mark.parametrize("argv", [
+    SOLVE_ARGS,
+    ["floquet", "--h", "3", "--theta", "1.5"],
+    # a failed row is NaN
+    ["sweep", "--h0=-1e6", "--h1", "1", "--nh", "2", "--theta0", "0.5", "--theta1", "1",
+     "--ntheta", "2"],
+    ["transform", "--family", "eq13", "--a", "1.5", "--b", "-0.5"],
+    ["flux", "--analyze", "--m", "1", "--eta", "2", "--k0", "5", "--k", "1", "--omega", "0.2",
+     "--B", "1", "--J0", "1", "--Omega", "1", "--t0", "10", "--t1", "40", "--dt", "0.05"],
+    ["integrate", "--h", "1", "--theta", "0.5"],
+], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+def test_each_command_writes_the_seed_writer_s_bytes(argv, block_rows, tmp_path, monkeypatch):
+    job = parse(argv)
+    table, _ = cli._RUNNERS[job.command](job, cli._sidecar_base(job))
+    expected = io.StringIO()
+    _seed_write_csv(expected, *table)
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
+    out = tmp_path / "x.csv"
+    main(argv + ["--out", str(out)])
+    assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
 
 def test_transform_csv(capsys):

@@ -420,6 +420,20 @@ def test_verdict_is_the_one_pass_rule(force, passes):
     assert rep.verdict is passes
 
 
+def test_a_coefficient_singular_on_the_grid_fails_the_verdict_without_a_warning():
+    # eq11's p = -t/(1 - t^2) and q are infinite at t = 1; at the parent the
+    # division's warning escaped, then the defect's
+    ones = np.ones(2, dtype=complex)
+    candidate = TimeSeries(grid=np.array([0.0, 1.0]), y=ones, dy=ones, d2y=ones)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = residual(reductions.source_ode(reductions.ReductionInput("eq11", a=1, b=1)),
+                       candidate)
+    assert rep.verdict is False
+    assert math.isnan(rep.linf) and math.isnan(rep.l2)
+    assert np.isnan(rep.pointwise).all() and len(rep.pointwise) == 2
+
+
 @pytest.mark.parametrize("size", [1e-300, 1e-9, 1.0, 1e9, 1e300])
 def test_residual_does_not_depend_on_the_candidate_s_size(size):
     # a multiple of a wrong homogeneous candidate is as wrong, however small

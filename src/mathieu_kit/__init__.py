@@ -27,7 +27,6 @@ from .closed_form import (
     general_solution,
     homogeneous_ode,
     index,
-    is_admissible,
     mirror,
     split_ode,
 )
@@ -66,7 +65,6 @@ from .flux import (
     field_from_motion,
     full_ode,
     identify_frequencies,
-    induced_field,
     induced_field_model,
     linearized_delta,
     modulation_analysis,

@@ -13,7 +13,7 @@ parse() builds each job's typed inputs once.  Each runner returns its table as
 a header plus the columns it already holds, and one writer, _write_csv,
 streams every table in blocks of rows: numbers as '%.17g', labels as they are,
 CRLF line ends; numpy lays out the bytes '%.17g' prints from each number's exactly
-rounded digits, and leaves NaN, ±inf, exponent notation and short blocks to '%'.
+rounded digits, and leaves NaN, ±inf and exponent notation to '%'.
 
 Exit codes: 0 success, 1 numerical failure (artifacts are still emitted when
 they exist), 2 usage error.  MATHIEU_KIT_TOL overrides the oracle tolerance
@@ -47,8 +47,7 @@ from .samples import MAX_GRID_POINTS, complex_number, real_number
 
 DEFAULT_TOL = 1e-10
 # rows _write_csv formats at a time: enough to amortise a block's numpy calls, few
-# enough that one block's byte frames are held; a block under an eighth of this
-# costs those calls more than they save, and goes through '%' alone
+# enough that one block's byte frames are held
 CSV_BLOCK_ROWS = 2048
 
 
@@ -65,8 +64,6 @@ class JobSpec:
 def _jsonify(value):
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
     if isinstance(value, cf.Variant):
         return value.value
     return value
@@ -365,24 +362,15 @@ def _write_csv(fh, header: list[str], columns: list) -> None:
 
     Numbers print as '%.17g' (enough digits to round-trip), labels as they are:
     none holds a comma, a quote or a line break, so no cell needs quoting.
-    Rows go CSV_BLOCK_ROWS at a time, as one string: numbers laid out by
-    _csv_cells, byte for byte as '%' would, or under CSV_BLOCK_ROWS // 8 rows by one '%'.
+    Rows go CSV_BLOCK_ROWS at a time, as one string, numbers laid out by
+    _csv_cells byte for byte as '%' would.
     """
     arrays = [np.asarray(c) for c in columns]
     is_label = [a.dtype.kind == "U" for a in arrays]
-    row = ",".join("%s" if label else "%.17g" for label in is_label) + "\r\n"
     fh.write(",".join(header) + "\r\n")
     for start in range(0, len(arrays[0]), CSV_BLOCK_ROWS):
         block = [a[start:start + CSV_BLOCK_ROWS] for a in arrays]
         n = len(block[0])
-        if n < CSV_BLOCK_ROWS // 8:
-            # the block's cells row by row; Python floats format faster than
-            # numpy scalars, and print the same digits
-            cells = [None] * (n * len(block))
-            for j, a in enumerate(block):
-                cells[j::len(block)] = a.tolist()
-            fh.write((row * n) % tuple(cells))
-            continue
         numbers = np.stack([a for a, label in zip(block, is_label) if not label], axis=1)
         cells = iter(_csv_cells(numbers.ravel().astype(float)).reshape(n, -1, 25).swapaxes(0, 1))
         comma = np.full((n, 1), ord(","), np.uint8)

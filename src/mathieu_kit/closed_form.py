@@ -164,11 +164,6 @@ def argument_scale(params: DampedParams, variant=Variant.CORRECTED) -> complex:
                          lambda: 2.0 * cmath.sqrt(complex(ratio)) / (1j * params.omega))
 
 
-def is_admissible(params: DampedParams, variant=Variant.CORRECTED) -> Optional[int]:
-    """Nearest integer index when nu is within ADMISSIBILITY_TOL of one, else None."""
-    return _integer_index(index(params, variant))
-
-
 def general_solution(params: DampedParams, variant=Variant.CORRECTED,
                      c1: complex = 1.0, c2: complex = 0.0, *,
                      allow_inadmissible: bool = False) -> ClosedFormSpec:

@@ -208,15 +208,6 @@ def induced_field_model(fp: FluxParams) -> InducedFieldModel:
     )
 
 
-def induced_field(fp: FluxParams, grid) -> np.ndarray:
-    """The model field (see induced_field_model) on a grid."""
-    model = induced_field_model(fp)
-    grid = as_grid(grid)
-    return (model.prefactor
-            * (1.0 - model.epsilon * np.cos(fp.base.omega * grid - model.phi))
-            * np.sin(fp.Omega * grid - model.alpha))
-
-
 def symmetric_case_solution(fp: FluxParams, y_at_0: float, grid) -> TimeSeries:
     """Exact first-order-balance solution y(t) = y(0) + B J0 sin(Omega t)/(2 c eta Omega).
 

@@ -74,6 +74,8 @@ def test_parse_floquet_example():
     SOLVE_ARGS + ["--t1", "inf"],
     SOLVE_ARGS + ["--t0=-inf"],
     SOLVE_ARGS + ["--dt", "nan"],
+    SOLVE_ARGS + ["--dt", "0"],
+    SOLVE_ARGS + ["--dt=-0.1"],
     SOLVE_ARGS + ["--dt", "1e-300"],
     SOLVE_ARGS + ["--dt", "1e-6"],
     SOLVE_ARGS + ["--t0=-1e308", "--t1", "1e308", "--dt", "1"],
@@ -90,6 +92,8 @@ def test_parse_floquet_example():
      "--t0", "5", "--t1", "0", "--n", "11"],
     # sweep refuses what floquet refuses, and grids it cannot span or hold
     SWEEP_ARGS + ["--trunc", "25"],
+    # the damped-oscillator flags belong to family 'damped' alone
+    ["transform", "--family", "eq13", "--a", "1.5", "--b", "-0.5", "--m", "1"],
     SWEEP_ARGS + ["--nh", "0"],
     ["floquet", "--h", "1", "--theta", "nan"],
     SWEEP_ARGS + ["--h1", "inf"],
@@ -511,8 +515,8 @@ def _row_by_row(header, columns) -> bytes:
 
 
 def _written(header, columns, block_rows) -> bytes:
-    # at 8 rows a block every block of a row or more goes through the numpy
-    # kernel; at the default a table under an eighth of a block goes through '%'
+    # at 8 rows a block a longer table crosses block boundaries; at the
+    # default a short table is one short block
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
         buf = io.StringIO()

@@ -23,7 +23,6 @@ from mathieu_kit.closed_form import (
     general_solution,
     homogeneous_ode,
     index,
-    is_admissible,
     mirror,
     split_ode,
 )
@@ -57,21 +56,21 @@ def test_index_pinned_values():
 
 def test_is_admissible_pinned_values():
     p = DampedParams(1.0, 0.0, 1.0, 2.25, 1.0)
-    assert is_admissible(p, Variant.LITERAL) == 3
+    assert general_solution(p, Variant.LITERAL, allow_inadmissible=True).admissible_nu == 3
     # index 1.4999 is not within 1e-9 of an integer
     p2 = DampedParams(1.0, 0.0, 1.0, 1.4999**2, 2.0)
     assert index(p2, Variant.LITERAL) == pytest.approx(1.4999)
-    assert is_admissible(p2, Variant.LITERAL) is None
+    assert general_solution(p2, Variant.LITERAL, allow_inadmissible=True).admissible_nu is None
     # a purely imaginary index is never admissible
     p3 = DampedParams(1.0, 4.0, 1.0, 1.0, 2.0)
     assert abs(index(p3, Variant.CORRECTED).imag) > 0.1
-    assert is_admissible(p3, Variant.CORRECTED) is None
+    assert general_solution(p3, Variant.CORRECTED, allow_inadmissible=True).admissible_nu is None
 
 
 def test_is_admissible_negative_omega():
     p = DampedParams(1.0, 0.0, 1.0, 1.0, -2.0)
     assert index(p, Variant.CORRECTED) == pytest.approx(-1.0)
-    assert is_admissible(p, Variant.CORRECTED) == -1
+    assert general_solution(p, Variant.CORRECTED, allow_inadmissible=True).admissible_nu == -1
 
 
 def spec_argument(spec: ClosedFormSpec, grid) -> np.ndarray:
@@ -177,8 +176,8 @@ def test_adjudicate_reports_both_variants():
     k0 = m * (a * a + (1 * omega) ** 2) / 4.0
     k = m * (a * a + (2 * omega) ** 2) / 4.0
     p = DampedParams(m, eta, k0, k, omega)
-    assert is_admissible(p, Variant.CORRECTED) == 1
-    assert is_admissible(p, Variant.LITERAL) == 2
+    assert general_solution(p, Variant.CORRECTED, allow_inadmissible=True).admissible_nu == 1
+    assert general_solution(p, Variant.LITERAL, allow_inadmissible=True).admissible_nu == 2
     report = adjudicate(p)
     assert isinstance(report, AdjudicationReport)
     assert report.corrected.linf < 1e-8

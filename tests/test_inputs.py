@@ -8,7 +8,10 @@ refuse anything else with InvalidParameterError.  A modulus or a span must be
 positive too, and a point count is an int from 1 to MAX_GRID_POINTS.  The public
 result types (FloquetSolution, ClosedFormSpec, ReductionResult) admit their own
 numbers by the same rule, and a Floquet series' coefficients c_{-N..N} are a
-finite 1-d array of numbers of odd length.
+finite 1-d array of numbers of odd length.  A number the rule admits is still
+refused, with the same error, where its meaning rules it out: an unknown
+variant, a negative amplitude, a phase outside (-pi, pi], a grid that does not
+increase or does not match its samples, a mu the decoupled system does not have.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mathieu_kit.closed_form import DampedParams, general_solution
+from mathieu_kit.closed_form import DampedParams, general_solution, index
 from mathieu_kit.errors import InvalidParameterError
 from mathieu_kit.exponent_class import class_distance, normalize_exponent
 from mathieu_kit.floquet import (
@@ -248,3 +251,32 @@ def test_refusals_name_the_field_and_the_value():
         replace(SPEC, nu=math.nan)
     with pytest.raises(InvalidParameterError, match=r"^time_scale must be finite, got nan$"):
         replace(REDUCED, time_scale=math.nan)
+
+
+# numbers the rule admits, refused for what they mean
+DOMAIN_REFUSALS = [
+    ("unknown variant", lambda: index(DAMPED, "literal"), "unknown variant 'literal'"),
+    ("negative amplitude", lambda: SinusoidalResponse(-1.0, 2.0, 0.5),
+     "amplitude must be nonnegative"),
+    ("phase -pi", lambda: SinusoidalResponse(1.0, 2.0, -math.pi), r"phase must lie in \(-pi, pi\]"),
+    ("phase above pi", lambda: SinusoidalResponse(1.0, 2.0, 3.5), r"phase must lie in \(-pi, pi\]"),
+    ("unequal lengths",
+     lambda: TimeSeries(grid=np.array([0.0, 1.0]), y=np.ones(3), dy=np.ones(3), d2y=np.ones(3)),
+     "grid and sample arrays must have equal length"),
+    ("repeated point",
+     lambda: TimeSeries(grid=np.array([0.0, 1.0, 1.0]), y=np.ones(3), dy=np.ones(3),
+                        d2y=np.ones(3)),
+     "grid must be strictly increasing"),
+    ("decreasing grid",
+     lambda: TimeSeries(grid=np.array([1.0, 0.0]), y=np.ones(2), dy=np.ones(2), d2y=np.ones(2)),
+     "grid must be strictly increasing"),
+    ("mu off the decoupled system", lambda: coefficients(GeneralParams(1.0, 0.0), 0.3),
+     r"does not solve the decoupled system"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in DOMAIN_REFUSALS],
+                         ids=[case[0] for case in DOMAIN_REFUSALS])
+def test_an_admitted_number_outside_its_domain_is_refused(call, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        call()

@@ -38,8 +38,8 @@ PUBLIC_NAMES = [
     "damped_to_general", "eval_floquet", "eval_floquet_grid", "evaluate", "evaluate_grid",
     "field_from_motion", "full_ode", "fundamental_pair", "general_mathieu_ode",
     "general_solution", "hill_determinant", "homogeneous_ode", "identify_frequencies",
-    "index", "induced_field", "induced_field_model", "integrate", "interior_grid",
-    "is_admissible", "linearized_delta", "mirror", "modulation_analysis",
+    "index", "induced_field_model", "integrate", "interior_grid",
+    "linearized_delta", "mirror", "modulation_analysis",
     "monodromy_exponent", "normalize_exponent", "particular_k0", "pullback", "reduce",
     "residual", "second_solution", "sideband_amplitudes", "simulate_full", "solve",
     "source_ode", "split_ode", "steady_state_modulation", "symmetric_case_solution",

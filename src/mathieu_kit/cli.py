@@ -64,8 +64,6 @@ class JobSpec:
 def _jsonify(value):
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
-    if isinstance(value, cf.Variant):
-        return value.value
     return value
 
 
@@ -106,12 +104,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def damped_flags(p):
-        p.add_argument("--m", type=_real_flag, required=True, help="mass coefficient")
-        p.add_argument("--eta", type=_real_flag, required=True, help="damping coefficient")
-        p.add_argument("--k0", type=_real_flag, required=True, help="static stiffness")
-        p.add_argument("--k", type=_real_flag, required=True, help="stiffness modulation amplitude")
-        p.add_argument("--omega", type=_real_flag, required=True, help="modulation angular frequency")
+    def damped_flags(p, required=True):
+        p.add_argument("--m", type=_real_flag, required=required, help="mass coefficient")
+        p.add_argument("--eta", type=_real_flag, required=required, help="damping coefficient")
+        p.add_argument("--k0", type=_real_flag, required=required, help="static stiffness")
+        p.add_argument("--k", type=_real_flag, required=required,
+                       help="stiffness modulation amplitude")
+        p.add_argument("--omega", type=_real_flag, required=required,
+                       help="modulation angular frequency")
 
     def grid_flags(p, t1_default=10.0):
         p.add_argument("--t0", type=_real_flag, default=0.0)
@@ -150,11 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_real_flag, default=0.0)
     p.add_argument("--b", type=_real_flag, default=0.0)
     p.add_argument("--lam", type=_real_flag, default=0.0, help="eq15 frequency coefficient")
-    p.add_argument("--m", type=_real_flag)
-    p.add_argument("--eta", type=_real_flag)
-    p.add_argument("--k0", type=_real_flag)
-    p.add_argument("--k", type=_real_flag)
-    p.add_argument("--omega", type=_real_flag)
+    damped_flags(p, required=False)
 
     p = sub.add_parser(
         "flux", help="the driven flux-lattice oscillator from rest, in closed form",
@@ -213,8 +209,8 @@ def _typed_inputs(ns: argparse.Namespace):
     return base
 
 
-def parse(argv: list[str]) -> JobSpec:
-    """argv -> validated JobSpec; usage problems exit with code 2."""
+def parse(argv: Optional[list[str]]) -> JobSpec:
+    """argv (sys.argv[1:] when None) -> validated JobSpec; usage problems exit with code 2."""
     parser = _build_parser()
     ns = parser.parse_args(argv)
     # module-level precondition checks promoted to usage errors
@@ -395,7 +391,7 @@ def _run_solve(job: JobSpec, sidecar: dict):
     ts = cf.evaluate_grid(spec, _time_grid(p))
     rep = residual(cf.split_ode(params), ts)
     sidecar.update(
-        variant=_jsonify(spec.variant),
+        variant=spec.variant,
         nu=_jsonify(spec.nu),
         residual_linf=rep.linf,
         residual_l2=rep.l2,
@@ -588,8 +584,6 @@ def execute(job: JobSpec) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     return execute(parse(argv))
 
 

@@ -297,16 +297,14 @@ class AdjudicationReport:
     passing_variant: Optional[str]
 
 
-def adjudicate(params: DampedParams, grid=None, *,
+def adjudicate(params: DampedParams, grid, *,
                allow_inadmissible: bool = False) -> AdjudicationReport:
-    """Evaluate both variants (c1 = c2 = 1) against the single-exponential equation.
+    """Evaluate both variants (c1 = c2 = 1) on grid against the single-exponential equation.
 
     Both residuals are always computed and reported; passing_variant names the
     smaller-residual variant among those whose verdict passes, or None if
     neither does.  No smallness is asserted here: this is a measurement.
     """
-    if grid is None:
-        grid = np.linspace(0.0, 10.0, 501)
     ode = split_ode(params)
     reports = {}
     for variant in (Variant.CORRECTED, Variant.LITERAL):

@@ -103,9 +103,12 @@ def general_mathieu_ode(gp: GeneralParams) -> LinearODE:
     return equation(q=lambda t, xp=xp: h - 2.0 * theta * xp.cos(2.0 * t))
 
 
-def _diagonal(gp: GeneralParams, mu: complex, n: int) -> complex:
-    shifted = mu + 2.0j * n
-    return gp.h + shifted * shifted
+def _continuant(diag: list, off: list) -> complex:
+    """Determinant of the tridiagonal matrix with diagonal diag and off[i] = a[i, i+1] a[i+1, i]."""
+    det_prev, det = 1.0, diag[0]
+    for d, e in zip(diag[1:], off):
+        det_prev, det = det, d * det - e * det_prev
+    return det
 
 
 def hill_determinant(gp: GeneralParams, mu: complex) -> complex:
@@ -116,15 +119,12 @@ def hill_determinant(gp: GeneralParams, mu: complex) -> complex:
     (|mu| or |theta| far beyond that reach) raises RangeLimitError.
     """
     mu = complex_number("mu", mu)
-    trunc = HILL_DETERMINANT_TRUNCATION
-    w = lambda n: 4.0 * n * n + abs(gp.h) + 1.0
-    th = gp.theta
-    d_prev2 = 1.0 + 0.0j
-    d_prev = _diagonal(gp, mu, -trunc) / w(-trunc)
-    for n in range(-trunc + 1, trunc + 1):
-        cur = (_diagonal(gp, mu, n) / w(n)) * d_prev - (th * th / (w(n) * w(n - 1))) * d_prev2
-        d_prev2, d_prev = d_prev, cur
-    return representable(f"the Hill determinant at mu = {mu!r}", lambda: d_prev)
+    ns = range(-HILL_DETERMINANT_TRUNCATION, HILL_DETERMINANT_TRUNCATION + 1)
+    w = [4.0 * n * n + abs(gp.h) + 1.0 for n in ns]
+    shifted = [mu + 2.0j * n for n in ns]
+    diag = [(gp.h + s * s) / wn for s, wn in zip(shifted, w)]
+    off = [gp.theta * gp.theta / (wn * w_prev) for wn, w_prev in zip(w[1:], w)]
+    return representable(f"the Hill determinant at mu = {mu!r}", lambda: _continuant(diag, off))
 
 
 def _hill_seed(gp: GeneralParams) -> complex:
@@ -183,9 +183,7 @@ def _hill_cosh_pi_mu(gp: GeneralParams) -> complex:
     for i in {big_n - r, big_n + r}:
         diag[i] = complex(s[i])
         s[i] = 1.0
-    det_prev, det = 1.0, diag[0]
-    for a, e in zip(diag[1:], (th * th / (s[1:] * s[:-1])).tolist()):
-        det_prev, det = det, a * det - e * det_prev
+    det = _continuant(diag, (th * th / (s[1:] * s[:-1])).tolist())
     # sum over m > N: exact to 4N, then the midpoint-rule integral of 1/(16 m^4)
     tail = np.sum(1.0 / ((four_m2 - h) * (four_m1_2 - h)))
     tail += 1.0 / (48.0 * (4 * big_n) ** 3)
@@ -211,7 +209,7 @@ def _hill_rows(big_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows
 
 
-def _secant(f, x0: complex, e0: tuple, xtol: float, max_iter: int = 80) -> tuple[complex, tuple]:
+def _secant(f, x0: complex, e0: tuple, xtol: float) -> tuple[complex, tuple]:
     """Secant search for a root of the value f(x)[0], started from x0 with e0 = f(x0).
 
     f returns (value, floor, ...): it stops once |value| is at its rounding
@@ -220,7 +218,7 @@ def _secant(f, x0: complex, e0: tuple, xtol: float, max_iter: int = 80) -> tuple
     """
     x1 = x0 + 1e-9 * (1.0 + abs(x0))
     e1 = f(x1)
-    for _ in range(max_iter):
+    for _ in range(80):
         f0, f1 = e0[0], e1[0]
         if f1 == f0:
             break
@@ -235,7 +233,7 @@ def _secant(f, x0: complex, e0: tuple, xtol: float, max_iter: int = 80) -> tuple
     if abs(e1[0]) <= 1e-9:
         return x1, e1
     raise ConvergenceError(
-        f"root search stalled: last iterate {x1!r}, |f|={abs(e1[0]):.3g} after {max_iter} iterations"
+        f"root search stalled: last iterate {x1!r}, |f|={abs(e1[0]):.3g} after 80 iterations"
     )
 
 

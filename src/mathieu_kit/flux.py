@@ -42,7 +42,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -237,10 +236,10 @@ def full_ode(fp: FluxParams) -> LinearODE:
 
 
 def simulate_full(fp: FluxParams, span: tuple[float, float], tol: float,
-                  t_eval: Optional[np.ndarray] = None,
-                  y0: complex = 0.0, dy0: complex = 0.0) -> TimeSeries:
-    """Integrate the full equation, full_ode(fp), with the verification oracle."""
-    return integrate(full_ode(fp), y0, dy0, span, tol, t_eval=t_eval)
+                  t_eval: np.ndarray) -> TimeSeries:
+    """The full equation, full_ode(fp), from rest at span[0], integrated by the
+    verification oracle and sampled at t_eval."""
+    return integrate(full_ode(fp), 0.0, 0.0, span, tol, t_eval=t_eval)
 
 
 def sideband_amplitudes(fp: FluxParams) -> np.ndarray:
@@ -436,8 +435,6 @@ def _uniform_samples(series: TimeSeries) -> tuple[np.ndarray, np.ndarray, float]
 def _moving_average_gain(freq: float, window: int, dt: float) -> float:
     # Dirichlet attenuation of a length-L boxcar at angular frequency freq
     x = freq * dt / 2.0
-    if x == 0.0:
-        return 1.0
     return abs(math.sin(window * x) / (window * math.sin(x)))
 
 

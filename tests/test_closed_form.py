@@ -178,7 +178,7 @@ def test_adjudicate_reports_both_variants():
     p = DampedParams(m, eta, k0, k, omega)
     assert general_solution(p, Variant.CORRECTED, allow_inadmissible=True).admissible_nu == 1
     assert general_solution(p, Variant.LITERAL, allow_inadmissible=True).admissible_nu == 2
-    report = adjudicate(p)
+    report = adjudicate(p, np.linspace(0.0, 10.0, 501))
     assert isinstance(report, AdjudicationReport)
     assert report.corrected.linf < 1e-8
     assert np.isfinite(report.literal.linf)

@@ -429,6 +429,25 @@ def test_solve_where_the_secant_slope_is_rounding_noise():
     assert rep.linf <= 1e-12
 
 
+def test_secant_accepts_a_flat_value_only_at_its_soft_floor_and_refuses_a_stall():
+    # equal values give no slope, so the search stops where it is: kept below
+    # 1e-9, refused above it
+    x, ev = floquet._secant(lambda x: (1e-10, 0.0), 1.0, (1e-10, 0.0), 0.0)
+    assert ev == (1e-10, 0.0) and x == 1.0 + 2e-9
+    with pytest.raises(ConvergenceError, match="stalled"):
+        floquet._secant(lambda x: (1.0, 0.0), 1.0, (1.0, 0.0), 0.0)
+    # x^2 + 1 has no real root: a search from a real start never falls below 1e-9
+    calls = []
+
+    def no_real_root(x):
+        calls.append(x)
+        return x * x + 1.0, 0.0
+
+    with pytest.raises(ConvergenceError, match="after 80 iterations"):
+        floquet._secant(no_real_root, 0.3, (1.09, 0.0), 0.0)
+    assert len(calls) == 1 + 80
+
+
 @pytest.mark.parametrize("h, theta", [(3.0, 1.5), (-1.0, 0.7), (2.25, 0.0),
                                       (1.0 + 0.3j, 0.4 - 0.1j), (2.0, 0.5j)])
 def test_exponent_is_a_python_complex(h, theta):

@@ -110,6 +110,15 @@ def test_linearized_delta_zero_modulation():
     assert lower.amplitude == 0.0
 
 
+def test_a_response_in_antiphase_reports_phase_pi():
+    # undamped, each response is real and phases lie in (-pi, pi]: the lower
+    # sideband here is -0.889 + 0j, whose phase -pi is reported as pi
+    _, lower = linearized_delta(make_fp(m=1.0, eta=0.0, k0=1.0, k=1.0, omega=1.0, Omega=0.5))
+    assert lower.phase == math.pi
+    # and so is a drive above resonance
+    assert particular_k0(make_fp(m=1.0, eta=0.0, k0=1.0, k=0.0, Omega=2.0)).phase == math.pi
+
+
 def test_linearized_delta_solves_its_equation():
     fp = make_fp()
     b = fp.base
@@ -240,8 +249,8 @@ def test_simulate_full_invariant_orbit():
     resp = particular_k0(fp)
     t_eval = np.linspace(0.0, 20.0, 201)
     s = resp.evaluate(t_eval)
-    series = simulate_full(fp, (0.0, 20.0), 1e-11, t_eval=t_eval,
-                           y0=s.y[0], dy0=s.dy[0])
+    # the steady orbit itself, not rest, so no transient is excited
+    series = oracle.integrate(full_ode(fp), s.y[0], s.dy[0], (0.0, 20.0), 1e-11, t_eval=t_eval)
     worst = np.max(np.abs(series.y - s.y))
     assert worst < 1e-8 * max(resp.amplitude, 1e-300)
 
@@ -280,6 +289,9 @@ def test_modulation_analysis_unmodulated():
     result = modulation_analysis(pure, 7.0, 0.5)
     assert result.modulation_depth <= 1e-6
     assert result.carrier_amplitude == pytest.approx(0.7, rel=1e-6)
+    # a silent field has no carrier, and so no depth or phase
+    silent = modulation_analysis(TimeSeries(grid=grid, y=zeros, dy=zeros, d2y=zeros.copy()), 7.0, 0.5)
+    assert (silent.carrier_amplitude, silent.modulation_depth, silent.modulation_phase) == (0, 0, 0)
 
 
 def test_modulation_analysis_span_guards():

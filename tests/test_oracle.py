@@ -126,6 +126,23 @@ def test_a_state_at_rest_to_rounding_starts_under_a_drive():
     assert abs(moved.dy[-1] - motion.dy[-1]) <= 1e-10 * abs(motion.dy[-1])
 
 
+def test_a_homogeneous_equation_from_rest_stays_at_rest():
+    # y = y' = y'' = 0 gives the step controller no scale: the first step is
+    # 1e-6, and each accepted step grows tenfold
+    series = integrate(HARMONIC, 0.0, 0.0, (0.0, 1.0), 1e-10)
+    assert series.meta["steps"] == 7
+    assert series.grid[1] == 1e-6
+    assert not np.any(series.y) and not np.any(series.dy)
+
+
+def test_the_step_budget_ends_a_run_with_its_last_state(monkeypatch):
+    monkeypatch.setattr(oracle, "_MAX_STEPS", 5)
+    with pytest.raises(StiffnessError, match="^step budget exhausted at") as exc:
+        integrate(HARMONIC, 1.0, 0.0, (0.0, 2.0 * math.pi), 1e-10)
+    assert 0.0 < exc.value.t_last < 2.0 * math.pi
+    assert np.all(np.isfinite(exc.value.state_last))
+
+
 def test_monodromy_stiffness_error_names_its_column():
     # the period map's first column, from (1, 0), is the sweep that fails
     sing = LinearODE(p=None, q=lambda t: 1.0 / (1.0 - t) ** 2)

@@ -16,14 +16,16 @@ sideband series, the same recurrence at the drive exponent, ends by the same
 rule.  The truncated Hill determinant (rows scaled by smooth mu-independent
 weights so the infinite product converges) vanishes at the same mu and is
 kept as an independent check, as is the oracle's period map.
-exponential_sum sums every series on a grid by Horner's rule centred on c_0.
+exponential_sum sums every series on a grid as a Fourier series, by Horner's
+rule centred on c_0.
 
 A solve keeps its working figures on the Python scalars the sweep returns:
-the ratios, the moduli of their running products (which decide where a
-series ends), and Hill's determinant recursion.  numpy builds what is
-returned (c_{-N..N}, once per series) and the few reductions long enough to
-pay for a call: Hill's tail sum, the |diagonal| of the rows searched for the
-centre, and their stable sort when the first row fails.
+the ratios, their running products c_{+-n} (whose moduli decide where a
+series ends), and Hill's determinant recursion.  The coefficient array
+returned is built from those same products, by one np.array per series;
+numpy otherwise builds only the few reductions long enough to pay for a
+call: Hill's tail sum, the |diagonal| of the rows searched for the centre,
+and their stable sort when the first row fails.
 
 The exponent stored on a FloquetSolution is the working one (the class member
 the coefficients are centered on); characteristic_exponent reports the
@@ -218,9 +220,11 @@ def _secant(f, x0: complex, e0: tuple, xtol: float) -> tuple[complex, tuple]:
     """
     x1 = x0 + 1e-9 * (1.0 + abs(x0))
     e1 = f(x1)
-    for _ in range(80):
+    stop = "after 80 iterations"
+    for taken in range(80):
         f0, f1 = e0[0], e1[0]
         if f1 == f0:
+            stop = f"on two equal values after {taken} iterations"
             break
         x_new = x1 - f1 * (x1 - x0) / (f1 - f0)
         if x_new == x1:
@@ -233,7 +237,7 @@ def _secant(f, x0: complex, e0: tuple, xtol: float) -> tuple[complex, tuple]:
     if abs(e1[0]) <= 1e-9:
         return x1, e1
     raise ConvergenceError(
-        f"root search stalled: last iterate {x1!r}, |f|={abs(e1[0]):.3g} after 80 iterations"
+        f"root search stalled: last iterate {x1!r}, |f|={abs(e1[0]):.3g} {stop}"
     )
 
 
@@ -331,16 +335,6 @@ def _centre(gp: GeneralParams, mu: complex, depth: int) -> tuple[complex, tuple 
     )
 
 
-def centred_coefficients(r: list, s: list) -> np.ndarray:
-    """c_{-N..N} with c_0 = 1 from the ratios r_n = c_n/c_{n-1} and s_n = c_{-n}/c_{-(n-1)}."""
-    n = len(r)
-    c = np.zeros(2 * n + 1, dtype=complex)
-    c[n] = 1.0
-    c[n + 1 :] = np.cumprod(r)
-    c[:n] = np.cumprod(s)[::-1]
-    return c
-
-
 def _sweep_depth(gp: GeneralParams) -> int:
     """The depth the first sweep at (h, theta) starts from.
 
@@ -369,17 +363,18 @@ def fourier_series(gp: GeneralParams, mu: complex, ev: tuple | None = None,
     raises RangeLimitError; one still above CONVERGED_TAIL past MAX_DEPTH,
     or whose first depth is already above it, raises ConvergenceError.
 
-    Each pass reads these tests from the moduli of the running products of
-    the ratios (_moduli, Python scalars), each divided by the peak; the
-    array c_{-N..N} is built once, by centred_coefficients, for the series
-    returned.
+    Each pass forms the running products of the ratios, c_1, c_2, ... and
+    c_{-1}, c_{-2}, ..., once on Python scalars and reads these tests from
+    their moduli, each divided by the peak; the array c_{-N..N} returned is
+    built from the same products by one np.array.
     """
     ev = _center_row(gp, mu, _sweep_depth(gp)) if ev is None else ev
     while True:
         depth = len(ev[2])
+        c_up, c_down = (list(itertools.accumulate(ratios, operator.mul)) for ratios in ev[2:])
         try:
-            ups, downs = _moduli(ev[2]), _moduli(ev[3])
-        except OverflowError:
+            ups, downs = [abs(c) for c in c_up], [abs(c) for c in c_down]
+        except OverflowError:  # a finite product whose modulus overflows
             ups = downs = [math.inf]
         # a product that leaves the finite numbers never returns, so the last
         # term on each side shows whether any did
@@ -400,15 +395,7 @@ def fourier_series(gp: GeneralParams, mu: complex, ev: tuple | None = None,
             polish = False
         else:
             n = max(_reach(ups, peak), _reach(downs, peak))
-            return mu, centred_coefficients(ev[2][:n], ev[3][:n])
-
-
-def _moduli(ratios: list) -> list:
-    """|c_1|, |c_2|, ... on one side, from the running products centred_coefficients forms.
-
-    A finite product whose modulus overflows raises OverflowError.
-    """
-    return [abs(c) for c in itertools.accumulate(ratios, operator.mul)]
+            return mu, np.array(c_down[:n][::-1] + [1.0] + c_up[:n], dtype=complex)
 
 
 def _reach(moduli: list, peak: float) -> int:
@@ -480,26 +467,29 @@ def characteristic_exponent(gp: GeneralParams) -> complex:
     return normalize_exponent(solve(gp).mu)
 
 
-def exponential_sum(coeffs: np.ndarray, rate: complex, step: complex,
+def exponential_sum(coeffs: np.ndarray, rate: complex, frequency: float,
                     grid: np.ndarray) -> np.ndarray:
-    """Rows y, y', y'' of sum_{n=-N..N} c_n e^{(rate + n step) t} on a grid.
+    """Rows y, y', y'' of sum_{n=-N..N} c_n e^{(rate + i n frequency) t} on a grid.
 
-    coeffs holds c_{-N..N}.  The sum is centred on c_0: one Horner pass in
-    x = e^{step t} over c_1..c_N, one in 1/x over c_{-1}..c_{-N}, then one
-    prefactor e^{rate t}, so no exponent is scaled by N and no (points x terms)
-    matrix is built.  Overflow is left to the caller as inf or nan.
+    coeffs holds c_{-N..N}, and the real frequency makes the sum a Fourier
+    series times e^{rate t}.  The sum is centred on c_0: one Horner pass in
+    x = e^{i frequency t} over c_1..c_N, one in 1/x = conj(x) over
+    c_{-1}..c_{-N}, then one prefactor e^{rate t}, so no exponent is scaled by
+    N and no (points x terms) matrix is built.  Overflow is left to the caller
+    as inf or nan.
     """
     n = (len(coeffs) - 1) // 2
-    rates = rate + step * np.arange(-n, n + 1)
-    # one (3, 1) column per term, c_{-N} first
-    cols = np.stack([coeffs, rates * coeffs, rates * rates * coeffs], axis=1)[:, :, None]
+    step = 1j * frequency
     with np.errstate(over="ignore", invalid="ignore"):
+        rates = rate + step * np.arange(-n, n + 1)
+        # one (3, 1) column per term, c_{-N} first
+        cols = np.stack([coeffs, rates * coeffs, rates * rates * coeffs], axis=1)[:, :, None]
         x = np.exp(step * grid)
         up = np.zeros((3, len(grid)), dtype=complex)
         for col in cols[:n:-1]:
             up += col
             up *= x
-        x_inv = np.exp(-step * grid)
+        x_inv = x.conj()
         down = np.zeros((3, len(grid)), dtype=complex)
         for col in cols[:n]:
             down += col
@@ -513,7 +503,7 @@ def exponential_sum(coeffs: np.ndarray, rate: complex, step: complex,
 def eval_floquet_grid(sol: FloquetSolution, grid) -> TimeSeries:
     """The series and its first two derivatives on a grid, solving general_mathieu_ode(gp)."""
     grid = as_grid(grid)
-    y, dy, d2y = exponential_sum(sol.coeffs, sol.mu, 2.0j, grid)
+    y, dy, d2y = exponential_sum(sol.coeffs, sol.mu, 2.0, grid)
     return TimeSeries(grid=grid, y=y, dy=dy, d2y=d2y)
 
 
@@ -532,7 +522,7 @@ def second_solution(sol: FloquetSolution) -> FloquetSolution:
     theorem leaves one periodic solution, or theta = 0 with |mu| below about
     2e-6) is dependent and raises SingularityError.
     """
-    u, du = (abs(v) for v in exponential_sum(sol.coeffs, sol.mu, 2j, np.zeros(1))[:2, 0].tolist())
+    u, du = (abs(v) for v in exponential_sum(sol.coeffs, sol.mu, 2.0, np.zeros(1))[:2, 0].tolist())
     du /= max(1.0, float(abs(sol.mu)))
     # |W| / norm^2 = 2 |u| |u'| / (|u|^2 + |u'|^2), as a ratio r of the two so nothing overflows
     r = min(u, du) / max(u, du) if u + du > 0.0 else 0.0

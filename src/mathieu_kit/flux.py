@@ -182,9 +182,9 @@ def _validity(fp: FluxParams) -> str:
         reasons.append(f"|k|/|k0| = {abs(b.k) / abs(b.k0):.3g} > {REGIME_RATIO}")
     if abs(b.omega) > REGIME_RATIO * fp.Omega:
         reasons.append(f"omega/Omega = {abs(b.omega) / fp.Omega:.3g} > {REGIME_RATIO}")
-    if b.m * fp.Omega ** 2 > REGIME_RATIO * abs(b.k0):
+    if b.m * (fp.Omega * fp.Omega) > REGIME_RATIO * abs(b.k0):
         reasons.append(
-            f"m Omega^2 / |k0| = {b.m * fp.Omega ** 2 / abs(b.k0):.3g} > {REGIME_RATIO}"
+            f"m Omega^2 / |k0| = {b.m * (fp.Omega * fp.Omega) / abs(b.k0):.3g} > {REGIME_RATIO}"
         )
     if not reasons:
         return "in-regime"
@@ -291,7 +291,7 @@ def steady_state_modulation(fp: FluxParams) -> ModulationResult:
     def envelope():
         side = (-fp.B / fp.c_light) * 1j * (fp.Omega + b.omega * np.arange(-n, n + 1)) * a
         # Z at |omega| t = phase: e^{i n omega t} = e^{i n sign(omega) phase}
-        env = np.abs(floquet.exponential_sum(side, 0.0, math.copysign(1.0, b.omega) * 1j, phase)[0])
+        env = np.abs(floquet.exponential_sum(side, 0.0, math.copysign(1.0, b.omega), phase)[0])
         return env, float(np.mean(env))
 
     env, carrier = representable("the steady field's envelope |Z|", envelope)
@@ -310,7 +310,7 @@ def closed_form_motion(fp: FluxParams, start: float, grid) -> TimeSeries:
     y_h = e^{-eta t/2m} (c1 u(omega t/2) + c2 u(-omega t/2)), where u is
     floquet.solve's series at reductions.damped_to_general's (h, theta), and
     c1, c2 cancel y_p and y_p' at start.  Each part is summed by
-    floquet.exponential_sum in e^{i omega t}.
+    floquet.exponential_sum as a Fourier series at frequency omega.
 
     The result solves full_ode(fp) and checks itself.  The fit's cancellation,
     the larger transient part's max|c_i u_i| on the grid over the motion's
@@ -325,18 +325,18 @@ def closed_form_motion(fp: FluxParams, start: float, grid) -> TimeSeries:
     grid = as_grid(grid)
     start = real_number("start", start)
     here = np.array([start])
-    step = 1j * fp.base.omega
+    omega = fp.base.omega
     a = sideband_amplitudes(fp)
-    motion = floquet.exponential_sum(a, 1j * fp.Omega, step, grid)
+    motion = floquet.exponential_sum(a, 1j * fp.Omega, omega, grid)
     # y_h and y_h' at start: minus the steady state's
-    want = -floquet.exponential_sum(a, 1j * fp.Omega, step, here)[:2, 0].real
+    want = -floquet.exponential_sum(a, 1j * fp.Omega, omega, here)[:2, 0].real
 
     red = damped_to_general(fp.base)
     decay = red.prefactor_rate
     sol = floquet.solve(red.gp)
     rate = sol.mu / red.time_scale
     pair = ((sol.coeffs, rate - decay), (sol.coeffs[::-1], -rate - decay))
-    (u, du), (v, dv) = (floquet.exponential_sum(c, r, step, here)[:2, 0] for c, r in pair)
+    (u, du), (v, dv) = (floquet.exponential_sum(c, r, omega, here)[:2, 0] for c, r in pair)
     det = u * dv - du * v
     if det == 0:
         raise SingularityError(
@@ -345,18 +345,19 @@ def closed_form_motion(fp: FluxParams, start: float, grid) -> TimeSeries:
     c1 = (want[0] * dv - want[1] * v) / det
     c2 = (u * want[1] - du * want[0]) / det
     # a decaying part is summed only while its bound |c| sum|c_n rate_n^k| e^{Re rate t}
-    # exceeds floquet.SERIES_TAIL of the steady state's (the same cut as the sidebands')
-    floor = floquet.SERIES_TAIL * _bound(a, 1j * fp.Omega, step)
+    # exceeds floquet.SERIES_TAIL of the steady state's (the same cut as the sidebands');
+    # an infinite or NaN bound skips the cut, and an overflow is left to TimeSeries
     part_top = 0.0
-    for c, (coeffs, r) in zip((c1, c2), pair):
-        bound = abs(c) * _bound(coeffs, r, step)
-        end = len(grid)
-        if r.real < 0 and floor > 0 and bound < math.inf:
-            end = np.searchsorted(grid, math.log(floor / bound) / r.real) if bound else 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            part = c * floquet.exponential_sum(coeffs, r, step, grid[:end])
+    with np.errstate(over="ignore", invalid="ignore"):
+        floor = floquet.SERIES_TAIL * _bound(a, 1j * fp.Omega, omega)
+        for c, (coeffs, r) in zip((c1, c2), pair):
+            bound = abs(c) * _bound(coeffs, r, omega)
+            end = len(grid)
+            if r.real < 0 and floor > 0 and bound < math.inf:
+                end = np.searchsorted(grid, math.log(floor / bound) / r.real) if bound else 0
+            part = c * floquet.exponential_sum(coeffs, r, omega, grid[:end])
             motion[:, :end] += part
-        part_top = max(part_top, float(np.max(np.abs(part[0]), initial=0.0)))
+            part_top = max(part_top, float(np.max(np.abs(part[0]), initial=0.0)))
     y, dy, d2y = motion.real
     # the motion's scale: sum |a_n| bounds |y_p|, so a grid at rest still has one
     top = max(float(np.max(np.abs(y))), float(np.abs(a).sum()))
@@ -392,11 +393,11 @@ def motion_from_rest(fp: FluxParams, start: float, grid, tol: float) -> tuple[Ti
         return ts, f"stepper: {type(exc).__name__}: {exc}"
 
 
-def _bound(coeffs: np.ndarray, rate: complex, step: complex) -> float:
-    """Largest of sum |c_n (rate + n step)^k|, k = 0, 1, 2: a bound on the rows of
+def _bound(coeffs: np.ndarray, rate: complex, frequency: float) -> float:
+    """Largest of sum |c_n (rate + i n frequency)^k|, k = 0, 1, 2: a bound on the rows of
     floquet.exponential_sum at t = 0."""
     n = (len(coeffs) - 1) // 2
-    mags = np.abs(rate + step * np.arange(-n, n + 1))
+    mags = np.abs(rate + 1j * frequency * np.arange(-n, n + 1))
     weights = np.abs(coeffs)
     return float(max(weights.sum(), weights @ mags, weights @ (mags * mags)))
 

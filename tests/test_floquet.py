@@ -338,12 +338,38 @@ def test_series_ends_at_the_tail_constant(h, theta):
     n = sol.truncation
     # the same recurrence swept far deeper at the returned exponent
     _, _, r, s = floquet._center_row(gp, sol.mu, 4 * n + 50)
-    deep = np.abs(floquet.centred_coefficients(r, s))
+    deep = np.abs(np.concatenate([np.cumprod(s)[::-1], [1.0], np.cumprod(r)]))
     kept = deep[len(r) - n:len(r) + n + 1]
     peak = np.max(deep)
     assert np.max(np.delete(deep, np.s_[len(r) - n:len(r) + n + 1])) <= floquet.SERIES_TAIL * peak
     assert max(kept[0], kept[-1]) > floquet.SERIES_TAIL * peak
     assert np.max(np.abs(np.abs(sol.coeffs) - kept)) <= 1e-12 * peak
+
+
+def test_coefficients_are_the_running_products_of_the_last_sweep(monkeypatch):
+    # c_{-N..N} is the sweep's ratios multiplied out, bit for bit as np.cumprod
+    # forms them, at the returned exponent and the depth it was last swept at
+    swept = []
+    sweep = floquet._sweep
+
+    def recording(gp, mu, depth):
+        swept.append((mu, depth))
+        return sweep(gp, mu, depth)
+
+    monkeypatch.setattr(floquet, "_sweep", recording)
+    rng = np.random.default_rng(36)
+    points = list(zip(rng.uniform(-2.0, 10.0, 40), rng.uniform(-2.0, 2.0, 40)))
+    points += [(1.0 + 0.3j, 0.4 - 0.1j), (200.0, 50.0), (1.0, 2000.0)]
+    for h, theta in points:
+        gp = GeneralParams(h, theta)
+        swept.clear()
+        sol = coefficients(gp, floquet._hill_seed(gp))
+        mu, depth = swept[-1]
+        assert mu == sol.mu
+        r, s = sweep(gp, mu, depth)
+        n = sol.truncation
+        c = np.concatenate([np.cumprod(s[:n])[::-1], [1.0 + 0.0j], np.cumprod(r[:n])])
+        assert sol.coeffs.tobytes() == c.tobytes()
 
 
 def test_fourier_series_refuses_a_non_finite_or_unconverged_series():
@@ -434,7 +460,7 @@ def test_secant_accepts_a_flat_value_only_at_its_soft_floor_and_refuses_a_stall(
     # 1e-9, refused above it
     x, ev = floquet._secant(lambda x: (1e-10, 0.0), 1.0, (1e-10, 0.0), 0.0)
     assert ev == (1e-10, 0.0) and x == 1.0 + 2e-9
-    with pytest.raises(ConvergenceError, match="stalled"):
+    with pytest.raises(ConvergenceError, match="stalled: .* on two equal values after 0 iterations"):
         floquet._secant(lambda x: (1.0, 0.0), 1.0, (1.0, 0.0), 0.0)
     # x^2 + 1 has no real root: a search from a real start never falls below 1e-9
     calls = []

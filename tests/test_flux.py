@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -196,6 +197,14 @@ def test_induced_field_pinned_example():
 def test_induced_field_requires_restoring_constant():
     with pytest.raises(InvalidParameterError):
         induced_field_model(make_fp(k0=0.0))
+
+
+def test_validity_names_a_squared_drive_past_double_precision():
+    # m Omega^2 overflows to inf, as the other ratios' quotients do, not to OverflowError
+    fp = make_fp(m=2.0, eta=1e300, k0=-1.0, k=1e-300, omega=1e300, B=1e-300, J0=0.0,
+                 Omega=1e300, c_light=1e154)
+    assert induced_field_model(fp).validity == (
+        "out-of-regime: omega/Omega = 1 > 0.02; m Omega^2 / |k0| = inf > 0.02")
 
 
 def test_validity_flags():
@@ -460,6 +469,20 @@ def test_an_overflowing_transient_is_refused():
         closed_form_motion(fp, 0.0, np.linspace(0.0, 200.0, 2001))
 
 
+@pytest.mark.parametrize("m", [1.0, 2.0])
+def test_a_motion_past_double_precision_raises_no_numpy_warning(m):
+    # Omega = 1e300 and omega = 1e154 square past double precision in the sums'
+    # rate columns and in the bounds of the cut (at m = 1 the transient's too):
+    # each is left to TimeSeries' refusal, with no warning on the way
+    fp = make_fp(m=m, eta=2.0, k0=1e-300, k=-1e300, omega=1e154, J0=2.0, Omega=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeLimitError, match="overflows at t = 0"):
+            motion_from_rest(fp, 0.0, np.arange(0.0, 1.25, 0.25), 1e-8)
+        rows = floquet.exponential_sum(np.ones(3, dtype=complex), 0.0, 1e300, np.zeros(1))
+    assert not np.isfinite(rows[2, 0]) and np.isfinite(rows[0, 0])
+
+
 def test_a_dependent_floquet_pair_is_singular():
     # critically damped and unmodulated: h = theta = 0, so u(z) = u(-z) = 1
     fp = make_fp(m=1.0, eta=2.0, k0=1.0, k=0.0)
@@ -600,16 +623,17 @@ def test_steady_state_modulation_edge_cases():
 
 def test_exponential_sum_is_horner_at_each_point():
     # floquet.exponential_sum as this module calls it: on a Floquet series
-    # (step 2i) and on the sideband steady state (rate i Omega, step i omega)
+    # (frequency 2) and on the sideband steady state (rate i Omega, frequency omega)
     sol = floquet.solve(floquet.GeneralParams(3.0, 1.5))
     fp = DIFFERENTIAL_JOBS["flux_demod-0.016"][0]
-    cases = ((sol.coeffs, sol.mu, 2.0j),
-             (sideband_amplitudes(fp), 1j * fp.Omega, 1j * fp.base.omega))
+    cases = ((sol.coeffs, sol.mu, 2.0),
+             (sideband_amplitudes(fp), 1j * fp.Omega, fp.base.omega))
     grid = np.linspace(-2.0, 7.0, 37)
-    for coeffs, rate, step in cases:
+    for coeffs, rate, frequency in cases:
         n = (len(coeffs) - 1) // 2
         assert n > 0
-        rows = floquet.exponential_sum(coeffs, rate, step, grid)
+        rows = floquet.exponential_sum(coeffs, rate, frequency, grid)
+        step = 1j * frequency
         rates = rate + step * np.arange(-n, n + 1)
         for i, t in enumerate(grid.tolist()):
             point = np.array([t])

@@ -10,14 +10,17 @@ defect over its own scale; and the Abel/Liouville Wronskian reference.
 The stepper's tableau is unrolled on Python scalars, because a state of two
 numbers is too small for numpy to pay off: y, y' and y'' are local variables,
 each step evaluates p, q and f once per stage time (stage 7 shares stage 6's,
-the step end), and arrays appear only in what it returns.  It does only the
-arithmetic the problem has: a state component with a zero imaginary part
-enters as a float, so a real equation runs on floats and a complex
-coefficient value promotes the state by itself; an absent coefficient is 0.0
-at every stage, without a call.  Float arithmetic
-gives the real parts complex arithmetic gives, so the values do not depend
-on the typing (only an overflow may show as inf where complex arithmetic
-makes NaN); the returned arrays are complex either way.
+the step end), and arrays appear only in what it returns.  Its step control
+compares where it would call min and max (the same values, ties and NaN
+included), carries each step end's |y| and |y'| into the next step's error
+norm, and looks up the requested times only on a step that passes the next
+one.  It does only the arithmetic the problem has: a state component with a
+zero imaginary part enters as a float, so a real equation runs on floats and
+a complex coefficient value promotes the state by itself; an absent
+coefficient is 0.0 at every stage, without a call.  Float arithmetic gives
+the real parts complex arithmetic gives, so the values do not depend on the
+typing (only an overflow may show as inf where complex arithmetic makes
+NaN); the returned arrays are complex either way.
 
 Results cross layer boundaries as TimeSeries arrays: integrate returns one
 (the step-end states when no times are requested), and residual(ode, series)
@@ -50,6 +53,9 @@ TOL_MAX = 1.0e-3
 PASS_TOL = 1.0e-8
 
 _MAX_STEPS = 1_000_000
+# monodromy_exponent refuses a multiplier rho with tol/|rho| above this: twice
+# the loosest tolerance, so an undamped map (|rho| >= 1) is never refused
+_FLOOR_MAX = 2.0 * TOL_MAX
 
 # Dormand-Prince 5(4) tableau (HNW, Solving ODEs I, II.5), unrolled: stage i
 # sits at t + _Ci h, and its state adds h * sum_j _Aij k_j to the step's start
@@ -141,6 +147,7 @@ class MonodromyResult:
     multiplier: complex
     det_m: complex
     branch_ambiguous: bool
+    floor: float  # tol/|multiplier|: Re mu is off by about 0.03-0.12 times it
 
 
 @dataclass(frozen=True)
@@ -245,12 +252,14 @@ def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: Sequence[complex], 
         raise _stiff("scaled derivative norm overflows double precision at", t, y, v)
     err_old = 1e-4
     last_rejected = False
+    # |y| and |y'| at the step's start: the last step's |y7| and |v7|
+    y_mod, v_mod = abs(y), abs(v)
     times, rows = ([t0], [(y, v)]) if tq is None else (tq, [])
     n_accept = n_reject = 0
     while t < t1:
         if n_accept + n_reject > _MAX_STEPS:
             raise _stiff("step budget exhausted at", t, y, v)
-        h = min(h, t1 - t)
+        h = t1 - t if t1 - t < h else h
         if h <= _H_UNDERFLOW * abs(t):
             raise _stiff("step size underflow at", t, y, v)
         t2, t3, t4, t5, t6 = t + _C2 * h, t + _C3 * h, t + _C4 * h, t + _C5 * h, t + h
@@ -280,8 +289,9 @@ def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: Sequence[complex], 
         a7 = f6 - p6 * v7 - q6 * y7
         ey = h * (_E1 * v + _E3 * v3 + _E4 * v4 + _E5 * v5 + _E6 * v6 + _E7 * v7)
         ev = h * (_E1 * a + _E3 * a3 + _E4 * a4 + _E5 * a5 + _E6 * a6 + _E7 * a7)
-        ey /= tol + tol * max(abs(y), abs(y7))
-        ev /= tol + tol * max(abs(v), abs(v7))
+        y7_mod, v7_mod = abs(y7), abs(v7)
+        ey /= tol + tol * (y7_mod if y7_mod > y_mod else y_mod)
+        ev /= tol + tol * (v7_mod if v7_mod > v_mod else v_mod)
         err = math.sqrt(
             (ey.real * ey.real + ey.imag * ey.imag + ev.real * ev.real + ev.imag * ev.imag) / 2)
         if err != err:
@@ -292,19 +302,22 @@ def _integrate_raw(ode: LinearODE, t0: float, t1: float, u0: Sequence[complex], 
                 times.append(t_new)
                 rows.append((y7, v7))
             else:
-                # a time equal to a step end goes to the next step, at theta = 0
-                stop = len(tq) if t_new >= t1 else bisect_left(tq, t_new, len(rows))
-                if stop > len(rows):
-                    rows += _dense_rows(t, h, tq[len(rows):stop], y, y7, v, v3, v4, v5, v6, v7,
+                # a time equal to a step end goes to the next step, at theta = 0;
+                # only a step that passes the next time, or ends the span, samples
+                done = len(rows)
+                if done < len(tq) and (t_new >= t1 or tq[done] < t_new):
+                    stop = len(tq) if t_new >= t1 else bisect_left(tq, t_new, done + 1)
+                    rows += _dense_rows(t, h, tq[done:stop], y, y7, v, v3, v4, v5, v6, v7,
                                         a, a3, a4, a5, a6, a7)
             n_accept += 1
-            t, y, v, a = t_new, y7, v7, a7
+            t, y, v, a, y_mod, v_mod = t_new, y7, v7, a7, y7_mod, v7_mod
             fac = _SAFETY * err ** (-_ALPHA) * err_old ** _BETA if err > 0.0 else _FAC_MAX
-            fac = min(_FAC_MAX, max(_FAC_MIN, fac))
-            if last_rejected:
-                fac = min(fac, 1.0)
+            fac = fac if fac > _FAC_MIN else _FAC_MIN
+            fac = fac if fac < _FAC_MAX else _FAC_MAX
+            if last_rejected and fac > 1.0:
+                fac = 1.0
             h *= fac
-            err_old = max(err, 1e-4)
+            err_old = 1e-4 if err < 1e-4 else err
             last_rejected = False
         else:
             h *= max(_FAC_MIN, _SAFETY * err ** (-_ALPHA))
@@ -330,6 +343,9 @@ def integrate(
     Without t_eval the step-end states are returned on t0 and the step ends;
     t_eval, checked before the sweep, is sampled from each step's interpolant
     as it is accepted.  y'' comes from the equation, not numerical differences.
+    The step controller scales each component's error by tol + tol |y|, so a
+    component below tol is accurate to about tol in absolute terms, not
+    relative ones.
     """
     tol = validate_tolerance(tol)
     y0, dy0 = complex_number("y0", y0), complex_number("dy0", dy0)
@@ -363,6 +379,12 @@ def monodromy_exponent(ode: LinearODE, period: float, tol: float) -> MonodromyRe
     map gives mu_raw = Log(rho)/period; mu is its canonical class
     representative.  branch_ambiguous flags rho so close to the negative real
     axis that the principal log's imaginary part is not trustworthy.
+
+    The stepper's accuracy is absolute below tol (see integrate), so rho is
+    accurate to about tol absolutely: Re mu is off by about 0.03-0.12 x
+    tol/|rho| (measured on y'' + p y' + q y = 0 over pi), the figure the
+    result carries as floor.  A floor above 2e-3 (twice TOL_MAX, which no
+    undamped map, |rho| >= 1, reaches) raises RangeLimitError naming it.
     """
     tol = validate_tolerance(tol)
     if ode.f is not None:
@@ -392,6 +414,11 @@ def monodromy_exponent(ode: LinearODE, period: float, tol: float) -> MonodromyRe
         raise InvalidParameterError("degenerate period map: both multipliers vanish")
     r_other = det_m / r_big
     rho = r_big if abs(r_big) >= abs(r_other) else r_other
+    floor = tol / abs(rho)
+    if floor > _FLOOR_MAX:
+        raise RangeLimitError(
+            f"the period map over {period:g} has multiplier |rho| = {abs(rho):.3g}, at the "
+            f"stepper's absolute floor: tol/|rho| = {floor:.3g} exceeds {_FLOOR_MAX:g}")
     mu_raw = cmath.log(rho) / period
     on_cut = bool(rho.real < 0.0 and abs(rho.imag) <= 1e-9 * abs(rho))
     im_modulus = 2.0 * math.pi / period
@@ -401,6 +428,7 @@ def monodromy_exponent(ode: LinearODE, period: float, tol: float) -> MonodromyRe
         multiplier=rho,
         det_m=det_m,
         branch_ambiguous=on_cut,
+        floor=floor,
     )
 
 

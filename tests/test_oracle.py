@@ -532,6 +532,31 @@ def test_monodromy_with_damping_matches_abel_and_the_characteristic_roots():
     assert min(abs(complex(d.real, (d.imag + 1.0) % 2.0 - 1.0)) for d in gaps) <= 1e-9
 
 
+@pytest.mark.parametrize("p, q, refused_at", [
+    (5.0, 6.0, ()), (10.0, 24.0, ()), (14.0, 48.0, (1e-10,)),
+    (20.0, 99.0, (1e-10, 1e-13)), (20.0, 101.0, (1e-10, 1e-13))])
+def test_monodromy_refuses_a_multiplier_at_the_absolute_floor(p, q, refused_at):
+    # y'' + p y' + q y = 0 over pi: the exponent is (-p + Re sqrt(p^2 - 4q))/2,
+    # and |rho| = exp(pi Re mu) falls to 1e-12 and below, where the stepper's
+    # absolute floor tol decides rho: (20, 99) returned -8.77 + 1i at tol 1e-10
+    exponent = (-p + cmath.sqrt(p * p - 4.0 * q).real) / 2.0
+    for tol in (1e-10, 1e-13):
+        if tol in refused_at:
+            with pytest.raises(RangeLimitError, match=r"tol/\|rho\| = \S+ exceeds 0.002$"):
+                monodromy_exponent(oracle.equation(p=p, q=q), math.pi, tol)
+            continue
+        res = monodromy_exponent(oracle.equation(p=p, q=q), math.pi, tol)
+        assert res.floor == tol / abs(res.multiplier) <= oracle._FLOOR_MAX
+        assert res.mu_raw.imag == 0.0
+        assert abs(res.mu_raw.real - exponent) <= 0.12 * res.floor
+
+
+def test_an_undamped_map_is_not_refused_at_the_loosest_tolerance():
+    # y'' + y = 0 has |rho| = 1, computed as 0.99994 at tol 1e-3: a floor of 1.00006e-3
+    res = monodromy_exponent(general_mathieu_ode(GeneralParams(1.0, 0.0)), math.pi, TOL_MAX)
+    assert TOL_MAX < res.floor <= oracle._FLOOR_MAX
+
+
 @given(c=st.floats(min_value=-2.0, max_value=2.0),
        w0=st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False))
 def test_wronskian_abel_constant_damping(c, w0):
@@ -625,6 +650,100 @@ def test_streamed_samples_do_not_depend_on_the_other_requested_times():
     assert thin.meta == full.meta
     for got, want in ((thin.y, full.y), (thin.dy, full.dy), (thin.d2y, full.d2y)):
         assert np.array_equal(got, want[::7])
+
+
+def _clamp_cases() -> list[tuple[LinearODE, tuple[float, float], tuple, float]]:
+    """Seeded real and complex Mathieu runs and one driven, damped flux run."""
+    rng = np.random.default_rng(37)
+    cases = []
+    for typ in (float, complex):
+        for _ in range(3):
+            h, theta = (typ(rng.uniform(lo, hi)) if typ is float
+                        else complex(rng.uniform(lo, hi), rng.uniform(-1.0, 1.0))
+                        for lo, hi in ((-2.0, 10.0), (-2.0, 2.0)))
+            ode = general_mathieu_ode(GeneralParams(h, theta))
+            u0 = (typ(rng.normal()), typ(rng.normal()))
+            cases.append((ode, (0.0, float(rng.uniform(1.0, 6.0))), u0,
+                          float(10.0 ** rng.uniform(-12.0, -7.0))))
+    r = 0.016
+    fp = flux.FluxParams(base=DampedParams(m=1.0, eta=2.0, k0=1.0 / r, k=1.0, omega=r),
+                         B=1.0, J0=1.0, Omega=1.0, c_light=1.0)
+    cases.append((flux.full_ode(fp), (0.0, 60.0), (0.0, 0.0), 1e-6))
+    return cases
+
+
+def test_the_step_control_clamps_hold_on_every_run():
+    rejection_free = 0
+    for ode, (t0, t1), u0, tol in _clamp_cases():
+        times, _, _, stats = _integrate_raw(ode, t0, t1, u0, tol, None)
+        # the last step takes exactly the rest of the span
+        assert times[-1] == t1
+        h = np.diff(times)
+        # a step grows by at most _FAC_MAX (up to the rounding of t + h)
+        assert np.all(h[1:] <= oracle._FAC_MAX * h[:-1] * (1.0 + 1e-9))
+        if stats["rejected"] == 0:
+            rejection_free += 1
+            ratio = h[1:-1] / h[:-2]
+            assert np.all(ratio >= oracle._FAC_MIN * (1.0 - 1e-9))
+        # the same steps with requested times
+        grid = np.linspace(t0, t1, 53)
+        assert integrate(ode, *u0, (t0, t1), tol, t_eval=grid).meta == stats
+    assert rejection_free >= 3
+    # an error norm far below tol asks for a growth far above _FAC_MAX: every
+    # step but the last grows by _FAC_MAX
+    times = _integrate_raw(LinearODE(p=None, q=lambda t: 1e-20), 0.0, 5.0, (1.0, 0.0), 1e-9,
+                           None)[0]
+    h = np.diff(times)
+    assert len(h) > 3
+    assert h[1:-1] / h[:-2] == pytest.approx([oracle._FAC_MAX] * (len(h) - 2), rel=1e-9)
+
+
+def test_a_step_after_a_rejection_does_not_grow():
+    # a narrow spike in q rejects the steps that sample it; a retried step
+    # that misses it has a tiny error and would grow up to tenfold uncapped
+    calls = []
+
+    def q(t: float) -> float:
+        calls.append(t)
+        return 1.0 + 1e4 * math.exp(-((t - 1.3) / 3e-3) ** 2)
+
+    times = _integrate_raw(LinearODE(p=None, q=q), 0.0, 3.0, (1.0, 0.0), 1e-8, None)[0]
+    # each attempt calls q at its five stage times after the start (the first
+    # two calls are the start and the initial step's trial); the last is its end
+    attempts, start, k = [], 0.0, 1
+    for end in calls[6::5]:
+        accepted = end == times[k]
+        attempts.append((end - start, accepted))
+        if accepted:
+            start, k = end, k + 1
+    assert k == len(times)
+    capped = 0
+    for (_, ok0), (h1, ok1), (h2, _) in zip(attempts, attempts[1:], attempts[2:]):
+        if not ok1:
+            assert oracle._FAC_MIN * (1.0 - 1e-9) <= h2 / h1 < 1.0
+        elif not ok0:
+            assert h2 <= h1 * (1.0 + 1e-9)
+            capped += h2 > 0.999 * h1
+    assert capped >= 2
+
+
+@pytest.mark.parametrize("to_end", [True, False], ids=["ends-at-t1", "stops-short"])
+def test_each_requested_time_is_sampled_exactly_once(to_end):
+    rng = np.random.default_rng(41)
+    for ode, (t0, t1), u0, tol in _clamp_cases():
+        times, steps, _, stats = _integrate_raw(ode, t0, t1, u0, tol, None)
+        # interior step ends (each sampled by the next step at theta = 0) and
+        # times inside steps; the last time is t1 or inside the last step
+        ends = rng.choice(len(times) - 2, size=min(5, len(times) - 2), replace=False) + 1
+        tq = sorted({t0, *(times[i] for i in ends), *rng.uniform(t0, times[-2], 6).tolist(),
+                     t1 if to_end else 0.5 * (times[-2] + t1)})
+        _, samples, _, again = _integrate_raw(ode, t0, t1, u0, tol, tq)
+        assert again == stats and samples.shape == (len(tq), 2)
+        for k, tk in enumerate(tq):
+            alone = _integrate_raw(ode, t0, t1, u0, tol, [tk])[1]
+            assert alone.tobytes() == samples[k:k + 1].tobytes()
+            if tk in times[:-1]:
+                assert samples[k].tobytes() == steps[times.index(tk)].tobytes()
 
 
 @pytest.mark.parametrize("t_eval", [[], [0.5, math.nan], [0.5, 0.25], [0.5, 0.5], [0.5, 2.0],

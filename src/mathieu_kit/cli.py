@@ -43,7 +43,7 @@ from . import floquet as fl
 from .errors import InvalidParameterError, MathieuKitError
 from .exponent_class import normalize_exponent
 from .oracle import PASS_TOL, TOL_MAX, TOL_MIN, integrate, residual, validate_tolerance
-from .samples import MAX_GRID_POINTS, complex_number, real_number
+from .samples import MAX_GRID_POINTS, complex_number, real_number, representable
 
 DEFAULT_TOL = 1e-10
 # rows _write_csv formats at a time: enough to amortise a block's numpy calls, few
@@ -308,7 +308,8 @@ def _csv_cells(x: np.ndarray) -> np.ndarray:
 
     A number that prints in fixed notation (0, or a decimal exponent from -4 to
     16 after rounding) is laid out from its 17 correctly rounded digits; NaN,
-    ±inf and exponent notation go through Python's '%', one for them all.
+    ±inf and exponent notation go through Python's '%', one for them all.  The
+    decade repair and the '%' pass run only on the cells that need them.
     """
     digits4, zeros4, pow10, masks = _csv_tables()
     a = np.abs(x)
@@ -318,8 +319,9 @@ def _csv_cells(x: np.ndarray) -> np.ndarray:
     d = _digits17(a, k, pow10)
     # log10 can miss k by one, and rounding can carry into the next decade: one fix for both
     off = np.flatnonzero((d < 10 ** 16) | (d >= 10 ** 17))
-    k[off] += np.where(d[off] < 10 ** 16, -1, 1)
-    d[off] = _digits17(a[off], k[off], pow10)
+    if len(off):
+        k[off] += np.where(d[off] < 10 ** 16, -1, 1)
+        d[off] = _digits17(a[off], k[off], pow10)
     zero = x == 0
     fixed = fixed & (k >= -4) | zero
     d[zero] = 0
@@ -348,8 +350,9 @@ def _csv_cells(x: np.ndarray) -> np.ndarray:
     cells = cells.view(np.uint8).reshape(len(x), 32)
     # '%' pads these to 32 with spaces, which '%.17g' never prints
     rest = np.flatnonzero(~fixed)
-    text = np.frombuffer(("%-32.17g" * len(rest) % tuple(x[rest].tolist())).encode(), np.uint8)
-    cells[rest] = np.where(text == ord(" "), 0, text).reshape(-1, 32)
+    if len(rest):
+        text = np.frombuffer(("%-32.17g" * len(rest) % tuple(x[rest].tolist())).encode(), np.uint8)
+        cells[rest] = np.where(text == ord(" "), 0, text).reshape(-1, 32)
     return cells[:, :25]
 
 
@@ -497,7 +500,8 @@ def _run_flux(job: JobSpec, sidecar: dict):
     base = fp.base
     grid = _time_grid(p)
     ts, motion = fx.motion_from_rest(fp, min(0.0, p["t0"]), grid, job.tolerance)
-    field = fx.field_from_motion(fp, ts)
+    # the column alone: no CSV holds field_from_motion's derivative rows
+    field = representable("the induced field -(B/c) y'", lambda: (fp.field_scale * ts.dy).real)
     flags = {"motion": motion}
     code = 0
     if base.k0 != 0:
@@ -520,7 +524,7 @@ def _run_flux(job: JobSpec, sidecar: dict):
             flags.update(analysis_error=str(exc))
             code = 1
     sidecar.update(validity_flags=flags)
-    return (["t", "field"], [field.grid, field.y.real]), code
+    return (["t", "field"], [ts.grid, field]), code
 
 
 def _run_integrate(job: JobSpec, sidecar: dict):

@@ -474,24 +474,28 @@ def exponential_sum(coeffs: np.ndarray, rate: complex, frequency: float,
     coeffs holds c_{-N..N}, and the real frequency makes the sum a Fourier
     series times e^{rate t}.  The sum is centred on c_0: one Horner pass in
     x = e^{i frequency t} over c_1..c_N, one in 1/x = conj(x) over
-    c_{-1}..c_{-N}, then one prefactor e^{rate t}, so no exponent is scaled by
-    N and no (points x terms) matrix is built.  Overflow is left to the caller
-    as inf or nan.
+    c_{-1}..c_{-N}, each starting at its outermost term (c_N x and
+    c_{-N} conj(x)), then one prefactor e^{rate t}, so no exponent is scaled
+    by N and no (points x terms) matrix is built.  Overflow is left to the
+    caller as inf or nan.
     """
     n = (len(coeffs) - 1) // 2
     step = 1j * frequency
     with np.errstate(over="ignore", invalid="ignore"):
         rates = rate + step * np.arange(-n, n + 1)
-        # one (3, 1) column per term, c_{-N} first
+        # one (3, 1) column per term, c_{-N} first; a pass starts at 0 + its first
+        # column, so a -0 part of it sums as +0
         cols = np.stack([coeffs, rates * coeffs, rates * rates * coeffs], axis=1)[:, :, None]
+        if n == 0:
+            return (cols[0] + 0.0) * np.exp(rate * grid)
         x = np.exp(step * grid)
-        up = np.zeros((3, len(grid)), dtype=complex)
-        for col in cols[:n:-1]:
+        up = (cols[-1] + 0.0) * x
+        for col in cols[-2:n:-1]:
             up += col
             up *= x
         x_inv = x.conj()
-        down = np.zeros((3, len(grid)), dtype=complex)
-        for col in cols[:n]:
+        down = (cols[0] + 0.0) * x_inv
+        for col in cols[1:n]:
             down += col
             down *= x_inv
         up += down

@@ -90,6 +90,11 @@ class FluxParams:
     def drive_amplitude(self) -> float:
         return self.B * self.J0 / self.c_light
 
+    @property
+    def field_scale(self) -> float:
+        """-B/c: the induced field is E = field_scale * y'."""
+        return -self.B / self.c_light
+
 
 @dataclass(frozen=True)
 class SinusoidalResponse:
@@ -403,13 +408,13 @@ def _bound(coeffs: np.ndarray, rate: complex, frequency: float) -> float:
 
 
 def field_from_motion(fp: FluxParams, series: TimeSeries) -> TimeSeries:
-    """Induced field samples E = -(B/c) dy/dt, with analytic derivatives.
+    """Induced field samples E = -(B/c) dy/dt (fp.field_scale dy/dt), with analytic derivatives.
 
     The field's own derivatives chain through the equation of motion, so the
     returned series is residual-checkable and FFT-ready.
     """
     b = fp.base
-    scale = -fp.B / fp.c_light
+    scale = fp.field_scale
     grid = np.asarray(series.grid, dtype=float)
     y, dy, d2y = (np.asarray(v) for v in (series.y, series.dy, series.d2y))
     q = (b.k0 + b.k * np.cos(b.omega * grid)) / b.m

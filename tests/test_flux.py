@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -269,7 +270,9 @@ def test_field_from_motion_relations():
     t_eval = np.linspace(0.0, 12.0, 257)
     series = simulate_full(fp, (0.0, 12.0), 1e-10, t_eval=t_eval)
     field = field_from_motion(fp, series)
-    scale = -fp.B / fp.c_light
+    # the one convention, which the CLI's field column reads too
+    scale = fp.field_scale
+    assert scale == -fp.B / fp.c_light
     assert np.allclose(field.y, scale * series.dy, rtol=0, atol=0)
     assert np.allclose(field.dy, scale * series.d2y, rtol=0, atol=0)
     # third derivative follows the differentiated equation of motion
@@ -623,16 +626,23 @@ def test_steady_state_modulation_edge_cases():
 
 def test_exponential_sum_is_horner_at_each_point():
     # floquet.exponential_sum as this module calls it: on a Floquet series
-    # (frequency 2) and on the sideband steady state (rate i Omega, frequency omega)
+    # (frequency 2) and on the sideband steady state (rate i Omega, frequency omega);
+    # and the shapes whose passes start differently: a one-term series (theta = 0,
+    # no pass at all), a one-point grid, and a term with a -0 part, which sums
+    # as +0 like every first term added into zeros
     sol = floquet.solve(floquet.GeneralParams(3.0, 1.5))
+    one_term = floquet.solve(floquet.GeneralParams(3.0, 0.0))
+    assert len(one_term.coeffs) == 1
     fp = DIFFERENTIAL_JOBS["flux_demod-0.016"][0]
     cases = ((sol.coeffs, sol.mu, 2.0),
-             (sideband_amplitudes(fp), 1j * fp.Omega, fp.base.omega))
-    grid = np.linspace(-2.0, 7.0, 37)
-    for coeffs, rate, frequency in cases:
+             (sideband_amplitudes(fp), 1j * fp.Omega, fp.base.omega),
+             (one_term.coeffs, one_term.mu, 2.0),
+             (np.array([complex(-0.5, -0.0)]), complex(-0.3, 0.0), 2.0))
+    for (coeffs, rate, frequency), grid in itertools.product(
+            cases, (np.linspace(-2.0, 7.0, 37), np.array([1.3]))):
         n = (len(coeffs) - 1) // 2
-        assert n > 0
         rows = floquet.exponential_sum(coeffs, rate, frequency, grid)
+        assert rows.shape == (3, len(grid))
         step = 1j * frequency
         rates = rate + step * np.arange(-n, n + 1)
         for i, t in enumerate(grid.tolist()):
@@ -646,7 +656,8 @@ def test_exponential_sum_is_horner_at_each_point():
                     up = (up + term) * x
                 for term in c[:n]:
                     down = (down + term) * x_inv
-                assert rows[row, i] == ((up + down + c[n]) * np.exp(rate * point))[0]
+                want = ((up + down + c[n]) * np.exp(rate * point))[0]
+                assert rows[row, i].tobytes() == want.tobytes()
                 # and the per-point sum of the terms, to the rounding of the exponents
                 terms = c * np.exp(rates * t)
                 bound = 16 * 2.2e-16 * (abs(rate * t) + n * abs(step * t) + 1) * np.sum(np.abs(terms))

@@ -12,29 +12,45 @@ Thompson & Barnett 1986), and H^(1) is carried upward in the order, the
 direction in which it grows.  Above the axis J is dominant and H^(1)
 recessive, so the difference does not cancel.
 
+Two orders.  Every path forms the rows of orders n and n + 1 and reads the
+derivative from them: B_n' = (n/z) B_n - B_{n+1} (DLMF 10.6.2), and -B_1
+at n = 0.
+
 Array input.  bessel_j and bessel_y take a scalar z or a 1-d array of z; an
 array gives value and derivative arrays, and a scalar is the [0] element of a
 one-point array.  The method choice is one boolean mask, |z| <= 6, over the
 points.  bessel_jy gives both from one validation and one pass per path, so
 its J is bessel_j's bit for bit; bessel_y is bessel_jy's Y.
-A series is one Horner pass over all its points in w = -(z/2)^2 through one
-20-term coefficient table built at import, so a point's value does not hang
-on the other points of its grid.
-The Miller sweep starts every point at the index the largest |z| needs (on
-the closed form's circular path |z| is constant) and is streamed: it carries
-the last rows of the recurrence, multiplies by a per-point 2/z, adds each new
-row into the normalization sum, keeps only the orders the caller reads, and
-rescales a column once it passes 1e250; H^(1)'s upward recurrence carries
-three rows the same way.  Validation raises if any point fails, with the
-error a scalar call on that point would raise.
+
+Each point's depth.  No loop's depth at a point hangs on the other points of
+its grid, so neither does the point's value:
+- a series point sums all of one 20-term coefficient table built at import,
+  in one Horner pass in w = -(z/2)^2 over every point; at |z| = 6 the terms
+  past it sum below 2^-60 of the largest;
+- CF2 is evaluated backward from b_K, K = 5 + ceil(78/|w|): 18 steps just
+  above |w| = 6, 11 at 13, 6 from 78 on, two or more past the depth at
+  which its truncation falls below half an ulp (scripts/bessel_depth_scan.py),
+  and the points of one depth run together;
+- the Miller sweep seeds each point at the start index its own |z| gives,
+  and a column holds zeros until then.  From its seed no column grows past
+  1e201 (n = 200 just above |z| = 6 on the imaginary axis), so none is
+  ever rescaled.
+The sweep is streamed: it carries the last two rows of the recurrence,
+multiplies by a per-point 2/z, adds each new row into the normalization sum
+and keeps only the orders the caller reads; H^(1)'s upward recurrence
+carries two rows the same way.  Validation raises if any point fails, with
+the error a scalar call on that point would raise.
 
 Accuracy against scipy.special: on circles |z| = 0.5 ... 40 with
 0 <= n <= 40, J, J', Y and Y' agree to 1e-12 relative at every point; on
 circles to |z| = 200 with n <= 200, to 1e-12 of max(|J_n|, |Y_n|).  That is a
 relative error too, except beside a real zero, where Y keeps J's absolute
 error (3.2e-12 relative at Y_88(100), where scipy is 1.2e-12 off).  On that
-scale a scan of 180-point circles measures 6.3e-13 at |z| = 1000 and 8.4e-12
-near 1e4.
+scale, against 40-digit mpmath for n in {0, 1, 2, 12} (J' and Y' on the scale
+of the larger derivative), the worst error per decade of |z| measures
+3.1e-15 at 40, 1.0e-14 at 150, 1.2e-13 at 1,000, 7.3e-13 at 5,000 and
+1.3e-12 just below 1e4: it grows like |z| eps, the rounding of the
+argument's own phase.
 
 Values are principal-branch; Y inherits the log cut along the negative real
 axis, where either signed zero imaginary part gives the upper side.
@@ -47,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidParameterError, RangeLimitError, SingularityError
+from .errors import InvalidParameterError, RangeLimitError, SingularityError
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -56,11 +72,9 @@ MAX_ARGUMENT = 1.0e4
 SERIES_RADIUS = 6.0
 # exp(|Im z|) at the double-precision overflow edge; beyond this J/Y overflow anyway
 _IM_OVERFLOW = 700.0
-# the Miller sweep checks its rows for rescaling once their growth bound has
-# gained this many decades; 1e250 * 1e42 still leaves the sums room below 1e308
-_RESCALE_DECADES = 40.0
-# Steed's continued fraction takes at most 24 steps above |z| = 6
-_CF2_MAX_STEPS = 64
+# the Miller sweep's seed: from it no column grows past 1e201 (n = 200 at
+# |z| = 6i), far below overflow (scripts/bessel_depth_scan.py)
+_MILLER_SEED = 1e-150
 
 
 @dataclass(frozen=True)
@@ -112,14 +126,15 @@ def _first(z: np.ndarray, mask: np.ndarray) -> complex:
 
 
 def _orders(na: int) -> np.ndarray:
-    # the rows every path returns: what B_n and 2 B_n' = B_{n-1} - B_{n+1} read
-    return np.arange(na - 1, na + 2) if na else np.arange(2)
+    # the rows every path returns: B_n, and B_{n+1} for B_n' = (n/z) B_n - B_{n+1}
+    return np.arange(na, na + 2)
 
 
-def _value_and_derivative(rows: np.ndarray, na: int):
+def _derivative(na: int, z: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """B_n' = (n/z) B_n - B_{n+1} (DLMF 10.6.2) from rows n and n + 1; -B_1 at n = 0."""
     if na == 0:
-        return rows[0], -rows[1]
-    return rows[1], (rows[0] - rows[2]) / 2.0
+        return -rows[1]
+    return (na / z) * rows[0] - rows[1]
 
 
 def _series_coefficients() -> np.ndarray:
@@ -139,61 +154,63 @@ def _series_coefficients() -> np.ndarray:
 _SERIES = _series_coefficients()
 
 
-def _ascending(orders: np.ndarray, z: np.ndarray, functions: int) -> np.ndarray:
-    """Ascending series of J_o(z), [function][row per order o][point].
+def _ascending(na: int, z: np.ndarray, functions: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending series of orders n and n + 1, [function][order][point], and J_n'.
 
     J_o(z) = (z/2)^o / o! * sum_k b_k w^k with w = -(z/2)^2 and the module
     table's b_k, summed in one Horner pass; with functions=2 the rows are
     followed by the psi series sum_k (H_k + H_{o+k} - 2 gamma) t_k of Y's
-    integer-order limit form, from the same pass.  Every operation is per
-    point, so a point's value does not hang on the grid it is summed in.
+    integer-order limit form, from the same pass.  (n/z) J_n is formed as
+    (z/2)^(n-1) / (2 (n-1)!) times the sum, so z = 0 needs no division.
+    Every operation is per point, so a point's value does not hang on the
+    grid it is summed in.
     """
-    table = _SERIES[:, :functions, orders, None]
+    table = _SERIES[:, :functions, _orders(na), None]
     half = z / 2.0
     w = -(half * half)
-    acc = table[-1] * np.ones_like(z)
+    sums = table[-1] * np.ones_like(w)
     for b in table[-2::-1]:
-        acc *= w
-        acc += b
-    # first terms (z/2)^o / o!, built incrementally so no power overflows;
-    # consecutive orders continue the same product.  Products of one-point
-    # arrays are written out of place: numpy's in-place complex multiply on a
-    # single element rounds differently from its vector loop.
-    term = np.empty((len(orders), len(z)), dtype=complex)
-    term[0] = 1.0
-    for j in range(1, int(orders[0]) + 1):
-        term[0] = term[0] * (half / j)
-    for row in range(1, len(orders)):
-        term[row] = term[row - 1] * (half / int(orders[row]))
-    return acc * term
+        sums *= w
+        sums += b
+    # first terms (z/2)^o / o!, built incrementally so no power overflows.
+    # Products of one-point arrays are written out of place: numpy's in-place
+    # complex multiply on a single element rounds differently from its vector loop.
+    below = np.ones_like(z)  # (z/2)^(n-1) / (n-1)!
+    for j in range(1, na):
+        below = below * (half / j)
+    term = np.empty((2, len(z)), dtype=complex)
+    term[0] = below * (half / na) if na else below
+    term[1] = term[0] * (half / (na + 1))
+    rows = sums * term
+    if na == 0:
+        return rows, -rows[0, 1]
+    return rows, 0.5 * below * sums[0, 0] - rows[0, 1]
 
 
-def _j_series(na: int, z: np.ndarray) -> np.ndarray:
-    return _ascending(_orders(na), z, 1)
+def _j_series(na: int, z: np.ndarray) -> tuple[tuple]:
+    rows, derivative = _ascending(na, z, 1)
+    return ((rows[0, 0], derivative),)
 
 
-def _jy_series(na: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J's and Y's rows from one ascending pass.
+def _jy_series(na: int, z: np.ndarray) -> tuple[tuple, tuple]:
+    """J's and Y's value and derivative from one ascending pass.
 
     Y is the integer-order limit form: log term + finite singular part + psi
-    series.  The J rows are what _j_series returns for the same points.
+    series.  J is what _j_series returns for the same points.
     """
     orders = _orders(na)
-    jn, psi = _ascending(orders, z, 2)
+    (jn, psi), j_derivative = _ascending(na, z, 2)
     half = z / 2.0
     log_term = (2.0 / math.pi) * np.log(half) * jn
     # finite part sum_{k<o} (o-k-1)!/k! (z/2)^(2k-o); each row's k=0 term
     # (o-1)!/half^o is built with interleaved factors so no intermediate overflows
     first = 1.0 / half
-    for i in range(1, max(int(orders[0]), 1)):
+    for i in range(1, max(na, 1)):
         first = first * (i / half)
-    rows = [np.zeros_like(half), first] if orders[0] == 0 else [first]
-    for o in orders[len(rows):]:
-        rows.append(rows[-1] * ((o - 1) / half))
-    term = np.array(rows)
+    term = np.array([np.zeros_like(half), first] if na == 0 else [first, first * (na / half)])
     finite = term.copy()
     hh = half * half
-    ks = np.arange(1, max(int(orders[-1]), 1))[:, None]
+    ks = np.arange(1, na + 1)[:, None]
     den = ks * (orders - ks)
     # rows whose sum has ended multiply by 0 and add zeros from here on
     inv = np.where(den > 0, 1.0 / np.maximum(den, 1), 0.0)[:, :, None]
@@ -201,34 +218,37 @@ def _jy_series(na: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         term *= hh
         term *= c
         finite += term
-    return jn, log_term - finite / math.pi - psi / math.pi
+    y = log_term - finite / math.pi - psi / math.pi
+    return (jn[0], j_derivative), (y[0], _derivative(na, z, y))
 
 
-def _miller_start(n_top: int, r: float) -> int:
+def _miller_start(n_top: int, r: np.ndarray) -> np.ndarray:
     # margin grows like |z|^(1/3) so the minimal solution is fully separated
-    return n_top + int(math.ceil(r)) + 15 + int(math.ceil(7.5 * r ** (1.0 / 3.0)))
+    return n_top + np.ceil(r).astype(int) + 15 + np.ceil(7.5 * r ** (1.0 / 3.0)).astype(int)
 
 
 def _miller(n_top: int, z: np.ndarray, keep) -> np.ndarray:
     """J_k(z) for each k in keep, by one backward recurrence over every point.
 
-    Every point starts at the index the largest |z| needs.  The sweep carries
-    the recurrence's two rows and adds each new row into the normalization
+    Each point starts at the index its own |z| needs: until then its column
+    holds zeros, and there its row is seeded.  The sweep carries the
+    recurrence's two rows and adds each new row into the normalization
     e^{-+iz} = J_0 + 2 sum (-+i)^k J_k.
     """
-    r = _modulus(z)
-    # |z| along the closed form's circle varies in its last bits; rounding it
-    # keeps one start index for the grid and for each of its points alone
-    m = _miller_start(n_top, round(float(r.max()), 9))
-    r_min = float(r.min())
+    starts = _miller_start(n_top, _modulus(z))
+    seeds = set(starts.tolist())
     two_over_z = 2.0 / z
-    f_hi, f = np.zeros_like(z), np.full_like(z, 1e-150)
+    # before its start a column's sums stay +0 and its rows +-0; seeding f and
+    # zeroing f_hi starts it as a sweep of that point alone would, signed zeros too
+    f_hi, f = np.zeros_like(z), np.zeros_like(z)
     # normalization sum split by parity: sum over even j of i^j f_j, and over
     # odd j of i^(j-1) f_j; the odd part takes the sign of the half plane
     even, odd = np.zeros_like(z), np.zeros_like(z)
     kept = {}
-    growth = 0.0
-    for j in range(m, 0, -1):
+    for j in range(max(seeds), 0, -1):
+        if j in seeds:
+            at = starts == j
+            f, f_hi = np.where(at, _MILLER_SEED, f), np.where(at, 0.0, f_hi)
         if j in keep:
             kept[j] = f
         k = (j + 1) // 2
@@ -239,14 +259,6 @@ def _miller(n_top: int, z: np.ndarray, keep) -> np.ndarray:
         else:  # j = 2k
             plus(even, f, out=even)
         f, f_hi = (two_over_z * float(j)) * f - f_hi, f
-        # |f_{j-1}| <= (2j/|z| + 1) max(|f_j|, |f_{j+1}|) bounds the growth
-        growth += math.log10(2.0 * j / r_min + 1.0)
-        if growth > _RESCALE_DECADES:
-            growth = 0.0
-            big = (np.abs(f) > 1e250) | (np.abs(f_hi) > 1e250)
-            if big.any():
-                f, f_hi, even, odd = (np.where(big, a * 1e-250, a) for a in (f, f_hi, even, odd))
-                kept = {i: np.where(big, v * 1e-250, v) for i, v in kept.items()}
     kept[0] = f
     # e^{-iz} = J0 + 2 sum (-i)^k Jk keeps every term on the scale of the result;
     # the classical "sum of even orders = 1" cancels catastrophically off the axis
@@ -256,36 +268,37 @@ def _miller(n_top: int, z: np.ndarray, keep) -> np.ndarray:
     return np.array([kept[k] * scale for k in keep])
 
 
-def _j_miller(na: int, z: np.ndarray) -> tuple[np.ndarray]:
-    return (_miller(na + 1, z, _orders(na).tolist()),)
+def _j_miller(na: int, z: np.ndarray) -> tuple[tuple]:
+    rows = _miller(na + 1, z, _orders(na).tolist())
+    return ((rows[0], _derivative(na, z, rows)),)
 
 
-def _hankel_log_derivative(w: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _cf2_depth(r: np.ndarray) -> np.ndarray:
+    # two steps or more past the depth at which the fraction's truncation falls
+    # below half an ulp, at every |w| from 6 to 1e4 (scripts/bessel_depth_scan.py)
+    return 5 + np.ceil(78.0 / r).astype(int)
+
+
+def _hankel_log_derivative(w: np.ndarray) -> np.ndarray:
     """H_0'(w) / H_0(w) for H = H^(1) and Im w >= 0, by Steed's continued fraction.
 
     f = i - 1/(2w) + (i/w) a_1/(b_1 + a_2/(b_2 + ...)), a_k = (k - 1/2)^2 and
-    b_k = 2(w + ik), by modified Lentz until every point's factor C_k D_k is
-    within 4e-16 of 1.  The cap's error names the point z whose w has not.
+    b_k = 2(w + ik), evaluated backward from b_K, K = _cf2_depth(|w|); the
+    points of one depth run together.
     """
-    two_w = 2.0 * w
-    u = c = two_w + 2.0j
-    d = np.zeros_like(w)
-    for k in range(2, _CF2_MAX_STEPS + 1):
-        b = two_w + 2.0j * k
-        a = (k - 0.5) ** 2
-        d = 1.0 / (b + a * d)
-        c = b + a / c
-        step = c * d
-        u = u * step
-        if k % 4 == 0 and (np.abs(step - 1.0) < 4e-16).all():
-            return 1.0j - 0.5 / w + (0.25j / w) / u
-    bad = ~(np.abs(step - 1.0) < 4e-16)
-    raise ConvergenceError(
-        f"Steed's continued fraction for H_0({_first(z, bad)!r}) did not converge"
-        f" in {_CF2_MAX_STEPS} steps")
+    depths = _cf2_depth(_modulus(w))
+    u = np.empty_like(w)
+    for depth in set(depths.tolist()):
+        at = depths == depth
+        two_w = 2.0 * w[at]
+        t = two_w + 2.0j * depth
+        for k in range(depth - 1, 0, -1):
+            t = (two_w + 2.0j * k) + (k + 0.5) ** 2 / t
+        u[at] = t
+    return 1.0j - 0.5 / w + (0.25j / w) / u
 
 
-def _jy_far(na: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _jy_far(na: int, z: np.ndarray) -> tuple[tuple, tuple]:
     """J's Miller rows, and Y's from them: i(J - H) with H = H^(1) at w.
 
     w is z above the real axis (a signed zero imaginary part counts as above)
@@ -295,15 +308,16 @@ def _jy_far(na: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = _miller(na + 1, z, (0, 1, *_orders(na).tolist()))
     upper = z.imag >= 0.0
     w, j0, j1 = (np.where(upper, a, a.conj()) for a in (z, rows[0], rows[1]))
-    f = _hankel_log_derivative(w, z)
+    f = _hankel_log_derivative(w)
     # W{J_0, H_0} = J_0 H_0' + J_1 H_0 = 2i/(pi w), with H_0' = f H_0
     h = (2.0j / math.pi) / (w * (j0 * f + j1))
-    below, above = None, -f * h
+    above = -f * h
     two_over_w = 2.0 / w
     for k in range(1, na + 1):
-        below, h, above = h, above, (two_over_w * k) * above - h
-    h_rows = np.array([h, above] if na == 0 else [below, h, above])
-    return rows[2:], np.where(upper, 1.0j, -1.0j) * (rows[2:] - np.where(upper, h_rows, h_rows.conj()))
+        h, above = above, (two_over_w * k) * above - h
+    h_rows = np.array([h, above])
+    j, y = rows[2:], np.where(upper, 1.0j, -1.0j) * (rows[2:] - np.where(upper, h_rows, h_rows.conj()))
+    return (j[0], _derivative(na, z, j)), (y[0], _derivative(na, z, y))
 
 
 def _evaluate(na: int, z: np.ndarray, paths, functions: int = 1) -> np.ndarray:
@@ -311,8 +325,8 @@ def _evaluate(na: int, z: np.ndarray, paths, functions: int = 1) -> np.ndarray:
     out = np.empty((functions, 2, len(z)), dtype=complex)
     for mask, path in paths:
         if mask.any():
-            for o, rows in zip(out, path(na, z[mask])):
-                o[:, mask] = _value_and_derivative(rows, na)
+            for o, pair in zip(out, path(na, z[mask])):
+                o[:, mask] = pair
     return out
 
 

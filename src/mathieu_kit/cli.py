@@ -434,7 +434,7 @@ def _run_residual(job: JobSpec, sidecar: dict):
     grid = np.linspace(p["t0"], p["t1"], p["n"])
     report = cf.adjudicate(params, grid, allow_inadmissible=p["allow_inadmissible"])
     sidecar.update(
-        nu=_jsonify(cf.index(params, cf.Variant.CORRECTED)),
+        nu=_jsonify(report.nu),
         residual_linf=report.corrected.linf,
         residual_l2=report.corrected.l2,
         passing_variant=report.passing_variant,

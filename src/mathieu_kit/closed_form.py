@@ -290,11 +290,15 @@ def homogeneous_ode(params: DampedParams) -> LinearODE:
 
 @dataclass(frozen=True)
 class AdjudicationReport:
-    """Side-by-side residuals of the two variants against the same equation."""
+    """Side-by-side residuals of the two variants against the same equation.
+
+    nu is the corrected variant's index, as general_solution derived it.
+    """
 
     corrected: ResidualReport
     literal: ResidualReport
     passing_variant: Optional[str]
+    nu: complex
 
 
 def adjudicate(params: DampedParams, grid, *,
@@ -306,10 +310,10 @@ def adjudicate(params: DampedParams, grid, *,
     neither does.  No smallness is asserted here: this is a measurement.
     """
     ode = split_ode(params)
-    reports = {}
+    specs, reports = {}, {}
     for variant in (Variant.CORRECTED, Variant.LITERAL):
-        spec = general_solution(params, variant, 1.0, 1.0,
-                                allow_inadmissible=allow_inadmissible)
+        specs[variant] = spec = general_solution(params, variant, 1.0, 1.0,
+                                                 allow_inadmissible=allow_inadmissible)
         reports[variant] = residual(ode, evaluate_grid(spec, grid))
     passing = [v for v in (Variant.CORRECTED, Variant.LITERAL) if reports[v].verdict]
     winner = None
@@ -319,4 +323,5 @@ def adjudicate(params: DampedParams, grid, *,
         corrected=reports[Variant.CORRECTED],
         literal=reports[Variant.LITERAL],
         passing_variant=winner,
+        nu=specs[Variant.CORRECTED].nu,
     )

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from mathieu_kit import bessel
 from mathieu_kit.bessel import MAX_ARGUMENT, MAX_ORDER, BesselValue, bessel_j, bessel_y
-from mathieu_kit.errors import (
-    ConvergenceError, InvalidParameterError, RangeLimitError, SingularityError,
-)
+from mathieu_kit.errors import InvalidParameterError, RangeLimitError, SingularityError
 
 from reference_series import ref_j, ref_j_derivative, ref_y, ref_y_derivative
 
@@ -238,17 +236,14 @@ def test_on_the_negative_real_axis_either_signed_zero_gives_the_upper_side(n, va
         assert abs(got.derivative - derivative) <= 1e-14 * abs(derivative)
 
 
-def test_a_continued_fraction_that_does_not_converge_names_its_point(monkeypatch):
-    monkeypatch.setattr(bessel, "_CF2_MAX_STEPS", 3)
-    with pytest.raises(ConvergenceError, match=r"H_0\(\(7-3j\)\)"):
-        bessel_y(2, np.array([2.0, 7.0 - 3.0j, 9.0 + 1.0j]))
-
-
 def test_miller_rescales_only_the_columns_that_need_it():
-    # one sweep starts every point at the index |z| = 250 needs; from there
-    # the |z| = 7 columns grow past 1e250 many times over, the others do not
+    # each point starts the sweep at the index its own |z| needs, so the
+    # |z| = 7 columns keep their own scale beside |z| = 250, whose index would
+    # grow them past 1e250 many times over; n = 200 at |z| = 6.01i is the
+    # column that grows most from its own start, to about 1e200
+    # (scripts/bessel_depth_scan.py), so no column needs rescaling
     special = pytest.importorskip("scipy.special")
-    z = np.array([7.0, 7j, -7.0 + 0.1j, 30.0 * cmath.exp(0.3j), 100.0, 250.0 * cmath.exp(2j)])
+    z = np.array([7.0, 7j, -7.0 + 0.1j, 6.01j, 30.0 * cmath.exp(0.3j), 100.0, 250.0 * cmath.exp(2j)])
     for n in (60, 150, 200):
         j = bessel_j(n, z)
         assert _worst_rel(j.value, special.jv(n, z)) <= 1e-12
@@ -383,6 +378,98 @@ def test_a_series_point_is_its_scalar_call_in_any_grid(n):
             assert (j.value[i], j.derivative[i]) == (one_j.value, one_j.derivative)
             assert (y.value[i], y.derivative[i]) == (one_y.value, one_y.derivative)
             assert (j_only.value[i], j_only.derivative[i]) == (one_j.value, one_j.derivative)
+
+
+@pytest.mark.parametrize("n, z", [
+    (3, np.random.default_rng(0).uniform(6.5, 40.0, 300)),
+    (150, np.array([7.0, 7j, -7.0 + 0.1j])),
+    (2, 9.0 * np.exp(1j * np.linspace(-math.pi, math.pi, 9))),
+    (12, np.array([-13.075945651344238 + 0.0j])),
+], ids=["n3-300-points", "n150-at-7", "cf2-at-9", "n12-signed-zero"])
+def test_a_point_above_the_series_disc_is_its_scalar_call_in_any_grid(n, z):
+    # the Miller start and the CF2 depth come from each point's own |z|; a
+    # start index shared with the |z| = 900 point moves 299 of the 300 values
+    # by up to 2e-15 of sqrt(2/(pi |z|)) and rescales the n = 150 columns,
+    # and |z| = 9 takes 14 CF2 steps where 900 takes 6; at -13.08 + 0i, J_12's
+    # zero imaginary part keeps its sign only if the seed zeroes the row above
+    for fn in (bessel_j, bessel_y):
+        alone = [fn(n, zi) for zi in z.tolist()]
+        want = [np.array([getattr(one, part) for one in alone]).tobytes()
+                for part in ("value", "derivative")]
+        for before, after in (([], []), ([], [900.0]), ([900.0, 6.2j], [])):
+            grid = fn(n, np.concatenate((before, z, after)))
+            points = slice(len(before), len(before) + len(z))
+            assert grid.value[points].tobytes() == want[0]
+            assert grid.derivative[points].tobytes() == want[1]
+
+
+def _cf2_backward(mpmath, w, depth: int):
+    # i - 1/(2w) + (i/w) a_1/(b_1 + a_2/(b_2 + ... a_depth/b_depth)) in mpmath
+    u = 2 * (w + 1j * depth)
+    for k in range(depth - 1, 0, -1):
+        u = 2 * (w + 1j * k) + (k + mpmath.mpf(0.5)) ** 2 / u
+    return 1j - 1 / (2 * w) + (0.25j / w) / u
+
+
+@pytest.mark.parametrize("r", [6.0, 9.0, 12.99, 13.01, 40.0, 150.0, 1000.0, MAX_ARGUMENT])
+def test_cf2_at_each_point_s_depth_is_mpmath_s_hankel_log_derivative(r):
+    # H_0'/H_0 = -H_1/H_0 for H = H^(1) on a semicircle, both ends included;
+    # 78/r crosses 6 between 12.99 and 13.01, so their depths differ
+    mpmath = pytest.importorskip("mpmath")
+    w = r * np.exp(1j * np.linspace(0.0, math.pi, 5))
+    w[0], w[-1] = complex(r, 0.0), complex(-r, 0.0)
+    got = bessel._hankel_log_derivative(w)
+    depth = int(bessel._cf2_depth(np.array([r]))[0])
+    for wi, fi in zip(w.tolist(), got.tolist()):
+        x = mpmath.mpc(wi.real, wi.imag)
+        # two steps short of its depth the fraction's truncation is already
+        # below half an ulp, the margin scripts/bessel_depth_scan.py shows
+        with mpmath.workdps(40):
+            short, deep = (_cf2_backward(mpmath, x, d) for d in (depth - 2, 4 * depth + 40))
+            assert abs(short - deep) <= mpmath.mpf(2) ** -53 * abs(deep), wi
+        if r <= 50.0:
+            # J + iY cancels down to H^(1) ~ e^{-Im w}: carry digits for it
+            with mpmath.workdps(30 + int(wi.imag)):
+                want = complex(-mpmath.hankel1(1, x) / mpmath.hankel1(0, x))
+        else:  # H^(1)_m(w) = (2/(pi i)) (-i)^m K_m(-iw)
+            with mpmath.workdps(30):
+                want = complex(1j * mpmath.besselk(1, -1j * x) / mpmath.besselk(0, -1j * x))
+        assert abs(fi - want) <= 4 * 2.0 ** -52 * abs(want), wi
+
+
+def _mpmath_rows(z: complex, top: int) -> np.ndarray:
+    # 40-digit J_k and Y_k for k <= top: J_0, J_1 and Y_0 from mpmath, Y_1 from
+    # the Wronskian J_1 Y_0 - J_0 Y_1 = 2/(pi z), the rest by upward
+    # recurrence, stable for both while k < |z|
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        x = mpmath.mpc(z.real, z.imag)
+        j = [mpmath.besselj(0, x), mpmath.besselj(1, x)]
+        y = [mpmath.bessely(0, x)]
+        y.append((j[1] * y[0] - 2 / (mpmath.pi * x)) / j[0])
+        for k in range(1, top):
+            j.append(2 * k / x * j[k] - j[k - 1])
+            y.append(2 * k / x * y[k] - y[k - 1])
+        return np.array([[complex(v) for v in j], [complex(v) for v in y]])
+
+
+@pytest.mark.parametrize("r, bound", [
+    (40.0, 5e-15), (150.0, 2e-14), (1000.0, 2e-13), (5000.0, 1e-12), (9999.0, 2e-12),
+])
+def test_jy_error_per_decade_of_z_against_mpmath(r, bound):
+    # the bound is the measured worst error over n in {0, 1, 2, 12}, relative
+    # to max(|J_n|, |Y_n|) (its derivatives' for J' and Y'), rounded up; it
+    # grows like |z| eps, the rounding of the argument's own phase
+    top = min(math.pi / 2, math.asin(min(1.0, 600.0 / r)))
+    z = r * np.exp(1j * np.array([0.0, top / 2, top, math.pi]))
+    ref = np.array([_mpmath_rows(zi, 14) for zi in z.tolist()])  # [point][J or Y][order]
+    for n in (0, 1, 2, 12):
+        j, y = bessel.bessel_jy(n, z)
+        jn, yn = ref[:, 0, n], ref[:, 1, n]
+        jd, yd = (n / z) * jn - ref[:, 0, n + 1], (n / z) * yn - ref[:, 1, n + 1]
+        for got, want, other in ((j.value, jn, yn), (y.value, yn, jn),
+                                 (j.derivative, jd, yd), (y.derivative, yd, jd)):
+            assert np.max(np.abs(got - want) / np.maximum(np.abs(want), np.abs(other))) <= bound, n
 
 
 @pytest.mark.parametrize("z", [690j, 5.0 + 600j, -3.0 + 520j])

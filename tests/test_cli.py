@@ -296,6 +296,25 @@ def test_residual_job_json(capsys):
     assert doc["residual_linf"] == flags["corrected_linf"]
 
 
+def test_a_residual_job_derives_the_corrected_index_once(monkeypatch, capsys):
+    # general_solution derives each variant's index once; the sidecar's nu
+    # is the corrected one, read from the adjudication report
+    calls = []
+    index = closed_form.index
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return index(*args, **kwargs)
+
+    monkeypatch.setattr(closed_form, "index", counted)
+    code = main(["residual", "--m", "1", "--eta", "0", "--k0", "1", "--k", "4",
+                 "--omega", "2", "--t0", "0", "--t1", "10", "--n", "21"])
+    assert code == 0
+    assert len(calls) == 2
+    nu = json.loads(capsys.readouterr().out)["nu"]
+    assert complex(nu["re"], nu["im"]) == index(closed_form.DampedParams(1.0, 0.0, 1.0, 4.0, 2.0))
+
+
 def test_residual_job_failure_exit(capsys):
     code = main(["residual", "--m", "1", "--eta", "0.3", "--k0", "0.8", "--k", "0.9",
                  "--omega", "1.1", "--t0", "0", "--t1", "5", "--n", "101",

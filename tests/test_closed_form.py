@@ -37,7 +37,18 @@ from mathieu_kit.oracle import residual, wronskian_abel
 
 def admissible_params(n_index: int, m: float, eta: float, k: float, omega: float,
                       variant=Variant.CORRECTED) -> DampedParams:
-    """Choose the stiffness component so the chosen variant's index equals n_index."""
+    """Choose the stiffness component so the chosen variant's index equals n_index.
+
+    At index 0 the index is the square root of the pinned stiffness's rounding
+    error (about 1e-8, past ADMISSIBILITY_TOL) unless m is a power of two,
+    which makes the construction exact, as in test_acceptance's
+    random_admissible_params; m is rounded to one there.  That narrows the
+    draws at index 0 to an open defect's edge: tests/test_open_defects.py's
+    small-mends-index0-decimal row holds a decimal-exact index 0 the gate
+    refuses, and its mend should drop the rounding.
+    """
+    if n_index == 0:
+        m = 2.0 ** round(math.log2(m))
     a = eta / m
     pinned = m * (a * a + (n_index * omega) ** 2) / 4.0
     if variant is Variant.CORRECTED:

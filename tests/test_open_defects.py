@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from mathieu_kit import floquet
-from mathieu_kit.bessel import bessel_j
+from mathieu_kit.closed_form import DampedParams, general_solution
 from mathieu_kit.errors import MathieuKitError
 from mathieu_kit.oracle import PASS_TOL, residual
 
@@ -38,12 +38,14 @@ def test_solve_refuses_or_returns_a_series_that_meets_its_equation(h, theta):
     assert rep.linf < PASS_TOL
 
 
-# _miller starts every point at the index the grid's largest |z| needs, so a
-# |z| = 900 point moves 299 of these 300 values by up to 2.0e-15 of sqrt(2/(pi |z|))
+# a^2 = 4 k0/m holds in decimal, but the doubles leave a^2 - 4 k0/m at one
+# rounding, and nu = sqrt of it / (i omega) = -1.05e-8i lies past the 1e-9
+# gate: at index 0 only parameters exact in binary pass.  test_closed_form's
+# property test draws a power-of-two m at index 0 until this is mended.
 @open_defect
-@pytest.mark.parametrize("order", [3], ids=["pr30-reanchor-item15-j3"])
-def test_bessel_j_above_the_series_disc_does_not_depend_on_its_grid(order):
-    z = np.random.default_rng(0).uniform(6.5, 40.0, 300)
-    alone = bessel_j(order, z).value
-    with_far_point = bessel_j(order, np.append(z, 900.0)).value[:-1]
-    assert alone.tobytes() == with_far_point.tobytes()
+@pytest.mark.parametrize("m, eta, k0", [(1.25, 1.125, 0.253125)],
+                         ids=["small-mends-index0-decimal"])
+def test_an_index_exact_in_decimal_is_admissible(m, eta, k0):
+    spec = general_solution(DampedParams(m=m, eta=eta, k0=k0, k=1.0, omega=1.0),
+                            allow_inadmissible=True)
+    assert spec.admissible_nu == 0

@@ -82,7 +82,6 @@ from .oracle import (
     monodromy_exponent,
     residual,
     validate_tolerance,
-    wronskian_abel,
 )
 from .reductions import (
     ReductionInput,

@@ -16,10 +16,11 @@ CRLF line ends; numpy lays out the bytes '%.17g' prints from each number's exact
 rounded digits, and leaves NaN, ±inf and exponent notation to '%'.
 
 Exit codes: 0 success, 1 numerical failure (artifacts are still emitted when
-they exist), 2 usage error.  MATHIEU_KIT_TOL overrides the oracle tolerance
-(validated against the oracle's accepted range).  flux solves its job in
-closed form, so the variable sets its accuracy only for the jobs the closed
-form refuses and the oracle answers (validity_flags.motion says which).
+they exist), 2 usage error.  A job's artifacts depend on its arguments alone:
+integrate's stepper tolerance is its --tol flag (default DEFAULT_TOL, within
+the oracle's accepted range), recorded in the sidecar's params like every flag,
+and flux integrates the jobs its closed form refuses at the fixed
+flux.STEPPER_TOL.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ class JobSpec:
     # the typed parameters parse() checked; None for sweep, which has one per row
     inputs: Union[cf.DampedParams, fx.FluxParams, fl.GeneralParams, rd.ReductionInput, None]
     out_path: Optional[str] = None
-    tolerance: float = DEFAULT_TOL
 
 
 def _jsonify(value):
@@ -92,6 +92,8 @@ _real_flag = functools.partial(_number_flag, real_number, float, "invalid float 
 _complex_flag = functools.partial(_number_flag, complex_number,
                                   lambda text: complex(text.replace(" ", "")),
                                   "not a complex literal")
+_tol_flag = functools.partial(_number_flag, lambda _, tol: validate_tolerance(tol), float,
+                              "invalid float value")
 
 
 @functools.cache
@@ -161,9 +163,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "the closed form cannot represent (large |theta| = 2|k|/(m omega^2) with h "
                     "below about 2|theta|; a tongue edge, where the "
                     f"transient's parts exceed the motion over {fx.CANCELLATION_BOUND:g}-fold and "
-                    "cancel; an exact resonance) are integrated by the oracle instead, and only "
-                    "for those does MATHIEU_KIT_TOL set the accuracy; the sidecar's "
-                    "validity_flags.motion names the path.")
+                    "cancel; an exact resonance) are integrated by the oracle instead, at "
+                    f"tolerance {fx.STEPPER_TOL:g}; the sidecar's validity_flags.motion names "
+                    "the path.")
     damped_flags(p)
     p.add_argument("--B", type=_real_flag, required=True)
     p.add_argument("--J0", type=_real_flag, required=True)
@@ -179,6 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=_complex_flag, required=True)
     p.add_argument("--y0", type=_complex_flag, default=1.0 + 0.0j)
     p.add_argument("--dy0", type=_complex_flag, default=0.0 + 0.0j)
+    p.add_argument("--tol", type=_tol_flag, default=DEFAULT_TOL,
+                   help=f"stepper tolerance in [{TOL_MIN:g}, {TOL_MAX:g}] (default {DEFAULT_TOL:g})")
     grid_flags(p)
 
     for name, sp in sub.choices.items():
@@ -236,19 +240,8 @@ def parse(argv: Optional[list[str]]) -> JobSpec:
         if ns.nh * ns.ntheta > MAX_GRID_POINTS:
             parser.error(f"--nh x --ntheta exceeds {MAX_GRID_POINTS:,} points")
 
-    tol_text = os.environ.get("MATHIEU_KIT_TOL")
-    tol = DEFAULT_TOL
-    if tol_text is not None:
-        try:
-            tol = validate_tolerance(float(tol_text))
-        except (ValueError, InvalidParameterError):
-            parser.error(
-                f"MATHIEU_KIT_TOL={tol_text!r} invalid: need a float in [{TOL_MIN:g}, {TOL_MAX:g}]"
-            )
-
     params = {k: v for k, v in vars(ns).items() if k not in ("command", "out")}
-    return JobSpec(command=ns.command, parameters=params, inputs=inputs, out_path=ns.out,
-                   tolerance=tol)
+    return JobSpec(command=ns.command, parameters=params, inputs=inputs, out_path=ns.out)
 
 
 def _sidecar_base(job: JobSpec) -> dict:
@@ -499,7 +492,7 @@ def _run_flux(job: JobSpec, sidecar: dict):
     fp = job.inputs
     base = fp.base
     grid = _time_grid(p)
-    ts, motion = fx.motion_from_rest(fp, min(0.0, p["t0"]), grid, job.tolerance)
+    ts, motion = fx.motion_from_rest(fp, min(0.0, p["t0"]), grid)
     # the column alone: no CSV holds field_from_motion's derivative rows
     field = representable("the induced field -(B/c) y'", lambda: (fp.field_scale * ts.dy).real)
     flags = {"motion": motion}
@@ -532,7 +525,7 @@ def _run_integrate(job: JobSpec, sidecar: dict):
     grid = _time_grid(p)
     # the grid's last point may round up past t1, so the span covers it
     span = (p["t0"], max(p["t1"], float(grid[-1])))
-    ts = integrate(fl.general_mathieu_ode(job.inputs), p["y0"], p["dy0"], span, job.tolerance,
+    ts = integrate(fl.general_mathieu_ode(job.inputs), p["y0"], p["dy0"], span, p["tol"],
                    t_eval=grid)
     # no residual: the stepper takes y'' from the equation, so it would read 0
     sidecar.update(validity_flags={"steps": ts.meta.get("steps"),

@@ -28,10 +28,11 @@ It also carries two independent solutions of the full equation from rest:
   reference the closed form is tested against.
 
 motion_from_rest, the path `mathieu-kit flux` takes, uses the closed form and
-turns to simulate_full only for the jobs the closed form refuses: a Floquet
-series floquet.solve cannot build or that misses the equation (large |theta|
-= 2|k|/(m omega^2) with h below about 2|theta|), a Floquet pair too dependent
-to fit rest (a tongue edge), or an exact sideband resonance.
+turns to simulate_full, at the fixed STEPPER_TOL, only for the jobs the closed
+form refuses: a Floquet series floquet.solve cannot build or that misses the
+equation (large |theta| = 2|k|/(m omega^2) with h below about 2|theta|), a
+Floquet pair too dependent to fit rest (a tongue edge), or an exact sideband
+resonance.
 
 Convention: the induced field is taken as E(t) = -(B/c) dy/dt, the choice that
 reproduces the model prefactor B^2 J0 Omega / (|k0| c^2) in the stated regime.
@@ -61,6 +62,11 @@ LOWPASS_CARRIER_PERIODS = 8
 ENVELOPE_POINTS = 256
 # closed_form_motion refuses a motion whose oracle.residual linf exceeds this
 RESIDUAL_BOUND = 1e-9
+# motion_from_rest integrates the jobs closed_form_motion refuses at this tolerance.
+# The stepper's error falls about tenfold per decade of tol: the worst routed job
+# of scripts/flux_census.py --count 100 reads 2.6e-11 off a tol-1e-13 oracle,
+# 38 times inside the census's agreement bound 1e-9 (2.4e-9 at tol 1e-10)
+STEPPER_TOL = 1e-12
 # closed_form_motion refuses a transient whose larger part, max|c_i u_i| on the
 # grid, exceeds this multiple of the motion's scale: the sum cancels the digits
 # the answer needs.  With eta = 0 at scipy's 21 tongue edges (q = 0.5, 1, 2) it
@@ -381,20 +387,21 @@ def closed_form_motion(fp: FluxParams, start: float, grid) -> TimeSeries:
     return series
 
 
-def motion_from_rest(fp: FluxParams, start: float, grid, tol: float) -> tuple[TimeSeries, str]:
+def motion_from_rest(fp: FluxParams, start: float, grid) -> tuple[TimeSeries, str]:
     """The motion from rest at start on a grid, and how it was found.
 
-    closed_form_motion where it answers ("closed form"); simulate_full at tol
-    where it refuses with ConvergenceError, SingularityError (a cancellation
-    above CANCELLATION_BOUND) or ResonanceError, the inputs its series cannot
-    represent but a stepper can ("stepper: " and the refusal).  A motion that
+    closed_form_motion where it answers ("closed form"); simulate_full at
+    STEPPER_TOL where it refuses with ConvergenceError, SingularityError (a
+    cancellation above CANCELLATION_BOUND) or ResonanceError, the inputs its
+    series cannot represent but a stepper can ("stepper: " and the refusal).
+    Either way the motion depends on fp, start and grid alone.  A motion that
     overflows raises RangeLimitError: the stepper cannot finish it either.
     """
     try:
         return closed_form_motion(fp, start, grid), "closed form"
     except (ConvergenceError, SingularityError, ResonanceError) as exc:
         grid = as_grid(grid)
-        ts = simulate_full(fp, (start, float(grid[-1])), tol, t_eval=grid)
+        ts = simulate_full(fp, (start, float(grid[-1])), STEPPER_TOL, t_eval=grid)
         return ts, f"stepper: {type(exc).__name__}: {exc}"
 
 

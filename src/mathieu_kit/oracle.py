@@ -4,8 +4,8 @@ Everything here checks other results rather than producing them: one
 Dormand-Prince 5(4) stepper for y'' + p y' + q y = f (PI step controller) that
 advances one solution and streams each step's classical quartic interpolant to
 the requested times, keeping nothing per step (integrate is one sweep, the
-monodromy period map two, one per column); the one residual, each point's
-defect over its own scale; and the Abel/Liouville Wronskian reference.
+monodromy period map two, one per column); and the one residual, each point's
+defect over its own scale.
 
 The stepper's tableau is unrolled on Python scalars, because a state of two
 numbers is too small for numpy to pay off: y, y' and y'' are local variables,
@@ -130,8 +130,7 @@ def _constant(value):
 
 
 def _sample(fn: Coefficient | None, points: np.ndarray) -> np.ndarray:
-    # a coefficient without an array form (a user's callable, wronskian_abel's
-    # p) is called once per point
+    # a coefficient without an array form (a user's callable) is called once per point
     out = np.zeros(np.shape(points), dtype=complex)
     if fn is not None:
         out.flat[:] = [fn(t) for t in np.ravel(points).tolist()]
@@ -481,25 +480,3 @@ def residual(
     linf = float(np.max(figure))
     return ResidualReport(linf, float(np.sqrt(np.mean(figure * figure))), linf < PASS_TOL, figure)
 
-
-def wronskian_abel(p: Coefficient | None, w0: complex, grid: Sequence[float]) -> np.ndarray:
-    """Abel/Liouville reference W(t) = W(t0) exp(-int p) on an ascending grid.
-
-    The integral is a running sum of 10-point Gauss-Legendre quadratures,
-    one per grid interval.  A W beyond double precision raises RangeLimitError.
-    """
-    w0, grid = complex_number("w0", w0), as_grid(grid)
-    if np.any(np.diff(grid) <= 0.0):
-        raise InvalidParameterError("grid must be strictly increasing")
-    if p is None:
-        return np.full(len(grid), w0)
-    nodes, weights = np.polynomial.legendre.leggauss(10)
-    mid = 0.5 * (grid[1:] + grid[:-1])
-    rad = 0.5 * np.diff(grid)
-    acc = np.cumsum(rad * (_sample(p, mid[:, None] + rad[:, None] * nodes) @ weights))
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = w0 * np.exp(-np.concatenate(([0.0], acc)))
-    finite = np.isfinite(w)
-    if not finite.all():
-        raise RangeLimitError(f"Abel's Wronskian overflows at t = {grid[np.argmin(finite)]:.6g}")
-    return w

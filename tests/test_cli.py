@@ -37,11 +37,6 @@ SWEEP_ARGS = ["sweep", "--h0", "0", "--h1", "2", "--nh", "3",
               "--theta0", "0", "--theta1", "1", "--ntheta", "2"]
 
 
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("MATHIEU_KIT_TOL", raising=False)
-
-
 def test_parse_solve_example():
     job = parse(SOLVE_ARGS)
     assert isinstance(job, JobSpec)
@@ -105,6 +100,10 @@ def test_parse_floquet_example():
     SOLVE_ARGS + ["--c2", "inf"],
     ["integrate", "--h", "1", "--theta", "0", "--y0", "nan"],
     ["integrate", "--h", "1", "--theta", "0", "--dy0", "1+infj"],
+    # integrate's tolerance is a finite number in the oracle's range
+    ["integrate", "--h", "1", "--theta", "0", "--tol", "1e-20"],
+    ["integrate", "--h", "1", "--theta", "0", "--tol", "nan"],
+    ["integrate", "--h", "1", "--theta", "0", "--tol", "x"],
 ])
 def test_usage_errors_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
@@ -117,6 +116,8 @@ def test_usage_errors_exit_2(argv):
     (SOLVE_ARGS + ["--c1", "nan"], "argument --c1: value must be finite, got (nan+0j)"),
     (SOLVE_ARGS + ["--m", "one"], "argument --m: invalid float value: 'one'"),
     (SOLVE_ARGS + ["--c2", "1+"], "argument --c2: not a complex literal: '1+'"),
+    (["integrate", "--h", "1", "--theta", "0", "--tol", "1e-20"],
+     "argument --tol: tolerance 1e-20 outside supported range [1e-14, 0.001]"),
 ])
 def test_a_flag_that_is_not_a_finite_number_names_itself(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -150,18 +151,17 @@ def test_usage_error_after_a_cached_parse_still_exits_2():
     assert parse(["floquet", "--h", "1", "--theta", "0.5"]).command == "floquet"
 
 
-def test_tolerance_env_override(monkeypatch):
-    monkeypatch.setenv("MATHIEU_KIT_TOL", "1e-9")
-    job = parse(SOLVE_ARGS)
-    assert job.tolerance == 1e-9
-    monkeypatch.setenv("MATHIEU_KIT_TOL", "1e-20")
-    with pytest.raises(SystemExit) as exc:
-        parse(SOLVE_ARGS)
-    assert exc.value.code == 2
-    monkeypatch.setenv("MATHIEU_KIT_TOL", "not-a-number")
-    with pytest.raises(SystemExit) as exc:
-        parse(SOLVE_ARGS)
-    assert exc.value.code == 2
+def test_integrate_takes_its_tolerance_from_tol_and_records_it(tmp_path):
+    assert parse(["integrate", "--h", "1", "--theta", "0.5"]).parameters["tol"] == cli.DEFAULT_TOL
+    steps = []
+    for tol in ("1e-8", "1e-12"):
+        out = tmp_path / f"int{tol}.csv"
+        assert main(["integrate", "--h", "1", "--theta", "0.5", "--tol", tol,
+                     "--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / f"int{tol}.json").read_text())
+        assert sidecar["params"]["tol"] == float(tol)
+        steps.append(sidecar["validity_flags"]["steps"])
+    assert steps[0] < steps[1]
 
 
 def test_solve_to_files(tmp_path):
@@ -824,9 +824,37 @@ def test_the_flux_field_column_is_field_from_motion_s_bit_for_bit(argv, tmp_path
     written = np.array([float(field) for _, field in rows])
     job = parse(argv)
     p = job.parameters
-    ts, _ = flux.motion_from_rest(job.inputs, min(0.0, p["t0"]), cli._time_grid(p), job.tolerance)
+    ts, _ = flux.motion_from_rest(job.inputs, min(0.0, p["t0"]), cli._time_grid(p))
     want = np.asarray(flux.field_from_motion(job.inputs, ts).y).real
     assert written.tobytes() == want.tobytes()
+
+
+# one job per command; test_flux_output_does_not_depend_on_the_tolerance covers
+# flux in closed form
+ENVIRONMENT_JOBS = {
+    "solve": SOLVE_ARGS,
+    "floquet": ["floquet", "--h", "1", "--theta", "0.5"],
+    "residual": ["residual", "--m", "1", "--eta", "0", "--k0", "1", "--k", "4", "--omega", "2",
+                 "--n", "51"],
+    "sweep": SWEEP_ARGS,
+    "transform": ["transform", "--family", "eq13", "--a", "1.5", "--b", "-0.5"],
+    "integrate": ["integrate", "--h", "1", "--theta", "0.5", "--t1", "5", "--dt", "0.05"],
+    "flux-stepper-routed": FIELD_JOBS["stepper-routed"],
+}
+
+
+@pytest.mark.parametrize("argv", list(ENVIRONMENT_JOBS.values()), ids=list(ENVIRONMENT_JOBS))
+def test_a_job_s_artifacts_do_not_read_the_environment(argv, tmp_path, monkeypatch):
+    # MATHIEU_KIT_TOL once set every command's stepper tolerance, unrecorded
+    runs = []
+    for tol in (None, "1e-6"):
+        if tol is not None:
+            monkeypatch.setenv("MATHIEU_KIT_TOL", tol)
+        folder = tmp_path / str(tol)
+        folder.mkdir()
+        code = main(argv + ["--out", str(folder / "job.csv")])
+        runs.append((code, {path.name: path.read_bytes() for path in folder.iterdir()}))
+    assert runs[0][1] and runs[0] == runs[1]
 
 
 def test_a_field_past_double_precision_exits_1_with_one_error_line(tmp_path):
@@ -877,7 +905,6 @@ OVERFLOWS = [
      lambda: floquet.hill_determinant(floquet.GeneralParams(1.0, 0.5), 3e7)),
     ("hill_determinant-theta-1e200",
      lambda: floquet.hill_determinant(floquet.GeneralParams(1.0, 1e200), 0.1)),
-    ("wronskian_abel", lambda: oracle.wronskian_abel(lambda t: -1.0, 3e7, [0.0, 1000.0])),
 ]
 
 

@@ -481,7 +481,7 @@ def test_a_motion_past_double_precision_raises_no_numpy_warning(m):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RangeLimitError, match="overflows at t = 0"):
-            motion_from_rest(fp, 0.0, np.arange(0.0, 1.25, 0.25), 1e-8)
+            motion_from_rest(fp, 0.0, np.arange(0.0, 1.25, 0.25))
         rows = floquet.exponential_sum(np.ones(3, dtype=complex), 0.0, 1e300, np.zeros(1))
     assert not np.isfinite(rows[2, 0]) and np.isfinite(rows[0, 0])
 
@@ -504,7 +504,7 @@ def test_an_even_tongue_edge_from_rest_stays_in_closed_form(r, q):
     with pytest.raises(SingularityError, match="dependent"):
         floquet.second_solution(floquet.solve(floquet.GeneralParams(fp.base.k0, q)))
     grid = np.linspace(0.0, 20.0, 401)
-    motion, path = motion_from_rest(fp, 0.0, grid, 1e-8)
+    motion, path = motion_from_rest(fp, 0.0, grid)
     assert path == "closed form"
     ref = simulate_full(fp, (0.0, 20.0), 1e-13, t_eval=grid)
     for got, want in ((motion.y, ref.y), (motion.dy, ref.dy)):
@@ -553,21 +553,35 @@ def test_an_exact_resonance_has_no_steady_state():
 
 def test_refused_jobs_are_integrated_by_the_stepper():
     # the job of test_series_outside_its_precision_is_refused: the CLI's path
-    # answers it with the oracle at the given tolerance, as before the closed form
+    # answers it with the oracle at flux.STEPPER_TOL, as before the closed form
     fp = make_fp(eta=0.2, k0=0.0125, k=-15.0, omega=0.1)
     grid = np.linspace(0.0, 20.0, 401)
-    motion, path = motion_from_rest(fp, 0.0, grid, 1e-8)
+    motion, path = motion_from_rest(fp, 0.0, grid)
     assert path.startswith("stepper: ConvergenceError: closed-form motion misses its equation")
-    ref = simulate_full(fp, (0.0, 20.0), 1e-8, t_eval=grid)
+    ref = simulate_full(fp, (0.0, 20.0), flux.STEPPER_TOL, t_eval=grid)
     assert np.array_equal(motion.y, ref.y) and np.array_equal(motion.dy, ref.dy)
     # critically damped and unmodulated: a singular pair, answered by the stepper
-    motion, path = motion_from_rest(make_fp(eta=2.0, k0=1.0, k=0.0), 0.0, grid, 1e-8)
+    motion, path = motion_from_rest(make_fp(eta=2.0, k0=1.0, k=0.0), 0.0, grid)
     assert path.startswith("stepper: SingularityError")
     # the flux regime is answered in closed form, the same motion bit for bit
     fp, grid = DIFFERENTIAL_JOBS["flux_demod-0.016"]
-    motion, path = motion_from_rest(fp, 0.0, grid, 1e-8)
+    motion, path = motion_from_rest(fp, 0.0, grid)
     assert path == "closed form"
     assert np.array_equal(motion.y, closed_form_motion(fp, 0.0, grid).y)
+
+
+def test_a_refused_tongue_edge_is_answered_within_the_census_agreement():
+    # b_3(1) from rest at t = -1.3, which closed_form_motion refuses as singular: the
+    # stepper's motion is within 1e-9 (scripts/flux_census.py's AGREE) of a tol-1e-13
+    # oracle in y and in y'.  At tol 1e-10 its y' was 3.4e-9 off
+    special = pytest.importorskip("scipy.special")
+    fp = make_fp(eta=0.0, k0=float(special.mathieu_b(3, 1.0)), k=-2.0, omega=2.0, Omega=0.7)
+    grid = -1.3 + 0.05 * np.arange(301)
+    motion, path = motion_from_rest(fp, -1.3, grid)
+    assert path.startswith("stepper: SingularityError")
+    ref = simulate_full(fp, (-1.3, float(grid[-1])), 1e-13, t_eval=grid)
+    for got, want in ((motion.y, ref.y), (motion.dy, ref.dy)):
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 # ------------------------------------------------ exact steady-state figures

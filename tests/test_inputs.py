@@ -43,7 +43,7 @@ from mathieu_kit.flux import (
     modulation_analysis,
     symmetric_case_solution,
 )
-from mathieu_kit.oracle import integrate, monodromy_exponent, validate_tolerance, wronskian_abel
+from mathieu_kit.oracle import integrate, monodromy_exponent, validate_tolerance
 from mathieu_kit.reductions import ReductionInput, interior_grid, reduce
 from mathieu_kit.samples import MAX_GRID_POINTS, TimeSeries, as_grid, complex_number, real_number
 
@@ -108,7 +108,6 @@ COMPLEX_SITES = [
     ("normalize_exponent", normalize_exponent),
     ("class_distance.mu_a", lambda v: class_distance(v, 0.5j)),
     ("class_distance.mu_b", lambda v: class_distance(0.5j, v)),
-    ("wronskian_abel.w0", lambda v: wronskian_abel(lambda t: 0.5, v, [0.0, 1.0])),
     *_field_sites(SPEC, ("nu", "c1", "c2", "argument_scale", "exponent_rate")),
     *_field_sites(FLOQUET, ("mu",)),
 ]
@@ -235,8 +234,6 @@ def test_refusals_name_the_field_and_the_value():
         integrate(general_mathieu_ode(GENERAL), 1.0, 0.0, ("0", 1.0), 1e-8)
     with pytest.raises(InvalidParameterError, match=r"^period must be real, got '3.14'$"):
         monodromy_exponent(general_mathieu_ode(GENERAL), "3.14", 1e-8)
-    with pytest.raises(InvalidParameterError, match=r"^w0 must be finite, got \(nan\+0j\)$"):
-        wronskian_abel(None, math.nan, [0.0, 1.0])
     with pytest.raises(InvalidParameterError, match=r"^im_modulus must be positive, got 0.0$"):
         normalize_exponent(0.5j, 0)
     with pytest.raises(InvalidParameterError, match=r"^n must be an int from 1 to 10,000,000, got -1$"):

@@ -8,8 +8,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from mathieu_kit import closed_form, flux, oracle, reductions
 from mathieu_kit.closed_form import DampedParams, evaluate_grid, general_solution
@@ -25,7 +23,6 @@ from mathieu_kit.oracle import (
     monodromy_exponent,
     residual,
     validate_tolerance,
-    wronskian_abel,
 )
 from mathieu_kit.samples import SolutionSample, TimeSeries
 
@@ -557,34 +554,11 @@ def test_an_undamped_map_is_not_refused_at_the_loosest_tolerance():
     assert TOL_MAX < res.floor <= oracle._FLOOR_MAX
 
 
-@given(c=st.floats(min_value=-2.0, max_value=2.0),
-       w0=st.complex_numbers(max_magnitude=5.0, allow_nan=False, allow_infinity=False))
-def test_wronskian_abel_constant_damping(c, w0):
-    grid = np.linspace(0.0, 3.0, 61)
-    ref = wronskian_abel(lambda t: c, w0, grid)
-    expected = w0 * np.exp(-c * grid)
-    assert np.max(np.abs(ref - expected)) <= 1e-11 * max(1.0, abs(w0) * math.exp(2.0 * abs(c)))
-
-
-def test_wronskian_abel_undamped_is_constant():
-    grid = np.linspace(0.0, 10.0, 11)
-    ref = wronskian_abel(None, 1.0 + 2.0j, grid)
-    assert np.all(ref == 1.0 + 2.0j)
-
-
-def test_wronskian_abel_grid_validation():
-    with pytest.raises(InvalidParameterError):
-        wronskian_abel(None, 1.0, [])
-    with pytest.raises(InvalidParameterError):
-        wronskian_abel(None, 1.0, [0.0, 0.0, 1.0])
-
-
 def test_undamped_pair_wronskian_identity():
     # cos and sin for the oscillator: W = cos*cos - (-sin)*sin = 1
     grid = np.linspace(0.0, 2.0 * math.pi, 33)
     w = np.cos(grid) * np.cos(grid) - (-np.sin(grid)) * np.sin(grid)
-    ref = wronskian_abel(None, 1.0, grid)
-    assert np.max(np.abs(w - ref)) < 1e-15
+    assert np.max(np.abs(w - 1.0)) < 1e-15
 
 
 def test_dependent_pair_wronskian_vanishes():
@@ -776,24 +750,6 @@ def test_monodromy_keeps_nothing_per_step():
     assert peaks[1] <= peaks[0] + 1024
 
 
-def test_wronskian_abel_matches_per_interval_quadrature():
-    def p(t: float) -> complex:
-        return 0.3 + 0.2 * math.cos(t) + 0.1j * math.sin(2.0 * t)
-
-    w0 = 0.7 - 1.2j
-    grid = np.concatenate([np.linspace(0.0, 4.0, 37), [4.5, 6.0, 9.0]])
-    nodes, weights = np.polynomial.legendre.leggauss(10)
-    acc = 0.0
-    ref = [w0]
-    for a, b in zip(grid[:-1].tolist(), grid[1:].tolist()):
-        mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-        acc += rad * sum(w * p(mid + rad * x) for w, x in zip(weights, nodes))
-        ref.append(w0 * cmath.exp(-acc))
-    ref = np.array(ref)
-    got = wronskian_abel(p, w0, grid)
-    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
-
-
 def _cosine(t: float) -> SolutionSample:
     if not math.isfinite(t):
         raise AssertionError("a non-finite time reached the candidate")
@@ -814,7 +770,6 @@ NON_FINITE_GRIDS = {
     "timeseries-inf": lambda: _series_on([0.0, math.inf]),
     "residual-callable-nan": lambda: residual(HARMONIC, _cosine, [0.0, math.nan, 1.0]),
     "residual-callable-inf": lambda: residual(HARMONIC, _cosine, [0.0, math.inf]),
-    "wronskian-abel-nan": lambda: wronskian_abel(lambda t: 1.0, 1.0, [math.nan]),
     "evaluate-grid-nan": lambda: evaluate_grid(general_solution(_UNDAMPED), [0.0, math.nan]),
 }
 

@@ -43,7 +43,7 @@ PUBLIC_NAMES = [
     "monodromy_exponent", "normalize_exponent", "particular_k0", "pullback", "reduce",
     "residual", "second_solution", "sideband_amplitudes", "simulate_full", "solve",
     "source_ode", "split_ode", "steady_state_modulation", "symmetric_case_solution",
-    "validate_tolerance", "wronskian_abel",
+    "validate_tolerance",
 ]
 
 
@@ -67,7 +67,6 @@ def test_readme_example_runs(index):
 def test_readme_cli_example_runs(argv, tmp_path, monkeypatch, capsys):
     # --out paths land in tmp_path
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("MATHIEU_KIT_TOL", raising=False)
     assert cli.main(argv) == 0
 
 
